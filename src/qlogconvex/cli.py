@@ -34,6 +34,7 @@ from .verification import (
     SERIES_TOLERANCE,
     VerificationConfig,
     chan_partial_sum,
+    check_series_digits,
     run_full_verification,
 )
 
@@ -227,6 +228,11 @@ def cmd_verify_paper(args) -> int:
 
 
 def cmd_series(args) -> int:
+    try:
+        check_series_digits(args.digits)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     partial = chan_partial_sum(args.series_N)
     lo, hi = ccl_constant_bounds(args.digits)
     distance_bound = max(abs(partial - lo), abs(partial - hi))
@@ -261,7 +267,6 @@ def cmd_series(args) -> int:
 def _add_common_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", metavar="PATH", default=None)
-    parser.add_argument("--cache", metavar="PATH", default=default_cache_path())
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -275,6 +280,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--family", choices=FAMILY_TAGS, required=True)
     p_fam.add_argument("--n-from", type=int, default=0)
     p_fam.add_argument("--n-max", type=int, required=True)
+    p_fam.add_argument("--cache", metavar="PATH", default=default_cache_path())
     _add_common_output_args(p_fam)
     p_fam.set_defaults(func=cmd_families)
 
@@ -289,13 +295,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify-paper", help="full verification with certificate")
     p_verify.add_argument("--n-max-direct", type=int, default=150)
-    p_verify.add_argument("--n-max-factorization", type=int, default=60)
+    p_verify.add_argument("--n-max-factorization", type=int, default=60,
+                          help="largest n of the factorization sweep; it also bounds "
+                               "the prop32 and prop33 sweeps (default: %(default)s)")
     p_verify.add_argument("--n-max-sturm", type=int, default=100)
     p_verify.add_argument("--n-max-monotonicity", type=int, default=300)
     p_verify.add_argument("--n-max-root-ratio", type=int, default=120)
     p_verify.add_argument("--series-N", type=int, default=100, dest="series_N")
     p_verify.add_argument("--digits", type=int, default=40)
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_verify.add_argument("--cache", metavar="PATH", default=default_cache_path())
     _add_common_output_args(p_verify)
     p_verify.set_defaults(func=cmd_verify_paper, format="json")
 

@@ -15,6 +15,7 @@ parameter that holds at more than d integer points holds identically).
 
 from __future__ import annotations
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import dataclass, field, asdict
@@ -142,8 +143,7 @@ class VerificationConfig:
                   self.n_max_root_ratio)
         if any(b < 1 for b in bounds):
             raise ValueError("all verification bounds must be >= 1")
-        if self.series_digits < 10:
-            raise ValueError("series_digits must be at least 10")
+        check_series_digits(self.series_digits)
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format {self.output_format!r}")
 
@@ -154,6 +154,27 @@ class VerificationConfig:
 
 
 # --- series ------------------------------------------------------------------
+
+def _enclosure_half_width(digits: int) -> Fraction:
+    lo, hi = ccl_constant_bounds(digits)
+    return (hi - lo) / 2
+
+
+def check_series_digits(digits: int) -> None:
+    """Reject a digit count with which the series claim can only fail.
+
+    The claim's distance bound is the distance to the far end of the
+    constant's enclosure, so it is never below the enclosure's half-width;
+    when that half-width reaches SERIES_TOLERANCE no N can pass.
+    """
+    if digits < 1 or _enclosure_half_width(digits) >= SERIES_TOLERANCE:
+        fewest = next(d for d in itertools.count(1)
+                      if _enclosure_half_width(d) < SERIES_TOLERANCE)
+        raise ValueError(
+            f"series digits {digits} give an enclosure of 8/(sqrt(3) pi) at least "
+            f"twice the series tolerance 1e-28 wide, so the series claim can only fail; "
+            f"use at least {fewest}")
+
 
 def chan_partial_sum(N: int) -> Fraction:
     """Exact partial sum of sum_n (5n+1) D_n(1) / 64^n."""
@@ -207,12 +228,14 @@ def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def factorization_check(n: int, t: int, k: int) -> FactorizationCheck:
+def factorization_check(n: int, t: int, k: int, psi: Poly | None = None) -> FactorizationCheck:
     """Check L_t(a(n,k)) * denominator == binomial prefactor * psi(n,t)(k).
 
     The denominator factors are odd or positive integers and never vanish
     on the admissible ranges; (2n-2t+2k-1) is the lone negative one, at
     t = n, k = 0, which is exactly where the signs of L and psi flip.
+    ``psi`` is psi(n, t) when the caller has built it already; otherwise it
+    is built here.
     """
     L = op_L(DOMB_ARRAY, n, t, k)
     denominator = (
@@ -220,7 +243,9 @@ def factorization_check(n: int, t: int, k: int) -> FactorizationCheck:
         * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1)
     )
     lhs = L * denominator
-    psi_value = proofpolys.psi_poly(n, t)(k)
+    if psi is None:
+        psi = proofpolys.psi_poly(n, t)
+    psi_value = psi(k)
     prefactor = (
         binom(n, k) ** 2 * binom(2 * n - 2 * k, n - k)
         * binom(n, t - k) ** 2 * binom(2 * n - 2 * t + 2 * k, n - t + k)
@@ -236,8 +261,9 @@ def factorization_check(n: int, t: int, k: int) -> FactorizationCheck:
 def _factorization_row(n: int) -> tuple[int, list[str]]:
     failures = []
     for t in range(n + 1):
+        psi = proofpolys.psi_poly(n, t)
         for k in range(t // 2 + 1):
-            check = factorization_check(n, t, k)
+            check = factorization_check(n, t, k, psi)
             if not check.passed:
                 kind = "identity" if not check.identity_ok else "sign"
                 failures.append(

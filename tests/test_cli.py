@@ -100,6 +100,27 @@ def test_series_pass_and_fail(capsys):
     assert "partial_sum: 1.375" in out
 
 
+@pytest.mark.parametrize("digits", ["10", "14"])
+def test_digits_that_can_only_fail_are_usage_errors(capsys, digits):
+    code, out, err = run_cli(capsys, "series", "--series-N", "100", "--digits", digits)
+    assert code == EXIT_USAGE
+    assert out == "" and "use at least 15" in err
+    code, out, err = run_cli(capsys, "verify-paper", "--digits", digits, "--jobs", "1")
+    assert code == EXIT_USAGE
+    assert out == "" and "use at least 15" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "logconvex", "--n-max", "5", "--cache", "x"],
+    ["series", "--cache", "x"],
+])
+def test_cache_flag_only_where_it_is_read(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    assert "unrecognized arguments: --cache" in capsys.readouterr().err
+
+
 def test_verify_paper_small(tmp_path, capsys):
     out_path = str(tmp_path / "certificate.json")
     code, out, _ = run_cli(

@@ -3,7 +3,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogconvex import polynomials
 from qlogconvex.polynomials import (
+    KRONECKER_MIN_TERMS,
     IntervalSign,
     Poly,
     ZERO,
@@ -191,3 +193,85 @@ def test_sturm_count_bounded_below_by_grid_scan(coeffs):
         if cur != 0:
             prev = cur
     assert scan <= total <= p.degree
+
+
+# --- Poly.__mul__ against a plain schoolbook reference ------------------------
+
+def _reference_product(a: list, b: list) -> list:
+    out = [0] * max(len(a) + len(b) - 1, 0)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+@st.composite
+def _signed_coeff_lists(draw):
+    """Coefficient lists around the Kronecker crossover, with interior zeros
+    and possibly zero leading coefficients (length 0 is the zero polynomial)."""
+    bits = draw(st.integers(min_value=1, max_value=700))
+    coeff = st.integers(min_value=-(2**bits - 1), max_value=2**bits - 1)
+    body = draw(st.lists(st.one_of(st.just(0), coeff), max_size=2 * KRONECKER_MIN_TERMS + 8))
+    return body + [0] * draw(st.integers(min_value=0, max_value=2))
+
+
+@given(_signed_coeff_lists(), _signed_coeff_lists())
+@settings(max_examples=300, deadline=None)
+def test_mul_matches_schoolbook_reference(a, b):
+    assert (Poly(a) * Poly(b)).coeffs == Poly(_reference_product(a, b)).coeffs
+
+
+def test_mul_kronecker_at_the_slot_bound(monkeypatch):
+    # all coefficients at one magnitude make the middle product coefficient
+    # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
+    # sizes the bound fills its last byte in some cases and not in others
+    calls = []
+    original = polynomials._kronecker_mul
+    monkeypatch.setattr(polynomials, "_kronecker_mul",
+                        lambda a, b: calls.append(1) or original(a, b))
+    cases = 0
+    for bits in [*range(1, 80), 699, 700]:
+        top = 2**bits - 1
+        length = KRONECKER_MIN_TERMS + bits % 5
+        for a, b in (
+            ([top] * length, [top] * length),
+            ([-top] * length, [top] * (length + 3)),
+            ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
+        ):
+            assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+            cases += 1
+    assert len(calls) == cases
+
+
+def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
+    calls = []
+    original = polynomials._kronecker_mul
+    monkeypatch.setattr(polynomials, "_kronecker_mul",
+                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
+    long_ints = Poly(range(1, KRONECKER_MIN_TERMS + 1))
+    short_ints = Poly(range(1, KRONECKER_MIN_TERMS))
+    assert long_ints * long_ints == Poly(_reference_product(list(long_ints.coeffs),
+                                                           list(long_ints.coeffs)))
+    assert calls == [(KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS)]
+    short_ints * long_ints
+    long_ints * Poly([Fraction(1, 3)] * KRONECKER_MIN_TERMS)
+    assert ZERO * long_ints == long_ints * ZERO == ZERO
+    assert len(calls) == 1  # short and int x Fraction products keep the schoolbook loop
+
+
+@given(_signed_coeff_lists(), st.integers(min_value=1, max_value=KRONECKER_MIN_TERMS + 4),
+       st.fractions(max_denominator=10**6))
+@settings(max_examples=100, deadline=None)
+def test_mul_int_by_fraction_poly(a, length, fraction):
+    f = [fraction * (i + 1) for i in range(length)]
+    assert (Poly(a) * Poly(f)).coeffs == Poly(_reference_product(a, f)).coeffs
+    assert (Poly(f) * Poly(a)).coeffs == Poly(_reference_product(f, a)).coeffs
+
+
+@given(_signed_coeff_lists(), st.one_of(st.integers(min_value=-(2**700), max_value=2**700),
+                                        st.fractions()))
+@settings(max_examples=150, deadline=None)
+def test_mul_by_scalar_both_directions(a, c):
+    expected = Poly([x * c for x in a])
+    assert Poly(a) * c == expected
+    assert c * Poly(a) == expected

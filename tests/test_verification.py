@@ -13,7 +13,9 @@ from qlogconvex.verification import (
     GRID_IDENTITIES,
     SERIES_TOLERANCE,
     VerificationConfig,
+    _factorization_row,
     chan_partial_sum,
+    check_series_digits,
     factorization_check,
     factorization_sweep,
     identity_grid_check,
@@ -24,7 +26,9 @@ from qlogconvex.verification import (
     verify_prop32,
     verify_prop33,
 )
+from qlogconvex import verification
 from qlogconvex.criteria import op_L
+from qlogconvex.hiprec import ccl_constant_bounds
 from qlogconvex.families import DOMB_ARRAY
 
 SMALL_CONFIG = dict(
@@ -65,6 +69,57 @@ def test_factorization_excluded_cell_flips_sign():
     assert 2 * n - 2 * n + 2 * 0 - 1 == -1  # the lone negative denominator factor
     assert op_L(DOMB_ARRAY, n, n, 0) > 0
     assert proofpolys.psi_poly(n, n)(0) < 0
+
+
+def _corrupt_psi(monkeypatch, cell):
+    """Make proofpolys.psi_poly wrong by one in the constant term at one (n, t)."""
+    original = proofpolys.psi_poly
+
+    def tampered(n, t):
+        poly = original(n, t)
+        return poly + Poly([1]) if (n, t) == cell else poly
+
+    monkeypatch.setattr(proofpolys, "psi_poly", tampered)
+
+
+def _row_with_recorded_checks(monkeypatch, n, per_cell_psi):
+    """_factorization_row(n) and the checks it made; with per_cell_psi the
+    prebuilt psi is dropped, so every cell builds its own."""
+    checks = []
+
+    def recording(n, t, k, psi=None):
+        check = factorization_check(n, t, k, None if per_cell_psi else psi)
+        checks.append(check)
+        return check
+
+    monkeypatch.setattr(verification, "factorization_check", recording)
+    return _factorization_row(n), checks
+
+
+@pytest.mark.parametrize("tamper", [None, (9, 4)])
+def test_factorization_row_matches_per_cell_checks(monkeypatch, tamper):
+    if tamper is not None:
+        _corrupt_psi(monkeypatch, tamper)
+    for n in range(1, 13):
+        row, checks = _row_with_recorded_checks(monkeypatch, n, per_cell_psi=False)
+        reference, reference_checks = _row_with_recorded_checks(monkeypatch, n, per_cell_psi=True)
+        assert row == reference
+        assert len(checks) == sum(t // 2 + 1 for t in range(n + 1))
+        assert [(c.t, c.k, c.lhs, c.rhs) for c in checks] == [
+            (c.t, c.k, c.lhs, c.rhs) for c in reference_checks]
+        assert bool(row[1]) == (tamper is not None and n == tamper[0])
+
+
+def test_tampered_psi_fails_its_factorization_record(monkeypatch):
+    n, t = 23, 9
+    _corrupt_psi(monkeypatch, (n, t))
+    certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG,
+                                                              "n_max_factorization": 24}))
+    assert certificate.verdict == "fail"
+    failing = [c for c in certificate.claims if c.claim == "factorization" and not c.passed]
+    assert [c.params["n"] for c in failing] == [str(n)]
+    assert failing[0].witness["first_failure"].startswith(f"identity failure at (n={n}, t={t}, k=0)")
+    assert failing[0].witness["failure_count"] == str(t // 2 + 1)
 
 
 def test_factorization_sweep_small():
@@ -163,7 +218,27 @@ def test_config_validation():
     with pytest.raises(ValueError):
         VerificationConfig(series_digits=5).validate()
     with pytest.raises(ValueError):
+        VerificationConfig(series_digits=0).validate()
+    with pytest.raises(ValueError):
         VerificationConfig(output_format="yaml").validate()
+
+
+def test_series_digits_limit_follows_the_enclosure_width():
+    for digits in range(1, 25):
+        lo, hi = ccl_constant_bounds(digits)
+        can_pass = (hi - lo) / 2 < SERIES_TOLERANCE
+        config = VerificationConfig(series_digits=digits)
+        if can_pass:
+            check_series_digits(digits)
+            config.validate()
+        else:
+            with pytest.raises(ValueError, match="can only fail"):
+                check_series_digits(digits)
+            with pytest.raises(ValueError, match="can only fail"):
+                config.validate()
+    # the first accepted digit count is also the first with which the claim passes at N = 100
+    assert not series_claim(100, 14).passed
+    assert series_claim(100, 15).passed
 
 
 def test_certificate_round_trip():
