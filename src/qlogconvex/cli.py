@@ -43,6 +43,8 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
+CHECK_MIN_N_MAX = {"qlc": 1, "logconvex": 2, "crossing": 0}
+
 
 def _write_output(text: str, out_path: str | None) -> None:
     if out_path is None:
@@ -325,6 +327,16 @@ def main(argv: list[str] | None = None) -> int:
             parser.error(f"empty range: n-from={args.n_from}, n-max={args.n_max}")
     if hasattr(args, "n_max") and args.n_max < 0:
         parser.error(f"n-max must be nonnegative, got {args.n_max}")
+    if args.command == "check":
+        # below these the check has nothing to test: qlc starts at n = 1 and
+        # log-convexity needs the three numbers D_0, D_1, D_2
+        fewest = CHECK_MIN_N_MAX[args.kind]
+        if args.n_max < fewest:
+            parser.error(f"check {args.kind} needs n-max >= {fewest}, got {args.n_max}")
+        if args.jobs < 1:
+            parser.error(f"jobs must be at least 1, got {args.jobs}")
+    if args.command == "series" and args.series_N < 0:
+        parser.error(f"series-N must be nonnegative, got {args.series_N}")
     return args.func(args)
 
 

@@ -1,14 +1,20 @@
 """Combinatorial polynomial families and their triangular coefficient arrays.
 
 Four families are generated coefficient-wise from cached binomials (there is
-no recurrence involved; direct summation is exact and O(n) per polynomial):
+no recurrence in n; direct summation is exact and O(n) per polynomial):
 
     D_n(q) = sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k) q^k   (Domb polynomials)
     W_n(q) = sum_k C(n,k)^2 q^k                        (Narayana, type B)
     V_n(q) = sum_k C(n,k)^2 C(2k,k) q^k
     f_n(q) = sum_k C(n,k)^2 C(2n-2k,n-k) q^k
 
-D_n(1) is the n-th Domb number.
+D_n(1) is the n-th Domb number.  Domb numbers and the rows of the
+triangular arrays are instead built along the row, by the multiplicative
+recurrences
+
+    C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
+
+whose divisions are exact; they bypass the binomial memo.
 """
 
 from __future__ import annotations
@@ -24,13 +30,32 @@ ARRAY_KINDS = ("domb_a", "narayana_a")
 FAMILY_TAGS = ("D", "W", "V", "F")
 
 
+def _central_binomials(n: int) -> list[int]:
+    """[C(2j, j) for j in 0..n], by C(2j,j) = C(2j-2,j-1) 2(2j-1) / j."""
+    out = [1]
+    for j in range(1, n + 1):
+        out.append(out[-1] * (4 * j - 2) // j)
+    return out
+
+
+def _binomial_row(n: int) -> list[int]:
+    """[C(n, k) for k in 0..n], by C(n,k+1) = C(n,k) (n-k) / (k+1)."""
+    out = [1]
+    for k in range(n):
+        out.append(out[-1] * (n - k) // (k + 1))
+    return out
+
+
 class TriangularArray:
     """Memoized accessor for a triangular coefficient array a(n, k).
 
     Values outside 0 <= k <= n are zero; that convention makes the
     convexity operators total, since they look up a(n +/- 1, t - k) with
-    t - k possibly out of range.  The memo only grows and inserts are
-    idempotent, so instances are safe to share.
+    t - k possibly out of range.  The first lookup in row n fills the
+    whole row from the row recurrences of C(n, k) and C(2j, j), so each
+    entry costs a few small multiplications and exact divisions; the memo
+    maps n to the row.  It only grows and inserts are idempotent, so
+    instances are safe to share.
     """
 
     __slots__ = ("kind", "_memo")
@@ -39,22 +64,24 @@ class TriangularArray:
         if kind not in ARRAY_KINDS:
             raise ValueError(f"unknown array kind {kind!r}")
         self.kind = kind
-        self._memo: dict[tuple[int, int], int] = {}
+        self._memo: dict[int, tuple[int, ...]] = {}
 
     def __call__(self, n: int, k: int) -> int:
         if n < 0:
             raise ValueError(f"array row must be nonnegative, got n={n}")
         if k < 0 or k > n:
             return 0
-        key = (n, k)
-        value = self._memo.get(key)
-        if value is None:
-            if self.kind == "domb_a":
-                value = binom(n, k) ** 2 * binom(2 * n - 2 * k, n - k)
-            else:
-                value = binom(n, k) ** 2
-            self._memo[key] = value
-        return value
+        row = self._memo.get(n)
+        if row is None:
+            row = self._memo[n] = self._row(n)
+        return row[k]
+
+    def _row(self, n: int) -> tuple[int, ...]:
+        squares = [c * c for c in _binomial_row(n)]
+        if self.kind == "narayana_a":
+            return tuple(squares)
+        central = _central_binomials(n)
+        return tuple(sq * central[n - k] for k, sq in enumerate(squares))
 
     def __repr__(self) -> str:
         return f"TriangularArray({self.kind!r})"
@@ -102,10 +129,19 @@ def family_poly(tag: str, n: int) -> Poly:
 
 
 def domb_number(n: int) -> int:
-    """D_n(1)."""
+    """D_n(1) = sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k).
+
+    The row C(n, k) and the central binomials come from their
+    multiplicative recurrences; terms k and n - k are equal, so only
+    k <= n/2 is summed.
+    """
     if n < 0:
         raise ValueError(f"Domb index must be nonnegative, got n={n}")
-    return sum(family_coefficient("D", n, k) for k in range(n + 1))
+    central = _central_binomials(n)
+    row = _binomial_row(n)
+    half = sum(row[k] ** 2 * central[k] * central[n - k] for k in range((n + 1) // 2))
+    middle = row[n // 2] ** 2 * central[n // 2] ** 2 if n % 2 == 0 else 0
+    return 2 * half + middle
 
 
 def unit_weights(k: int) -> int:

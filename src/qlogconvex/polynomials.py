@@ -3,8 +3,21 @@
 A single class serves both integer and rational polynomials: Python ints and
 ``fractions.Fraction`` mix exactly under arithmetic, so one dense
 representation carries the combinatorial families (integer coefficients) as
-well as Sturm-chain remainders (rational coefficients).  Polynomials are
-immutable after construction and freely shareable between workers.
+well as quotients and remainders of division (rational coefficients).
+Polynomials are immutable after construction and freely shareable between
+workers.
+
+Root counting builds one signed remainder sequence of (f, f') and keeps
+every element primitive: the remainder is multiplied by the positive lcm of
+its denominators and divided by its positive content, which changes no
+sign, so the chain has the sign variations of the rational Sturm sequence
+while all its arithmetic stays in integers (a primitive remainder
+sequence, Collins 1967).  f need not be squarefree: every element is a
+multiple of gcd(f, f'), so once the roots at the endpoints a and b are
+deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
+roots in (a, b) (the generalized Sturm theorem).  Signs at a rational
+point p/q come from the integer sum c_i p^i q^(d-i), and division of
+integer polynomials is fraction-free pseudo-division.
 
 Products of two long integer polynomials go through Kronecker substitution:
 each operand is packed into one big integer with a fixed slot of w bits per
@@ -24,6 +37,7 @@ loop.
 from __future__ import annotations
 
 import enum
+import math
 from fractions import Fraction
 from typing import Iterable, Union
 
@@ -132,9 +146,17 @@ class Poly:
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
     def __call__(self, x: Coeff) -> Coeff:
-        """Exact Horner evaluation; int or Fraction in, same ring out."""
+        """Exact Horner evaluation; int or Fraction in, same ring out.
+
+        Integer coefficients at a Fraction point p/q are evaluated as the
+        integer sum c_i p^i q^(d-i), divided by q^d once at the end.
+        """
+        coeffs = self.coeffs
+        if type(x) is Fraction and coeffs and _all_int(coeffs):
+            return Fraction(_homogeneous(coeffs, x.numerator, x.denominator),
+                            x.denominator ** (len(coeffs) - 1))
         acc: Coeff = 0
-        for c in reversed(self.coeffs):
+        for c in reversed(coeffs):
             acc = acc * x + c
         return acc
 
@@ -149,6 +171,17 @@ X = Poly([0, 1])
 
 def _all_int(coeffs: tuple) -> bool:
     return all(type(c) is int for c in coeffs)
+
+
+def _homogeneous(coeffs: tuple, p: int, q: int) -> int:
+    """sum_i c_i p^i q^(d-i) for nonempty int coefficients c_0..c_d: q^d times
+    the value at p/q, so for q > 0 it has the sign of that value."""
+    acc = coeffs[-1]
+    q_power = 1
+    for c in reversed(coeffs[:-1]):
+        q_power *= q
+        acc = acc * p + c * q_power
+    return acc
 
 
 def _kronecker_pack(coeffs: tuple, size: int) -> int:
@@ -216,9 +249,18 @@ def is_self_reciprocal(p: Poly, n: int) -> bool:
 
 
 def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Exact rational long division: f = q*g + r with deg r < deg g."""
+    """Exact rational long division: f = q*g + r with deg r < deg g.
+
+    Both results have Fraction coefficients.  Two integer operands are
+    divided without fractions (see ``_pseudo_divmod``) and each output
+    coefficient becomes a Fraction only at the end.
+    """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
+    if _all_int(f.coeffs) and _all_int(g.coeffs):
+        quo, rem, scale = _pseudo_divmod(f.coeffs, g.coeffs)
+        return (Poly([Fraction(c, scale) for c in quo]),
+                Poly([Fraction(c, scale) for c in rem]))
     rem = [Fraction(c) for c in f.coeffs]
     div = [Fraction(c) for c in g.coeffs]
     dd = len(div) - 1
@@ -231,6 +273,36 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
             for j, c in enumerate(div):
                 rem[i + j] -= factor * c
     return Poly(quo), Poly(rem[:dd])
+
+
+def _pseudo_divmod(f: tuple, g: tuple) -> tuple[list, list, int]:
+    """Integer quo, rem and scale > 0 with scale*f = quo*g + rem, deg rem < deg g.
+
+    Each step cancels the top coefficient c of the running remainder with
+    the smallest integer multipliers, rem <- s rem - t x^i g with s > 0,
+    where s = lead/h, t = c/h and h = gcd(lead, c) carries the sign of
+    lead; scale gathers the factors s, so a divisor with lead +-1 never
+    scales.
+    """
+    dd = len(g) - 1
+    lead = g[-1]
+    rem = list(f)
+    quo = [0] * max(len(f) - dd, 0)
+    scale = 1
+    for i in range(len(f) - dd - 1, -1, -1):
+        c = rem.pop()  # the coefficient of x^(i + dd)
+        if not c:
+            continue
+        h = math.gcd(lead, c) if lead > 0 else -math.gcd(lead, c)
+        s, t = lead // h, c // h
+        if s != 1:
+            scale *= s
+            quo = [s * v for v in quo]
+            rem = [s * v for v in rem]
+        quo[i] = t
+        for j in range(dd):
+            rem[i + j] -= t * g[j]
+    return quo, rem, scale
 
 
 def poly_gcd(f: Poly, g: Poly) -> Poly:
@@ -248,6 +320,15 @@ def _monic(p: Poly) -> Poly:
     return p * (Fraction(1) / Fraction(lead))
 
 
+def _primitive(p: Poly) -> Poly:
+    """The integer polynomial p * r for the one rational r > 0 that makes
+    its coefficients coprime integers; p must be nonzero."""
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    content = math.gcd(*coeffs)
+    return Poly([c // content for c in coeffs])
+
+
 def squarefree_part(p: Poly) -> Poly:
     """Monic polynomial with the same distinct roots as p."""
     if p.is_zero:
@@ -263,22 +344,28 @@ def squarefree_part(p: Poly) -> Poly:
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    """Sturm chain of the squarefree part of p.
+    """Signed remainder sequence of (p, p'), each element primitive.
 
-    chain[0], chain[1] = f, f' and each later element is the negated
-    Euclidean remainder of the previous two.  Degrees strictly decrease,
-    and because f is squarefree (gcd(f, f') constant) the chain terminates
-    in a nonzero constant.
+    chain[0], chain[1] are positive multiples of p and p', and each later
+    element is a positive multiple of the negated Euclidean remainder of
+    the previous two, stored as a primitive integer polynomial.  Scaling
+    by positive numbers changes no sign, so the chain has the sign
+    variations of the rational Sturm sequence.  Degrees strictly decrease;
+    the last element is a multiple of gcd(p, p'), a nonzero constant when
+    p is squarefree.  A nonzero constant p gives the one-element chain
+    [1] or [-1].
     """
-    f = squarefree_part(p)
+    if p.is_zero:
+        raise ValueError("Sturm chain of the zero polynomial")
+    f = _primitive(p)
     if f.degree <= 0:
         return [f]
-    chain = [f, f.derivative()]
+    chain = [f, _primitive(f.derivative())]
     while chain[-1].degree > 0:
         rem = divmod_poly(chain[-2], chain[-1])[1]
         if rem.is_zero:
             break
-        chain.append(-rem)
+        chain.append(-_primitive(rem))
     return chain
 
 
@@ -301,26 +388,30 @@ def _deflate_root(p: Poly, r: Fraction) -> Poly:
 def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
-    Computed from sign variations of the Sturm chain of the squarefree part.
-    Roots at the endpoints are deflated first so that a root exactly at
-    ``a`` is excluded and one exactly at ``b`` is included, per the (a, b]
-    convention.
+    Roots at the endpoints are deflated first, with all their
+    multiplicities, so that a root exactly at ``a`` is excluded and one
+    exactly at ``b`` is included, per the (a, b] convention.  What is left,
+    f, has no root at a or b; every element of its Sturm chain is a
+    multiple of gcd(f, f'), which is nonzero there, so the difference of
+    sign variations V(a) - V(b) counts the distinct roots of f in (a, b)
+    even when f is not squarefree.  The signs at a = p/q are read from
+    the integers sum_i c_i p^i q^(d-i).
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b}]")
-    f = squarefree_part(p)
-    count_b = 1 if f(b) == 0 else 0
+    count_b = 1 if p(b) == 0 else 0
+    f = p
     for endpoint in (a, b):
-        while not f.is_zero and f.degree > 0 and f(endpoint) == 0:
+        while f.degree > 0 and f(endpoint) == 0:
             f = _deflate_root(f, endpoint)
     if f.degree <= 0:
         return count_b
     chain = sturm_chain(f)
-    va = _sign_variations([q(a) for q in chain])
-    vb = _sign_variations([q(b) for q in chain])
+    va = _sign_variations([_homogeneous(q.coeffs, a.numerator, a.denominator) for q in chain])
+    vb = _sign_variations([_homogeneous(q.coeffs, b.numerator, b.denominator) for q in chain])
     return va - vb + count_b
 
 

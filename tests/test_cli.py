@@ -121,6 +121,28 @@ def test_cache_flag_only_where_it_is_read(capsys, argv):
     assert "unrecognized arguments: --cache" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["series", "--series-N", "-1"], "series-N must be nonnegative, got -1"),
+    (["check", "qlc", "--n-max", "0", "--jobs", "1"], "check qlc needs n-max >= 1, got 0"),
+    (["check", "logconvex", "--n-max", "1"], "check logconvex needs n-max >= 2, got 1"),
+    (["check", "logconvex", "--n-max", "5", "--jobs", "-2"], "jobs must be at least 1, got -2"),
+])
+def test_inputs_that_can_only_fail_are_usage_errors(capsys, argv, message):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: {message}" in captured.err
+
+
+def test_smallest_accepted_check_bounds(capsys):
+    code, out, _ = run_cli(capsys, "check", "qlc", "--n-max", "1", "--jobs", "1")
+    assert code == EXIT_OK and "result: pass" in out
+    code, out, _ = run_cli(capsys, "check", "logconvex", "--n-max", "2")
+    assert code == EXIT_OK and "result: pass" in out
+
+
 def test_verify_paper_small(tmp_path, capsys):
     out_path = str(tmp_path / "certificate.json")
     code, out, _ = run_cli(

@@ -1,5 +1,6 @@
 import math
 import os
+import random
 
 import pytest
 
@@ -8,6 +9,7 @@ from qlogconvex.families import (
     FamilyStore,
     DOMB_ARRAY,
     NARAYANA_ARRAY,
+    TriangularArray,
     coeff_a,
     domb_number,
     family_poly,
@@ -62,8 +64,24 @@ def test_domb_numbers():
     assert domb_number(0) == 1
     assert domb_number(2) == 28
     assert domb_number(3) == 256
-    for n in range(40):
+    for n in range(301):
         assert domb_number(n) == direct_domb_number(n)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_triangular_array_rows_match_binomial_formula(seed):
+    """Fresh arrays, every cell of rows 0..80 plus out-of-range k, in a random
+    order, so a row is first filled from any of its cells."""
+    formulas = {
+        "domb_a": lambda n, k: math.comb(n, k) ** 2 * math.comb(2 * n - 2 * k, n - k),
+        "narayana_a": lambda n, k: math.comb(n, k) ** 2,
+    }
+    cells = [(n, k) for n in range(81) for k in range(-2, n + 3)]
+    for kind, formula in formulas.items():
+        array = TriangularArray(kind)
+        random.Random(seed).shuffle(cells)
+        for n, k in cells:
+            assert array(n, k) == (formula(n, k) if 0 <= k <= n else 0), (kind, n, k)
 
 
 def test_domb_number_equals_evaluation_at_one():

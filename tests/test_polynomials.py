@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -275,3 +276,186 @@ def test_mul_by_scalar_both_directions(a, c):
     expected = Poly([x * c for x in a])
     assert Poly(a) * c == expected
     assert c * Poly(a) == expected
+
+
+# --- sturm_count_roots against the Fraction implementation it replaced -------
+#
+# A frozen copy of the earlier root counter: the Sturm chain of the monic
+# squarefree part, built by Euclidean remainders over Fractions.
+
+def _ref_divmod(f: list, g: list) -> tuple[list, list]:
+    rem = [Fraction(c) for c in f]
+    div = [Fraction(c) for c in g]
+    dd = len(div) - 1
+    quo = [Fraction(0)] * max(len(rem) - dd, 0)
+    for i in range(len(rem) - dd - 1, -1, -1):
+        factor = rem[i + dd] / div[-1]
+        if factor:
+            quo[i] = factor
+            for j, c in enumerate(div):
+                rem[i + j] -= factor * c
+    return list(Poly(quo).coeffs), list(Poly(rem[:dd]).coeffs)
+
+
+def _ref_monic(p: list) -> list:
+    return [Fraction(c) / p[-1] for c in p]
+
+
+def _ref_squarefree(p: list) -> list:
+    if len(p) == 1:
+        return [Fraction(1)]
+    a, b = p, list(Poly(p).derivative().coeffs)
+    while b:
+        a, b = b, _ref_divmod(a, b)[1]
+    if len(a) == 1:
+        return _ref_monic(p)
+    quo, rem = _ref_divmod(p, a)
+    assert not rem
+    return _ref_monic(quo)
+
+
+def _ref_eval(p: list, x: Fraction) -> Fraction:
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
+
+
+def _ref_variations(chain: list, x: Fraction) -> int:
+    signs = [v > 0 for v in (_ref_eval(q, x) for q in chain) if v != 0]
+    return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
+
+
+def _ref_sturm_count_roots(p: Poly, a, b) -> int:
+    a, b = Fraction(a), Fraction(b)
+    f = _ref_squarefree(list(p.coeffs))
+    count_b = 1 if _ref_eval(f, b) == 0 else 0
+    for endpoint in (a, b):
+        while len(f) > 1 and _ref_eval(f, endpoint) == 0:
+            acc, out = Fraction(0), []
+            for c in reversed(f):
+                acc = acc * endpoint + c
+                out.append(acc)
+            f = list(reversed(out[:-1]))
+    if len(f) <= 1:
+        return count_b
+    f = _ref_squarefree(f)
+    if len(f) <= 1:
+        return count_b
+    chain = [f, list(Poly(f).derivative().coeffs)]
+    while len(chain[-1]) > 1:
+        rem = _ref_divmod(chain[-2], chain[-1])[1]
+        if not rem:
+            break
+        chain.append([-c for c in rem])
+    return _ref_variations(chain, a) - _ref_variations(chain, b) + count_b
+
+
+_endpoint_values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+
+
+@st.composite
+def _planted_root_cases(draw):
+    """A polynomial with planted real roots of multiplicity 1-3, an optional
+    factor without real roots, a random sign and a rational scale, and an
+    interval whose endpoints are often planted roots."""
+    roots = draw(st.lists(st.tuples(_endpoint_values, st.integers(min_value=1, max_value=3)),
+                          max_size=4, unique_by=lambda rm: rm[0]))
+    p = Poly([1])
+    for r, mult in roots:
+        p = p * Poly([-r.numerator, r.denominator]) ** mult
+    if draw(st.booleans()):  # x^2 + b x + c with b^2 < 4c
+        b = draw(st.integers(min_value=-5, max_value=5))
+        p = p * Poly([b * b // 4 + draw(st.integers(min_value=1, max_value=9)), b, 1])
+    if draw(st.booleans()):
+        p = p * Poly([draw(st.integers(min_value=-30, max_value=30)), 1])
+    scale = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50)
+                 .filter(lambda f: f != 0))
+    p = p * scale
+    candidates = sorted({r for r, _ in roots} | {draw(_endpoint_values), Fraction(-7), Fraction(7)})
+    a, b = sorted(draw(st.lists(st.sampled_from(candidates), min_size=2, max_size=2,
+                                unique=True)))
+    return p, a, b
+
+
+@given(_planted_root_cases())
+@settings(max_examples=250, deadline=None)
+def test_sturm_count_matches_fraction_reference(case):
+    p, a, b = case
+    assert sturm_count_roots(p, a, b) == _ref_sturm_count_roots(p, a, b)
+
+
+@given(st.lists(st.integers(min_value=-10**4, max_value=10**4), min_size=1, max_size=9)
+       .filter(lambda c: c[-1] != 0),
+       _endpoint_values, _endpoint_values)
+@settings(max_examples=300, deadline=None)
+def test_sturm_count_random_polys_match_fraction_reference(coeffs, a, b):
+    if a == b:
+        return
+    a, b = min(a, b), max(a, b)
+    assert sturm_count_roots(Poly(coeffs), a, b) == _ref_sturm_count_roots(Poly(coeffs), a, b)
+
+
+@given(_planted_root_cases())
+@settings(max_examples=100, deadline=None)
+def test_sturm_count_matches_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, a, b = case
+    x = sympy.Symbol("x")
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(p.coeffs)]
+    closed = sympy.Poly(coeffs, x, domain="QQ").count_roots(
+        sympy.Rational(a.numerator, a.denominator), sympy.Rational(b.numerator, b.denominator))
+    # sympy counts distinct roots in [a, b]; (a, b] leaves out a root at a
+    assert sturm_count_roots(p, a, b) == closed - (1 if p(a) == 0 else 0)
+
+
+def test_sturm_count_constructed_edge_cases():
+    # (x - 1)^3 (x - 2)^2 (x + 1): multiple roots at both endpoints and inside
+    p = Poly([-1, 1]) ** 3 * Poly([-2, 1]) ** 2 * Poly([1, 1])
+    assert sturm_count_roots(p, 1, 2) == 1
+    assert sturm_count_roots(p, -1, 1) == 1
+    assert sturm_count_roots(p, -2, 3) == 3
+    assert sturm_count_roots(-p, Fraction(1, 2), Fraction(3, 2)) == 1
+    assert sturm_count_roots(p * Fraction(-7, 3), Fraction(-3, 2), 2) == 3
+    assert sturm_count_roots(Poly([Fraction(-1, 4), 0, 1]), 0, 1) == 1  # x^2 - 1/4
+    assert sturm_count_roots(Poly([5]), 0, 1) == 0
+
+
+@given(_planted_root_cases())
+@settings(max_examples=100, deadline=None)
+def test_sturm_chain_is_a_primitive_remainder_sequence(case):
+    p = case[0]
+    chain = sturm_chain(p)
+    for q in chain:
+        assert all(type(c) is int for c in q.coeffs)
+        assert math.gcd(*q.coeffs) == 1
+    ratio = Fraction(chain[0].coeffs[-1]) / p.coeffs[-1]
+    assert ratio > 0 and chain[0] == Poly([c * ratio for c in p.coeffs])
+    assert [q.degree for q in chain] == sorted({q.degree for q in chain}, reverse=True)
+    # the last element is a multiple of gcd(p, p')
+    assert chain[-1].degree == p.degree - squarefree_part(p).degree
+
+
+# --- the integer kernels: pseudo-division and homogeneous evaluation ---------
+
+_int_coeff_lists = st.lists(st.integers(min_value=-10**12, max_value=10**12), max_size=10)
+
+
+@given(_int_coeff_lists, _int_coeff_lists.filter(lambda c: any(c)))
+@settings(max_examples=300, deadline=None)
+def test_integer_divmod_matches_fraction_division(f, g):
+    quo, rem = divmod_poly(Poly(f), Poly(g))
+    ref_quo, ref_rem = _ref_divmod(list(Poly(f).coeffs), list(Poly(g).coeffs))
+    assert quo.coeffs == tuple(ref_quo) and rem.coeffs == tuple(ref_rem)
+    assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+
+
+@given(_int_coeff_lists, st.fractions(max_denominator=10**9))
+@settings(max_examples=300, deadline=None)
+def test_eval_at_fraction_matches_fraction_horner(coeffs, x):
+    value = Poly(coeffs)(x)
+    assert value == _ref_eval(list(Poly(coeffs).coeffs), x)
+    if any(coeffs):
+        assert type(value) is Fraction
+    else:
+        assert value == 0

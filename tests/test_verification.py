@@ -285,6 +285,30 @@ def test_fault_injection_flips_verdict(monkeypatch):
     assert pinpointed, [c.witness for c in failing]
 
 
+def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
+    """K t (4t - 3n) vanishes at both ends of [0, 3n/4], so within the claims
+    sweep the endpoint forms and the eta'' axis still hold; only the
+    Sturm-certified interval check sees that eta turns positive inside.
+    (prop31's extraction grid in build_theta sees it too.)"""
+    n = 19  # above the eta_extraction grid identity (n <= 17)
+    original = proofpolys.eta_poly
+    eta = original(n)
+    K = -(abs(eta(Fraction(3 * n, 8))) + 1)
+    bumped = eta + Poly([0, -3 * n * K, 4 * K])
+    assert bumped(0) == eta(0) and bumped(Fraction(3 * n, 4)) == eta(Fraction(3 * n, 4))
+    assert bumped(Fraction(3 * n, 8)) > 0
+    monkeypatch.setattr(proofpolys, "eta_poly", lambda m: bumped if m == n else original(m))
+
+    failing = [r for r in verify_claims(n) if not r.passed]
+    assert [r.params for r in failing] == [{"part": "claims23", "n": str(n)}]
+    assert failing[0].witness["first_failure"] == f"eta not negative on [0, 3n/4] at n={n}"
+    assert failing[0].witness["failure_count"] == "1"
+
+    certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG, "n_max_sturm": n}))
+    assert certificate.verdict == "fail"
+    assert failing[0] in [c for c in certificate.claims if not c.passed]
+
+
 def test_run_captures_executor_errors(monkeypatch):
     def explode(*args, **kwargs):
         raise RuntimeError("sweep blew up")
