@@ -29,7 +29,7 @@ from .families import (
     domb_number,
     get_array,
 )
-from .hiprec import ccl_constant_bounds, fraction_to_decimal
+from .hiprec import ccl_constant_bounds, fraction_to_decimal, fraction_to_scientific
 from .verification import (
     SERIES_TOLERANCE,
     VerificationConfig,
@@ -244,7 +244,8 @@ def cmd_series(args) -> int:
         "partial_sum": fraction_to_decimal(partial, args.digits),
         "constant_low": fraction_to_decimal(lo, args.digits),
         "constant_high": fraction_to_decimal(hi, args.digits),
-        "distance_bound": fraction_to_decimal(distance_bound, args.digits),
+        # scientific: truncated to --digits places it would read 0.000...
+        "distance_bound": fraction_to_scientific(distance_bound),
         "tolerance": "1e-28",
         "result": "pass" if passed else "fail",
     }

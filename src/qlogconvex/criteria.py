@@ -155,34 +155,56 @@ def _first_negative(poly: Poly) -> int | None:
     return None
 
 
-def _qlc_witness(tag: str, n: int) -> QlcWitness:
-    defect = family_poly(tag, n + 1) * family_poly(tag, n - 1) - family_poly(tag, n) ** 2
-    return QlcWitness(n, defect, _first_negative(defect))
+def qlc_ranges(n_max: int, jobs: int) -> list[tuple[int, int]]:
+    """Split 1..n_max into about 4 * jobs contiguous ranges of about equal cost.
+
+    The defect at n multiplies polynomials of degree n whose coefficients
+    have O(n) bits, which costs about n^3; a range ends where the running
+    cost first reaches its share of the total.
+    """
+    count = min(n_max, 4 * jobs)
+    total = sum(n**3 for n in range(1, n_max + 1))
+    ranges, lo, cost = [], 1, 0
+    for n in range(1, n_max + 1):
+        cost += n**3
+        if cost * count >= total * (len(ranges) + 1):
+            ranges.append((lo, n))
+            lo = n + 1
+    return ranges
 
 
-def _qlc_worker(args: tuple[str, int]) -> tuple[int, tuple, int | None]:
-    tag, n = args
-    witness = _qlc_witness(tag, n)
-    return n, witness.defect.coeffs, witness.first_negative_coefficient_index
+def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, Poly | None]]:
+    """(n, first negative defect index, defect) for one family and n = lo..hi.
+
+    The rows lo-1..hi+1 are built once.  The defect is None unless
+    ``keep_defects``, so a pooled chunk sends back only the indices.
+    """
+    tag, lo, hi, keep_defects = task
+    polys = [family_poly(tag, i) for i in range(lo - 1, hi + 2)]  # polys[n - lo + 1] is row n
+    rows = []
+    for n in range(lo, hi + 1):
+        below, here, above = polys[n - lo], polys[n - lo + 1], polys[n - lo + 2]
+        defect = above * below - here * here
+        rows.append((n, _first_negative(defect), defect if keep_defects else None))
+    return rows
 
 
 def q_log_convex_direct(tag: str, n_max: int, jobs: int = 1) -> list[QlcWitness]:
     """Brute-force q-log-convexity witnesses for n = 1..n_max.
 
     The family passes iff every witness has no negative defect coefficient.
+    With ``jobs`` > 1 the n-ranges of ``qlc_ranges`` run in a process pool.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     if jobs > 1:
+        tasks = [(tag, lo, hi, True) for lo, hi in qlc_ranges(n_max, jobs)]
         with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_qlc_worker, [(tag, n) for n in range(1, n_max + 1)])
-        return [QlcWitness(n, Poly(coeffs), idx) for n, coeffs, idx in rows]
-    polys = [family_poly(tag, i) for i in range(n_max + 2)]
-    witnesses = []
-    for n in range(1, n_max + 1):
-        defect = polys[n + 1] * polys[n - 1] - polys[n] * polys[n]
-        witnesses.append(QlcWitness(n, defect, _first_negative(defect)))
-    return witnesses
+            chunks = pool.map(_qlc_chunk, tasks, chunksize=1)
+        rows = [row for chunk in chunks for row in chunk]
+    else:
+        rows = _qlc_chunk((tag, 1, n_max, True))
+    return [QlcWitness(n, defect, index) for n, index, defect in rows]
 
 
 @dataclass(frozen=True)

@@ -1,20 +1,22 @@
 """Combinatorial polynomial families and their triangular coefficient arrays.
 
-Four families are generated coefficient-wise from cached binomials (there is
-no recurrence in n; direct summation is exact and O(n) per polynomial):
+Four families, each row built from the binomial row C(n, k) and the central
+binomials C(2j, j) (there is no recurrence in n; each row is O(n) exact
+multiplications):
 
     D_n(q) = sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k) q^k   (Domb polynomials)
     W_n(q) = sum_k C(n,k)^2 q^k                        (Narayana, type B)
     V_n(q) = sum_k C(n,k)^2 C(2k,k) q^k
     f_n(q) = sum_k C(n,k)^2 C(2n-2k,n-k) q^k
 
-D_n(1) is the n-th Domb number.  Domb numbers and the rows of the
-triangular arrays are instead built along the row, by the multiplicative
+D_n(1) is the n-th Domb number.  Family rows, Domb numbers and the rows of
+the triangular arrays are all built along the row, by the multiplicative
 recurrences
 
     C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
 
-whose divisions are exact; they bypass the binomial memo.
+whose divisions are exact; they bypass the binomial memo, which only
+``family_coefficient`` (single entries) still reads.
 """
 
 from __future__ import annotations
@@ -77,11 +79,8 @@ class TriangularArray:
         return row[k]
 
     def _row(self, n: int) -> tuple[int, ...]:
-        squares = [c * c for c in _binomial_row(n)]
-        if self.kind == "narayana_a":
-            return tuple(squares)
-        central = _central_binomials(n)
-        return tuple(sq * central[n - k] for k, sq in enumerate(squares))
+        # a(n, k) is the coefficient of q^k in f_n (domb_a) or W_n (narayana_a)
+        return tuple(_family_row("F" if self.kind == "domb_a" else "W", n))
 
     def __repr__(self) -> str:
         return f"TriangularArray({self.kind!r})"
@@ -121,11 +120,26 @@ def family_coefficient(tag: str, n: int, k: int) -> int:
     raise ValueError(f"unknown family tag {tag!r}")
 
 
+def _family_row(tag: str, n: int) -> list[int]:
+    """[family_coefficient(tag, n, k) for k in 0..n], from the row recurrences."""
+    squares = [c * c for c in _binomial_row(n)]
+    if tag == "W":
+        return squares
+    central = _central_binomials(n)
+    if tag == "D":
+        return [sq * central[k] * central[n - k] for k, sq in enumerate(squares)]
+    if tag == "V":
+        return [sq * central[k] for k, sq in enumerate(squares)]
+    if tag == "F":
+        return [sq * central[n - k] for k, sq in enumerate(squares)]
+    raise ValueError(f"unknown family tag {tag!r}")
+
+
 def family_poly(tag: str, n: int) -> Poly:
     """Degree-n member of the chosen family, exact coefficients."""
     if n < 0:
         raise ValueError(f"family index must be nonnegative, got n={n}")
-    return Poly([family_coefficient(tag, n, k) for k in range(n + 1)])
+    return Poly(_family_row(tag, n))
 
 
 def domb_number(n: int) -> int:

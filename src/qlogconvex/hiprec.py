@@ -73,6 +73,29 @@ def fraction_to_decimal(value: Fraction, places: int) -> str:
     return f"{sign}{whole}.{str(digits).zfill(places)}"
 
 
+def fraction_to_scientific(value: Fraction) -> str:
+    """Scientific rendering of a rational to two significant digits, e.g. 2.0e-29.
+
+    Exponent and mantissa come from integer arithmetic alone.  The
+    magnitude is rounded up, so a rendered upper bound stays an upper
+    bound: 1/3 gives 3.4e-01.
+    """
+    if value == 0:
+        return "0.0e+00"
+    sign = "-" if value < 0 else ""
+    num, den = abs(value.numerator), value.denominator
+    # 10^exp <= num/den < 10^(exp+1); the digit counts fix exp up to one
+    exp = len(str(num)) - len(str(den))
+    if num * 10 ** max(-exp, 0) < den * 10 ** max(exp, 0):
+        exp -= 1
+    # mantissa = ceil(|value| / 10^(exp-1)), in 10..100
+    shift = exp - 1
+    mantissa = -(-num * 10 ** max(-shift, 0) // (den * 10 ** max(shift, 0)))
+    if mantissa == 100:  # rounding up carried into a new digit
+        mantissa, exp = 10, exp + 1
+    return f"{sign}{mantissa // 10}.{mantissa % 10}e{exp:+03d}"
+
+
 # ---------------------------------------------------------------------------
 # Certified comparison of products of integer powers via log2 enclosures.
 # Avoids materializing numbers with millions of digits while staying exact:

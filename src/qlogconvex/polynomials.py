@@ -72,6 +72,11 @@ class Poly:
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
+    def __reduce__(self):
+        # pickle through the constructor, since __setattr__ refuses the
+        # default slot restore; pool workers send defects back this way
+        return Poly, (self.coeffs,)
+
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1

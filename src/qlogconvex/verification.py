@@ -11,10 +11,27 @@ n, and a certificate only ever asserts the finite instances it actually
 checked plus the grid-certified polynomial identities (which are genuine
 proofs, by the degree-bound argument: a polynomial identity of degree d in a
 parameter that holds at more than d integer points holds identically).
+
+The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
+orchestrator opens a single ``multiprocessing.Pool`` for the whole run,
+before the first sweep, and every sweep sends its independent rows through
+it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
+factorization, one per grid identity, and contiguous n-ranges of about
+equal cost for each q-log-convexity family.  Only the small parts stay in
+the parent (the boundary table, claim 1, the series and the monotonicity
+evidence).  The rows are the same private functions the serial run loops
+over, the records are sorted before they are assembled, and a row that
+raises in a worker is raised again in the parent in row order, so serial
+and pooled certificates are identical except for the timestamp.  Under the
+fork start method (the default on Linux) the workers are copies of the
+parent as it is when the run starts, so they see any function replaced
+before the run began.
 """
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import itertools
 import json
 import multiprocessing
@@ -24,8 +41,10 @@ from fractions import Fraction
 
 from . import proofpolys
 from .criteria import (
+    _qlc_chunk,
     op_L,
     q_log_convex_direct,
+    qlc_ranges,
     root_monotonicity_check,
     single_crossing,
 )
@@ -38,11 +57,6 @@ from .proofpolys import IdentityError
 TOOL_VERSION = "0.1.0"
 
 SERIES_TOLERANCE = Fraction(1, 10**28)
-
-CLAIM_IDS = (
-    "prop31", "prop32", "prop33", "claims123", "factorization", "cascade",
-    "qlc_D", "qlc_W", "qlc_V", "qlc_F", "series", "monotonicity",
-)
 
 # Explicit boundary operator values L_t(a(n,0)) for n = 1..4, checked verbatim.
 BOUNDARY_TABLE = {
@@ -80,6 +94,34 @@ def _record(claim: str, params: dict, failures: list[str]) -> ClaimRecord:
 
 def _error_record(claim: str, exc: Exception) -> ClaimRecord:
     return ClaimRecord(claim, {"error": type(exc).__name__}, "fail", {"message": str(exc)})
+
+
+def _guarded(row, item):
+    try:
+        return True, row(item)
+    except Exception as exc:  # raised again by _map_rows, in item order
+        return False, exc
+
+
+def _map_rows(pool, row, items) -> list:
+    """``[row(item) for item in items]``, through ``pool`` when there is one.
+
+    ``row`` must be a module-level function (or a partial of one) that the
+    pool can pickle by name.  Pooled rows go out one per task, last item
+    first: the rows of the n-sweeps grow in cost with n, so the largest
+    start first and the small ones fill the tail.  A pooled row
+    that raises returns its exception, and the first one in item order is
+    raised here, as the serial loop would raise it.
+    """
+    if pool is None:
+        return [row(item) for item in items]
+    outcomes = pool.map(functools.partial(_guarded, row), list(items)[::-1], chunksize=1)
+    results = []
+    for ok, value in reversed(outcomes):
+        if not ok:
+            raise value
+        results.append(value)
+    return results
 
 
 @dataclass(frozen=True)
@@ -272,20 +314,25 @@ def _factorization_row(n: int) -> tuple[int, list[str]]:
     return n, failures
 
 
-def factorization_sweep(n_max: int, jobs: int = 1) -> list[ClaimRecord]:
-    """Exact factorization identity and sign coincidence for all cells up to n_max."""
-    if jobs > 1:
-        with multiprocessing.Pool(jobs) as pool:
-            rows = pool.map(_factorization_row, range(1, n_max + 1))
+def factorization_sweep(n_max: int, jobs: int = 1, pool=None) -> list[ClaimRecord]:
+    """Exact factorization identity and sign coincidence for all cells up to n_max.
+
+    The rows go through ``pool`` when one is given, else through a pool of
+    ``jobs`` workers opened here when ``jobs`` > 1.
+    """
+    ns = range(1, n_max + 1)
+    if pool is None and jobs > 1:
+        with multiprocessing.Pool(jobs) as own_pool:
+            rows = _map_rows(own_pool, _factorization_row, ns)
     else:
-        rows = [_factorization_row(n) for n in range(1, n_max + 1)]
+        rows = _map_rows(pool, _factorization_row, ns)
     return [_record("factorization", {"n": n, "t_range": f"0..{n}"}, failures)
             for n, failures in rows]
 
 
 # --- boundary nonnegativity (k = 0) ------------------------------------------
 
-def verify_prop31(n_max: int, include_sturm: bool = True) -> list[ClaimRecord]:
+def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[ClaimRecord]:
     """L_t(a(n,0)) >= 0: explicit table for n <= 4, sign analysis beyond.
 
     For n >= 5 the record certifies theta(n) < 0, theta(t) > 0 at all
@@ -294,7 +341,6 @@ def verify_prop31(n_max: int, include_sturm: bool = True) -> list[ClaimRecord]:
     exactly one root for theta'''' and theta''', two for theta'' and
     theta', with the endpoint signs that pin the shape of theta.
     """
-    records = []
     table_failures = []
     for n, expected_row in BOUNDARY_TABLE.items():
         if n > n_max:
@@ -302,48 +348,48 @@ def verify_prop31(n_max: int, include_sturm: bool = True) -> list[ClaimRecord]:
         actual = tuple(op_L(DOMB_ARRAY, n, t, 0) for t in range(n + 1))
         if actual != expected_row:
             table_failures.append(f"boundary row n={n}: {actual} != {expected_row}")
-    records.append(_record("prop31", {"part": "table", "n": 0}, table_failures))
+    table = _record("prop31", {"part": "table", "n": 0}, table_failures)
+    row = functools.partial(_prop31_row, include_sturm=include_sturm)
+    return [table] + _map_rows(pool, row, range(1, n_max + 1))
 
-    for n in range(1, n_max + 1):
-        failures = []
-        for t in range(n + 1):
-            if op_L(DOMB_ARRAY, n, t, 0) < 0:
-                failures.append(f"operator negative at (n={n}, t={t}, k=0)")
-        if n >= 5:
-            try:
-                bundle = proofpolys.build_theta(n)
-            except IdentityError as exc:
-                records.append(_record("prop31", {"part": "theta", "n": n}, [str(exc)]))
-                continue
-            theta = bundle.theta
-            if not theta(n) < 0:
-                failures.append(f"theta(n) not negative at n={n}")
-            for t in range(n):
-                if not theta(t) > 0:
-                    failures.append(f"theta({t}) not positive at n={n}")
-            if include_sturm:
-                th1, th2, th3, th4 = bundle.derivatives
-                half_n = Fraction(n, 2)
-                scaffolding = (
-                    (sturm_count_roots(th4, 0, n - 1) == 1, "theta'''' root count"),
-                    (sturm_count_roots(th3, 0, n - 1) == 1, "theta''' root count"),
-                    (th3(0) < 0 < th3(n - 1), "theta''' endpoint signs"),
-                    (sturm_count_roots(th2, 0, n - 1) == 2, "theta'' root count"),
-                    (th2(0) > 0 and th2(half_n) < 0 and th2(n - 1) > 0, "theta'' sign pattern"),
-                    (sturm_count_roots(th1, 0, n - 1) == 2, "theta' root count"),
-                    (th1(0) < 0 and th1(1) > 0 and th1(n - 1) < 0, "theta' sign pattern"),
-                )
-                for ok, what in scaffolding:
-                    if not ok:
-                        failures.append(f"{what} failed at n={n}")
-        records.append(_record("prop31", {"part": "theta" if n >= 5 else "operator", "n": n},
-                               failures))
-    return records
+
+def _prop31_row(n: int, include_sturm: bool) -> ClaimRecord:
+    failures = []
+    for t in range(n + 1):
+        if op_L(DOMB_ARRAY, n, t, 0) < 0:
+            failures.append(f"operator negative at (n={n}, t={t}, k=0)")
+    if n >= 5:
+        try:
+            bundle = proofpolys.build_theta(n)
+        except IdentityError as exc:
+            return _record("prop31", {"part": "theta", "n": n}, [str(exc)])
+        theta = bundle.theta
+        if not theta(n) < 0:
+            failures.append(f"theta(n) not negative at n={n}")
+        for t in range(n):
+            if not theta(t) > 0:
+                failures.append(f"theta({t}) not positive at n={n}")
+        if include_sturm:
+            th1, th2, th3, th4 = bundle.derivatives
+            half_n = Fraction(n, 2)
+            scaffolding = (
+                (sturm_count_roots(th4, 0, n - 1) == 1, "theta'''' root count"),
+                (sturm_count_roots(th3, 0, n - 1) == 1, "theta''' root count"),
+                (th3(0) < 0 < th3(n - 1), "theta''' endpoint signs"),
+                (sturm_count_roots(th2, 0, n - 1) == 2, "theta'' root count"),
+                (th2(0) > 0 and th2(half_n) < 0 and th2(n - 1) > 0, "theta'' sign pattern"),
+                (sturm_count_roots(th1, 0, n - 1) == 2, "theta' root count"),
+                (th1(0) < 0 and th1(1) > 0 and th1(n - 1) < 0, "theta' sign pattern"),
+            )
+            for ok, what in scaffolding:
+                if not ok:
+                    failures.append(f"{what} failed at n={n}")
+    return _record("prop31", {"part": "theta" if n >= 5 else "operator", "n": n}, failures)
 
 
 # --- interior crossing for t < n ----------------------------------------------
 
-def verify_prop32(n_max: int) -> list[ClaimRecord]:
+def verify_prop32(n_max: int, pool=None) -> list[ClaimRecord]:
     """Single crossing of psi(n,t) at integer points for 0 <= t <= n - 1.
 
     Also certifies the midpoint values that drive the argument: psi1(t/2)
@@ -353,47 +399,48 @@ def verify_prop32(n_max: int) -> list[ClaimRecord]:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    records = []
-    for n in range(2, n_max + 1):
-        failures = []
-        for t in range(n):
-            try:
-                bundle = proofpolys.build_psi(n, t)
-            except IdentityError as exc:
-                failures.append(str(exc))
-                continue
-            mid = Fraction(t, 2)
-            if not bundle.psi(0) >= 0:
-                failures.append(f"psi(0) negative at (n={n}, t={t})")
-            values = [bundle.psi(k) for k in range(1, t // 2 + 1)]
-            if values and not single_crossing(values).ok:
-                failures.append(f"crossing pattern broken at (n={n}, t={t})")
-            p1_mid = bundle.psi1(mid)
-            if p1_mid != proofpolys.psi1_half_closed(n, t):
-                failures.append(f"psi1 midpoint form mismatch at (n={n}, t={t})")
-            if n == 2 and p1_mid != proofpolys.psi1_half_closed_n2(t):
-                failures.append(f"psi1 midpoint n=2 form mismatch at t={t}")
-            if n == 3 and p1_mid != proofpolys.psi1_half_closed_n3(t):
-                failures.append(f"psi1 midpoint n=3 form mismatch at t={t}")
-            if not p1_mid > 0:
-                failures.append(f"psi1 midpoint not positive at (n={n}, t={t})")
-            p2_mid = bundle.psi2(mid)
-            if p2_mid != proofpolys.psi2_half_closed(n, t):
-                failures.append(f"psi2 midpoint form mismatch at (n={n}, t={t})")
-            if not p2_mid < 0:
-                failures.append(f"psi2 midpoint not negative at (n={n}, t={t})")
-            p3_mid = bundle.psi3(mid)
-            if p3_mid != proofpolys.psi3_half_closed(n, t):
-                failures.append(f"psi3 midpoint form mismatch at (n={n}, t={t})")
-            if not p3_mid > 0:
-                failures.append(f"psi3 midpoint not positive at (n={n}, t={t})")
-        records.append(_record("prop32", {"n": n, "t_range": f"0..{n - 1}"}, failures))
-    return records
+    return _map_rows(pool, _prop32_row, range(2, n_max + 1))
+
+
+def _prop32_row(n: int) -> ClaimRecord:
+    failures = []
+    for t in range(n):
+        try:
+            bundle = proofpolys.build_psi(n, t)
+        except IdentityError as exc:
+            failures.append(str(exc))
+            continue
+        mid = Fraction(t, 2)
+        if not bundle.psi(0) >= 0:
+            failures.append(f"psi(0) negative at (n={n}, t={t})")
+        values = [bundle.psi(k) for k in range(1, t // 2 + 1)]
+        if values and not single_crossing(values).ok:
+            failures.append(f"crossing pattern broken at (n={n}, t={t})")
+        p1_mid = bundle.psi1(mid)
+        if p1_mid != proofpolys.psi1_half_closed(n, t):
+            failures.append(f"psi1 midpoint form mismatch at (n={n}, t={t})")
+        if n == 2 and p1_mid != proofpolys.psi1_half_closed_n2(t):
+            failures.append(f"psi1 midpoint n=2 form mismatch at t={t}")
+        if n == 3 and p1_mid != proofpolys.psi1_half_closed_n3(t):
+            failures.append(f"psi1 midpoint n=3 form mismatch at t={t}")
+        if not p1_mid > 0:
+            failures.append(f"psi1 midpoint not positive at (n={n}, t={t})")
+        p2_mid = bundle.psi2(mid)
+        if p2_mid != proofpolys.psi2_half_closed(n, t):
+            failures.append(f"psi2 midpoint form mismatch at (n={n}, t={t})")
+        if not p2_mid < 0:
+            failures.append(f"psi2 midpoint not negative at (n={n}, t={t})")
+        p3_mid = bundle.psi3(mid)
+        if p3_mid != proofpolys.psi3_half_closed(n, t):
+            failures.append(f"psi3 midpoint form mismatch at (n={n}, t={t})")
+        if not p3_mid > 0:
+            failures.append(f"psi3 midpoint not positive at (n={n}, t={t})")
+    return _record("prop32", {"n": n, "t_range": f"0..{n - 1}"}, failures)
 
 
 # --- crossing on the diagonal t = n --------------------------------------------
 
-def verify_prop33(n_max: int) -> list[ClaimRecord]:
+def verify_prop33(n_max: int, pool=None) -> list[ClaimRecord]:
     """Single crossing of psi(n,n) at integer points k >= 1, with endpoint signs.
 
     Every displayed endpoint value is matched against its closed form for
@@ -403,30 +450,30 @@ def verify_prop33(n_max: int) -> list[ClaimRecord]:
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    records = []
-    for n in range(2, n_max + 1):
-        failures = []
-        try:
-            bundle = proofpolys.build_psi_nn(n)
-        except IdentityError as exc:
-            records.append(_record("prop33", {"n": n}, [str(exc)]))
-            continue
-        for label, builder, point, closed, sign, min_n in proofpolys.NN_ENDPOINT_FORMS:
-            value = builder(n)(Fraction(point(n)))
-            if value != Fraction(closed(n)):
-                failures.append(f"{label} form mismatch at n={n}")
-            if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
-                failures.append(f"{label} sign claim failed at n={n}")
-        values = [bundle.psi(k) for k in range(1, n // 2 + 1)]
-        if values and not single_crossing(values).ok:
-            failures.append(f"diagonal crossing pattern broken at n={n}")
-        records.append(_record("prop33", {"n": n}, failures))
-    return records
+    return _map_rows(pool, _prop33_row, range(2, n_max + 1))
+
+
+def _prop33_row(n: int) -> ClaimRecord:
+    failures = []
+    try:
+        bundle = proofpolys.build_psi_nn(n)
+    except IdentityError as exc:
+        return _record("prop33", {"n": n}, [str(exc)])
+    for label, builder, point, closed, sign, min_n in proofpolys.NN_ENDPOINT_FORMS:
+        value = builder(n)(Fraction(point(n)))
+        if value != Fraction(closed(n)):
+            failures.append(f"{label} form mismatch at n={n}")
+        if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
+            failures.append(f"{label} sign claim failed at n={n}")
+    values = [bundle.psi(k) for k in range(1, n // 2 + 1)]
+    if values and not single_crossing(values).ok:
+        failures.append(f"diagonal crossing pattern broken at n={n}")
+    return _record("prop33", {"n": n}, failures)
 
 
 # --- the xi / eta negativity claims --------------------------------------------
 
-def verify_claims(n_max: int) -> list[ClaimRecord]:
+def verify_claims(n_max: int, pool=None) -> list[ClaimRecord]:
     """The three negativity claims that force psi1(0) < 0 when psi2(0) > 0.
 
     Claim 1 rules out n = 2, 3, 4 by direct evaluation at nine pairs;
@@ -434,51 +481,50 @@ def verify_claims(n_max: int) -> list[ClaimRecord]:
     [0, 3n/4].  Interval negativity is Sturm-certified (no sampling), with
     exact endpoint evaluations against the displayed closed forms.
     """
-    records = []
     claim1_failures = []
     for n, t in CLAIM1_PAIRS:
         if proofpolys.eta_poly(n)(t) >= 0:
             claim1_failures.append(f"psi2(0) not negative at (n={n}, t={t})")
-    records.append(_record("claims123", {"part": "claim1", "n": 0}, claim1_failures))
+    claim1 = _record("claims123", {"part": "claim1", "n": 0}, claim1_failures)
+    return [claim1] + _map_rows(pool, _claims23_row, range(4, n_max + 1))
 
-    xi_eta_lookup = {label: (builder, order, point, closed, sign, min_n)
-                     for label, builder, order, point, closed, sign, min_n
-                     in proofpolys.XI_ETA_ENDPOINT_FORMS}
 
-    for n in range(4, n_max + 1):
-        failures = []
-        xi = proofpolys.xi_poly(n)
-        eta = proofpolys.eta_poly(n)
+def _claims23_row(n: int) -> ClaimRecord:
+    forms = {label: (point, closed)
+             for label, _builder, _order, point, closed, _sign_sym, _min_n
+             in proofpolys.XI_ETA_ENDPOINT_FORMS}
+    failures = []
+    xi = proofpolys.xi_poly(n)
+    eta = proofpolys.eta_poly(n)
 
-        for label in ("xi(n-1)", "xi(3n/4)"):
-            _, order, point, closed, _sign_sym, _min_n = xi_eta_lookup[label]
-            value = xi(Fraction(point(n)))
-            if value != Fraction(closed(n)):
-                failures.append(f"{label} form mismatch at n={n}")
-            if not value < 0:
-                failures.append(f"{label} not negative at n={n}")
-        lo, hi = Fraction(3 * n, 4), Fraction(n - 1)
-        if lo == hi:
-            if not xi(lo) < 0:
-                failures.append(f"xi not negative at the degenerate interval point, n={n}")
-        elif sign_constant_on(xi, lo, hi) is not IntervalSign.NEGATIVE:
-            failures.append(f"xi not negative on [3n/4, n-1] at n={n}")
+    for label in ("xi(n-1)", "xi(3n/4)"):
+        point, closed = forms[label]
+        value = xi(Fraction(point(n)))
+        if value != Fraction(closed(n)):
+            failures.append(f"{label} form mismatch at n={n}")
+        if not value < 0:
+            failures.append(f"{label} not negative at n={n}")
+    lo, hi = Fraction(3 * n, 4), Fraction(n - 1)
+    if lo == hi:
+        if not xi(lo) < 0:
+            failures.append(f"xi not negative at the degenerate interval point, n={n}")
+    elif sign_constant_on(xi, lo, hi) is not IntervalSign.NEGATIVE:
+        failures.append(f"xi not negative on [3n/4, n-1] at n={n}")
 
-        for label in ("eta(0)", "eta(3n/4)"):
-            _, order, point, closed, _sign_sym, _min_n = xi_eta_lookup[label]
-            value = eta(Fraction(point(n)))
-            if value != Fraction(closed(n)):
-                failures.append(f"{label} form mismatch at n={n}")
-            if not value < 0:
-                failures.append(f"{label} not negative at n={n}")
-        if sign_constant_on(eta, 0, Fraction(3 * n, 4)) is not IntervalSign.NEGATIVE:
-            failures.append(f"eta not negative on [0, 3n/4] at n={n}")
-        eta2 = eta.derivative().derivative()
-        axis = -Fraction(eta2.coefficient(1), 2 * eta2.coefficient(2))
-        if axis != -(Fraction(n) - Fraction(3, 4)):
-            failures.append(f"eta'' axis mismatch at n={n}")
-        records.append(_record("claims123", {"part": "claims23", "n": n}, failures))
-    return records
+    for label in ("eta(0)", "eta(3n/4)"):
+        point, closed = forms[label]
+        value = eta(Fraction(point(n)))
+        if value != Fraction(closed(n)):
+            failures.append(f"{label} form mismatch at n={n}")
+        if not value < 0:
+            failures.append(f"{label} not negative at n={n}")
+    if sign_constant_on(eta, 0, Fraction(3 * n, 4)) is not IntervalSign.NEGATIVE:
+        failures.append(f"eta not negative on [0, 3n/4] at n={n}")
+    eta2 = eta.derivative().derivative()
+    axis = -Fraction(eta2.coefficient(1), 2 * eta2.coefficient(2))
+    if axis != -(Fraction(n) - Fraction(3, 4)):
+        failures.append(f"eta'' axis mismatch at n={n}")
+    return _record("claims123", {"part": "claims23", "n": n}, failures)
 
 
 # --- grid-certified polynomial identities --------------------------------------
@@ -616,14 +662,26 @@ def identity_grid_check(identity: str) -> ClaimRecord:
     return _record("cascade", params, failures)
 
 
+def _grid_row(identity: str) -> ClaimRecord:
+    # The pool pickles this function by name; identity_grid_check is looked
+    # up when the task runs, so a wrapper put in its place is still called.
+    return identity_grid_check(identity)
+
+
 # --- q-log-convexity and monotonicity claims ------------------------------------
 
-def _qlc_claim(tag: str, n_max: int, jobs: int) -> ClaimRecord:
-    witnesses = q_log_convex_direct(tag, n_max, jobs=jobs)
-    failures = [
-        f"negative defect coefficient {w.first_negative_coefficient_index} at n={w.n}"
-        for w in witnesses if not w.passed
-    ]
+def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None) -> ClaimRecord:
+    """All defects of one family up to n_max; through ``pool`` when given,
+    in contiguous n-ranges that send back only the first negative index."""
+    if pool is None:
+        rows = [(w.n, w.first_negative_coefficient_index)
+                for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
+    else:
+        tasks = [(tag, lo, hi, False) for lo, hi in qlc_ranges(n_max, jobs)]
+        rows = [(n, index) for chunk in _map_rows(pool, _qlc_chunk, tasks)
+                for n, index, _defect in chunk]
+    failures = [f"negative defect coefficient {index} at n={n}"
+                for n, index in rows if index is not None]
     return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures)
 
 
@@ -653,42 +711,50 @@ def _sort_key(record: ClaimRecord):
     )
 
 
+# Every sweep in run order: the claim id of its error record, and a function
+# of the run's config and pool (None when serial) that returns its records.
+# Degenerate bounds leave a sweep empty rather than failing the certificate.
+SWEEPS = (
+    ("prop31", lambda c, pool: verify_prop31(c.n_max_sturm, pool=pool)),
+    ("prop32", lambda c, pool: verify_prop32(c.n_max_factorization, pool=pool)
+        if c.n_max_factorization >= 2 else []),
+    ("prop33", lambda c, pool: verify_prop33(c.n_max_factorization, pool=pool)
+        if c.n_max_factorization >= 2 else []),
+    ("claims123", lambda c, pool: verify_claims(c.n_max_sturm, pool=pool)),
+    ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization,
+                                                          c.parallelism, pool)),
+    ("cascade", lambda c, pool: _map_rows(pool, _grid_row, GRID_IDENTITIES)),
+    ("qlc_D", lambda c, pool: [_qlc_claim("D", c.n_max_direct, c.parallelism, pool)]),
+    ("qlc_W", lambda c, pool: [_qlc_claim("W", c.n_max_direct, c.parallelism, pool)]),
+    ("qlc_V", lambda c, pool: [_qlc_claim("V", c.n_max_direct, c.parallelism, pool)]),
+    ("qlc_F", lambda c, pool: [_qlc_claim("F", c.n_max_direct, c.parallelism, pool)]),
+    ("series", lambda c, pool: [series_claim(c.series_N, c.series_digits)]),
+    ("monotonicity", lambda c, pool: [_monotonicity_claim(c.n_max_monotonicity,
+                                                          c.n_max_root_ratio)]
+        if c.n_max_monotonicity >= 2 else []),
+)
+
+
 def run_full_verification(config: VerificationConfig | None = None) -> Certificate:
     """Run every sweep and assemble the certificate.
 
     Unexpected exceptions inside a sweep become failing claim records; the
-    overall verdict is "pass" exactly when every record passed.
+    overall verdict is "pass" exactly when every record passed.  With
+    ``parallelism`` above 1 one pool of that many workers serves every sweep.
     """
     config = config or VerificationConfig()
     config.validate()
     jobs = config.parallelism
 
-    # degenerate bounds leave a sweep empty rather than failing the certificate
-    executors = [
-        ("prop31", lambda: verify_prop31(config.n_max_sturm)),
-        ("prop32", lambda: verify_prop32(config.n_max_factorization)
-            if config.n_max_factorization >= 2 else []),
-        ("prop33", lambda: verify_prop33(config.n_max_factorization)
-            if config.n_max_factorization >= 2 else []),
-        ("claims123", lambda: verify_claims(config.n_max_sturm)),
-        ("factorization", lambda: factorization_sweep(config.n_max_factorization, jobs)),
-        ("cascade", lambda: [identity_grid_check(i) for i in GRID_IDENTITIES]),
-        ("qlc_D", lambda: [_qlc_claim("D", config.n_max_direct, jobs)]),
-        ("qlc_W", lambda: [_qlc_claim("W", config.n_max_direct, jobs)]),
-        ("qlc_V", lambda: [_qlc_claim("V", config.n_max_direct, jobs)]),
-        ("qlc_F", lambda: [_qlc_claim("F", config.n_max_direct, jobs)]),
-        ("series", lambda: [series_claim(config.series_N, config.series_digits)]),
-        ("monotonicity", lambda: [_monotonicity_claim(config.n_max_monotonicity,
-                                                      config.n_max_root_ratio)]
-            if config.n_max_monotonicity >= 2 else []),
-    ]
-
     claims: list[ClaimRecord] = []
-    for claim_id, executor in executors:
-        try:
-            claims.extend(executor())
-        except Exception as exc:  # a failed sweep must surface, never vanish
-            claims.append(_error_record(claim_id, exc))
+    # opened here, not at import: the workers are forked from the parent as
+    # it is now, small and with any replaced function already in place
+    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+        for claim_id, sweep in SWEEPS:
+            try:
+                claims.extend(sweep(config, pool))
+            except Exception as exc:  # a failed sweep must surface, never vanish
+                claims.append(_error_record(claim_id, exc))
 
     claims.sort(key=_sort_key)
     verdict = "pass" if all(c.passed for c in claims) else "fail"

@@ -100,6 +100,17 @@ def test_series_pass_and_fail(capsys):
     assert "partial_sum: 1.375" in out
 
 
+def test_series_shows_the_distance_bound_in_scientific_form(capsys):
+    code, out, _ = run_cli(capsys, "series", "--series-N", "100", "--digits", "15")
+    assert code == EXIT_OK
+    assert "distance_bound: 1.9e-29\n" in out
+    assert "partial_sum: 1.470210387791445\n" in out
+    code, out, _ = run_cli(capsys, "series", "--series-N", "1", "--digits", "40",
+                           "--format", "json")
+    assert code == EXIT_VERIFICATION_FAILURE
+    assert json.loads(out)["distance_bound"] == "9.6e-02"
+
+
 @pytest.mark.parametrize("digits", ["10", "14"])
 def test_digits_that_can_only_fail_are_usage_errors(capsys, digits):
     code, out, err = run_cli(capsys, "series", "--series-N", "100", "--digits", digits)

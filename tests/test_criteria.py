@@ -1,14 +1,17 @@
+import pickle
 from fractions import Fraction
 
 import pytest
 
 from qlogconvex.criteria import (
+    _qlc_chunk,
     criterion_c2_sweep,
     criterion_verdict,
     log_convex_check,
     op_L,
     op_L_tilde,
     q_log_convex_direct,
+    qlc_ranges,
     root_monotonicity_check,
     single_crossing,
     sweep_passes,
@@ -162,6 +165,34 @@ def test_qlc_direct_parallel_matches_serial():
     assert [(w.n, w.defect, w.first_negative_coefficient_index) for w in serial] == [
         (w.n, w.defect, w.first_negative_coefficient_index) for w in parallel
     ]
+
+
+@pytest.mark.parametrize("n_max, jobs", [(1, 2), (5, 2), (150, 2), (150, 3), (40, 8)])
+def test_qlc_ranges_tile_the_range_with_balanced_cost(n_max, jobs):
+    ranges = qlc_ranges(n_max, jobs)
+    assert ranges[0][0] == 1 and ranges[-1][1] == n_max
+    assert all(lo <= hi for lo, hi in ranges)
+    assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+    count = min(n_max, 4 * jobs)
+    assert len(ranges) <= count
+    if n_max == 150:
+        assert len(ranges) == count
+        share = sum(n**3 for n in range(1, n_max + 1)) / count
+        # a range overshoots its share by less than its last row
+        assert all(sum(n**3 for n in range(lo, hi + 1)) < share + hi**3 for lo, hi in ranges)
+
+
+def test_qlc_chunks_agree_with_one_serial_chunk():
+    whole = _qlc_chunk(("V", 1, 30, True))
+    pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk(("V", lo, hi, True))]
+    assert pieces == whole
+    indices_only = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk(("V", lo, hi, False))]
+    assert indices_only == [(n, index, None) for n, index, _ in whole]
+
+
+def test_witness_defects_survive_pickling():
+    witness = q_log_convex_direct("W", 6)[-1]
+    assert pickle.loads(pickle.dumps(witness.defect)) == witness.defect
 
 
 def test_qlc_at_one_implies_number_log_convexity():

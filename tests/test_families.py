@@ -12,6 +12,7 @@ from qlogconvex.families import (
     TriangularArray,
     coeff_a,
     domb_number,
+    family_coefficient,
     family_poly,
     load_family_cache,
     save_family_cache,
@@ -53,9 +54,18 @@ def test_family_poly_examples():
     assert family_poly("V", 2) == Poly([1, 8, 6])
 
 
+@pytest.mark.parametrize("tag", ["D", "W", "V", "F"])
+def test_family_poly_rows_match_family_coefficient(tag):
+    for n in range(81):
+        assert family_poly(tag, n).coeffs == tuple(family_coefficient(tag, n, k)
+                                                   for k in range(n + 1))
+
+
 def test_family_poly_rejects_negative():
     with pytest.raises(ValueError):
         family_poly("D", -1)
+    with pytest.raises(ValueError, match="unknown family tag"):
+        family_poly("Q", 3)
     with pytest.raises(ValueError):
         domb_number(-1)
 

@@ -8,6 +8,7 @@ from qlogconvex.hiprec import (
     ccl_constant_bounds,
     compare_products,
     fraction_to_decimal,
+    fraction_to_scientific,
     log2_bounds,
     pi_bounds,
     sqrt3_bounds,
@@ -59,6 +60,27 @@ def test_fraction_to_decimal():
     assert fraction_to_decimal(Fraction(-1, 3), 5) == "-0.33333"
     assert fraction_to_decimal(Fraction(0), 3) == "0.000"
     assert fraction_to_decimal(Fraction(22, 7), 10) == "3.1428571428"
+
+
+def test_fraction_to_scientific():
+    assert fraction_to_scientific(Fraction(2, 10**29)) == "2.0e-29"
+    assert fraction_to_scientific(Fraction(1, 3)) == "3.4e-01"  # rounded up: still a bound
+    assert fraction_to_scientific(Fraction(-1, 3)) == "-3.4e-01"
+    assert fraction_to_scientific(Fraction(995, 1000)) == "1.0e+00"  # carry into a new digit
+    assert fraction_to_scientific(Fraction(123456)) == "1.3e+05"
+    assert fraction_to_scientific(Fraction(7)) == "7.0e+00"
+    assert fraction_to_scientific(Fraction(0)) == "0.0e+00"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**60), st.integers(1, 10**60))
+def test_fraction_to_scientific_is_the_tightest_upper_bound(num, den):
+    value = Fraction(num, den)
+    mantissa, exp = fraction_to_scientific(value).split("e")
+    digits = int(mantissa.replace(".", ""))
+    assert 10 <= digits <= 99
+    unit = Fraction(10) ** (int(exp) - 1)
+    assert value <= digits * unit < value + unit
 
 
 def test_log2_bounds_edges():

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 from fractions import Fraction
 
 import pytest
@@ -318,3 +319,61 @@ def test_run_captures_executor_errors(monkeypatch):
     assert certificate.verdict == "fail"
     errors = [c for c in certificate.claims if c.params.get("error") == "RuntimeError"]
     assert errors and errors[0].witness["message"] == "sweep blew up"
+
+
+def test_pooled_run_matches_serial():
+    serial = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    pooled = run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2))
+    assert serial.passed
+    assert pooled.claims == serial.claims
+
+
+def test_one_pool_per_run(monkeypatch):
+    opened = []
+    real_pool = multiprocessing.Pool
+
+    def counting_pool(*args, **kwargs):
+        opened.append(args)
+        return real_pool(*args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2)).passed
+    assert opened == [(2,)]
+    opened.clear()
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG)).passed
+    assert opened == []
+
+
+def test_tampered_psi1_fails_the_same_records_pooled(monkeypatch):
+    """The pool is forked inside the run, so it sees a replacement made before it."""
+    original = proofpolys.psi1_poly
+
+    def tampered(n, t):
+        poly = original(n, t)
+        return Poly((poly.coeffs[0] + 1,) + poly.coeffs[1:]) if (n, t) == (7, 3) else poly
+
+    monkeypatch.setattr(proofpolys, "psi1_poly", tampered)
+    serial = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    pooled = run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2))
+    assert serial.verdict == pooled.verdict == "fail"
+    failing = [c for c in serial.claims if not c.passed]
+    assert failing and [c for c in pooled.claims if not c.passed] == failing
+
+
+def test_pooled_row_errors_match_serial(monkeypatch):
+    """Rows that raise at two n give the serial run's single error record,
+    from the smaller n, although the pool runs the larger n first."""
+    original = proofpolys.build_psi
+
+    def flaky(n, t):
+        if n in (5, 7):
+            raise RuntimeError(f"row {n} blew up")
+        return original(n, t)
+
+    monkeypatch.setattr(proofpolys, "build_psi", flaky)
+    serial = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    pooled = run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2))
+    assert pooled.claims == serial.claims
+    errors = [c for c in serial.claims if "error" in c.params]
+    assert errors == [ClaimRecord("prop32", {"error": "RuntimeError"}, "fail",
+                                  {"message": "row 5 blew up"})]
