@@ -56,7 +56,7 @@ class TriangularArray:
     t - k possibly out of range.  The first lookup in row n fills the
     whole row from the row recurrences of C(n, k) and C(2j, j), so each
     entry costs a few small multiplications and exact divisions; the memo
-    maps n to the row.  It only grows and inserts are idempotent, so
+    maps n to the row, which ``row(n)`` returns whole.  It only grows and inserts are idempotent, so
     instances are safe to share.
     """
 
@@ -73,10 +73,16 @@ class TriangularArray:
             raise ValueError(f"array row must be nonnegative, got n={n}")
         if k < 0 or k > n:
             return 0
+        return (self._memo.get(n) or self.row(n))[k]
+
+    def row(self, n: int) -> tuple[int, ...]:
+        """The whole row (a(n, 0), ..., a(n, n)), from the same memo."""
+        if n < 0:
+            raise ValueError(f"array row must be nonnegative, got n={n}")
         row = self._memo.get(n)
         if row is None:
             row = self._memo[n] = self._row(n)
-        return row[k]
+        return row
 
     def _row(self, n: int) -> tuple[int, ...]:
         # a(n, k) is the coefficient of q^k in f_n (domb_a) or W_n (narayana_a)

@@ -32,6 +32,17 @@ the size of the numbers, and the result is exactly the schoolbook product.
 Operands with a Fraction coefficient, and operands shorter than
 ``KRONECKER_MIN_TERMS`` (Sturm chains, the psi builds), keep the schoolbook
 loop.
+
+Large products evaluate at two points instead (Harvey 2009,
+arXiv:0712.4046): with X = 2^(w/2) and f(x) = E(x^2) + x O(x^2), the even
+and odd coefficients are packed in w-bit slots, f(+-X) = E(X^2) +- X O(X^2),
+and the product h = ab has h(X) + h(-X) = 2 H_even(X^2) and
+h(X) - h(-X) = 2X H_odd(X^2), whose w-bit slots are read back as above.
+Two multiplies of half the size cost about 2/3 of one under Karatsuba (a
+square stays two squares).  The path is taken from
+``KRONECKER_TWO_POINT_BITS`` packed bits (slot bits times the shorter
+length), the measured crossover; the defect products of the q-log-convexity
+sweep take it from n = 40 (D), 45 (V, F) and 56 (W) on.
 """
 
 from __future__ import annotations
@@ -48,6 +59,15 @@ Coeff = Union[int, Fraction]
 # (D_{n+1} D_{n-1}, D_n^2, likewise W) and 16-20 terms on random signed
 # operands of 3-200 bits; 600-bit random operands break even near 30.
 KRONECKER_MIN_TERMS = 16
+
+# Packed size (slot bits times the shorter length) from which a Kronecker
+# product evaluates at +-2^(w/2) with two half-size multiplies instead of one.
+# Measured (median of 15 interleaved timings per case, product and square):
+# break-even at 6-8k bits on D, W, V and F rows (0.95-1.09x at 4-8k),
+# 1.02-1.2x at 12-15k, 1.2-1.3x at 16-30k and 1.4x on D at n = 128-160;
+# random signed operands of 16-500 terms and 8-1000 bits gain 1.02-1.26x
+# from 12k bits on (400 terms of 30 bits, 28.8k bits: 1.13x).
+KRONECKER_TWO_POINT_BITS = 12_000
 
 
 def _strip(coeffs: list) -> tuple:
@@ -202,15 +222,9 @@ def _kronecker_pack(coeffs: tuple, size: int) -> int:
     return value
 
 
-def _kronecker_mul(a: tuple, b: tuple) -> list:
-    """Exact product coefficients of two nonzero int polynomials, by one big-int multiply."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    size = bound.bit_length() // 8 + 1  # bound's bits plus a sign bit, in bytes
-    packed_a = _kronecker_pack(a, size)
-    # equal operands make a square, which CPython multiplies faster
-    packed_b = packed_a if a == b else _kronecker_pack(b, size)
-    count = len(a) + len(b) - 1
-    data = (packed_a * packed_b).to_bytes(count * size, "little", signed=True)
+def _kronecker_unpack(value: int, count: int, size: int) -> list:
+    """The c_0..c_{count-1} of value = sum_i c_i 2^(8 size i), |c_i| < 2^(8 size - 1)."""
+    data = value.to_bytes(count * size, "little", signed=True)
     full = 1 << (8 * size)
     half = full >> 1
     out = []
@@ -219,6 +233,38 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
         v = int.from_bytes(data[i:i + size], "little") + borrow
         borrow = v >= half
         out.append(v - full if borrow else v)
+    return out
+
+
+def _kronecker_mul(a: tuple, b: tuple) -> list:
+    """Exact product coefficients of two nonzero int polynomials.
+
+    One big-int multiply at 2^(8 size), or, from ``KRONECKER_TWO_POINT_BITS``
+    packed bits on, two half-size multiplies at +-2^(4 size).
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    size = bound.bit_length() // 8 + 1  # bound's bits plus a sign bit, in bytes
+    count = len(a) + len(b) - 1
+    # equal operands make a square, which CPython multiplies faster
+    square = a == b
+    if 8 * size * min(len(a), len(b)) < KRONECKER_TWO_POINT_BITS:
+        packed_a = _kronecker_pack(a, size)
+        packed_b = packed_a if square else _kronecker_pack(b, size)
+        return _kronecker_unpack(packed_a * packed_b, count, size)
+    # f(+-X) = E(X^2) +- X O(X^2) for X = 2^(4 size), with the even and odd
+    # coefficients packed in the slots of X^2 = 2^(8 size); then h = a b has
+    # h(X) + h(-X) = 2 H_even(X^2) and h(X) - h(-X) = 2 X H_odd(X^2)
+    shift = 4 * size
+    even_a, odd_a = _kronecker_pack(a[0::2], size), _kronecker_pack(a[1::2], size) << shift
+    if square:
+        plus, minus = even_a + odd_a, even_a - odd_a
+        plus, minus = plus * plus, minus * minus
+    else:
+        even_b, odd_b = _kronecker_pack(b[0::2], size), _kronecker_pack(b[1::2], size) << shift
+        plus, minus = (even_a + odd_a) * (even_b + odd_b), (even_a - odd_a) * (even_b - odd_b)
+    out = [0] * count
+    out[0::2] = _kronecker_unpack((plus + minus) >> 1, (count + 1) // 2, size)
+    out[1::2] = _kronecker_unpack((plus - minus) >> (shift + 1), count // 2, size)
     return out
 
 

@@ -32,26 +32,41 @@ class IdentityError(Exception):
     """An exact polynomial identity failed (indicates a transcription bug)."""
 
 
+def _times_linear(p, c0: int, c1: int) -> list:
+    """Coefficients of p(x) * (c0 + c1 x), one more than p has."""
+    return [c0 * x + c1 * y for x, y in zip((*p, 0), (0, *p))]
+
+
+def _linear_product(scale: int, factors) -> list:
+    """Coefficients of scale * prod (c0 + c1 x) over the (c0, c1) factors."""
+    p = [scale]
+    for c0, c1 in factors:
+        p = _times_linear(p, c0, c1)
+    return p
+
+
 def psi_poly(n: int, t: int) -> Poly:
     """The degree-8 sign polynomial, built from its defining product form.
 
     Accepts any integer pair; callers enforce contract ranges.  As a
     polynomial identity in (n, t, x) everything downstream holds for all
-    integers, which is what the grid certifications exploit.
+    integers, which is what the grid certifications exploit.  The linear
+    factors are multiplied out on integer lists and one Poly is built at
+    the end.
     """
-    a = Poly([n, -1])          # n - x
-    b = Poly([n + 1, -1])      # n - x + 1
-    c = Poly([n - t, 1])       # n - t + x
-    d = Poly([n - t + 1, 1])   # n - t + x + 1
-    e_plus = Poly([2 * n - 2 * t + 1, 2])   # 2n - 2t + 2x + 1
-    e_minus = Poly([2 * n - 2 * t - 1, 2])  # 2n - 2t + 2x - 1
-    f_minus = Poly([2 * n - 1, -2])         # 2n - 2x - 1
-    f_plus = Poly([2 * n + 1, -2])          # 2n - 2x + 1
+    a = (n, -1)                    # n - x
+    b = (n + 1, -1)                # n - x + 1
+    c = (n - t, 1)                 # n - t + x
+    d = (n - t + 1, 1)             # n - t + x + 1
+    e_plus = (2 * n - 2 * t + 1, 2)   # 2n - 2t + 2x + 1
+    e_minus = (2 * n - 2 * t - 1, 2)  # 2n - 2t + 2x - 1
+    f_minus = (2 * n - 1, -2)         # 2n - 2x - 1
+    f_plus = (2 * n + 1, -2)          # 2n - 2x + 1
     nsq1 = (n + 1) ** 2
-    term1 = nsq1 * (a**3 * b**3 * e_plus * e_minus)
-    term2 = nsq1 * (c**3 * d**3 * f_minus * f_plus)
-    term3 = (-2 * n**2) * (b**3 * d**3 * f_minus * e_minus)
-    return term1 + term2 + term3
+    term1 = _linear_product(nsq1, (a, a, a, b, b, b, e_plus, e_minus))
+    term2 = _linear_product(nsq1, (c, c, c, d, d, d, f_minus, f_plus))
+    term3 = _linear_product(-2 * n**2, (b, b, b, d, d, d, f_minus, e_minus))
+    return Poly([u + v + w for u, v, w in zip(term1, term2, term3)])
 
 
 def psi1_poly(n: int, t: int) -> Poly:
@@ -347,6 +362,8 @@ NN_ENDPOINT_FORMS: tuple = (
 # --- validated bundles -------------------------------------------------------
 
 def _first_mismatch(p: Poly, q: Poly) -> int | None:
+    if p.coeffs == q.coeffs:
+        return None
     limit = max(p.degree, q.degree) + 1
     for i in range(limit):
         if p.coefficient(i) != q.coefficient(i):
@@ -355,7 +372,7 @@ def _first_mismatch(p: Poly, q: Poly) -> int | None:
 
 
 def _check_cascade(name: str, upper: Poly, factor_scale: int, t: int, lower: Poly) -> None:
-    expected = Poly([-t * factor_scale, 2 * factor_scale]) * lower
+    expected = Poly(_times_linear(lower.coeffs, -t * factor_scale, 2 * factor_scale))
     idx = _first_mismatch(upper.derivative(), expected)
     if idx is not None:
         raise IdentityError(

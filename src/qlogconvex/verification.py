@@ -43,6 +43,7 @@ from . import proofpolys
 from .criteria import (
     _qlc_chunk,
     op_L,
+    op_L_boundary,
     q_log_convex_direct,
     qlc_ranges,
     root_monotonicity_check,
@@ -355,8 +356,8 @@ def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[Cla
 
 def _prop31_row(n: int, include_sturm: bool) -> ClaimRecord:
     failures = []
-    for t in range(n + 1):
-        if op_L(DOMB_ARRAY, n, t, 0) < 0:
+    for t, value in enumerate(op_L_boundary(DOMB_ARRAY, n)):
+        if value < 0:
             failures.append(f"operator negative at (n={n}, t={t}, k=0)")
     if n >= 5:
         try:

@@ -9,6 +9,7 @@ from qlogconvex.criteria import (
     criterion_verdict,
     log_convex_check,
     op_L,
+    op_L_boundary,
     op_L_tilde,
     q_log_convex_direct,
     qlc_ranges,
@@ -110,6 +111,12 @@ def test_boundary_nonnegativity_up_to_150():
     for n in range(1, 151):
         for t in range(n + 1):
             assert op_L(DOMB_ARRAY, n, t, 0) >= 0
+
+
+@pytest.mark.parametrize("array", [DOMB_ARRAY, NARAYANA_ARRAY])
+def test_boundary_column_matches_op_L(array):
+    for n in range(1, 121):
+        assert op_L_boundary(array, n) == [op_L(array, n, t, 0) for t in range(n + 1)], n
 
 
 def test_sign_coincidence_with_psi():

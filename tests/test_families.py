@@ -92,6 +92,11 @@ def test_triangular_array_rows_match_binomial_formula(seed):
         random.Random(seed).shuffle(cells)
         for n, k in cells:
             assert array(n, k) == (formula(n, k) if 0 <= k <= n else 0), (kind, n, k)
+        fresh = TriangularArray(kind)
+        for n in random.Random(seed).sample(range(81), 81):
+            assert fresh.row(n) == tuple(formula(n, k) for k in range(n + 1)) == array.row(n)
+        with pytest.raises(ValueError):
+            fresh.row(-1)
 
 
 def test_domb_number_equals_evaluation_at_one():

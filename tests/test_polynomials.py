@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from qlogconvex import polynomials
 from qlogconvex.polynomials import (
     KRONECKER_MIN_TERMS,
+    KRONECKER_TWO_POINT_BITS,
     IntervalSign,
     Poly,
     ZERO,
@@ -22,6 +23,7 @@ from qlogconvex.polynomials import (
     sturm_chain,
     sturm_count_roots,
 )
+from qlogconvex.families import FAMILY_TAGS, family_poly
 from qlogconvex.proofpolys import eta_poly, theta_poly
 
 
@@ -222,26 +224,98 @@ def test_mul_matches_schoolbook_reference(a, b):
     assert (Poly(a) * Poly(b)).coeffs == Poly(_reference_product(a, b)).coeffs
 
 
+def _spy_unpacks(monkeypatch) -> list:
+    """Record the slot count of every Kronecker unpack: the one-point path
+    reads one product, the two-point path an even and an odd half."""
+    counts = []
+    original = polynomials._kronecker_unpack
+    monkeypatch.setattr(polynomials, "_kronecker_unpack",
+                        lambda value, count, size: counts.append(count)
+                        or original(value, count, size))
+    return counts
+
+
+def _packed_bits(a, b) -> int:
+    """Slot bits times the shorter length, the size the Kronecker dispatch reads."""
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    return 8 * (bound.bit_length() // 8 + 1) * min(len(a), len(b))
+
+
+def _expected_unpacks(a, b) -> list:
+    count = len(a) + len(b) - 1
+    if _packed_bits(a, b) >= polynomials.KRONECKER_TWO_POINT_BITS:
+        return [(count + 1) // 2, count // 2]
+    return [count]
+
+
 def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # all coefficients at one magnitude make the middle product coefficient
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
-    # sizes the bound fills its last byte in some cases and not in others
-    calls = []
-    original = polynomials._kronecker_mul
-    monkeypatch.setattr(polynomials, "_kronecker_mul",
-                        lambda a, b: calls.append(1) or original(a, b))
-    cases = 0
-    for bits in [*range(1, 80), 699, 700]:
-        top = 2**bits - 1
-        length = KRONECKER_MIN_TERMS + bits % 5
-        for a, b in (
-            ([top] * length, [top] * length),
-            ([-top] * length, [top] * (length + 3)),
-            ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
-        ):
+    # sizes the bound fills its last byte in some cases and not in others.
+    # With the two-point threshold at 0 every product takes that path, which
+    # reads the same bound from the even and the odd half of the product.
+    unpacks = _spy_unpacks(monkeypatch)
+    for two_point_bits in (KRONECKER_TWO_POINT_BITS, 0):
+        monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", two_point_bits)
+        unpacks.clear()
+        expected_unpacks = []
+        for bits in [*range(1, 80), 699, 700]:
+            top = 2**bits - 1
+            length = KRONECKER_MIN_TERMS + bits % 5
+            for a, b in (
+                ([top] * length, [top] * length),
+                ([-top] * length, [top] * (length + 3)),
+                ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
+            ):
+                assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+                expected_unpacks += _expected_unpacks(a, b)
+        assert unpacks == expected_unpacks
+    assert len(unpacks) == 2 * 81 * 3
+
+
+def _two_point_cases() -> list:
+    """Deterministic operand pairs around and above the two-point threshold."""
+    top = 2**300 - 1
+    mixed = [(-1) ** (i * i // 3) * (top - 7 * i) for i in range(24)]
+    cases = []
+    # 300-bit coefficients cross the threshold between 19 and 20 terms
+    for la in range(17, 24):
+        for lb in (la, la + 1):
+            cases.append((mixed[:la], [top - i for i in range(lb)]))
+            cases.append(([-top] * la, [-(top >> i % 3) for i in range(lb)]))
+        cases.append((mixed[:la], mixed[:la]))               # square
+        cases.append(([-top] * la, [-top] * la))             # all-negative square
+        cases.append((mixed[:la], mixed[1:la + 1]))          # distinct, equal length
+    unbalanced = [(-1) ** i * (2**800 - 3 * i) for i in range(16)]
+    cases.append((unbalanced, [(-1) ** (i // 5) * (2**40 + i) for i in range(400)]))
+    cases.append(([2**60 + i for i in range(400)], unbalanced))
+    return cases
+
+
+def test_mul_two_point_matches_schoolbook(monkeypatch):
+    unpacks = _spy_unpacks(monkeypatch)
+    expected_unpacks = []
+    sides = set()
+    for a, b in _two_point_cases():
+        assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+        expected_unpacks += _expected_unpacks(a, b)
+        sides.add(_packed_bits(a, b) >= KRONECKER_TWO_POINT_BITS)
+    assert unpacks == expected_unpacks
+    assert sides == {False, True}
+
+
+@pytest.mark.parametrize("n", [48, 96, 160])
+def test_mul_two_point_family_defect_products(monkeypatch, n):
+    # the defect's two products; all take the two-point path except W at n = 48
+    unpacks = _spy_unpacks(monkeypatch)
+    expected_unpacks = []
+    for tag in FAMILY_TAGS:
+        below, here, above = (family_poly(tag, m).coeffs for m in (n - 1, n, n + 1))
+        for a, b in ((above, below), (here, here)):
             assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-            cases += 1
-    assert len(calls) == cases
+            expected_unpacks += _expected_unpacks(a, b)
+    assert unpacks == expected_unpacks
+    assert len(unpacks) == 2 * 2 * len(FAMILY_TAGS) - (2 if n == 48 else 0)
 
 
 def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
@@ -258,6 +332,31 @@ def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
     long_ints * Poly([Fraction(1, 3)] * KRONECKER_MIN_TERMS)
     assert ZERO * long_ints == long_ints * ZERO == ZERO
     assert len(calls) == 1  # short and int x Fraction products keep the schoolbook loop
+
+
+def test_mul_kronecker_two_point_dispatch(monkeypatch):
+    # the threshold is inclusive and reads the packed size, not the term count
+    a = [(-1) ** i * (2**300 - i) for i in range(21)]
+    b = [2**290 + i for i in range(20)]
+    packed = _packed_bits(a, b)
+    count = len(a) + len(b) - 1
+    expected = _reference_product(a, b)
+    unpacks = _spy_unpacks(monkeypatch)
+    for threshold, path in ((packed + 1, [count]), (packed, [(count + 1) // 2, count // 2]),
+                            (packed - 1, [(count + 1) // 2, count // 2])):
+        monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", threshold)
+        unpacks.clear()
+        assert list((Poly(a) * Poly(b)).coeffs) == expected
+        assert unpacks == path
+    # at the real threshold: the same term count on each side of it
+    monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", KRONECKER_TWO_POINT_BITS)
+    length = 20
+    small, large = ([2**bits - 1] * length for bits in (5, 2000))
+    assert _packed_bits(small, small) < KRONECKER_TWO_POINT_BITS <= _packed_bits(large, large)
+    for operand, path in ((small, [2 * length - 1]), (large, [length, length - 1])):
+        unpacks.clear()
+        assert list((Poly(operand) * Poly(operand)).coeffs) == _reference_product(operand, operand)
+        assert unpacks == path
 
 
 @given(_signed_coeff_lists(), st.integers(min_value=1, max_value=KRONECKER_MIN_TERMS + 4),

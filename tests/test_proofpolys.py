@@ -71,19 +71,71 @@ def test_build_psi_over_grid():
             build_psi(n, t)  # raises on any cascade break
 
 
+def _psi_from_poly_products(n, t):
+    """psi built as Poly products, the way psi_poly built it before its
+    factors were multiplied out on integer lists."""
+    a, b = Poly([n, -1]), Poly([n + 1, -1])
+    c, d = Poly([n - t, 1]), Poly([n - t + 1, 1])
+    e_plus, e_minus = Poly([2 * n - 2 * t + 1, 2]), Poly([2 * n - 2 * t - 1, 2])
+    f_minus, f_plus = Poly([2 * n - 1, -2]), Poly([2 * n + 1, -2])
+    return ((n + 1) ** 2 * (a**3 * b**3 * e_plus * e_minus)
+            + (n + 1) ** 2 * (c**3 * d**3 * f_minus * f_plus)
+            + (-2 * n**2) * (b**3 * d**3 * f_minus * e_minus))
+
+
+def test_psi_poly_matches_poly_product_form():
+    # any integer pair: the grid identities use t > n, and nothing rejects n < 1
+    for n in range(-4, 26):
+        for t in range(-4, 31):
+            assert psi_poly(n, t) == _psi_from_poly_products(n, t), (n, t)
+
+
 def test_tampered_transcription_is_caught(monkeypatch):
-    original = proofpolys.psi1_poly
+    cases = (
+        ("psi1_poly", (4, 2), 0, "psi(n=4,t=2): first differing coefficient index 0"),
+        ("psi1_poly", (4, 2), 6, "psi(n=4,t=2): first differing coefficient index 6"),
+        # at t = 0 the factor 2x - t moves the slip up by one index
+        ("psi1_poly", (5, 0), 2, "psi(n=5,t=0): first differing coefficient index 3"),
+        ("psi2_poly", (6, 3), 1, "psi1(n=6,t=3): first differing coefficient index 1"),
+    )
+    for builder, cell, index, message in cases:
+        original = getattr(proofpolys, builder)
 
-    def tampered(n, t):
-        poly = original(n, t)
-        coeffs = list(poly.coeffs)
-        coeffs[0] += 1
-        return Poly(coeffs)
+        def tampered(n, t, original=original, index=index):
+            coeffs = list(original(n, t).coeffs)
+            coeffs[index] += 1
+            return Poly(coeffs)
 
-    monkeypatch.setattr(proofpolys, "psi1_poly", tampered)
-    with pytest.raises(IdentityError) as excinfo:
-        build_psi(4, 2)
-    assert "coefficient index 0" in str(excinfo.value)
+        with monkeypatch.context() as patch:
+            patch.setattr(proofpolys, builder, tampered)
+            with pytest.raises(IdentityError) as excinfo:
+                build_psi(*cell)
+        assert str(excinfo.value) == f"derivative cascade broke for {message}"
+
+
+def test_grid_premise_and_cascade_symbolically():
+    """The product form of psi expanded in (n, t, x) by sympy: the degree
+    bounds the grid proofs rest on, and two of the identities they certify,
+    proved as polynomial identities rather than on a grid."""
+    sympy = pytest.importorskip("sympy")
+    n, t, x = sympy.symbols("n t x")
+    psi = sympy.expand(
+        (n + 1) ** 2 * (n - x) ** 3 * (n - x + 1) ** 3
+        * (2 * n - 2 * t + 2 * x + 1) * (2 * n - 2 * t + 2 * x - 1)
+        + (n + 1) ** 2 * (n - t + x) ** 3 * (n - t + x + 1) ** 3
+        * (2 * n - 2 * x - 1) * (2 * n - 2 * x + 1)
+        - 2 * n**2 * (n - x + 1) ** 3 * (n - t + x + 1) ** 3
+        * (2 * n - 2 * x - 1) * (2 * n - 2 * t + 2 * x - 1))
+
+    def in_x(poly):
+        return sum(c * x**i for i, c in enumerate(poly.coeffs))
+
+    assert sympy.degree(psi, n) == 8
+    assert sympy.degree(psi, t) == 6
+    assert sympy.expand(in_x(psi_poly(n, t)) - psi) == 0
+    assert sympy.expand(sympy.diff(psi, x) - (2 * x - t) * in_x(psi1_poly(n, t))) == 0
+    theta_t = sum(c * t**i for i, c in enumerate(theta_poly(n).coeffs))
+    assert sympy.expand(psi.subs(x, 0) - (n + 1) ** 2 * theta_t) == 0
 
 
 def test_theta_bundle_known_values():

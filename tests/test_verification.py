@@ -140,6 +140,22 @@ def test_verify_prop31_small():
     assert parts == {"table", "operator", "theta"}
 
 
+def test_tampered_array_row_fails_the_same_prop31_record(monkeypatch):
+    # a(7, 3) and a(7, 7) inflated make L_t(a(7, 0)) = ... - 2 a(7, 0) a(7, t)
+    # negative at t = 3 and at the last column t = n; rows 6 and 8 read the
+    # same row as a(n+1, .) and a(n-1, .), which stay positive terms
+    n = 7
+    row = list(DOMB_ARRAY.row(n))
+    for t in (3, n):
+        row[t] *= 10**6
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", {n: tuple(row)})
+    assert [t for t in range(n + 1) if op_L(DOMB_ARRAY, n, t, 0) < 0] == [3, n]
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
+    assert failing[0].witness == {"first_failure": f"operator negative at (n={n}, t=3, k=0)",
+                                  "failure_count": "2"}
+
+
 def test_verify_prop32_small():
     records = verify_prop32(10)
     assert len(records) == 9
