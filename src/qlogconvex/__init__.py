@@ -1,5 +1,8 @@
 """Exact-arithmetic q-log-convexity toolkit for Domb and Narayana-type families."""
 
+# set before the submodule imports: verification reads it at import time
+__version__ = "0.1.0"
+
 from .exactcore import BinomialCache, ExactInt, ExactRat, binom, central_binom, rat_cmp
 from .polynomials import (
     IntervalSign,
@@ -52,8 +55,6 @@ from .verification import (
     verify_prop32,
     verify_prop33,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "BinomialCache", "ExactInt", "ExactRat", "binom", "central_binom", "rat_cmp",

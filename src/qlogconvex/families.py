@@ -16,7 +16,9 @@ recurrences
     C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
 
 whose divisions are exact; they bypass the binomial memo, which only
-``family_coefficient`` (single entries) still reads.
+``family_coefficient`` (single entries) still reads.  The central binomials
+are kept in one list that only grows, so each C(2j, j) is computed once per
+process.
 """
 
 from __future__ import annotations
@@ -32,12 +34,20 @@ ARRAY_KINDS = ("domb_a", "narayana_a")
 FAMILY_TAGS = ("D", "W", "V", "F")
 
 
+# C(2j, j) for j = 0, 1, ...; it only grows, so every request is a prefix
+_CENTRAL_BINOMIALS = [1]
+
+
 def _central_binomials(n: int) -> list[int]:
-    """[C(2j, j) for j in 0..n], by C(2j,j) = C(2j-2,j-1) 2(2j-1) / j."""
-    out = [1]
-    for j in range(1, n + 1):
-        out.append(out[-1] * (4 * j - 2) // j)
-    return out
+    """[C(2j, j) for j in 0..n], by C(2j,j) = C(2j-2,j-1) 2(2j-1) / j.
+
+    The values are extended in ``_CENTRAL_BINOMIALS`` as far as the largest
+    n asked for and served as a fresh prefix list.
+    """
+    central = _CENTRAL_BINOMIALS
+    for j in range(len(central), n + 1):
+        central.append(central[-1] * (4 * j - 2) // j)
+    return central[:n + 1]
 
 
 def _binomial_row(n: int) -> list[int]:

@@ -18,6 +18,15 @@ Every polynomial here is transcribed as an explicit coefficient expansion
 and cross-validated three ways: the derivative cascade above, exact closed
 forms at interval endpoints and midpoints, and the operator factorization
 identity.  A transcription slip in any one table is caught by the others.
+
+psi itself is built from its product form: three terms, each a scale times
+eight linear factors in x.  For integer (n, t) every factor is evaluated at
+X = 2^(8 size), each term is one product of Python ints, and the nine
+coefficients are read back from the slots of the summed value (Kronecker
+substitution, Harvey 2009, arXiv:0712.4046).  The slot bound is
+sum over the terms of |scale| prod (|c0| + |c1|), which no coefficient of
+psi exceeds in absolute value, plus a sign bit, in whole bytes.  Any other
+input multiplies the factors out one at a time on coefficient lists.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .polynomials import Poly
+from .polynomials import Poly, _kronecker_unpack
 
 
 class IdentityError(Exception):
@@ -45,15 +54,9 @@ def _linear_product(scale: int, factors) -> list:
     return p
 
 
-def psi_poly(n: int, t: int) -> Poly:
-    """The degree-8 sign polynomial, built from its defining product form.
-
-    Accepts any integer pair; callers enforce contract ranges.  As a
-    polynomial identity in (n, t, x) everything downstream holds for all
-    integers, which is what the grid certifications exploit.  The linear
-    factors are multiplied out on integer lists and one Poly is built at
-    the end.
-    """
+def _psi_terms(n, t) -> tuple:
+    """psi's product form as three (scale, (f, g), (h, k)), each term standing
+    for scale * f^3 g^3 h k and each factor (c0, c1) for c0 + c1 x."""
     a = (n, -1)                    # n - x
     b = (n + 1, -1)                # n - x + 1
     c = (n - t, 1)                 # n - t + x
@@ -63,10 +66,54 @@ def psi_poly(n: int, t: int) -> Poly:
     f_minus = (2 * n - 1, -2)         # 2n - 2x - 1
     f_plus = (2 * n + 1, -2)          # 2n - 2x + 1
     nsq1 = (n + 1) ** 2
-    term1 = _linear_product(nsq1, (a, a, a, b, b, b, e_plus, e_minus))
-    term2 = _linear_product(nsq1, (c, c, c, d, d, d, f_minus, f_plus))
-    term3 = _linear_product(-2 * n**2, (b, b, b, d, d, d, f_minus, e_minus))
-    return Poly([u + v + w for u, v, w in zip(term1, term2, term3)])
+    return ((nsq1, (a, b), (e_plus, e_minus)),
+            (nsq1, (c, d), (f_minus, f_plus)),
+            (-2 * n**2, (b, d), (f_minus, e_minus)))
+
+
+def _expanded_sum(terms) -> list:
+    """Coefficients of the sum of the terms, multiplied out on lists."""
+    term1, term2, term3 = (_linear_product(scale, (f, f, f, g, g, g, h, k))
+                           for scale, (f, g), (h, k) in terms)
+    return [u + v + w for u, v, w in zip(term1, term2, term3)]
+
+
+def _kronecker_sum(terms) -> list:
+    """Coefficients of the sum of the integer terms, by Kronecker substitution.
+
+    Each term's value at X = 2^(8 size) is a product of Python ints, and the
+    slots of the summed value are the nine coefficients.  Every coefficient
+    is at most sum |scale| prod (|c0| + |c1|) in absolute value; size is that
+    bound's bits plus a sign bit, in whole bytes, so no slot overflows.
+    """
+    bound = 0
+    for scale, (f, g), (h, k) in terms:
+        fg = (abs(f[0]) + abs(f[1])) * (abs(g[0]) + abs(g[1]))
+        bound += abs(scale) * fg * fg * fg * (abs(h[0]) + abs(h[1])) * (abs(k[0]) + abs(k[1]))
+    size = bound.bit_length() // 8 + 1
+    shift = 8 * size
+    value = 0
+    for scale, (f, g), (h, k) in terms:
+        fg = ((f[1] << shift) + f[0]) * ((g[1] << shift) + g[0])
+        value += scale * fg * fg * fg * ((h[1] << shift) + h[0]) * ((k[1] << shift) + k[0])
+    return _kronecker_unpack(value, 9, size)
+
+
+def psi_poly(n: int, t: int) -> Poly:
+    """The degree-8 sign polynomial, built from its defining product form.
+
+    Accepts any integer pair; callers enforce contract ranges.  As a
+    polynomial identity in (n, t, x) everything downstream holds for all
+    integers, which is what the grid certifications exploit.  For ints the
+    three terms are summed by Kronecker substitution, one big integer per
+    term; any other input (sympy symbols in the tests) is multiplied out
+    factor by factor on coefficient lists, which is also the reference the
+    tests hold the Kronecker path to.
+    """
+    terms = _psi_terms(n, t)
+    if type(n) is int and type(t) is int:
+        return Poly(_kronecker_sum(terms))
+    return Poly(_expanded_sum(terms))
 
 
 def psi1_poly(n: int, t: int) -> Poly:

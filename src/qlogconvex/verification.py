@@ -39,8 +39,9 @@ from dataclasses import dataclass, field, asdict
 from datetime import datetime, timezone
 from fractions import Fraction
 
-from . import proofpolys
+from . import __version__, proofpolys
 from .criteria import (
+    _check_operator_args,
     _qlc_chunk,
     op_L,
     op_L_boundary,
@@ -54,8 +55,6 @@ from .families import DOMB_ARRAY, domb_number
 from .hiprec import ccl_constant_bounds, fraction_to_decimal
 from .polynomials import IntervalSign, Poly, sign_constant_on, sturm_count_roots
 from .proofpolys import IdentityError
-
-TOOL_VERSION = "0.1.0"
 
 SERIES_TOLERANCE = Fraction(1, 10**28)
 
@@ -278,9 +277,16 @@ def factorization_check(n: int, t: int, k: int, psi: Poly | None = None) -> Fact
     on the admissible ranges; (2n-2t+2k-1) is the lone negative one, at
     t = n, k = 0, which is exactly where the signs of L and psi flip.
     ``psi`` is psi(n, t) when the caller has built it already; otherwise it
-    is built here.
+    is built here.  L_t(a(n,k)) is read from the whole rows n-1, n and n+1,
+    padded with the zeros outside the array (a(n-1, n) = 0 at t = n).
     """
-    L = op_L(DOMB_ARRAY, n, t, k)
+    _check_operator_args(n, t, k)
+    pad = (0,) * (t + 1 - n)
+    below = DOMB_ARRAY.row(n - 1) + pad
+    here = DOMB_ARRAY.row(n) + pad
+    above = DOMB_ARRAY.row(n + 1) + pad
+    j = t - k
+    L = above[k] * below[j] + below[k] * above[j] - 2 * here[k] * here[j]
     denominator = (
         n**2 * (n - k + 1) ** 3 * (n - t + k + 1) ** 3
         * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1)
@@ -760,7 +766,7 @@ def run_full_verification(config: VerificationConfig | None = None) -> Certifica
     claims.sort(key=_sort_key)
     verdict = "pass" if all(c.passed for c in claims) else "fail"
     return Certificate(
-        version=TOOL_VERSION,
+        version=__version__,
         parameters=config.as_parameters(),
         claims=tuple(claims),
         verdict=verdict,

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from qlogconvex import families
 from qlogconvex.families import (
     CacheError,
     FamilyStore,
@@ -97,6 +98,20 @@ def test_triangular_array_rows_match_binomial_formula(seed):
             assert fresh.row(n) == tuple(formula(n, k) for k in range(n + 1)) == array.row(n)
         with pytest.raises(ValueError):
             fresh.row(-1)
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_central_binomials_grow_one_shared_list(monkeypatch, seed):
+    """Requests in a shuffled order of n, from a fresh memo: each is the
+    exact prefix, the memo ends as C(2j, j) for j <= 600, and changing a
+    returned list leaves the memo alone."""
+    monkeypatch.setattr(families, "_CENTRAL_BINOMIALS", [1])
+    expected = [math.comb(2 * j, j) for j in range(601)]
+    for n in random.Random(seed).sample(range(601), 601):
+        served = families._central_binomials(n)
+        assert served == expected[:n + 1], n
+        served[-1] += 1
+    assert families._CENTRAL_BINOMIALS == expected
 
 
 def test_domb_number_equals_evaluation_at_one():

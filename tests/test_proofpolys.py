@@ -90,6 +90,27 @@ def test_psi_poly_matches_poly_product_form():
             assert psi_poly(n, t) == _psi_from_poly_products(n, t), (n, t)
 
 
+def _psi_from_lists(n, t):
+    """psi multiplied out factor by factor on coefficient lists, the path
+    psi_poly keeps for inputs that are not ints."""
+    return Poly(proofpolys._expanded_sum(proofpolys._psi_terms(n, t)))
+
+
+def test_psi_kronecker_path_matches_list_path():
+    # t > n and n <= 0 included: the grid identities evaluate psi there
+    for n in range(-4, 81):
+        for t in range(-4, 81):
+            assert psi_poly(n, t) == _psi_from_lists(n, t), (n, t)
+
+
+@pytest.mark.parametrize("n, t", [(10**6, 0), (10**6, 3), (10**6, 10**6), (10**6, 2 * 10**6),
+                                  (-(10**6), 5), (3, 10**9), (10**40, 10**39 + 7),
+                                  (-(10**40), -(10**40) + 1)])
+def test_psi_kronecker_path_matches_at_large_pairs(n, t):
+    # slots of many bytes, and of both signs of every factor
+    assert psi_poly(n, t) == _psi_from_lists(n, t)
+
+
 def test_tampered_transcription_is_caught(monkeypatch):
     cases = (
         ("psi1_poly", (4, 2), 0, "psi(n=4,t=2): first differing coefficient index 0"),

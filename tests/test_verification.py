@@ -123,6 +123,37 @@ def test_tampered_psi_fails_its_factorization_record(monkeypatch):
     assert failing[0].witness["failure_count"] == str(t // 2 + 1)
 
 
+def test_factorization_check_reads_the_operator_of_every_admissible_cell():
+    # op_L is the reference for L_t(a(n,k)), also at t > n, where the rows
+    # are read beyond their ends (cells with t - k > n have no prefactor)
+    for n in range(1, 13):
+        for t in range(2 * n + 1):
+            psi = proofpolys.psi_poly(n, t)
+            for k in range(max(0, t - n), t // 2 + 1):
+                denominator = (n**2 * (n - k + 1) ** 3 * (n - t + k + 1) ** 3
+                               * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1))
+                check = factorization_check(n, t, k, psi)
+                assert check.lhs == op_L(DOMB_ARRAY, n, t, k) * denominator, (n, t, k)
+    for n, t, k in ((0, 0, 0), (3, 7, 0), (3, -1, 0), (3, 2, 2), (3, 2, -1)):
+        with pytest.raises(ValueError):
+            factorization_check(n, t, k)
+
+
+def test_tampered_array_row_fails_the_factorization_records_that_read_it(monkeypatch):
+    # row 7 is read as a(n+1, .), a(n, .) and a(n-1, .) by the records
+    # n = 6, 7 and 8; every cell with k = 3 or t - k = 3 breaks, and the
+    # t = n cells of n = 8 read the padded a(7, 8) = 0 next to it
+    n = 7
+    row = list(DOMB_ARRAY.row(n))
+    row[3] *= 10**6
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", {n: tuple(row)})
+    failing = [r for r in factorization_sweep(10) if not r.passed]
+    assert [(r.params["n"], r.witness["failure_count"]) for r in failing] == [
+        ("6", "4"), ("7", "5"), ("8", "6")]
+    assert [r.witness["first_failure"].split(":")[0] for r in failing] == [
+        f"identity failure at (n={m}, t=3, k=0)" for m in (6, 7, 8)]
+
+
 def test_factorization_sweep_small():
     records = factorization_sweep(10)
     assert len(records) == 10
