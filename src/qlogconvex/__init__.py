@@ -3,17 +3,11 @@
 # set before the submodule imports: verification reads it at import time
 __version__ = "0.1.0"
 
-from .exactcore import BinomialCache, ExactInt, ExactRat, binom, central_binom, rat_cmp
+from .exactcore import BinomialCache, binom, central_binom, rat_cmp
 from .polynomials import (
     IntervalSign,
     Poly,
-    derivative,
-    eval_rat,
     is_self_reciprocal,
-    poly_add,
-    poly_mul,
-    poly_scale,
-    poly_sub,
     sign_constant_on,
     sturm_chain,
     sturm_count_roots,
@@ -57,9 +51,8 @@ from .verification import (
 )
 
 __all__ = [
-    "BinomialCache", "ExactInt", "ExactRat", "binom", "central_binom", "rat_cmp",
-    "IntervalSign", "Poly", "derivative", "eval_rat", "is_self_reciprocal",
-    "poly_add", "poly_mul", "poly_scale", "poly_sub", "sign_constant_on",
+    "BinomialCache", "binom", "central_binom", "rat_cmp",
+    "IntervalSign", "Poly", "is_self_reciprocal", "sign_constant_on",
     "sturm_chain", "sturm_count_roots",
     "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "coeff_a", "domb_number",
     "family_poly", "weighted_assembly",

@@ -12,9 +12,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-ExactInt = int
-ExactRat = Fraction
-
 
 class BinomialCache:
     """Memo table for C(n, k) with the out-of-range-zero convention.

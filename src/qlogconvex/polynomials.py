@@ -42,7 +42,24 @@ Two multiplies of half the size cost about 2/3 of one under Karatsuba (a
 square stays two squares).  The path is taken from
 ``KRONECKER_TWO_POINT_BITS`` packed bits (slot bits times the shorter
 length), the measured crossover; the defect products of the q-log-convexity
-sweep take it from n = 40 (D), 45 (V, F) and 56 (W) on.
+sweep take it from n = 45 (V, F) on.
+
+Palindromic operands, such as the self-reciprocal D and W rows, make a
+palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
+point of Harvey 2009), so one multiply at X = 2^b with b about w/2 gives
+every coefficient (``_palindromic_mul``).  Each operand is packed once at X,
+its even and odd coefficients in 2b-bit fields since a coefficient may be
+wider than b bits; every product slot carries the offset 2^(2b-2), and b is
+the fewest whole bytes with 2b - 2 at least the bits of the bound, so each
+offset coefficient lies in (0, 2^(2b-1)).  The low end of the one integer
+gives coefficient i modulo X through a running carry, its top end gives the
+mirrored coefficient plus a remainder below X, and the two meet at the middle,
+where the carry must equal that remainder.  One multiply of half the size
+replaces the two of the two-point path or the one full-size multiply.  It is
+taken when both operands equal their reversal, from
+``KRONECKER_PALINDROME_BITS`` packed bits, the measured crossover, which the
+D and W defect products reach from n = 26 and 36; V, F, the Sturm chains and
+psi are not palindromic and keep the paths above.
 """
 
 from __future__ import annotations
@@ -68,6 +85,14 @@ KRONECKER_MIN_TERMS = 16
 # random signed operands of 16-500 terms and 8-1000 bits gain 1.02-1.26x
 # from 12k bits on (400 terms of 30 bits, 28.8k bits: 1.13x).
 KRONECKER_TWO_POINT_BITS = 12_000
+
+# Packed size from which a product of two palindromic operands takes one
+# half-width multiply (``_palindromic_mul``) instead of either path above.
+# Measured (median of 7-9 interleaved timings per case, product and square):
+# 0.7-0.9x below 3k bits, break-even at 3-5k bits on D and W rows and on
+# random palindromes of 16-200 terms, 1.1-1.4x at 5-10k, 1.3-1.5x on D at
+# n = 40-50 and 1.6-2x at n = 96-160.
+KRONECKER_PALINDROME_BITS = 5_000
 
 
 def _strip(coeffs: list) -> tuple:
@@ -239,7 +264,9 @@ def _kronecker_unpack(value: int, count: int, size: int) -> list:
 def _kronecker_mul(a: tuple, b: tuple) -> list:
     """Exact product coefficients of two nonzero int polynomials.
 
-    One big-int multiply at 2^(8 size), or, from ``KRONECKER_TWO_POINT_BITS``
+    Palindromic operands from ``KRONECKER_PALINDROME_BITS`` packed bits on
+    take one half-width multiply (``_palindromic_mul``).  Otherwise one
+    big-int multiply at 2^(8 size), or, from ``KRONECKER_TWO_POINT_BITS``
     packed bits on, two half-size multiplies at +-2^(4 size).
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
@@ -247,7 +274,11 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     count = len(a) + len(b) - 1
     # equal operands make a square, which CPython multiplies faster
     square = a == b
-    if 8 * size * min(len(a), len(b)) < KRONECKER_TWO_POINT_BITS:
+    packed_bits = 8 * size * min(len(a), len(b))
+    if (packed_bits >= KRONECKER_PALINDROME_BITS and a == a[::-1]
+            and (square or b == b[::-1])):
+        return _palindromic_mul(a, b, bound.bit_length())
+    if packed_bits < KRONECKER_TWO_POINT_BITS:
         packed_a = _kronecker_pack(a, size)
         packed_b = packed_a if square else _kronecker_pack(b, size)
         return _kronecker_unpack(packed_a * packed_b, count, size)
@@ -268,28 +299,59 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     return out
 
 
-def poly_add(p: Poly, q: Poly) -> Poly:
-    return p + q
+def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
+    """Exact product coefficients of two nonzero palindromic int polynomials,
+    read from both ends of the one value G = sum_i g_i X^i at X = 2^shift.
 
+    Here g_i = h_i + 2^(2 shift - 2) for the product h = ab, and shift is the
+    smallest multiple of 8 with 2 shift - 2 at least ``bits``, the bit length
+    of the bound max|a| max|b| min(len a, len b), so 0 < g_i < 2^(2 shift - 1).
+    A g_i is wider than its slot, so the low end reads g_i mod X through the carry
+    of g_0..g_{i-1}, and the top end reads g_j plus the carry into slot j,
+    which is below X, for j = count - 1 - i; since h is palindromic, g_i = g_j
+    and the two readings give it whole.  Where the ends meet, the carry from
+    below must equal what the top end leaves, or the coefficients read do not
+    add up to G, and ``ArithmeticError`` is raised.  For an even count that
+    compares one slot read twice; for an odd count only the carry's range is
+    left to compare.  So it catches a read of G that strays, not a slot too
+    narrow for the bound: other palindromic coefficients in range then have
+    the same value at X, and exactness rests on the bound alone.
+    """
+    half = (bits + 17) // 16  # bytes per slot: 16 half - 2 >= bits
+    shift = 8 * half
+    count = len(a) + len(b) - 1
 
-def poly_sub(p: Poly, q: Poly) -> Poly:
-    return p - q
+    def value(c: tuple) -> int:
+        # c(X), with the even and the odd coefficients in 2-slot fields
+        return _kronecker_pack(c[0::2], 2 * half) + (_kronecker_pack(c[1::2], 2 * half) << shift)
 
-
-def poly_mul(p: Poly, q: Poly) -> Poly:
-    return p * q
-
-
-def poly_scale(p: Poly, c: Coeff) -> Poly:
-    return p * c
-
-
-def derivative(p: Poly) -> Poly:
-    return p.derivative()
-
-
-def eval_rat(p: Poly, x: Coeff) -> Coeff:
-    return p(x)
+    packed = value(a)
+    product = packed * packed if a == b else packed * value(b)
+    # the offset 2^(2 shift - 2) of each g_i is bit shift - 2 of slot i + 1
+    product += int.from_bytes((bytes(half - 1) + b"\x40") * count, "little") << shift
+    data = product.to_bytes((count + 1) * half, "little")
+    from_bytes = int.from_bytes
+    slots = [from_bytes(data[k:k + half], "little") for k in range(0, len(data), half)]
+    mask = (1 << shift) - 1
+    offset = 1 << (2 * shift - 2)
+    out = []
+    carry = 0  # the carry of g_0..g_{i-1} into slot i
+    rem = slots[count]  # what g_{j+1}.. leave in slot j + 1 and above
+    for low, high in zip(slots, slots[count - 1:(count - 1) // 2:-1]):
+        top = (rem << shift) | high  # g_j plus the carry into slot j
+        rem = (top - low + carry) & mask  # that carry: g_j = g_i is low - carry mod X
+        g = top - rem
+        carry = (g + carry) >> shift
+        out.append(g - offset)
+    if count % 2:
+        # the middle g_m keeps its slots once the carry from below is taken out
+        top = (rem << shift) | slots[count // 2]
+        rem = carry & mask
+        out.append(top - rem - offset)
+    if rem != carry:
+        raise ArithmeticError(f"palindromic product of {count} coefficients does not "
+                              f"close at the middle: carry {carry}, top remainder {rem}")
+    return out + out[:count // 2][::-1]
 
 
 def is_self_reciprocal(p: Poly, n: int) -> bool:

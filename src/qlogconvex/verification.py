@@ -279,8 +279,11 @@ def factorization_check(n: int, t: int, k: int, psi: Poly | None = None) -> Fact
     ``psi`` is psi(n, t) when the caller has built it already; otherwise it
     is built here.  L_t(a(n,k)) is read from the whole rows n-1, n and n+1,
     padded with the zeros outside the array (a(n-1, n) = 0 at t = n).
+    The prefactor holds C(n, t - k), so the cell needs t - k <= n.
     """
     _check_operator_args(n, t, k)
+    if t - k > n:
+        raise ValueError(f"factorization cell needs t - k <= n, got (n={n}, t={t}, k={k})")
     pad = (0,) * (t + 1 - n)
     below = DOMB_ARRAY.row(n - 1) + pad
     here = DOMB_ARRAY.row(n) + pad

@@ -1,23 +1,21 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from qlogconvex import polynomials
 from qlogconvex.polynomials import (
     KRONECKER_MIN_TERMS,
+    KRONECKER_PALINDROME_BITS,
     KRONECKER_TWO_POINT_BITS,
     IntervalSign,
     Poly,
     ZERO,
     cauchy_root_bound,
-    derivative,
     divmod_poly,
-    eval_rat,
     is_self_reciprocal,
-    poly_mul,
-    poly_sub,
     sign_constant_on,
     squarefree_part,
     sturm_chain,
@@ -36,11 +34,11 @@ def test_canonical_form_strips_trailing_zeros():
 
 def test_ring_operation_examples():
     one_plus_q = Poly([1, 1])
-    assert poly_mul(one_plus_q, one_plus_q) == Poly([1, 2, 1])
+    assert one_plus_q * one_plus_q == Poly([1, 2, 1])
     p = Poly([3, -1, 7])
-    assert poly_sub(p, p) == ZERO
+    assert p - p == ZERO
     d1 = Poly([2, 2])
-    assert poly_mul(d1, d1) == Poly([4, 8, 4])
+    assert d1 * d1 == Poly([4, 8, 4])
 
 
 def test_product_degree_is_additive():
@@ -55,23 +53,23 @@ def test_scalar_and_power():
 
 
 def test_derivative_examples():
-    assert derivative(Poly([-2, 0, 1])) == Poly([0, 2])
-    assert derivative(Poly([7])) == ZERO
+    assert Poly([-2, 0, 1]).derivative() == Poly([0, 2])
+    assert Poly([7]).derivative() == ZERO
     # boundary sextic at n=5: slope at 0 is -n^2 (n+1)^2 (8n^2 + 12n - 5)
     theta5 = theta_poly(5)
-    assert derivative(theta5)(0) == -(5**2) * (6**2) * (8 * 25 + 60 - 5) == -229500
+    assert theta5.derivative()(0) == -(5**2) * (6**2) * (8 * 25 + 60 - 5) == -229500
 
 
 def test_derivative_drops_degree_by_one():
     p = Poly([3, 0, 0, 9])
-    assert derivative(p).degree == p.degree - 1
+    assert p.derivative().degree == p.degree - 1
 
 
 def test_eval_examples():
-    assert eval_rat(Poly([-2, 0, 1]), Fraction(3, 2)) == Fraction(1, 4)
-    assert eval_rat(Poly([11, 5, 3]), 0) == 11
+    assert Poly([-2, 0, 1])(Fraction(3, 2)) == Fraction(1, 4)
+    assert Poly([11, 5, 3])(0) == 11
     # theta(n) = -n^2 (n+1) (n^3 + 2n^2 - 3n + 2) at n=5
-    assert eval_rat(theta_poly(5), 5) == -25 * 6 * 162 == -24300
+    assert theta_poly(5)(5) == -25 * 6 * 162 == -24300
 
 
 def test_self_reciprocal_examples():
@@ -143,8 +141,8 @@ small_polys = st.lists(
 @given(small_polys, small_polys)
 @settings(max_examples=150)
 def test_leibniz_rule(p, q):
-    lhs = derivative(poly_mul(p, q))
-    rhs = poly_mul(derivative(p), q) + poly_mul(p, derivative(q))
+    lhs = (p * q).derivative()
+    rhs = p.derivative() * q + p * q.derivative()
     assert lhs == rhs
 
 
@@ -226,23 +224,35 @@ def test_mul_matches_schoolbook_reference(a, b):
 
 def _spy_unpacks(monkeypatch) -> list:
     """Record the slot count of every Kronecker unpack: the one-point path
-    reads one product, the two-point path an even and an odd half."""
+    reads one product, the two-point path an even and an odd half; the
+    palindromic path records ("palindromic", count) instead."""
     counts = []
     original = polynomials._kronecker_unpack
     monkeypatch.setattr(polynomials, "_kronecker_unpack",
                         lambda value, count, size: counts.append(count)
                         or original(value, count, size))
+    palindromic = polynomials._palindromic_mul
+    monkeypatch.setattr(polynomials, "_palindromic_mul",
+                        lambda a, b, bits: counts.append(("palindromic", len(a) + len(b) - 1))
+                        or palindromic(a, b, bits))
     return counts
+
+
+def _bound_bits(a, b) -> int:
+    """Bit length of the slot bound max|a| * max|b| * min(len a, len b)."""
+    return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
 
 
 def _packed_bits(a, b) -> int:
     """Slot bits times the shorter length, the size the Kronecker dispatch reads."""
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    return 8 * (bound.bit_length() // 8 + 1) * min(len(a), len(b))
+    return 8 * (_bound_bits(a, b) // 8 + 1) * min(len(a), len(b))
 
 
 def _expected_unpacks(a, b) -> list:
     count = len(a) + len(b) - 1
+    if (_packed_bits(a, b) >= polynomials.KRONECKER_PALINDROME_BITS
+            and list(a) == list(a)[::-1] and list(b) == list(b)[::-1]):
+        return [("palindromic", count)]
     if _packed_bits(a, b) >= polynomials.KRONECKER_TWO_POINT_BITS:
         return [(count + 1) // 2, count // 2]
     return [count]
@@ -253,24 +263,36 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
     # sizes the bound fills its last byte in some cases and not in others.
     # With the two-point threshold at 0 every product takes that path, which
-    # reads the same bound from the even and the odd half of the product.
+    # reads the same bound from the even and the odd half of the product;
+    # with the palindromic threshold at 0 as well, the symmetric pairs take
+    # the half-width product, whose slot holds 2 shift - 2 bits of the bound
+    # and whose middle coefficient is -bound for the second pair.
     unpacks = _spy_unpacks(monkeypatch)
-    for two_point_bits in (KRONECKER_TWO_POINT_BITS, 0):
+    sizes = [*range(1, 80), 699, 700]
+    for two_point_bits, palindrome_bits in ((KRONECKER_TWO_POINT_BITS, KRONECKER_PALINDROME_BITS),
+                                            (0, math.inf), (0, 0)):
         monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", two_point_bits)
+        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
         unpacks.clear()
         expected_unpacks = []
-        for bits in [*range(1, 80), 699, 700]:
+        for bits in sizes:
             top = 2**bits - 1
             length = KRONECKER_MIN_TERMS + bits % 5
             for a, b in (
                 ([top] * length, [top] * length),
                 ([-top] * length, [top] * (length + 3)),
                 ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
+                ([top] * length, [0] + [-top] * length),
             ):
                 assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
                 expected_unpacks += _expected_unpacks(a, b)
         assert unpacks == expected_unpacks
-    assert len(unpacks) == 2 * 81 * 3
+    # in the last run, with both thresholds at 0, the two all-equal pairs
+    # and the odd-length alternating squares are symmetric: one palindromic
+    # product each, and two unpacks for each of the others
+    odd = sum((KRONECKER_MIN_TERMS + bits % 5) % 2 for bits in sizes)
+    assert sum(isinstance(u, tuple) for u in unpacks) == 2 * len(sizes) + odd
+    assert len(unpacks) == 2 * 4 * len(sizes) - (2 * len(sizes) + odd)
 
 
 def _two_point_cases() -> list:
@@ -293,20 +315,26 @@ def _two_point_cases() -> list:
 
 
 def test_mul_two_point_matches_schoolbook(monkeypatch):
+    # the all-negative squares are symmetric; with the palindromic path
+    # switched off they take the two-point path too
     unpacks = _spy_unpacks(monkeypatch)
-    expected_unpacks = []
-    sides = set()
-    for a, b in _two_point_cases():
-        assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-        expected_unpacks += _expected_unpacks(a, b)
-        sides.add(_packed_bits(a, b) >= KRONECKER_TWO_POINT_BITS)
-    assert unpacks == expected_unpacks
-    assert sides == {False, True}
+    for palindrome_bits in (KRONECKER_PALINDROME_BITS, math.inf):
+        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
+        unpacks.clear()
+        expected_unpacks = []
+        sides = set()
+        for a, b in _two_point_cases():
+            assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+            expected_unpacks += _expected_unpacks(a, b)
+            sides.add(_packed_bits(a, b) >= KRONECKER_TWO_POINT_BITS)
+        assert unpacks == expected_unpacks
+        assert sides == {False, True}
 
 
 @pytest.mark.parametrize("n", [48, 96, 160])
 def test_mul_two_point_family_defect_products(monkeypatch, n):
-    # the defect's two products; all take the two-point path except W at n = 48
+    # the defect's two products: the self-reciprocal D and W rows take the
+    # palindromic path, V and F the two-point path
     unpacks = _spy_unpacks(monkeypatch)
     expected_unpacks = []
     for tag in FAMILY_TAGS:
@@ -315,7 +343,8 @@ def test_mul_two_point_family_defect_products(monkeypatch, n):
             assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
             expected_unpacks += _expected_unpacks(a, b)
     assert unpacks == expected_unpacks
-    assert len(unpacks) == 2 * 2 * len(FAMILY_TAGS) - (2 if n == 48 else 0)
+    assert unpacks[:4] == [("palindromic", 2 * n + 1)] * 4
+    assert len(unpacks) == 4 + 2 * 2 * 2
 
 
 def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
@@ -348,15 +377,91 @@ def test_mul_kronecker_two_point_dispatch(monkeypatch):
         unpacks.clear()
         assert list((Poly(a) * Poly(b)).coeffs) == expected
         assert unpacks == path
-    # at the real threshold: the same term count on each side of it
+    # the palindromic threshold is inclusive on the packed size as well
+    monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", math.inf)
+    symmetric = a[:10] + a[10::-1]
+    packed = _packed_bits(symmetric, symmetric)
+    count = 2 * len(symmetric) - 1
+    for threshold, path in ((packed + 1, [count]), (packed, [("palindromic", count)]),
+                            (packed - 1, [("palindromic", count)])):
+        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", threshold)
+        unpacks.clear()
+        assert list((Poly(symmetric) * Poly(symmetric)).coeffs) == _reference_product(symmetric,
+                                                                                     symmetric)
+        assert unpacks == path
+    # at the real thresholds: the same term count on each side of them; the
+    # symmetric squares take the palindromic path above its threshold, the
+    # same operands bumped in one coefficient the two-point path
     monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", KRONECKER_TWO_POINT_BITS)
+    monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", KRONECKER_PALINDROME_BITS)
     length = 20
     small, large = ([2**bits - 1] * length for bits in (5, 2000))
-    assert _packed_bits(small, small) < KRONECKER_TWO_POINT_BITS <= _packed_bits(large, large)
-    for operand, path in ((small, [2 * length - 1]), (large, [length, length - 1])):
+    bumped = [2**2000 - 2] + large[1:]
+    assert _packed_bits(small, small) < KRONECKER_PALINDROME_BITS
+    assert max(KRONECKER_PALINDROME_BITS, KRONECKER_TWO_POINT_BITS) <= _packed_bits(bumped, bumped)
+    for operand, path in ((small, [2 * length - 1]), (large, [("palindromic", 2 * length - 1)]),
+                          (bumped, [length, length - 1])):
         unpacks.clear()
         assert list((Poly(operand) * Poly(operand)).coeffs) == _reference_product(operand, operand)
         assert unpacks == path
+
+
+@st.composite
+def _palindromic_coeff_lists(draw):
+    """Signed nonzero palindromic coefficient tuples of odd and even length;
+    some have every coefficient of one magnitude, which puts the product's
+    middle coefficient at the slot bound."""
+    top = 2 ** draw(st.integers(min_value=1, max_value=700)) - 1
+    length = draw(st.integers(min_value=1, max_value=2 * KRONECKER_MIN_TERMS + 8))
+    if draw(st.booleans()):
+        return (draw(st.sampled_from([top, -top])),) * length
+    half = draw(st.lists(st.integers(min_value=-top, max_value=top),
+                         min_size=(length + 1) // 2, max_size=(length + 1) // 2))
+    return tuple(half + half[:length // 2][::-1]) if any(half) else (top,) * length
+
+
+@given(_palindromic_coeff_lists(), st.one_of(st.none(), _palindromic_coeff_lists()))
+@example((7,), (3, -5, 3))  # an operand of length 1
+@example((-(2**61 - 1),) * 16, (2**61 - 1,) * 16)  # middle -bound; 126-bit bound = 16 half - 2
+@example((2**600 - 1,) * 40, None)
+@settings(max_examples=300, deadline=None)
+def test_palindromic_mul_matches_schoolbook(a, b):
+    b = a if b is None else b  # None makes a square
+    expected = _reference_product(a, b)
+    assert polynomials._palindromic_mul(a, b, _bound_bits(a, b)) == expected
+    assert (Poly(a) * Poly(b)).coeffs == Poly(expected).coeffs
+
+
+@pytest.mark.parametrize("n", [48, 96, 160])
+def test_mul_rows_one_bump_from_palindromic_take_the_general_path(monkeypatch, n):
+    unpacks = _spy_unpacks(monkeypatch)
+    for tag in ("D", "W"):
+        here = family_poly(tag, n).coeffs
+        above = family_poly(tag, n + 1).coeffs
+        for k in (0, n // 3):
+            bumped = here[:k] + (here[k] + 1,) + here[k + 1:]
+            for a, b in ((bumped, bumped), (above, bumped), (bumped, here)):
+                unpacks.clear()
+                assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+                assert unpacks == _expected_unpacks(a, b)
+                assert unpacks and all(type(u) is int for u in unpacks)
+
+
+def test_palindromic_mul_raises_when_the_ends_do_not_meet(monkeypatch):
+    # random garbage below the top 16 bits of each packed operand: no
+    # palindromic reading of the product adds up to its value (60
+    # coefficients, so the ends meet on one slot read twice)
+    x, y = (family_poly("D", m).coeffs for m in (30, 29))
+    garbage = random.Random(0)
+    pack = polynomials._kronecker_pack
+
+    def garbled(c, size):
+        value = pack(c, size)
+        return value + garbage.getrandbits(value.bit_length() - 16)
+
+    monkeypatch.setattr(polynomials, "_kronecker_pack", garbled)
+    with pytest.raises(ArithmeticError, match="does not close at the middle"):
+        polynomials._palindromic_mul(x, y, _bound_bits(x, y))
 
 
 @given(_signed_coeff_lists(), st.integers(min_value=1, max_value=KRONECKER_MIN_TERMS + 4),

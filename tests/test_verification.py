@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qlogconvex.polynomials import Poly
-from qlogconvex import proofpolys
+from qlogconvex import families, polynomials, proofpolys
 from qlogconvex.verification import (
     BOUNDARY_TABLE,
     CLAIM1_PAIRS,
@@ -137,6 +137,13 @@ def test_factorization_check_reads_the_operator_of_every_admissible_cell():
     for n, t, k in ((0, 0, 0), (3, 7, 0), (3, -1, 0), (3, 2, 2), (3, 2, -1)):
         with pytest.raises(ValueError):
             factorization_check(n, t, k)
+
+
+@pytest.mark.parametrize("n, t, k", [(1, 2, 0), (3, 5, 1), (3, 6, 2), (12, 20, 7)])
+def test_factorization_check_rejects_cells_beyond_the_prefactor(n, t, k):
+    # t - k > n: C(n, t - k) in the prefactor has no row; the error names the cell
+    with pytest.raises(ValueError, match=rf"t - k <= n, got \(n={n}, t={t}, k={k}\)"):
+        factorization_check(n, t, k)
 
 
 def test_tampered_array_row_fails_the_factorization_records_that_read_it(monkeypatch):
@@ -331,6 +338,35 @@ def test_fault_injection_flips_verdict(monkeypatch):
     assert failing
     pinpointed = [c for c in failing if "n=7" in str(c.witness) and "t=4" in str(c.witness)]
     assert pinpointed, [c.witness for c in failing]
+
+
+@pytest.mark.parametrize("columns", [(7,), (7, 33)])
+def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, columns):
+    # D_40 doubled at k = 7 alone is no longer symmetric, so its square leaves
+    # the palindromic product; doubled at k and n - k it stays symmetric and
+    # on that path.  Either way qlc_D fails with one record: the defect at
+    # n = 40 turns negative at index 8.
+    n = 40
+    original_row = families._family_row
+
+    def tampered(tag, m):
+        row = original_row(tag, m)
+        if (tag, m) == ("D", n):
+            for k in columns:
+                row[k] *= 2
+        return row
+
+    monkeypatch.setattr(families, "_family_row", tampered)
+    palindromic = []
+    original_mul = polynomials._palindromic_mul
+    monkeypatch.setattr(polynomials, "_palindromic_mul",
+                        lambda a, b, bits: palindromic.append((a, b)) or original_mul(a, b, bits))
+    certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG, "n_max_direct": 48}))
+    assert [c for c in certificate.claims if not c.passed] == [ClaimRecord(
+        "qlc_D", {"family": "D", "n_max": "48"}, "fail",
+        {"first_failure": f"negative defect coefficient 8 at n={n}", "failure_count": "1"})]
+    row = families.family_poly("D", n).coeffs
+    assert ((row, row) in palindromic) == (len(columns) == 2)
 
 
 def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
