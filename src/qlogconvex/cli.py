@@ -1,9 +1,10 @@
 """Command-line front end: family tables, convexity checks, full verification.
 
 Exit codes are kept distinguishable: 0 success, 1 verification failure,
-2 usage error (argparse's convention), 3 I/O failure.  All machine formats
-emit numbers as decimal strings, since the integers here overflow the
-native number types of most downstream tools.
+2 usage error (argparse's convention), 3 I/O failure.  Every command writes
+its output to stdout, or to the ``--out`` file, through ``_emit``.  All
+machine formats emit numbers as decimal strings, since the integers here
+overflow the native number types of most downstream tools.
 """
 
 from __future__ import annotations
@@ -24,9 +25,8 @@ from .criteria import (
 from .families import (
     ARRAY_KINDS,
     FAMILY_TAGS,
-    FamilyStore,
-    default_cache_path,
     domb_number,
+    family_poly,
     get_array,
 )
 from .hiprec import ccl_constant_bounds, fraction_to_decimal, fraction_to_scientific
@@ -46,55 +46,52 @@ EXIT_IO = 3
 CHECK_MIN_N_MAX = {"qlc": 1, "logconvex": 2, "crossing": 0}
 
 
-def _write_output(text: str, out_path: str | None) -> None:
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
-def _families_text(args) -> str:
-    store = FamilyStore(args.cache)
-    lines = []
-    for n in range(args.n_from, args.n_max + 1):
-        poly = store.poly(args.family, n)
-        lines.append(" ".join(str(poly.coefficient(k)) for k in range(n + 1)))
-    store.flush()
-    return "\n".join(lines) + "\n"
-
-
-def _families_csv(args) -> str:
-    store = FamilyStore(args.cache)
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["n", "k", "coefficient"])
-    for n in range(args.n_from, args.n_max + 1):
-        poly = store.poly(args.family, n)
-        for k in range(n + 1):
-            writer.writerow([str(n), str(k), str(poly.coefficient(k))])
-    store.flush()
-    return buf.getvalue()
-
-
-def _families_json(args) -> str:
-    store = FamilyStore(args.cache)
-    rows = []
-    for n in range(args.n_from, args.n_max + 1):
-        poly = store.poly(args.family, n)
-        rows.append({"n": str(n), "coefficients": [str(poly.coefficient(k)) for k in range(n + 1)]})
-    store.flush()
-    return json.dumps({"family": args.family, "rows": rows}, indent=2) + "\n"
-
-
-def cmd_families(args) -> int:
-    renderers = {"text": _families_text, "csv": _families_csv, "json": _families_json}
+def _emit(text: str, out_path: str | None, passed: bool = True) -> int:
+    """Write ``text`` to ``out_path`` (stdout when None); return the exit code."""
     try:
-        _write_output(renderers[args.format](args), args.out)
+        if out_path is None:
+            sys.stdout.write(text)
+        else:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write(text)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    return EXIT_OK
+    return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
+
+
+def _csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
+def _render_summary(summary: dict[str, str], fmt: str) -> str:
+    """A flat record as a json object, a header-and-row csv, or key: value lines."""
+    if fmt == "json":
+        return json.dumps(summary, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv_text([list(summary.keys()), list(summary.values())])
+    return "\n".join(f"{key}: {value}" for key, value in summary.items()) + "\n"
+
+
+def _render_families(tag: str, ns: range, fmt: str) -> str:
+    rows = []
+    for n in ns:
+        poly = family_poly(tag, n)
+        rows.append((n, [str(poly.coefficient(k)) for k in range(n + 1)]))
+    if fmt == "json":
+        table = [{"n": str(n), "coefficients": coeffs} for n, coeffs in rows]
+        return json.dumps({"family": tag, "rows": table}, indent=2) + "\n"
+    if fmt == "csv":
+        return _csv_text([["n", "k", "coefficient"]] + [
+            [str(n), str(k), c] for n, coeffs in rows for k, c in enumerate(coeffs)])
+    return "\n".join(" ".join(coeffs) for _, coeffs in rows) + "\n"
+
+
+def cmd_families(args) -> int:
+    ns = range(args.n_from, args.n_max + 1)
+    return _emit(_render_families(args.family, ns, args.format), args.out)
 
 
 def cmd_check(args) -> int:
@@ -140,35 +137,17 @@ def cmd_check(args) -> int:
         if violations:
             summary["first_witness"] = f"n={violations[0]}"
         passed = not violations
-
-    if args.format == "json":
-        text = json.dumps(summary, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(summary.keys()))
-        writer.writerow(list(summary.values()))
-        text = buf.getvalue()
-    else:
-        text = "\n".join(f"{key}: {value}" for key, value in summary.items()) + "\n"
-    try:
-        _write_output(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
+    return _emit(_render_summary(summary, args.format), args.out, passed)
 
 
 def _certificate_csv(certificate) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["claim", "params", "outcome", "witness"])
+    rows = [["claim", "params", "outcome", "witness"]]
     for record in certificate.claims:
         params = ";".join(f"{k}={v}" for k, v in sorted(record.params.items()))
         witness = ";".join(f"{k}={v}" for k, v in sorted(record.witness.items()))
-        writer.writerow([record.claim, params, record.outcome, witness])
-    writer.writerow(["verdict", "", certificate.verdict, ""])
-    return buf.getvalue()
+        rows.append([record.claim, params, record.outcome, witness])
+    rows.append(["verdict", "", certificate.verdict, ""])
+    return _csv_text(rows)
 
 
 def _certificate_text(certificate) -> str:
@@ -191,8 +170,6 @@ def cmd_verify_paper(args) -> int:
         series_N=args.series_N,
         series_digits=args.digits,
         parallelism=args.jobs,
-        cache_path=args.cache,
-        output_format=args.format,
         n_max_monotonicity=args.n_max_monotonicity,
         n_max_root_ratio=args.n_max_root_ratio,
     )
@@ -221,12 +198,7 @@ def cmd_verify_paper(args) -> int:
         text = _certificate_csv(certificate)
     else:
         text = _certificate_text(certificate)
-    try:
-        _write_output(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK if certificate.passed else EXIT_VERIFICATION_FAILURE
+    return _emit(text, args.out, certificate.passed)
 
 
 def cmd_series(args) -> int:
@@ -249,22 +221,7 @@ def cmd_series(args) -> int:
         "tolerance": "1e-28",
         "result": "pass" if passed else "fail",
     }
-    if args.format == "json":
-        text = json.dumps(summary, indent=2) + "\n"
-    elif args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(list(summary.keys()))
-        writer.writerow(list(summary.values()))
-        text = buf.getvalue()
-    else:
-        text = "\n".join(f"{key}: {value}" for key, value in summary.items()) + "\n"
-    try:
-        _write_output(text, args.out)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK if passed else EXIT_VERIFICATION_FAILURE
+    return _emit(_render_summary(summary, args.format), args.out, passed)
 
 
 def _add_common_output_args(parser: argparse.ArgumentParser) -> None:
@@ -283,7 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_fam.add_argument("--family", choices=FAMILY_TAGS, required=True)
     p_fam.add_argument("--n-from", type=int, default=0)
     p_fam.add_argument("--n-max", type=int, required=True)
-    p_fam.add_argument("--cache", metavar="PATH", default=default_cache_path())
     _add_common_output_args(p_fam)
     p_fam.set_defaults(func=cmd_families)
 
@@ -307,7 +263,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--series-N", type=int, default=100, dest="series_N")
     p_verify.add_argument("--digits", type=int, default=40)
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
-    p_verify.add_argument("--cache", metavar="PATH", default=default_cache_path())
     _add_common_output_args(p_verify)
     p_verify.set_defaults(func=cmd_verify_paper, format="json")
 
@@ -323,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if hasattr(args, "n_from") and args.command == "families":
+    if args.command == "families":
         if args.n_from < 0 or args.n_from > args.n_max:
             parser.error(f"empty range: n-from={args.n_from}, n-max={args.n_max}")
     if hasattr(args, "n_max") and args.n_max < 0:

@@ -23,8 +23,6 @@ process.
 
 from __future__ import annotations
 
-import os
-import tempfile
 from typing import Callable
 
 from .exactcore import binom, central_binom
@@ -183,102 +181,3 @@ def weighted_assembly(array: TriangularArray, weights: Callable[[int], int], n: 
     if n < 0:
         raise ValueError(f"assembly index must be nonnegative, got n={n}")
     return Poly([array(n, k) * weights(k) for k in range(n + 1)])
-
-
-# ---------------------------------------------------------------------------
-# On-disk coefficient cache: one record per line "tag,n,c0,c1,...", preceded
-# by a header line holding the format version.  Writes are atomic
-# (write-then-rename), which tolerates concurrent readers with one writer.
-
-CACHE_FORMAT_VERSION = 1
-CACHE_ENV_VAR = "QLOGCONVEX_CACHE_DIR"
-
-
-class CacheError(Exception):
-    """Cache file absent, unreadable or of the wrong format."""
-
-
-def default_cache_path() -> str | None:
-    base = os.environ.get(CACHE_ENV_VAR)
-    if not base:
-        return None
-    return os.path.join(base, "families.cache")
-
-
-def load_family_cache(path: str) -> dict[tuple[str, int], tuple[int, ...]]:
-    try:
-        with open(path, "r", encoding="ascii") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise CacheError(f"cannot read cache {path}: {exc}") from exc
-    if not lines:
-        raise CacheError(f"cache {path} is empty")
-    try:
-        version = int(lines[0])
-    except ValueError as exc:
-        raise CacheError(f"cache {path} has a malformed header") from exc
-    if version != CACHE_FORMAT_VERSION:
-        raise CacheError(f"cache {path} has version {version}, expected {CACHE_FORMAT_VERSION}")
-    entries: dict[tuple[str, int], tuple[int, ...]] = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split(",")
-        try:
-            tag, n, coeffs = fields[0], int(fields[1]), tuple(int(c) for c in fields[2:])
-        except (IndexError, ValueError) as exc:
-            raise CacheError(f"cache {path} line {lineno} is malformed") from exc
-        if tag not in FAMILY_TAGS or n < 0 or len(coeffs) != n + 1:
-            raise CacheError(f"cache {path} line {lineno} is inconsistent")
-        entries[(tag, n)] = coeffs
-    return entries
-
-
-def save_family_cache(path: str, entries: dict[tuple[str, int], tuple[int, ...]]) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".families-", suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="ascii") as fh:
-            fh.write(f"{CACHE_FORMAT_VERSION}\n")
-            for (tag, n), coeffs in sorted(entries.items()):
-                fh.write(f"{tag},{n}," + ",".join(str(c) for c in coeffs) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-class FamilyStore:
-    """Family polynomials with an optional persistent coefficient cache.
-
-    Regeneration is the fallback whenever the cache is absent or corrupt;
-    a corrupt file is simply ignored and overwritten on the next flush.
-    """
-
-    def __init__(self, cache_path: str | None = None):
-        self.cache_path = cache_path
-        self._entries: dict[tuple[str, int], tuple[int, ...]] = {}
-        self._dirty = False
-        if cache_path is not None:
-            try:
-                self._entries = load_family_cache(cache_path)
-            except CacheError:
-                self._entries = {}
-
-    def poly(self, tag: str, n: int) -> Poly:
-        key = (tag, n)
-        coeffs = self._entries.get(key)
-        if coeffs is None:
-            poly = family_poly(tag, n)
-            # leading coefficients are positive, so the tuple has n+1 entries
-            self._entries[key] = tuple(poly.coeffs)
-            self._dirty = True
-            return poly
-        return Poly(coeffs)
-
-    def flush(self) -> None:
-        if self.cache_path is not None and self._dirty:
-            save_family_cache(self.cache_path, self._entries)
-            self._dirty = False

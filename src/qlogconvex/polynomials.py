@@ -252,10 +252,11 @@ def _kronecker_unpack(value: int, count: int, size: int) -> list:
     data = value.to_bytes(count * size, "little", signed=True)
     full = 1 << (8 * size)
     half = full >> 1
+    from_bytes = int.from_bytes
     out = []
     borrow = 0
     for i in range(0, count * size, size):
-        v = int.from_bytes(data[i:i + size], "little") + borrow
+        v = from_bytes(data[i:i + size], "little") + borrow
         borrow = v >= half
         out.append(v - full if borrow else v)
     return out

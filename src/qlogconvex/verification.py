@@ -166,7 +166,7 @@ class Certificate:
 
 @dataclass
 class VerificationConfig:
-    """Bounds and output knobs for a full verification run."""
+    """Bounds of a full verification run."""
 
     n_max_direct: int = 150
     n_max_factorization: int = 60
@@ -174,8 +174,6 @@ class VerificationConfig:
     series_N: int = 100
     series_digits: int = 40
     parallelism: int = 1
-    cache_path: str | None = None
-    output_format: str = "json"
     n_max_monotonicity: int = 300
     n_max_root_ratio: int = 120
 
@@ -186,11 +184,9 @@ class VerificationConfig:
         if any(b < 1 for b in bounds):
             raise ValueError("all verification bounds must be >= 1")
         check_series_digits(self.series_digits)
-        if self.output_format not in ("json", "csv", "text"):
-            raise ValueError(f"unknown output format {self.output_format!r}")
 
     def as_parameters(self) -> dict[str, str]:
-        out = {k: ("" if v is None else str(v)) for k, v in vars(self).items()}
+        out = {k: str(v) for k, v in vars(self).items()}
         out["series_tolerance"] = "1e-28"
         return out
 
@@ -324,18 +320,12 @@ def _factorization_row(n: int) -> tuple[int, list[str]]:
     return n, failures
 
 
-def factorization_sweep(n_max: int, jobs: int = 1, pool=None) -> list[ClaimRecord]:
+def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
     """Exact factorization identity and sign coincidence for all cells up to n_max.
 
-    The rows go through ``pool`` when one is given, else through a pool of
-    ``jobs`` workers opened here when ``jobs`` > 1.
+    The rows go through ``pool`` when one is given, else in this process.
     """
-    ns = range(1, n_max + 1)
-    if pool is None and jobs > 1:
-        with multiprocessing.Pool(jobs) as own_pool:
-            rows = _map_rows(own_pool, _factorization_row, ns)
-    else:
-        rows = _map_rows(pool, _factorization_row, ns)
+    rows = _map_rows(pool, _factorization_row, range(1, n_max + 1))
     return [_record("factorization", {"n": n, "t_range": f"0..{n}"}, failures)
             for n, failures in rows]
 
@@ -731,8 +721,7 @@ SWEEPS = (
     ("prop33", lambda c, pool: verify_prop33(c.n_max_factorization, pool=pool)
         if c.n_max_factorization >= 2 else []),
     ("claims123", lambda c, pool: verify_claims(c.n_max_sturm, pool=pool)),
-    ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization,
-                                                          c.parallelism, pool)),
+    ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization, pool=pool)),
     ("cascade", lambda c, pool: _map_rows(pool, _grid_row, GRID_IDENTITIES)),
     ("qlc_D", lambda c, pool: [_qlc_claim("D", c.n_max_direct, c.parallelism, pool)]),
     ("qlc_W", lambda c, pool: [_qlc_claim("W", c.n_max_direct, c.parallelism, pool)]),

@@ -3,7 +3,6 @@ import json
 import pytest
 
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
-from qlogconvex.families import load_family_cache
 
 
 def run_cli(capsys, *argv):
@@ -49,25 +48,11 @@ def test_families_unknown_tag_is_usage_error(capsys):
     assert excinfo.value.code == EXIT_USAGE
 
 
-def test_families_cache_round_trip(tmp_path, capsys):
-    cache = str(tmp_path / "fam.cache")
-    code, _, _ = run_cli(capsys, "families", "--family", "D", "--n-max", "4",
-                         "--cache", cache)
-    assert code == EXIT_OK
-    entries = load_family_cache(cache)
-    assert entries[("D", 2)] == (6, 16, 6)
-    # second run reads the cache back
-    code, out, _ = run_cli(capsys, "families", "--family", "D", "--n-max", "4",
-                           "--cache", cache, "--format", "text")
-    assert code == EXIT_OK
-    assert out.splitlines()[2] == "6 16 6"
-
-
-def test_cache_env_var_sets_default(tmp_path, capsys, monkeypatch):
+def test_families_writes_nothing_under_the_old_cache_dir(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("QLOGCONVEX_CACHE_DIR", str(tmp_path))
-    code, _, _ = run_cli(capsys, "families", "--family", "W", "--n-max", "2")
-    assert code == EXIT_OK
-    assert load_family_cache(str(tmp_path / "families.cache"))[("W", 1)] == (1, 1)
+    code, out, _ = run_cli(capsys, "families", "--family", "W", "--n-max", "2")
+    assert code == EXIT_OK and out == "1\n1 1\n1 4 1\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_check_qlc(capsys):
@@ -124,6 +109,8 @@ def test_digits_that_can_only_fail_are_usage_errors(capsys, digits):
 @pytest.mark.parametrize("argv", [
     ["check", "logconvex", "--n-max", "5", "--cache", "x"],
     ["series", "--cache", "x"],
+    ["families", "--family", "D", "--n-max", "3", "--cache", "x"],
+    ["verify-paper", "--jobs", "1", "--cache", "x"],
 ])
 def test_cache_flag_only_where_it_is_read(capsys, argv):
     with pytest.raises(SystemExit) as excinfo:

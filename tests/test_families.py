@@ -1,13 +1,10 @@
 import math
-import os
 import random
 
 import pytest
 
 from qlogconvex import families
 from qlogconvex.families import (
-    CacheError,
-    FamilyStore,
     DOMB_ARRAY,
     NARAYANA_ARRAY,
     TriangularArray,
@@ -15,8 +12,6 @@ from qlogconvex.families import (
     domb_number,
     family_coefficient,
     family_poly,
-    load_family_cache,
-    save_family_cache,
     unit_weights,
     weighted_assembly,
 )
@@ -150,51 +145,3 @@ def test_domb_numbers_positive_and_increasing_to_300():
         assert value > previous
         previous = value
 
-
-def test_cache_round_trip(tmp_path):
-    path = str(tmp_path / "families.cache")
-    entries = {("D", 2): (6, 16, 6), ("W", 0): (1,)}
-    save_family_cache(path, entries)
-    assert load_family_cache(path) == entries
-    # atomic write leaves no temp litter behind
-    assert os.listdir(tmp_path) == ["families.cache"]
-
-
-def test_cache_rejects_bad_version(tmp_path):
-    path = tmp_path / "families.cache"
-    path.write_text("999\nD,2,6,16,6\n")
-    with pytest.raises(CacheError):
-        load_family_cache(str(path))
-
-
-def test_cache_rejects_malformed_rows(tmp_path):
-    path = tmp_path / "families.cache"
-    path.write_text("1\nD,two,6,16,6\n")
-    with pytest.raises(CacheError):
-        load_family_cache(str(path))
-    path.write_text("1\nD,2,6,16\n")  # wrong coefficient count
-    with pytest.raises(CacheError):
-        load_family_cache(str(path))
-
-
-def test_family_store_persists_and_recovers(tmp_path):
-    path = str(tmp_path / "families.cache")
-    store = FamilyStore(path)
-    first = store.poly("D", 5)
-    store.flush()
-    reloaded = FamilyStore(path)
-    assert reloaded.poly("D", 5) == first
-
-    # corrupt cache falls back to regeneration
-    with open(path, "w") as fh:
-        fh.write("garbage")
-    recovered = FamilyStore(path)
-    assert recovered.poly("D", 5) == first
-    recovered.flush()
-    assert load_family_cache(path)[("D", 5)] == tuple(first.coeffs)
-
-
-def test_family_store_without_disk():
-    store = FamilyStore(None)
-    assert store.poly("W", 3) == Poly([1, 9, 9, 1])
-    store.flush()  # no-op
