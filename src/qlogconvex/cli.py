@@ -45,6 +45,9 @@ EXIT_IO = 3
 
 CHECK_MIN_N_MAX = {"qlc": 1, "logconvex": 2, "crossing": 0}
 
+# the optional flags each kind of check reads; any other is a usage error
+CHECK_READS = {"qlc": ("family", "jobs"), "logconvex": (), "crossing": ("array",)}
+
 
 def _emit(text: str, out_path: str | None, passed: bool = True) -> int:
     """Write ``text`` to ``out_path`` (stdout when None); return the exit code."""
@@ -245,10 +248,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a single convexity/crossing check")
     p_check.add_argument("kind", choices=("qlc", "logconvex", "crossing"))
-    p_check.add_argument("--family", choices=FAMILY_TAGS, default="D")
-    p_check.add_argument("--array", choices=ARRAY_KINDS, default="domb_a")
+    # None marks a flag not given; main applies the default where it is read
+    p_check.add_argument("--family", choices=FAMILY_TAGS,
+                         help="family of check qlc (default: D)")
+    p_check.add_argument("--array", choices=ARRAY_KINDS,
+                         help="array of check crossing (default: domb_a)")
     p_check.add_argument("--n-max", type=int, required=True)
-    p_check.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    p_check.add_argument("--jobs", type=int,
+                         help="worker processes of check qlc (default: the CPU count)")
     _add_common_output_args(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -284,12 +291,19 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "n_max") and args.n_max < 0:
         parser.error(f"n-max must be nonnegative, got {args.n_max}")
     if args.command == "check":
+        defaults = {"family": "D", "array": "domb_a", "jobs": os.cpu_count() or 1}
+        for flag, default in defaults.items():
+            if flag not in CHECK_READS[args.kind]:
+                if getattr(args, flag) is not None:
+                    parser.error(f"check {args.kind} does not read --{flag}")
+            elif getattr(args, flag) is None:
+                setattr(args, flag, default)
         # below these the check has nothing to test: qlc starts at n = 1 and
         # log-convexity needs the three numbers D_0, D_1, D_2
         fewest = CHECK_MIN_N_MAX[args.kind]
         if args.n_max < fewest:
             parser.error(f"check {args.kind} needs n-max >= {fewest}, got {args.n_max}")
-        if args.jobs < 1:
+        if args.kind == "qlc" and args.jobs < 1:
             parser.error(f"jobs must be at least 1, got {args.jobs}")
     if args.command == "series" and args.series_N < 0:
         parser.error(f"series-N must be nonnegative, got {args.series_N}")

@@ -163,6 +163,13 @@ def _first_negative(poly: Poly) -> int | None:
     return None
 
 
+def _last_negative(poly: Poly) -> int | None:
+    for i in range(len(poly.coeffs) - 1, -1, -1):
+        if poly.coeffs[i] < 0:
+            return i
+    return None
+
+
 def qlc_ranges(n_max: int, jobs: int) -> list[tuple[int, int]]:
     """Split 1..n_max into about 4 * jobs contiguous ranges of about equal cost.
 
@@ -195,6 +202,17 @@ def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, 
         defect = above * below - here * here
         rows.append((n, _first_negative(defect), defect if keep_defects else None))
     return rows
+
+
+def _qlc_span_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
+    """(n, first, last negative defect index) for one family and n = lo..hi.
+
+    The defects stay in the process that makes them, so a pooled chunk
+    sends back only small tuples.
+    """
+    tag, lo, hi = task
+    return [(n, first, _last_negative(defect))
+            for n, first, defect in _qlc_chunk((tag, lo, hi, True))]
 
 
 def q_log_convex_direct(tag: str, n_max: int, jobs: int = 1) -> list[QlcWitness]:

@@ -41,8 +41,10 @@ h(X) - h(-X) = 2X H_odd(X^2), whose w-bit slots are read back as above.
 Two multiplies of half the size cost about 2/3 of one under Karatsuba (a
 square stays two squares).  The path is taken from
 ``KRONECKER_TWO_POINT_BITS`` packed bits (slot bits times the shorter
-length), the measured crossover; the defect products of the q-log-convexity
-sweep take it from n = 45 (V, F) on.
+length), the measured crossover; F's defect products take it from n = 45
+on.  The certificate reads V's defects from F's through the reversal
+V_n(q) = q^n F_n(1/q), so only ``check qlc --family V`` and
+``q_log_convex_direct("V", ...)`` multiply V rows, on the same path.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
@@ -54,9 +56,10 @@ the fewest whole bytes with 2b - 2 at least the bits of the bound, so each
 offset coefficient lies in (0, 2^(2b-1)).  The low end of the one integer
 gives coefficient i modulo X through a running carry, its top end gives the
 mirrored coefficient plus a remainder below X, and the two meet at the middle,
-where the carry must equal that remainder.  One multiply of half the size
-replaces the two of the two-point path or the one full-size multiply.  It is
-taken when both operands equal their reversal, from
+where the carry must equal that remainder; the coefficients read must also
+sum to a(1) b(1).  One multiply of half the size replaces the two of the
+two-point path or the one full-size multiply.  It is taken when both
+operands equal their reversal, from
 ``KRONECKER_PALINDROME_BITS`` packed bits, the measured crossover, which the
 D and W defect products reach from n = 26 and 36; V, F, the Sturm chains and
 psi are not palindromic and keep the paths above.
@@ -316,7 +319,10 @@ def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
     compares one slot read twice; for an odd count only the carry's range is
     left to compare.  So it catches a read of G that strays, not a slot too
     narrow for the bound: other palindromic coefficients in range then have
-    the same value at X, and exactness rests on the bound alone.
+    the same value at X.  The coefficients must also satisfy
+    h(1) = a(1) b(1), an O(n) check that such a wrong reading fails unless
+    its errors happen to sum to zero (``ArithmeticError`` again); exactness
+    still rests on the bound.
     """
     half = (bits + 17) // 16  # bytes per slot: 16 half - 2 >= bits
     shift = 8 * half
@@ -352,7 +358,11 @@ def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
     if rem != carry:
         raise ArithmeticError(f"palindromic product of {count} coefficients does not "
                               f"close at the middle: carry {carry}, top remainder {rem}")
-    return out + out[:count // 2][::-1]
+    out += out[:count // 2][::-1]
+    if sum(out) != sum(a) * sum(b):
+        raise ArithmeticError(f"palindromic product of {count} coefficients does not "
+                              f"sum to a(1) b(1)")
+    return out
 
 
 def is_self_reciprocal(p: Poly, n: int) -> bool:

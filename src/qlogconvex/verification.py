@@ -17,15 +17,18 @@ orchestrator opens a single ``multiprocessing.Pool`` for the whole run,
 before the first sweep, and every sweep sends its independent rows through
 it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
 factorization, one per grid identity, and contiguous n-ranges of about
-equal cost for each q-log-convexity family.  Only the small parts stay in
-the parent (the boundary table, claim 1, the series and the monotonicity
-evidence).  The rows are the same private functions the serial run loops
-over, the records are sorted before they are assembled, and a row that
-raises in a worker is raised again in the parent in row order, so serial
-and pooled certificates are identical except for the timestamp.  Under the
-fork start method (the default on Linux) the workers are copies of the
-parent as it is when the run starts, so they see any function replaced
-before the run began.
+equal cost for the q-log-convexity defects of D, W and F, each sending back
+only the first and last negative index per n.  V's defects are F's read
+backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is decided in the parent
+from F's indices and an exact check that each V row is the F row reversed.
+Only the small parts stay in the parent (the boundary table, claim 1, that
+reversal check, the series and the monotonicity evidence).  The rows are
+the same private functions the serial run loops over, the records are
+sorted before they are assembled, and a row that raises in a worker is
+raised again in the parent in row order, so serial and pooled certificates
+are identical except for the timestamp.  Under the fork start method (the
+default on Linux) the workers are copies of the parent as it is when the
+run starts, so they see any function replaced before the run began.
 """
 
 from __future__ import annotations
@@ -42,7 +45,8 @@ from fractions import Fraction
 from . import __version__, proofpolys
 from .criteria import (
     _check_operator_args,
-    _qlc_chunk,
+    _last_negative,
+    _qlc_span_chunk,
     op_L,
     op_L_boundary,
     q_log_convex_direct,
@@ -51,7 +55,7 @@ from .criteria import (
     single_crossing,
 )
 from .exactcore import binom
-from .families import DOMB_ARRAY, domb_number
+from .families import DOMB_ARRAY, domb_number, family_poly
 from .hiprec import ccl_constant_bounds, fraction_to_decimal
 from .polynomials import IntervalSign, Poly, sign_constant_on, sturm_count_roots
 from .proofpolys import IdentityError
@@ -670,19 +674,73 @@ def _grid_row(identity: str) -> ClaimRecord:
 
 # --- q-log-convexity and monotonicity claims ------------------------------------
 
-def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None) -> ClaimRecord:
-    """All defects of one family up to n_max; through ``pool`` when given,
-    in contiguous n-ranges that send back only the first negative index."""
-    if pool is None:
-        rows = [(w.n, w.first_negative_coefficient_index)
-                for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
+def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
+               f_rows=None) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
+    """One family's q-log-convexity record for n = 1..n_max, and its rows
+    (n, first negative, last negative defect coefficient index).
+
+    D, W and F multiply their defects out: in this process through
+    ``q_log_convex_direct``, or through ``pool`` in contiguous n-ranges that
+    send back only the two indices.
+
+    V is not multiplied out; it reads ``f_rows``, the rows of F, through the
+    lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
+
+        V_{n+1} V_{n-1} - V_n^2 = q^(2n) (F_{n+1} F_{n-1} - F_n^2)(1/q),
+
+    so V's defect coefficient i is F's coefficient 2n - i (F's defect may
+    end in zeros, which Poly strips; the map is 2n - i, not from the end),
+    and V's first negative index is 2n minus F's last.  The premise is
+    checked exactly for every m in 0..n_max+1: F's row m has degree m and
+    V's row m is it reversed.  A row that fails the check fails the record,
+    and no defect is read through it.
+    """
+    if tag == "V":
+        unmirrored = _unmirrored_rows(n_max)
+        failures = [f"row {m} of V is not row {m} of F reversed" for m in unmirrored]
+        rows = [(n, None if last is None else 2 * n - last,
+                 None if first is None else 2 * n - first)
+                for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
-        tasks = [(tag, lo, hi, False) for lo, hi in qlc_ranges(n_max, jobs)]
-        rows = [(n, index) for chunk in _map_rows(pool, _qlc_chunk, tasks)
-                for n, index, _defect in chunk]
-    failures = [f"negative defect coefficient {index} at n={n}"
-                for n, index in rows if index is not None]
-    return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures)
+        failures = []
+        if pool is None:
+            rows = [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
+                    for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
+        else:
+            tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
+            rows = [row for chunk in _map_rows(pool, _qlc_span_chunk, tasks) for row in chunk]
+    failures += [f"negative defect coefficient {first} at n={n}"
+                 for n, first, _last in rows if first is not None]
+    return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures), rows
+
+
+def _unmirrored_rows(n_max: int) -> set[int]:
+    """The m in 0..n_max+1 where F's row m is not of degree m, or V's row m
+    is not F's row m reversed."""
+    unmirrored = set()
+    for m in range(n_max + 2):
+        f = family_poly("F", m).coeffs
+        if len(f) != m + 1 or family_poly("V", m).coeffs != f[::-1]:
+            unmirrored.add(m)
+    return unmirrored
+
+
+def _qlc_f_and_v(config: VerificationConfig, pool) -> list[ClaimRecord]:
+    """The qlc_F and qlc_V records from one set of F defect products.
+
+    An exception in F's products fails both records; one in V's reversal
+    check fails V alone.
+    """
+    n_max, jobs = config.n_max_direct, config.parallelism
+    try:
+        f_record, f_rows = _qlc_claim("F", n_max, jobs, pool)
+    except Exception as exc:  # V rests on these products too
+        return [_error_record("qlc_F", exc), _error_record("qlc_V", exc)]
+    try:
+        v_record, _rows = _qlc_claim("V", n_max, jobs, pool, f_rows)
+    except Exception as exc:
+        v_record = _error_record("qlc_V", exc)
+    return [f_record, v_record]
 
 
 def _monotonicity_claim(n_max: int, root_ratio_n_max: int) -> ClaimRecord:
@@ -723,10 +781,9 @@ SWEEPS = (
     ("claims123", lambda c, pool: verify_claims(c.n_max_sturm, pool=pool)),
     ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization, pool=pool)),
     ("cascade", lambda c, pool: _map_rows(pool, _grid_row, GRID_IDENTITIES)),
-    ("qlc_D", lambda c, pool: [_qlc_claim("D", c.n_max_direct, c.parallelism, pool)]),
-    ("qlc_W", lambda c, pool: [_qlc_claim("W", c.n_max_direct, c.parallelism, pool)]),
-    ("qlc_V", lambda c, pool: [_qlc_claim("V", c.n_max_direct, c.parallelism, pool)]),
-    ("qlc_F", lambda c, pool: [_qlc_claim("F", c.n_max_direct, c.parallelism, pool)]),
+    ("qlc_D", lambda c, pool: [_qlc_claim("D", c.n_max_direct, c.parallelism, pool)[0]]),
+    ("qlc_W", lambda c, pool: [_qlc_claim("W", c.n_max_direct, c.parallelism, pool)[0]]),
+    ("qlc_F", _qlc_f_and_v),  # and qlc_V, read from F's defects
     ("series", lambda c, pool: [series_claim(c.series_N, c.series_digits)]),
     ("monotonicity", lambda c, pool: [_monotonicity_claim(c.n_max_monotonicity,
                                                           c.n_max_root_ratio)]

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from qlogconvex import cli
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
 
 
@@ -123,7 +124,7 @@ def test_cache_flag_only_where_it_is_read(capsys, argv):
     (["series", "--series-N", "-1"], "series-N must be nonnegative, got -1"),
     (["check", "qlc", "--n-max", "0", "--jobs", "1"], "check qlc needs n-max >= 1, got 0"),
     (["check", "logconvex", "--n-max", "1"], "check logconvex needs n-max >= 2, got 1"),
-    (["check", "logconvex", "--n-max", "5", "--jobs", "-2"], "jobs must be at least 1, got -2"),
+    (["check", "qlc", "--n-max", "5", "--jobs", "-2"], "jobs must be at least 1, got -2"),
 ])
 def test_inputs_that_can_only_fail_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -132,6 +133,34 @@ def test_inputs_that_can_only_fail_are_usage_errors(capsys, argv, message):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"error: {message}" in captured.err
+
+
+@pytest.mark.parametrize("kind, flag, value", [
+    ("logconvex", "--jobs", "4"),
+    ("logconvex", "--family", "W"),
+    ("logconvex", "--array", "narayana_a"),
+    ("crossing", "--jobs", "2"),
+    ("crossing", "--family", "V"),
+    ("qlc", "--array", "narayana_a"),
+])
+def test_check_rejects_flags_it_does_not_read(capsys, kind, flag, value):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["check", kind, "--n-max", "3", flag, value])
+    assert excinfo.value.code == EXIT_USAGE
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: check {kind} does not read {flag}" in captured.err
+
+
+def test_check_applies_defaults_where_the_flag_is_read(capsys, monkeypatch):
+    seen = {}
+    monkeypatch.setattr(cli, "q_log_convex_direct",
+                        lambda tag, n_max, jobs: seen.update(tag=tag, jobs=jobs) or [])
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+    code, out, _ = run_cli(capsys, "check", "qlc", "--n-max", "2")
+    assert code == EXIT_OK and seen == {"tag": "D", "jobs": 3}
+    code, out, _ = run_cli(capsys, "check", "crossing", "--n-max", "2")
+    assert code == EXIT_OK and "array: domb_a" in out
 
 
 def test_smallest_accepted_check_bounds(capsys):

@@ -464,6 +464,17 @@ def test_palindromic_mul_raises_when_the_ends_do_not_meet(monkeypatch):
         polynomials._palindromic_mul(x, y, _bound_bits(x, y))
 
 
+def test_palindromic_mul_raises_on_a_slot_one_bit_too_narrow():
+    # the bound 87 * 96 * 2 = 16704 has 15 bits; told 14, the slots hold one
+    # bit too few and the middle coefficient -16704 wraps to 48833, yet the
+    # ends still meet; only the check h(1) = a(1) b(1) sees the wrong product
+    a, b = (87, 87), (-96, -96)
+    assert _bound_bits(a, b) == 15
+    assert polynomials._palindromic_mul(a, b, 15) == _reference_product(a, b)
+    with pytest.raises(ArithmeticError, match=r"does not sum to a\(1\) b\(1\)"):
+        polynomials._palindromic_mul(a, b, 14)
+
+
 @given(_signed_coeff_lists(), st.integers(min_value=1, max_value=KRONECKER_MIN_TERMS + 4),
        st.fractions(max_denominator=10**6))
 @settings(max_examples=100, deadline=None)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from qlogconvex.polynomials import Poly
-from qlogconvex import families, polynomials, proofpolys
+from qlogconvex import criteria, families, polynomials, proofpolys
 from qlogconvex.verification import (
     BOUNDARY_TABLE,
     CLAIM1_PAIRS,
@@ -28,7 +28,7 @@ from qlogconvex.verification import (
     verify_prop33,
 )
 from qlogconvex import verification
-from qlogconvex.criteria import op_L
+from qlogconvex.criteria import _last_negative, op_L, q_log_convex_direct
 from qlogconvex.hiprec import ccl_constant_bounds
 from qlogconvex.families import DOMB_ARRAY
 
@@ -460,3 +460,113 @@ def test_pooled_row_errors_match_serial(monkeypatch):
     errors = [c for c in serial.claims if "error" in c.params]
     assert errors == [ClaimRecord("prop32", {"error": "RuntimeError"}, "fail",
                                   {"message": "row 5 blew up"})]
+
+
+# --- qlc_V read from F's defects through V_n(q) = q^n F_n(1/q) -------------------
+
+def test_v_defect_is_the_f_defect_reversed():
+    # F's defect ends in a zero coefficient that Poly strips, so it is
+    # padded to the 2n + 1 coefficients of degree 2n before it is reversed
+    for v, f in zip(q_log_convex_direct("V", 40), q_log_convex_direct("F", 40)):
+        padded = f.defect.coeffs + (0,) * (2 * f.n + 1 - len(f.defect.coeffs))
+        assert v.defect == Poly(padded[::-1])
+
+
+def _tamper_family_rows(monkeypatch, change):
+    """Route the qlc sweeps' family rows through ``change(tag, m, row)``.
+
+    The rows are replaced where the qlc code reads them, not in
+    ``families._family_row``, which also fills the Domb array's memo.
+    """
+    original = families.family_poly
+
+    def tampered(tag, m):
+        row = list(original(tag, m).coeffs)
+        change(tag, m, row)
+        return Poly(row)
+
+    monkeypatch.setattr(criteria, "family_poly", tampered)
+    monkeypatch.setattr(verification, "family_poly", tampered)
+
+
+def _mirrored_tamper(monkeypatch, bumps):
+    """Triple F_m's coefficient k and V_m's coefficient m - k for each (m, k),
+    so the rows still mirror but the defects around m turn negative."""
+    def change(tag, m, row):
+        for bumped_m, k in bumps:
+            if m == bumped_m and tag in ("F", "V"):
+                row[k if tag == "F" else m - k] *= 3
+
+    _tamper_family_rows(monkeypatch, change)
+
+
+@pytest.mark.parametrize("bumps", [[(9, 0)], [(9, 9)], [(14, 4)], [(6, 3), (17, 12)]])
+def test_derived_v_failures_match_the_direct_products(monkeypatch, bumps):
+    _mirrored_tamper(monkeypatch, bumps)
+    n_max = 20
+    f_record, f_rows = verification._qlc_claim("F", n_max, 1)
+    v_record, v_rows = verification._qlc_claim("V", n_max, 1, None, f_rows)
+    direct = q_log_convex_direct("V", n_max)
+    assert v_rows == [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
+                      for w in direct]
+    bad = [w for w in direct if not w.passed]
+    assert bad and not f_record.passed
+    assert v_record.witness == {
+        "first_failure": f"negative defect coefficient "
+                         f"{bad[0].first_negative_coefficient_index} at n={bad[0].n}",
+        "failure_count": str(len(bad))}
+
+
+def _failing_qlc(monkeypatch, tag, m, k, factor):
+    """The failing records of a serial and a 2-worker pooled run, with family
+    ``tag``'s row m scaled by ``factor`` at coefficient k."""
+    def change(family, row_m, row):
+        if (family, row_m) == (tag, m):
+            row[k] *= factor
+
+    _tamper_family_rows(monkeypatch, change)
+    serial, pooled = (run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=jobs))
+                      for jobs in (1, 2))
+    assert pooled.claims == serial.claims
+    return [c for c in serial.claims if not c.passed]
+
+
+def test_tampered_v_row_fails_qlc_v_alone(monkeypatch):
+    # V's row 6 no longer mirrors F's, so nothing certifies the V defects
+    # that read it, whatever their signs; F's records stand
+    assert _failing_qlc(monkeypatch, "V", 6, 2, 2) == [ClaimRecord(
+        "qlc_V", {"family": "V", "n_max": "12"}, "fail",
+        {"first_failure": "row 6 of V is not row 6 of F reversed", "failure_count": "1"})]
+
+
+def test_tampered_f_row_fails_qlc_f_and_qlc_v(monkeypatch):
+    failing = _failing_qlc(monkeypatch, "F", 6, 3, 3)
+    assert [(c.claim, c.witness["first_failure"]) for c in failing] == [
+        ("qlc_F", "negative defect coefficient 3 at n=6"),
+        ("qlc_V", "row 6 of V is not row 6 of F reversed")]
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_an_error_in_f_products_fails_both_records(monkeypatch, parallelism):
+    def flaky(tag, m, row):
+        if (tag, m) == ("F", 9):
+            raise RuntimeError("F row 9 blew up")
+
+    _tamper_family_rows(monkeypatch, flaky)
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG,
+                                                           parallelism=parallelism))
+    errors = [c for c in certificate.claims if "error" in c.params]
+    assert errors == [ClaimRecord(claim, {"error": "RuntimeError"}, "fail",
+                                  {"message": "F row 9 blew up"})
+                      for claim in ("qlc_F", "qlc_V")]
+
+
+def test_an_error_in_the_reversal_check_fails_qlc_v_alone(monkeypatch):
+    def explode(n_max):
+        raise RuntimeError("reversal check blew up")
+
+    monkeypatch.setattr(verification, "_unmirrored_rows", explode)
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    assert [c for c in certificate.claims if not c.passed] == [ClaimRecord(
+        "qlc_V", {"error": "RuntimeError"}, "fail", {"message": "reversal check blew up"})]
+    assert [c.passed for c in certificate.claims if c.claim == "qlc_F"] == [True]
