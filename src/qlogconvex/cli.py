@@ -45,8 +45,19 @@ EXIT_IO = 3
 
 CHECK_MIN_N_MAX = {"qlc": 1, "logconvex": 2, "crossing": 0}
 
-# the optional flags each kind of check reads; any other is a usage error
-CHECK_READS = {"qlc": ("family", "jobs"), "logconvex": (), "crossing": ("array",)}
+# The optional flags each kind of check reads, with their defaults (None: the
+# CPU count).  Giving a kind a flag it does not read is a usage error.
+CHECK_FLAGS = {
+    "qlc": {"family": "D", "jobs": None},
+    "logconvex": {},
+    "crossing": {"array": "domb_a"},
+}
+
+
+def _check_flag_help(flag: str) -> str:
+    kind = next(kind for kind, flags in CHECK_FLAGS.items() if flag in flags)
+    default = CHECK_FLAGS[kind][flag]
+    return f"read by check {kind} only (default: {default or 'the CPU count'})"
 
 
 def _emit(text: str, out_path: str | None, passed: bool = True) -> int:
@@ -249,13 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="run a single convexity/crossing check")
     p_check.add_argument("kind", choices=("qlc", "logconvex", "crossing"))
     # None marks a flag not given; main applies the default where it is read
-    p_check.add_argument("--family", choices=FAMILY_TAGS,
-                         help="family of check qlc (default: D)")
-    p_check.add_argument("--array", choices=ARRAY_KINDS,
-                         help="array of check crossing (default: domb_a)")
+    p_check.add_argument("--family", choices=FAMILY_TAGS, help=_check_flag_help("family"))
+    p_check.add_argument("--array", choices=ARRAY_KINDS, help=_check_flag_help("array"))
     p_check.add_argument("--n-max", type=int, required=True)
-    p_check.add_argument("--jobs", type=int,
-                         help="worker processes of check qlc (default: the CPU count)")
+    p_check.add_argument("--jobs", type=int, help=_check_flag_help("jobs"))
     _add_common_output_args(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -291,13 +299,13 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "n_max") and args.n_max < 0:
         parser.error(f"n-max must be nonnegative, got {args.n_max}")
     if args.command == "check":
-        defaults = {"family": "D", "array": "domb_a", "jobs": os.cpu_count() or 1}
-        for flag, default in defaults.items():
-            if flag not in CHECK_READS[args.kind]:
-                if getattr(args, flag) is not None:
-                    parser.error(f"check {args.kind} does not read --{flag}")
-            elif getattr(args, flag) is None:
-                setattr(args, flag, default)
+        for kind, flags in CHECK_FLAGS.items():
+            for flag, default in flags.items():
+                if kind != args.kind:
+                    if getattr(args, flag) is not None:
+                        parser.error(f"check {args.kind} does not read --{flag}")
+                elif getattr(args, flag) is None:
+                    setattr(args, flag, default or os.cpu_count() or 1)
         # below these the check has nothing to test: qlc starts at n = 1 and
         # log-convexity needs the three numbers D_0, D_1, D_2
         fewest = CHECK_MIN_N_MAX[args.kind]

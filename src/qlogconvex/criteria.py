@@ -188,11 +188,13 @@ def qlc_ranges(n_max: int, jobs: int) -> list[tuple[int, int]]:
     return ranges
 
 
-def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, Poly | None]]:
-    """(n, first negative defect index, defect) for one family and n = lo..hi.
+def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, Poly | int | None]]:
+    """(n, first negative defect index, defect or last negative index) for
+    one family and n = lo..hi.
 
-    The rows lo-1..hi+1 are built once.  The defect is None unless
-    ``keep_defects``, so a pooled chunk sends back only the indices.
+    The rows lo-1..hi+1 are built once.  The third entry is the defect when
+    ``keep_defects``, else its last negative index, so a pooled chunk that
+    does not keep defects sends back only small tuples.
     """
     tag, lo, hi, keep_defects = task
     polys = [family_poly(tag, i) for i in range(lo - 1, hi + 2)]  # polys[n - lo + 1] is row n
@@ -200,19 +202,9 @@ def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, 
     for n in range(lo, hi + 1):
         below, here, above = polys[n - lo], polys[n - lo + 1], polys[n - lo + 2]
         defect = above * below - here * here
-        rows.append((n, _first_negative(defect), defect if keep_defects else None))
+        rows.append((n, _first_negative(defect),
+                     defect if keep_defects else _last_negative(defect)))
     return rows
-
-
-def _qlc_span_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
-    """(n, first, last negative defect index) for one family and n = lo..hi.
-
-    The defects stay in the process that makes them, so a pooled chunk
-    sends back only small tuples.
-    """
-    tag, lo, hi = task
-    return [(n, first, _last_negative(defect))
-            for n, first, defect in _qlc_chunk((tag, lo, hi, True))]
 
 
 def q_log_convex_direct(tag: str, n_max: int, jobs: int = 1) -> list[QlcWitness]:

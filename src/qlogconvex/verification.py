@@ -46,7 +46,7 @@ from . import __version__, proofpolys
 from .criteria import (
     _check_operator_args,
     _last_negative,
-    _qlc_span_chunk,
+    _qlc_chunk,
     op_L,
     op_L_boundary,
     q_log_convex_direct,
@@ -707,8 +707,8 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
             rows = [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
                     for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
         else:
-            tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
-            rows = [row for chunk in _map_rows(pool, _qlc_span_chunk, tasks) for row in chunk]
+            tasks = [(tag, lo, hi, False) for lo, hi in qlc_ranges(n_max, jobs)]
+            rows = [row for chunk in _map_rows(pool, _qlc_chunk, tasks) for row in chunk]
     failures += [f"negative defect coefficient {first} at n={n}"
                  for n, first, _last in rows if first is not None]
     return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures), rows

@@ -7,7 +7,6 @@ from qlogconvex.criteria import (
     _qlc_chunk,
     _first_negative,
     _last_negative,
-    _qlc_span_chunk,
     criterion_c2_sweep,
     criterion_verdict,
     log_convex_check,
@@ -193,20 +192,16 @@ def test_qlc_ranges_tile_the_range_with_balanced_cost(n_max, jobs):
 
 
 def test_qlc_chunks_agree_with_one_serial_chunk():
-    whole = _qlc_chunk(("V", 1, 30, True))
-    pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk(("V", lo, hi, True))]
-    assert pieces == whole
-    indices_only = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk(("V", lo, hi, False))]
-    assert indices_only == [(n, index, None) for n, index, _ in whole]
-
-
-def test_qlc_span_chunks_give_the_first_and_last_negative_index():
     defects = [Poly([-1, 0, 3]), Poly([2, -5, 0, -1, 4]), Poly([1, 2])]
     assert [(_first_negative(d), _last_negative(d)) for d in defects] == [
         (0, 0), (1, 3), (None, None)]
-    whole = _qlc_chunk(("F", 1, 30, True))
-    pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_span_chunk(("F", lo, hi))]
-    assert pieces == [(n, index, _last_negative(defect)) for n, index, defect in whole]
+    for tag in ("V", "F"):
+        whole = _qlc_chunk((tag, 1, 30, True))
+        pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk((tag, lo, hi, True))]
+        assert pieces == whole
+        indices_only = [row for lo, hi in qlc_ranges(30, 2)
+                        for row in _qlc_chunk((tag, lo, hi, False))]
+        assert indices_only == [(n, index, _last_negative(defect)) for n, index, defect in whole]
 
 
 def test_witness_defects_survive_pickling():
