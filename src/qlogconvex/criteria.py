@@ -7,6 +7,16 @@ The central object is the bilinear operator on a triangular array a(n, k)
 whose sign pattern over k = 0..floor(t/2) decides whether the weighted
 assembly of the array stays q-log-convex.  The companion operator L~_t
 replaces the even-t midpoint term by a(n+1,k) a(n-1,k) - a(n,k)^2.
+
+q-log-convexity is checked on the defects P_{n+1} P_{n-1} - P_n^2 in two
+ways.  ``q_log_convex_direct`` (and ``_qlc_chunk``) multiplies both
+products out for every n, for any family; it is what ``check qlc`` runs and
+the tests' oracle.  ``_qlc_recurrence_chunk`` serves the certificate's W
+and F records: it carries the products from n to n + 1 by the family's
+recurrence in n (``families.ROW_RECURRENCES``) at one packed point, which
+is linear in the size of the numbers per step instead of one big multiply,
+and falls back to direct products wherever the recurrence is not checked
+to hold on the rows read.
 """
 
 from __future__ import annotations
@@ -15,9 +25,15 @@ import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
-from .families import TriangularArray, domb_number, family_poly, weighted_assembly
+from .families import (
+    ROW_RECURRENCES,
+    TriangularArray,
+    domb_number,
+    family_poly,
+    weighted_assembly,
+)
 from .hiprec import compare_products
-from .polynomials import Poly, is_self_reciprocal
+from .polynomials import Poly, _kronecker_pack, _kronecker_unpack, is_self_reciprocal
 
 
 @dataclass(frozen=True)
@@ -175,7 +191,11 @@ def qlc_ranges(n_max: int, jobs: int) -> list[tuple[int, int]]:
 
     The defect at n multiplies polynomials of degree n whose coefficients
     have O(n) bits, which costs about n^3; a range ends where the running
-    cost first reaches its share of the total.
+    cost first reaches its share of the total.  That model is D's.  The W
+    and F ranges of ``_qlc_recurrence_chunk`` cost about n^2 per step plus
+    a few direct products at their first rows, so the short high-n ranges
+    of this split spend more of their time on seeds; they take it anyway,
+    since many ranges keep the pool's workers evenly busy.
     """
     count = min(n_max, 4 * jobs)
     total = sum(n**3 for n in range(1, n_max + 1))
@@ -205,6 +225,95 @@ def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, 
         rows.append((n, _first_negative(defect),
                      defect if keep_defects else _last_negative(defect)))
     return rows
+
+
+def _slot_bytes(bound: int) -> int:
+    """The fewest bytes s with 8 s - 1 > bound.bit_length(), so that a slot of
+    8 s bits holds every integer of absolute value at most ``bound``, with a
+    bit to spare."""
+    return (bound.bit_length() + 1) // 8 + 1
+
+
+def _at_slot(coeffs: tuple, values: list[int], shift: int) -> int:
+    """sum_j a_j(X) values[j] at X = 2^shift, each a_j given by its integer
+    coefficients ``coeffs[j]`` ascending in q: small multiples and shifts."""
+    total = 0
+    for i in range(max(map(len, coeffs)) - 1, -1, -1):
+        total = (total << shift) + sum(a[i] * v for a, v in zip(coeffs, values) if i < len(a))
+    return total
+
+
+def _exact_quotient(value: int, divisor: int) -> int:
+    quotient, remainder = divmod(value, divisor)
+    if remainder:
+        raise ArithmeticError(f"recurrence step leaves remainder {remainder} "
+                              f"on division by {divisor}")
+    return quotient
+
+
+def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
+    """(n, first, last negative defect index) for n = lo..hi of a family in
+    ``ROW_RECURRENCES`` (W and F), as ``_qlc_chunk`` reads them, with the
+    products advanced by the family's recurrence instead of multiplied out.
+
+    Every row lo-1..hi+1 is packed at one X = 2^w, and the products
+    p(a, b) = P_a(X) P_b(X) of rows less than r apart are carried along.  If
+    c0 P_{n+1} = sum_j a_j P_{n+1-j} at X, multiplying by P_{n+1-d}(X) gives
+
+        c0 p(n+1, n+1-d) = sum_j a_j(X) p(n+1-j, n+1-d)   for d = 1..r,
+        c0 p(n+1, n+1)   = sum_j a_j(X) p(n+1, n+1-j),
+
+    so each new product costs a few small multiples, shifts and one exact
+    division by c0 (a remainder raises ``ArithmeticError``).  That premise is
+    checked at X for every row it advances to; below the recurrence's first
+    n, at the first rows of the range and wherever the check fails (a
+    tampered row), the products are multiplied directly instead.  Either way
+    each p is exactly P_a(X) P_b(X).  The slot w has w - 1 above the bit
+    length of (|c0| + sum_j |a_j|_1) max|P|, so the premise at X is the
+    polynomial identity, and of 2 max(len P) max|P|^2, which bounds every
+    defect coefficient, so the defect P_{n+1}(X) P_{n-1}(X) - P_n(X)^2
+    unpacks exactly, both maxima taken over the rows read.
+    """
+    tag, lo, hi = task
+    start, recurrence = ROW_RECURRENCES[tag]
+    rows = [family_poly(tag, m).coeffs for m in range(lo - 1, hi + 2)]  # rows[m - lo + 1] is row m
+    steps = {n: recurrence(n) for n in range(max(start, lo - 1), hi + 1)}
+    r = len(recurrence(start)[1])
+    reach = max(r - 1, 2)  # the widest product a later step or defect reads
+    top = max(max(map(abs, row), default=0) for row in rows)
+    norm = max((abs(c0) + sum(abs(c) for a in coeffs for c in a)
+                for c0, coeffs in steps.values()), default=0)
+    size = _slot_bytes(max(norm * top, 2 * max(map(len, rows)) * top * top))
+    shift = 8 * size
+
+    packed: dict[int, int] = {}  # m -> P_m(X), for the last r rows
+    products: dict[tuple[int, int], int] = {}  # (a, b), a >= b -> P_a(X) P_b(X)
+    out = []
+    for m in range(lo - 1, hi + 2):
+        packed[m] = value = _kronecker_pack(rows[m - lo + 1], size)
+        # a step to row m reads rows m-1..m-r, so it needs all of them in this range
+        c0, coeffs = steps[m - 1] if m - 1 in steps and m - r >= lo - 1 else (0, ())
+        if coeffs and c0 * value == _at_slot(coeffs, [packed[m - j] for j in range(1, r + 1)],
+                                             shift):
+            for d in range(r, 0, -1):
+                terms = [products[m - min(j, d), m - max(j, d)] for j in range(1, r + 1)]
+                products[m, m - d] = _exact_quotient(_at_slot(coeffs, terms, shift), c0)
+            terms = [products[m, m - j] for j in range(1, r + 1)]
+            products[m, m] = _exact_quotient(_at_slot(coeffs, terms, shift), c0)
+        else:
+            for d in range(min(reach, m - lo + 1) + 1):
+                products[m, m - d] = value * packed[m - d]
+        if m > lo:
+            above, here, below = rows[m - lo + 1], rows[m - lo], rows[m - lo - 1]
+            count = max(len(above) + len(below), 2 * len(here), 2) - 1
+            defect = _kronecker_unpack(products[m, m - 2] - products[m - 1, m - 1], count, size)
+            negative = [i for i, c in enumerate(defect) if c < 0]
+            out.append((m - 1, negative[0], negative[-1]) if negative else (m - 1, None, None))
+        # row m - r and its products are read by no later step
+        packed.pop(m - r, None)
+        for a in range(m - r, m + 1):
+            products.pop((a, m - r), None)
+    return out
 
 
 def q_log_convex_direct(tag: str, n_max: int, jobs: int = 1) -> list[QlcWitness]:

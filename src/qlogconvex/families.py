@@ -1,8 +1,7 @@
 """Combinatorial polynomial families and their triangular coefficient arrays.
 
 Four families, each row built from the binomial row C(n, k) and the central
-binomials C(2j, j) (there is no recurrence in n; each row is O(n) exact
-multiplications):
+binomials C(2j, j) (each row is O(n) exact multiplications):
 
     D_n(q) = sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k) q^k   (Domb polynomials)
     W_n(q) = sum_k C(n,k)^2 q^k                        (Narayana, type B)
@@ -19,6 +18,11 @@ whose divisions are exact; they bypass the binomial memo, which only
 ``family_coefficient`` (single entries) still reads.  The central binomials
 are kept in one list that only grows, so each C(2j, j) is computed once per
 process.
+
+W and F also satisfy linear recurrences in n with polynomial coefficients
+in q (``ROW_RECURRENCES``).  The rows are not built from them; the
+q-log-convexity sweep uses them to advance its defect products from n to
+n + 1, and checks them on every row it reads.
 """
 
 from __future__ import annotations
@@ -147,6 +151,36 @@ def _family_row(tag: str, n: int) -> list[int]:
     if tag == "F":
         return [sq * central[n - k] for k, sq in enumerate(squares)]
     raise ValueError(f"unknown family tag {tag!r}")
+
+
+def _w_recurrence(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """(n+1) W_{n+1} = (2n+1)(1+q) W_n - n(1-q)^2 W_{n-1}, for n >= 1: the
+    Legendre three-term recurrence through W_n(q) = (1-q)^n P_n((1+q)/(1-q))."""
+    return n + 1, ((2 * n + 1, 2 * n + 1), (-n, 2 * n, -n))
+
+
+def _f_recurrence(n: int) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """For n >= 2,
+
+        (n+1)^2 (4n-3) F_{n+1}
+            = [(32n^3+8n^2-12n-6) + (12n^3+3n^2-6n-3) q] F_n
+            - [(64n^3-48n^2+4) + (4n-2) q + (12n^3-9n^2-2n+1) q^2] F_{n-1}
+            + (n-1)^2 (4n+1) q (q-4)^2 F_{n-2}.
+
+    Found by solving for its coefficients; creative telescoping proves such
+    recurrences (Petkovsek, Wilf and Zeilberger, A = B, 1996).
+    """
+    tail = (n - 1) ** 2 * (4 * n + 1)  # times q (q - 4)^2 = 16 q - 8 q^2 + q^3
+    return ((n + 1) ** 2 * (4 * n - 3),
+            ((32 * n**3 + 8 * n**2 - 12 * n - 6, 12 * n**3 + 3 * n**2 - 6 * n - 3),
+             (-(64 * n**3 - 48 * n**2 + 4), 2 - 4 * n, -(12 * n**3 - 9 * n**2 - 2 * n + 1)),
+             (0, 16 * tail, -8 * tail, tail)))
+
+
+# tag -> (first n, n -> (c0, (a_1, ..., a_r))) with
+#   c0 P_{n+1}(q) = a_1(q) P_n(q) + ... + a_r(q) P_{n+1-r}(q)   for n >= first,
+# each a_j given by its integer coefficients ascending in q
+ROW_RECURRENCES = {"W": (1, _w_recurrence), "F": (2, _f_recurrence)}
 
 
 def family_poly(tag: str, n: int) -> Poly:

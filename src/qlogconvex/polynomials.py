@@ -42,9 +42,16 @@ Two multiplies of half the size cost about 2/3 of one under Karatsuba (a
 square stays two squares).  The path is taken from
 ``KRONECKER_TWO_POINT_BITS`` packed bits (slot bits times the shorter
 length), the measured crossover; F's defect products take it from n = 45
-on.  The certificate reads V's defects from F's through the reversal
-V_n(q) = q^n F_n(1/q), so only ``check qlc --family V`` and
-``q_log_convex_direct("V", ...)`` multiply V rows, on the same path.
+on.
+
+Of the certificate's q-log-convexity defects only D's products reach
+``_kronecker_mul``.  V's defects are F's read through the reversal
+V_n(q) = q^n F_n(1/q), and the W and F products are carried from n to
+n + 1 by their recurrences in n (``criteria._qlc_recurrence_chunk``), at
+one X packed and read back with ``_kronecker_pack`` and
+``_kronecker_unpack``; their few seed products multiply the packed
+integers directly.  ``check qlc`` and ``q_log_convex_direct`` still
+multiply every family's rows through ``Poly.__mul__``.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal

@@ -17,9 +17,10 @@ orchestrator opens a single ``multiprocessing.Pool`` for the whole run,
 before the first sweep, and every sweep sends its independent rows through
 it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
 factorization, one per grid identity, and contiguous n-ranges of about
-equal cost for the q-log-convexity defects of D, W and F, each sending back
-only the first and last negative index per n.  V's defects are F's read
-backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is decided in the parent
+equal cost for the q-log-convexity defects of D, W and F (W and F advanced
+by their recurrences in n, each range seeded at its first rows), each
+sending back only the first and last negative index per n.  V's defects are
+F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is decided in the parent
 from F's indices and an exact check that each V row is the F row reversed.
 Only the small parts stay in the parent (the boundary table, claim 1, that
 reversal check, the series and the monotonicity evidence).  The rows are
@@ -47,6 +48,7 @@ from .criteria import (
     _check_operator_args,
     _last_negative,
     _qlc_chunk,
+    _qlc_recurrence_chunk,
     op_L,
     op_L_boundary,
     q_log_convex_direct,
@@ -55,7 +57,7 @@ from .criteria import (
     single_crossing,
 )
 from .exactcore import binom
-from .families import DOMB_ARRAY, domb_number, family_poly
+from .families import DOMB_ARRAY, ROW_RECURRENCES, domb_number, family_poly
 from .hiprec import ccl_constant_bounds, fraction_to_decimal
 from .polynomials import IntervalSign, Poly, sign_constant_on, sturm_count_roots
 from .proofpolys import IdentityError
@@ -679,9 +681,12 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
     """One family's q-log-convexity record for n = 1..n_max, and its rows
     (n, first negative, last negative defect coefficient index).
 
-    D, W and F multiply their defects out: in this process through
+    D multiplies its defects out: in this process through
     ``q_log_convex_direct``, or through ``pool`` in contiguous n-ranges that
-    send back only the two indices.
+    send back only the two indices.  W and F, which have recurrences in n
+    (``families.ROW_RECURRENCES``), advance their defect products by them
+    in ``criteria._qlc_recurrence_chunk``: one range 1..n_max in this
+    process, or the same n-ranges through ``pool``, each seeded directly.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -703,7 +708,12 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
                 for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
         failures = []
-        if pool is None:
+        if tag in ROW_RECURRENCES:
+            ranges = [(1, n_max)] if pool is None else qlc_ranges(n_max, jobs)
+            tasks = [(tag, lo, hi) for lo, hi in ranges]
+            rows = [row for chunk in _map_rows(pool, _qlc_recurrence_chunk, tasks)
+                    for row in chunk]
+        elif pool is None:
             rows = [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
                     for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
         else:

@@ -2,9 +2,14 @@ import pickle
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from qlogconvex import criteria, families
 from qlogconvex.criteria import (
+    _exact_quotient,
     _qlc_chunk,
+    _qlc_recurrence_chunk,
+    _slot_bytes,
     _first_negative,
     _last_negative,
     criterion_c2_sweep,
@@ -20,7 +25,13 @@ from qlogconvex.criteria import (
     sweep_passes,
 )
 from qlogconvex.exactcore import central_binom
-from qlogconvex.families import DOMB_ARRAY, NARAYANA_ARRAY, domb_number, unit_weights
+from qlogconvex.families import (
+    DOMB_ARRAY,
+    NARAYANA_ARRAY,
+    ROW_RECURRENCES,
+    domb_number,
+    unit_weights,
+)
 from qlogconvex.polynomials import Poly
 from qlogconvex import proofpolys
 
@@ -202,6 +213,102 @@ def test_qlc_chunks_agree_with_one_serial_chunk():
         indices_only = [row for lo, hi in qlc_ranges(30, 2)
                         for row in _qlc_chunk((tag, lo, hi, False))]
         assert indices_only == [(n, index, _last_negative(defect)) for n, index, defect in whole]
+
+
+
+# --- W and F defects advanced by their recurrences in n -----------------------------
+
+def _direct_rows(tag, n_max):
+    return [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
+            for w in q_log_convex_direct(tag, n_max)]
+
+
+@pytest.mark.parametrize("tag", ["W", "F"])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 60, 160])
+def test_recurrence_rows_match_the_direct_products(tag, n_max):
+    assert _qlc_recurrence_chunk((tag, 1, n_max)) == _direct_rows(tag, n_max)
+
+
+@pytest.mark.parametrize("tag", ["W", "F"])
+def test_recurrence_ranges_seeded_at_lo_agree_with_one_run(tag):
+    whole = _qlc_recurrence_chunk((tag, 1, 40))
+    for lo in range(1, 41):
+        for hi in (lo, min(lo + 1, 40), min(lo + 4, 40), 40):
+            assert _qlc_recurrence_chunk((tag, lo, hi)) == whole[lo - 1:hi], (lo, hi)
+    pooled = [row for lo, hi in qlc_ranges(40, 2) for row in _qlc_recurrence_chunk((tag, lo, hi))]
+    assert pooled == whole
+
+
+def test_slot_bytes_leaves_a_spare_bit_in_the_fewest_bytes():
+    for bits in range(1, 300):
+        for bound in (1 << (bits - 1), (1 << bits) - 1):
+            size = _slot_bytes(bound)
+            assert 8 * size - 1 > bits
+            assert 8 * (size - 1) - 1 <= bits
+
+
+def test_exact_quotient_refuses_a_remainder():
+    assert _exact_quotient(-12, 4) == -3
+    assert _exact_quotient(3 << 500, 3) == 1 << 500
+    for value, divisor in ((7, 2), (-7, 2), ((1 << 500) + 1, 3)):
+        with pytest.raises(ArithmeticError):
+            _exact_quotient(value, divisor)
+
+
+def _tamper_rows(monkeypatch, tag, m, k, factor):
+    """Scale coefficient k (taken modulo the row length) of ``tag``'s row m
+    where the qlc chunks read it; ``families._family_row`` stays as it is."""
+    original = families.family_poly
+
+    def tampered(family, row_m):
+        row = list(original(family, row_m).coeffs)
+        if (family, row_m) == (tag, m):
+            row[k % len(row)] *= factor
+        return Poly(row)
+
+    monkeypatch.setattr(criteria, "family_poly", tampered)
+
+
+TAMPER_N_MAX = 24
+
+
+@settings(max_examples=40, deadline=None)
+@given(tag=st.sampled_from(["W", "F"]),
+       m=st.sampled_from([0, 1, 2, 3, 4, 13, TAMPER_N_MAX + 1]),
+       k=st.integers(0, 30),
+       factor=st.sampled_from([2, 3, 10**6, 2**200]))
+def test_tampered_rows_match_the_direct_products(tag, m, k, factor):
+    # row 0, the rows below and at each recurrence's first n, an interior row
+    # and the last row read; a factor of 2^200 makes the tampered row set the slot
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _tamper_rows(monkeypatch, tag, m, k, factor)
+        direct = _direct_rows(tag, TAMPER_N_MAX)
+        assert _qlc_recurrence_chunk((tag, 1, TAMPER_N_MAX)) == direct
+        for lo, hi in qlc_ranges(TAMPER_N_MAX, 2):
+            assert _qlc_recurrence_chunk((tag, lo, hi)) == direct[lo - 1:hi]
+
+
+@pytest.mark.parametrize("tag", ["W", "F"])
+@pytest.mark.parametrize("which", ["c0", "a"])
+def test_a_wrong_recurrence_reseeds_every_step(monkeypatch, tag, which):
+    start, recurrence = ROW_RECURRENCES[tag]
+
+    def off_by_one(n):
+        c0, coeffs = recurrence(n)
+        if which == "c0":
+            return c0 + 1, coeffs
+        return c0, ((coeffs[0][0] + 1,) + coeffs[0][1:],) + coeffs[1:]
+
+    divisions = []
+    monkeypatch.setitem(ROW_RECURRENCES, tag, (start, off_by_one))
+    monkeypatch.setattr(criteria, "_exact_quotient",
+                        lambda value, divisor: divisions.append(divisor) or value // divisor)
+    assert _qlc_recurrence_chunk((tag, 1, 30)) == _direct_rows(tag, 30)
+    assert divisions == []  # no step advanced by the wrong recurrence
+
+    monkeypatch.setitem(ROW_RECURRENCES, tag, (start, recurrence))
+    assert _qlc_recurrence_chunk((tag, 1, 30)) == _direct_rows(tag, 30)
+    assert divisions  # the true one does advance
 
 
 def test_witness_defects_survive_pickling():

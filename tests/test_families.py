@@ -145,3 +145,45 @@ def test_domb_numbers_positive_and_increasing_to_300():
         assert value > previous
         previous = value
 
+
+
+# --- the recurrences in n that the qlc sweep advances W and F by -----------------
+
+@pytest.mark.parametrize("tag", ["W", "F"])
+def test_row_recurrences_hold_on_rows_from_the_binomial_memo(tag):
+    # rows from family_coefficient, not from _family_row's row recurrences
+    start, recurrence = families.ROW_RECURRENCES[tag]
+    rows = [Poly([family_coefficient(tag, m, k) for k in range(m + 1)]) for m in range(302)]
+    for n in range(start, 301):
+        c0, coeffs = recurrence(n)
+        rhs = Poly()
+        for j, a in enumerate(coeffs, start=1):
+            rhs = rhs + Poly(a) * rows[n + 1 - j]
+        assert rows[n + 1] * c0 == rhs, n
+
+
+def test_w_recurrence_follows_from_legendre():
+    # W_n(q) = (1-q)^n P_n((1+q)/(1-q)); multiplying Legendre's
+    # (n+1) P_{n+1}(x) = (2n+1) x P_n(x) - n P_{n-1}(x) by (1-q)^(n+1) at
+    # x = (1+q)/(1-q) gives the table's coefficients
+    sympy = pytest.importorskip("sympy")
+    q, x = sympy.symbols("q x")
+    at = (1 + q) / (1 - q)
+
+    def w(n):
+        # sum_i c_i x^i at x = (1+q)/(1-q), times (1-q)^n, term by term
+        coeffs = reversed(sympy.Poly(sympy.legendre(n, x), x).all_coeffs())
+        plus, minus = sympy.Poly(1 + q, q), sympy.Poly(1 - q, q)
+        return sum((plus ** i * minus ** (n - i) * c for i, c in enumerate(coeffs)),
+                   sympy.Poly(0, q))
+
+    start, recurrence = families.ROW_RECURRENCES["W"]
+    for n in range(start, 25):
+        assert sympy.expand((n + 1) * sympy.legendre(n + 1, x) - (2 * n + 1) * x * sympy.legendre(n, x)
+                            + n * sympy.legendre(n - 1, x)) == 0
+        legendre_a = [sympy.Poly(sympy.cancel(term), q) for term in
+                      ((2 * n + 1) * at * (1 - q), -n * (1 - q) ** 2)]
+        c0, coeffs = recurrence(n)
+        assert c0 == n + 1
+        assert [list(reversed(a.all_coeffs())) for a in legendre_a] == [list(a) for a in coeffs]
+        assert list(reversed(w(n).all_coeffs())) == list(family_poly("W", n).coeffs)

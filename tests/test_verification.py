@@ -462,6 +462,15 @@ def test_pooled_row_errors_match_serial(monkeypatch):
                                   {"message": "row 5 blew up"})]
 
 
+def test_pooled_certificate_with_recurrence_ranges_matches_serial():
+    # at n_max_direct = 60 the pooled W and F ranges reseed at their first
+    # rows, in the middle of the serial run's single range
+    config = {**SMALL_CONFIG, "n_max_direct": 60}
+    serial, pooled = (run_full_verification(VerificationConfig(**config, parallelism=jobs))
+                      for jobs in (1, 2))
+    assert pooled.claims == serial.claims
+    assert serial.verdict == "pass"
+
 # --- qlc_V read from F's defects through V_n(q) = q^n F_n(1/q) -------------------
 
 def test_v_defect_is_the_f_defect_reversed():
