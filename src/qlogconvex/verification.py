@@ -18,10 +18,11 @@ before the first sweep, and every sweep sends its independent rows through
 it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
 factorization, one per grid identity, and contiguous n-ranges of about
 equal cost for the q-log-convexity defects of D, W and F (W and F advanced
-by their recurrences in n, each range seeded at its first rows), each
-sending back only the first and last negative index per n.  V's defects are
-F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is decided in the parent
-from F's indices and an exact check that each V row is the F row reversed.
+by their recurrences in n, one range per worker, each seeded at its first
+rows), each sending back only the first and last negative index per n.
+V's defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V
+is decided in the parent from F's indices and an exact check that each V
+row is the F row reversed.
 Only the small parts stay in the parent (the boundary table, claim 1, that
 reversal check, the series and the monotonicity evidence).  The rows are
 the same private functions the serial run loops over, the records are
@@ -686,7 +687,7 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
     send back only the two indices.  W and F, which have recurrences in n
     (``families.ROW_RECURRENCES``), advance their defect products by them
     in ``criteria._qlc_recurrence_chunk``: one range 1..n_max in this
-    process, or the same n-ranges through ``pool``, each seeded directly.
+    process, or one range per worker through ``pool``, each seeded directly.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -709,7 +710,8 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
     else:
         failures = []
         if tag in ROW_RECURRENCES:
-            ranges = [(1, n_max)] if pool is None else qlc_ranges(n_max, jobs)
+            ranges = ([(1, n_max)] if pool is None
+                      else qlc_ranges(n_max, jobs, per_job=1, power=2))
             tasks = [(tag, lo, hi) for lo, hi in ranges]
             rows = [row for chunk in _map_rows(pool, _qlc_recurrence_chunk, tasks)
                     for row in chunk]

@@ -202,6 +202,15 @@ def test_qlc_ranges_tile_the_range_with_balanced_cost(n_max, jobs):
         assert all(sum(n**3 for n in range(lo, hi + 1)) < share + hi**3 for lo, hi in ranges)
 
 
+@pytest.mark.parametrize("n_max, jobs", [(1, 2), (5, 2), (150, 2), (150, 3)])
+def test_qlc_ranges_for_recurrences_give_one_range_per_worker_at_n_squared(n_max, jobs):
+    ranges = qlc_ranges(n_max, jobs, per_job=1, power=2)
+    assert ranges[0][0] == 1 and ranges[-1][1] == n_max
+    assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+    assert len(ranges) == min(n_max, jobs)
+    share = sum(n**2 for n in range(1, n_max + 1)) / len(ranges)
+    assert all(sum(n**2 for n in range(lo, hi + 1)) < share + hi**2 for lo, hi in ranges)
+
 def test_qlc_chunks_agree_with_one_serial_chunk():
     defects = [Poly([-1, 0, 3]), Poly([2, -5, 0, -1, 4]), Poly([1, 2])]
     assert [(_first_negative(d), _last_negative(d)) for d in defects] == [
@@ -235,8 +244,10 @@ def test_recurrence_ranges_seeded_at_lo_agree_with_one_run(tag):
     for lo in range(1, 41):
         for hi in (lo, min(lo + 1, 40), min(lo + 4, 40), 40):
             assert _qlc_recurrence_chunk((tag, lo, hi)) == whole[lo - 1:hi], (lo, hi)
-    pooled = [row for lo, hi in qlc_ranges(40, 2) for row in _qlc_recurrence_chunk((tag, lo, hi))]
-    assert pooled == whole
+    for per_job, power in ((4, 3), (1, 2)):
+        pooled = [row for lo, hi in qlc_ranges(40, 2, per_job, power)
+                  for row in _qlc_recurrence_chunk((tag, lo, hi))]
+        assert pooled == whole
 
 
 def test_slot_bytes_leaves_a_spare_bit_in_the_fewest_bytes():
