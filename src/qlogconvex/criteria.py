@@ -120,14 +120,6 @@ def op_L(a: TriangularArray, n: int, t: int, k: int) -> int:
     )
 
 
-def op_L_boundary(a: TriangularArray, n: int) -> list[int]:
-    """[L_t(a(n,0)) for t in 0..n], reading the rows n-1, n and n+1 once."""
-    below, here, above = a.row(n - 1), a.row(n), a.row(n + 1)
-    below += (0,)  # a(n-1, n) lies outside the array
-    return [above[0] * below[t] + below[0] * above[t] - 2 * here[0] * here[t]
-            for t in range(n + 1)]
-
-
 def op_L_tilde(a: TriangularArray, n: int, t: int, k: int) -> int:
     """L~_t(a(n,k)): as op_L except at the even-t midpoint k = t/2."""
     _check_operator_args(n, t, k)

@@ -8,16 +8,17 @@ binomials C(2j, j) (each row is O(n) exact multiplications):
     V_n(q) = sum_k C(n,k)^2 C(2k,k) q^k
     f_n(q) = sum_k C(n,k)^2 C(2n-2k,n-k) q^k
 
-D_n(1) is the n-th Domb number.  Family rows, Domb numbers and the rows of
-the triangular arrays are all built along the row, by the multiplicative
-recurrences
+D_n(1) is the n-th Domb number.  Family rows and the rows of the
+triangular arrays are built along the row, by the multiplicative recurrences
 
     C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
 
 whose divisions are exact; they bypass the binomial memo, which only
 ``family_coefficient`` (single entries) still reads.  The central binomials
 are kept in one list that only grows, so each C(2j, j) is computed once per
-process.
+process.  A Domb number needs no row: ``domb_number`` steps from
+C(2n, n) through the ratio of consecutive terms of D_n(1), one exact
+big-by-small multiplication and division per term.
 
 W and F also satisfy linear recurrences in n with polynomial coefficients
 in q (``ROW_RECURRENCES``).  The rows are not built from them; the
@@ -27,6 +28,7 @@ n + 1, and checks them on every row it reads.
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 from .exactcore import binom, central_binom
@@ -191,23 +193,26 @@ def family_poly(tag: str, n: int) -> Poly:
 
 
 def domb_number(n: int) -> int:
-    """D_n(1) = sum_k C(n,k)^2 C(2k,k) C(2n-2k,n-k).
+    """D_n(1) = sum_k T_k with T_k = C(n,k)^2 C(2k,k) C(2n-2k,n-k).
 
-    The row C(n, k) and the central binomials come from their
-    multiplicative recurrences; terms k and n - k are equal, so only
-    k <= n/2 is summed.
+    The terms come from T_0 = C(2n, n) by their ratio
+
+        T_{k+1} = T_k (n-k)^3 (2k+1) / ((k+1)^3 (2n-2k-1)),
+
+    each division exact since every T_k is an integer, so a step is one
+    big-by-small multiplication and division.  Terms k and n - k are
+    equal: the sum over k < n/2 is doubled and the middle term added when
+    n is even.
     """
     if n < 0:
         raise ValueError(f"Domb index must be nonnegative, got n={n}")
-    central = _central_binomials(n)
-    row = _binomial_row(n)
-    half = sum(row[k] ** 2 * central[k] * central[n - k] for k in range((n + 1) // 2))
-    middle = row[n // 2] ** 2 * central[n // 2] ** 2 if n % 2 == 0 else 0
-    return 2 * half + middle
-
-
-def unit_weights(k: int) -> int:
-    return 1
+    term = math.comb(2 * n, n)
+    half = 0
+    for k in range((n + 1) // 2):
+        half += term
+        term = term * ((n - k) ** 3 * (2 * k + 1)) // ((k + 1) ** 3 * (2 * n - 2 * k - 1))
+    # term is now T_{(n+1)//2}, the middle term when n is even
+    return 2 * half + (term if n % 2 == 0 else 0)
 
 
 def weighted_assembly(array: TriangularArray, weights: Callable[[int], int], n: int) -> Poly:

@@ -13,6 +13,7 @@ sqrt(3) comes from ``math.isqrt``, which is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
@@ -103,12 +104,15 @@ def fraction_to_scientific(value: Fraction) -> str:
 # (practically unreachable) undecided case falls back to exact powering.
 
 
+@functools.lru_cache(maxsize=8)
 def log2_bounds(x: int, prec: int) -> tuple[int, int]:
     """Integers (lo, hi) with lo <= 2^prec * log2(x) <= hi, for x >= 1.
 
     Digit-by-digit mantissa squaring with monotone rounding; the +/-2 slack
     absorbs the initial truncation and the bounded rounding drift (working
-    precision carries 32 guard bits).
+    precision carries 32 guard bits).  The result depends on (x, prec)
+    alone, so the last few enclosures are kept: the growth checks compare
+    D_n, D_{n+1} and D_{n+2} in a sliding window and reuse each one.
     """
     if x < 1:
         raise ValueError("log2 bounds need x >= 1")

@@ -75,6 +75,7 @@ psi are not palindromic and keep the paths above.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from fractions import Fraction
 from typing import Iterable, Union
@@ -242,6 +243,28 @@ def _homogeneous(coeffs: tuple, p: int, q: int) -> int:
         q_power *= q
         acc = acc * p + c * q_power
     return acc
+
+
+def values_at_integers(p: Poly, stop: int) -> list:
+    """[p(0), p(1), ..., p(stop - 1)], exact, from one forward-difference table.
+
+    Horner gives p(0), ..., p(d) for d = deg p, and their forward
+    differences Delta^j p(0) start the table.  Delta^d p is constant, and
+    the values of Delta^j p at x = 0, 1, ... are the running sums of those
+    of Delta^(j+1) p from Delta^j p(0), so the sweep is d running sums: only
+    additions.  With stop <= d the seeds are fewer, and the table of their
+    interpolant gives the same values at the points asked for.
+    """
+    if stop <= 0:
+        return []
+    diffs = [p(x) for x in range(min(stop, max(p.degree, 0) + 1))]
+    for j in range(1, len(diffs)):
+        for i in range(len(diffs) - 1, j - 1, -1):
+            diffs[i] -= diffs[i - 1]
+    values = [diffs[-1]] * stop
+    for start in reversed(diffs[:-1]):
+        values = list(itertools.accumulate(values[:-1], initial=start))
+    return values
 
 
 def _kronecker_pack(coeffs: tuple, size: int) -> int:
@@ -436,21 +459,6 @@ def _pseudo_divmod(f: tuple, g: tuple) -> tuple[list, list, int]:
     return quo, rem, scale
 
 
-def poly_gcd(f: Poly, g: Poly) -> Poly:
-    """Monic gcd over the rationals (monic f for g == 0)."""
-    a, b = f, g
-    while not b.is_zero:
-        a, b = b, divmod_poly(a, b)[1]
-    if a.is_zero:
-        return ZERO
-    return _monic(a)
-
-
-def _monic(p: Poly) -> Poly:
-    lead = p.coeffs[-1]
-    return p * (Fraction(1) / Fraction(lead))
-
-
 def _primitive(p: Poly) -> Poly:
     """The integer polynomial p * r for the one rational r > 0 that makes
     its coefficients coprime integers; p must be nonzero."""
@@ -458,20 +466,6 @@ def _primitive(p: Poly) -> Poly:
     coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
     content = math.gcd(*coeffs)
     return Poly([c // content for c in coeffs])
-
-
-def squarefree_part(p: Poly) -> Poly:
-    """Monic polynomial with the same distinct roots as p."""
-    if p.is_zero:
-        raise ValueError("zero polynomial has no squarefree part")
-    if p.degree == 0:
-        return ONE
-    g = poly_gcd(p, p.derivative())
-    if g.degree == 0:
-        return _monic(p)
-    quo, rem = divmod_poly(p, g)
-    assert rem.is_zero
-    return _monic(quo)
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
@@ -573,10 +567,3 @@ def sign_constant_on(p: Poly, a: Coeff, b: Coeff) -> IntervalSign:
     assert (pa > 0) == (pb > 0)
     return IntervalSign.POSITIVE if pa > 0 else IntervalSign.NEGATIVE
 
-
-def cauchy_root_bound(p: Poly) -> Fraction:
-    """B with every real root of p inside (-B, B)."""
-    if p.is_zero or p.degree == 0:
-        return Fraction(1)
-    lead = abs(Fraction(p.coeffs[-1]))
-    return Fraction(1) + max(abs(Fraction(c)) / lead for c in p.coeffs[:-1])

@@ -51,7 +51,6 @@ from .criteria import (
     _qlc_chunk,
     _qlc_recurrence_chunk,
     op_L,
-    op_L_boundary,
     q_log_convex_direct,
     qlc_ranges,
     root_monotonicity_check,
@@ -60,7 +59,13 @@ from .criteria import (
 from .exactcore import binom
 from .families import DOMB_ARRAY, ROW_RECURRENCES, domb_number, family_poly
 from .hiprec import ccl_constant_bounds, fraction_to_decimal
-from .polynomials import IntervalSign, Poly, sign_constant_on, sturm_count_roots
+from .polynomials import (
+    IntervalSign,
+    Poly,
+    sign_constant_on,
+    sturm_count_roots,
+    values_at_integers,
+)
 from .proofpolys import IdentityError
 
 SERIES_TOLERANCE = Fraction(1, 10**28)
@@ -342,11 +347,13 @@ def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
 def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[ClaimRecord]:
     """L_t(a(n,0)) >= 0: explicit table for n <= 4, sign analysis beyond.
 
-    For n >= 5 the record certifies theta(n) < 0, theta(t) > 0 at all
-    integers t < n and the operator values themselves; optionally it also
-    certifies the derivative scaffolding via Sturm counts on (0, n-1):
-    exactly one root for theta'''' and theta''', two for theta'' and
-    theta', with the endpoint signs that pin the shape of theta.
+    Every row n >= 1 certifies the sign of each L_t(a(n,0)), t = 0..n,
+    through a bracket with small multipliers (``_boundary_brackets``).
+    For n >= 5 the record also certifies theta(n) < 0 and theta(t) > 0 at
+    all integers t < n; optionally it also certifies the derivative
+    scaffolding via Sturm counts on (0, n-1): exactly one root for
+    theta'''' and theta''', two for theta'' and theta', with the endpoint
+    signs that pin the shape of theta.
     """
     table_failures = []
     for n, expected_row in BOUNDARY_TABLE.items():
@@ -360,21 +367,51 @@ def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[Cla
     return [table] + _map_rows(pool, row, range(1, n_max + 1))
 
 
+def _boundary_brackets(n: int) -> list[int] | None:
+    """For n >= 1, [B_t for t in 0..n] with c_n L_t(a(n,0)) = a(n,0) B_t and
+    c_n = 2(n+1)(2n-1) > 0, or None when the rows read break the premise.
+
+    The premise is that the k = 0 column steps like a(m,0) = C(2m,m) on the
+    rows n - 1, n and n + 1 read here: (n+1) a(n+1,0) = 2(2n+1) a(n,0),
+    2(2n-1) a(n-1,0) = n a(n,0) and a(n,0) > 0.  Put into
+    L_t(a(n,0)) = a(n+1,0) a(n-1,t) + a(n-1,0) a(n+1,t) - 2 a(n,0) a(n,t),
+    it gives
+
+        B_t = 4(2n+1)(2n-1) a(n-1,t) + n(n+1) a(n+1,t) - 4(n+1)(2n-1) a(n,t),
+
+    which has the sign of L_t(a(n,0)) and costs three big-by-small products
+    where the operator takes three big-by-big ones.
+    """
+    below, here, above = DOMB_ARRAY.row(n - 1), DOMB_ARRAY.row(n), DOMB_ARRAY.row(n + 1)
+    if not (here[0] > 0 and (n + 1) * above[0] == 2 * (2 * n + 1) * here[0]
+            and 2 * (2 * n - 1) * below[0] == n * here[0]):
+        return None
+    below += (0,)  # a(n-1, n) lies outside the array
+    low, middle, high = 4 * (2 * n + 1) * (2 * n - 1), 4 * (n + 1) * (2 * n - 1), n * (n + 1)
+    return [low * b + high * a - middle * h for b, h, a in zip(below, here, above)]
+
+
 def _prop31_row(n: int, include_sturm: bool) -> ClaimRecord:
-    failures = []
-    for t, value in enumerate(op_L_boundary(DOMB_ARRAY, n)):
-        if value < 0:
-            failures.append(f"operator negative at (n={n}, t={t}, k=0)")
+    """One n of Proposition 3.1: the signs of L_t(a(n,0)) for t = 0..n, read
+    from ``_boundary_brackets``, and for n >= 5 theta's signs at t = 0..n,
+    read from one forward-difference table, plus its Sturm scaffolding."""
+    brackets = _boundary_brackets(n)
+    if brackets is None:
+        failures = [f"k = 0 column premise failed at n={n}: a(m,0) for m = {n - 1}..{n + 1} "
+                    f"does not step like C(2m,m)"]
+    else:
+        failures = [f"operator negative at (n={n}, t={t}, k=0)"
+                    for t, value in enumerate(brackets) if value < 0]
     if n >= 5:
         try:
             bundle = proofpolys.build_theta(n)
         except IdentityError as exc:
             return _record("prop31", {"part": "theta", "n": n}, [str(exc)])
-        theta = bundle.theta
-        if not theta(n) < 0:
+        theta_at = values_at_integers(bundle.theta, n + 1)
+        if not theta_at[n] < 0:
             failures.append(f"theta(n) not negative at n={n}")
         for t in range(n):
-            if not theta(t) > 0:
+            if not theta_at[t] > 0:
                 failures.append(f"theta({t}) not positive at n={n}")
         if include_sturm:
             th1, th2, th3, th4 = bundle.derivatives

@@ -1,3 +1,4 @@
+import functools
 import math
 import random
 
@@ -12,17 +13,22 @@ from qlogconvex.families import (
     domb_number,
     family_coefficient,
     family_poly,
-    unit_weights,
     weighted_assembly,
 )
 from qlogconvex.exactcore import central_binom
 from qlogconvex.polynomials import Poly, is_self_reciprocal
 
 
+@functools.lru_cache(maxsize=None)
+def _comb_central(j):
+    return math.comb(2 * j, j)
+
+
 def direct_domb_number(n):
-    """Independent oracle: raw summation with math.comb."""
+    """Independent oracle: raw summation with math.comb (the central
+    binomials memoized, since math.comb(2j, j) dominates the cost)."""
     return sum(
-        math.comb(n, k) ** 2 * math.comb(2 * k, k) * math.comb(2 * n - 2 * k, n - k)
+        math.comb(n, k) ** 2 * _comb_central(k) * _comb_central(n - k)
         for k in range(n + 1)
     )
 
@@ -66,12 +72,29 @@ def test_family_poly_rejects_negative():
         domb_number(-1)
 
 
+def row_domb_number(n):
+    """Second oracle: the binomial row and the central binomials from their
+    row recurrences, terms k and n - k paired (how D_n(1) was summed before
+    ``domb_number`` stepped by the term ratio)."""
+    central = families._central_binomials(n)
+    row = families._binomial_row(n)
+    half = sum(row[k] ** 2 * central[k] * central[n - k] for k in range((n + 1) // 2))
+    middle = row[n // 2] ** 2 * central[n // 2] ** 2 if n % 2 == 0 else 0
+    return 2 * half + middle
+
+
 def test_domb_numbers():
     assert domb_number(0) == 1
     assert domb_number(2) == 28
     assert domb_number(3) == 256
-    for n in range(301):
-        assert domb_number(n) == direct_domb_number(n)
+    # n <= 563 is every Domb number the enlarged monotonicity sweep reads
+    for n in range(564):
+        assert domb_number(n) == direct_domb_number(n), n
+
+
+def test_domb_numbers_match_the_row_sum():
+    for n in range(564):
+        assert domb_number(n) == row_domb_number(n), n
 
 
 @pytest.mark.parametrize("seed", range(3))
@@ -117,14 +140,14 @@ def test_domb_number_equals_evaluation_at_one():
 def test_weighted_assembly_examples():
     assert weighted_assembly(DOMB_ARRAY, central_binom, 2) == family_poly("D", 2)
     assert weighted_assembly(NARAYANA_ARRAY, central_binom, 2) == Poly([1, 8, 6])
-    assert weighted_assembly(NARAYANA_ARRAY, unit_weights, 3) == Poly([1, 9, 9, 1])
+    assert weighted_assembly(NARAYANA_ARRAY, lambda k: 1, 3) == Poly([1, 9, 9, 1])
 
 
 def test_weighted_assembly_matches_families_up_to_150():
     for n in range(151):
         assert weighted_assembly(DOMB_ARRAY, central_binom, n) == family_poly("D", n)
         assert weighted_assembly(NARAYANA_ARRAY, central_binom, n) == family_poly("V", n)
-        assert weighted_assembly(NARAYANA_ARRAY, unit_weights, n) == family_poly("W", n)
+        assert weighted_assembly(NARAYANA_ARRAY, lambda k: 1, n) == family_poly("W", n)
 
 
 def test_domb_self_reciprocity_and_symmetry_up_to_150():

@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 
 import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qlogconvex.families import domb_number
 from qlogconvex.hiprec import (
     ccl_constant_bounds,
     compare_products,
@@ -123,3 +125,27 @@ def test_compare_products_rejects_bad_entries():
         compare_products([(0, 3)], [(2, 1)])
     with pytest.raises(ValueError):
         compare_products([(2, -1)], [(2, 1)])
+
+
+def test_compare_products_same_with_the_log2_cache_cold_and_warm():
+    # the sliding windows of root_monotonicity_check, plus ties that escalate
+    # to exact powering, each decided from a cleared cache and again warm
+    numbers = [domb_number(n) for n in range(44)]
+    cases = [([(numbers[n + 1], n)], [(numbers[n], n + 1)]) for n in range(1, 41)]
+    cases += [([(numbers[n + 1], 2 * n * (n + 2))],
+               [(numbers[n], (n + 1) * (n + 2)), (numbers[n + 2], n * (n + 1))])
+              for n in range(1, 41)]
+    cases += [([(8, 10)], [(2, 30)]), ([(6, 4), (10, 2)], [(60, 2), (6, 2)])]
+    cold = []
+    for lhs, rhs in cases:
+        log2_bounds.cache_clear()
+        cold.append(compare_products(lhs, rhs))
+    warm = [compare_products(lhs, rhs) for lhs, rhs in cases for _ in range(2)]
+    assert warm[0::2] == warm[1::2] == cold
+    assert log2_bounds.cache_info().hits > 0
+    for lhs, rhs in cases[:10] + cases[-2:]:
+        left = math.prod(x**e for x, e in lhs)
+        right = math.prod(x**e for x, e in rhs)
+        assert compare_products(lhs, rhs) == (left > right) - (left < right)
+    for x in numbers[-3:]:
+        assert log2_bounds(x, 64) == log2_bounds.__wrapped__(x, 64)

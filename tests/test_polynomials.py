@@ -13,13 +13,12 @@ from qlogconvex.polynomials import (
     IntervalSign,
     Poly,
     ZERO,
-    cauchy_root_bound,
     divmod_poly,
     is_self_reciprocal,
     sign_constant_on,
-    squarefree_part,
     sturm_chain,
     sturm_count_roots,
+    values_at_integers,
 )
 from qlogconvex.families import FAMILY_TAGS, family_poly
 from qlogconvex.proofpolys import eta_poly, theta_poly
@@ -91,9 +90,33 @@ def test_divmod_round_trip():
 
 
 def test_squarefree_part():
+    # the Fraction reference kept below, which the Sturm chain tests read
     p = Poly([1, 1]) ** 3 * Poly([-2, 1])
-    sf = squarefree_part(p)
-    assert sf == Poly([Fraction(-2), Fraction(-1), Fraction(1)])  # monic (x+1)(x-2)
+    sf = _ref_squarefree(list(p.coeffs))
+    assert sf == [Fraction(-2), Fraction(-1), Fraction(1)]  # monic (x+1)(x-2)
+
+
+def test_values_at_integers_match_horner_on_theta():
+    for n in range(1, 401):
+        theta = theta_poly(n)
+        assert values_at_integers(theta, n + 1) == [theta(t) for t in range(n + 1)], n
+
+
+@given(st.lists(st.integers(min_value=-10**12, max_value=10**12), min_size=1, max_size=10),
+       st.integers(min_value=0, max_value=25))
+@example([1, 2, 3, 4, 5, 6, 7, 8, 9, 10], 3)  # fewer seeds than deg + 1
+@example([0, 0, 0, 1], 1)
+@example([0], 4)  # the zero polynomial
+@example([7], 0)
+@settings(max_examples=200, deadline=None)
+def test_values_at_integers_match_horner(coeffs, stop):
+    p = Poly(coeffs)
+    assert values_at_integers(p, stop) == [p(x) for x in range(stop)]
+
+
+def test_values_at_integers_exact_on_rational_coefficients():
+    p = Poly([Fraction(1, 3), Fraction(-5, 7), 0, Fraction(2, 9)])
+    assert values_at_integers(p, 12) == [p(x) for x in range(12)]
 
 
 def test_sturm_chain_shape():
@@ -152,6 +175,12 @@ def test_ring_distributivity(p, q, r):
     assert p * (q + r) == p * q + p * r
 
 
+def _cauchy_root_bound(p: Poly) -> Fraction:
+    """B with every real root of the nonconstant p inside (-B, B)."""
+    lead = abs(Fraction(p.coeffs[-1]))
+    return 1 + max(abs(Fraction(c)) / lead for c in p.coeffs[:-1])
+
+
 root_strategy = st.fractions(min_value=-8, max_value=8, max_denominator=4)
 
 
@@ -167,7 +196,7 @@ def test_sturm_count_matches_constructed_roots(roots, complex_pairs):
     for r, mult in roots:
         p = p * Poly([-r.numerator, r.denominator]) ** mult
     p = p * Poly([1, 0, 1]) ** complex_pairs  # irreducible factor, no real roots
-    bound = cauchy_root_bound(p)
+    bound = _cauchy_root_bound(p)
     assert sturm_count_roots(p, -bound, bound) == len(roots)
     inside = [r for r, _ in roots if Fraction(0) < r <= Fraction(3)]
     assert sturm_count_roots(p, 0, 3) == len(inside)
@@ -648,7 +677,7 @@ def test_sturm_chain_is_a_primitive_remainder_sequence(case):
     assert ratio > 0 and chain[0] == Poly([c * ratio for c in p.coeffs])
     assert [q.degree for q in chain] == sorted({q.degree for q in chain}, reverse=True)
     # the last element is a multiple of gcd(p, p')
-    assert chain[-1].degree == p.degree - squarefree_part(p).degree
+    assert chain[-1].degree == p.degree - (len(_ref_squarefree(list(p.coeffs))) - 1)
 
 
 # --- the integer kernels: pseudo-division and homogeneous evaluation ---------

@@ -1,4 +1,5 @@
 import json
+import math
 import multiprocessing
 from fractions import Fraction
 
@@ -194,6 +195,98 @@ def test_tampered_array_row_fails_the_same_prop31_record(monkeypatch):
     assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
     assert failing[0].witness == {"first_failure": f"operator negative at (n={n}, t=3, k=0)",
                                   "failure_count": "2"}
+
+
+def test_k0_brackets_scale_to_the_operator():
+    # C(2n, n) B_t = c_n L_t(a(n, 0)) with c_n = 2(n+1)(2n-1), exactly
+    for n in range(1, 151):
+        c_n = 2 * (n + 1) * (2 * n - 1)
+        brackets = verification._boundary_brackets(n)
+        assert len(brackets) == n + 1
+        for t, bracket in enumerate(brackets):
+            assert bracket * math.comb(2 * n, n) == c_n * op_L(DOMB_ARRAY, n, t, 0), (n, t)
+
+
+@pytest.mark.parametrize("m", [3, 7])
+def test_tampered_k0_entry_fails_every_prop31_record_that_reads_it(monkeypatch, m):
+    # row m is read by the records n = m - 1, m and m + 1, each of whose
+    # premise ties a(m, 0) to a neighbour; a(3, 0) is also in the table
+    row = list(DOMB_ARRAY.row(m))
+    row[0] *= 2
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", {m: tuple(row)})
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    table = [("table", "0")] if m <= 4 else []
+    assert [(r.params["part"], r.params["n"]) for r in failing] == table + [
+        ("theta" if n >= 5 else "operator", str(n)) for n in (m - 1, m, m + 1)]
+    for record, n in zip(failing[len(table):], (m - 1, m, m + 1)):
+        assert record.witness == {
+            "first_failure": f"k = 0 column premise failed at n={n}: a(m,0) for "
+                             f"m = {n - 1}..{n + 1} does not step like C(2m,m)",
+            "failure_count": "1"}
+
+
+def test_negated_k0_column_fails_the_premise_where_the_ratios_still_hold(monkeypatch):
+    # a(6, 0), a(7, 0) and a(8, 0) all negated keep both ratios of record 7,
+    # while L_t(a(7, 0)) turns negative; the premise asks a(n, 0) > 0 too
+    memo = {}
+    for m in (6, 7, 8):
+        row = list(DOMB_ARRAY.row(m))
+        row[0] = -row[0]
+        memo[m] = tuple(row)
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", memo)
+    assert op_L(DOMB_ARRAY, 7, 3, 0) < 0
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [r.params["n"] for r in failing] == ["5", "6", "7", "8", "9"]
+    assert all(r.witness["first_failure"].startswith("k = 0 column premise failed")
+               for r in failing)
+
+
+def test_tampered_interior_entry_fails_the_operator_records_that_read_it(monkeypatch):
+    # a(8, 4) made negative is a(n+1, 4) for n = 7 and a(n-1, 4) for n = 9,
+    # where it enters L_4(a(n, 0)) with a positive weight; for n = 8 it is
+    # a(n, 4), whose term -2 a(8, 0) a(8, 4) only grows
+    row = list(DOMB_ARRAY.row(8))
+    row[4] *= -10**6
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", {8: tuple(row)})
+    assert [n for n in (7, 8, 9) if op_L(DOMB_ARRAY, n, 4, 0) < 0] == [7, 9]
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [r.params["n"] for r in failing] == ["7", "9"]
+    assert [r.witness for r in failing] == [
+        {"first_failure": f"operator negative at (n={n}, t=4, k=0)", "failure_count": "1"}
+        for n in (7, 9)]
+
+
+@pytest.mark.parametrize("index", range(7))
+def test_theta_coefficient_bumped_by_one_fails_prop31(monkeypatch, index):
+    n = 9
+    original = proofpolys.theta_poly
+    coeffs = list(original(n).coeffs)
+    coeffs[index] += 1
+    monkeypatch.setattr(proofpolys, "theta_poly",
+                        lambda m: Poly(coeffs) if m == n else original(m))
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
+
+
+def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
+    # theta(9) shifted down by its smallest positive value, at t = 8, keeps
+    # build_theta's checks (they run on the true theta) but fails the sign
+    # sweep at exactly t = 8
+    n = 9
+    original = proofpolys.build_theta
+
+    def shifted(m):
+        bundle = original(m)
+        if m != n:
+            return bundle
+        theta = bundle.theta - Poly([bundle.theta(8)])
+        return proofpolys.ThetaBundle(m, theta, bundle.derivatives, bundle.xi, bundle.eta)
+
+    monkeypatch.setattr(proofpolys, "build_theta", shifted)
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [r.params["n"] for r in failing] == [str(n)]
+    assert failing[0].witness == {"first_failure": f"theta(8) not positive at n={n}",
+                                  "failure_count": "1"}
 
 
 def test_verify_prop32_small():
