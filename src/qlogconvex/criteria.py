@@ -28,7 +28,7 @@ from typing import Callable, Sequence
 from .families import (
     ROW_RECURRENCES,
     TriangularArray,
-    domb_number,
+    domb_numbers,
     family_poly,
     weighted_assembly,
 )
@@ -422,7 +422,7 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int | None = None) -> 
         raise ValueError("n_max must be at least 2")
     if root_ratio_n_max is None:
         root_ratio_n_max = min(n_max, 120)
-    numbers = [domb_number(n) for n in range(max(n_max, root_ratio_n_max) + 3)]
+    numbers = domb_numbers(max(n_max, root_ratio_n_max) + 3)
 
     ratio_fail = None
     for n in range(n_max):

@@ -18,7 +18,9 @@ whose divisions are exact; they bypass the binomial memo, which only
 are kept in one list that only grows, so each C(2j, j) is computed once per
 process.  A Domb number needs no row: ``domb_number`` steps from
 C(2n, n) through the ratio of consecutive terms of D_n(1), one exact
-big-by-small multiplication and division per term.
+big-by-small multiplication and division per term.  A list of them,
+``domb_numbers``, comes from their three-term recurrence in n, one step per
+number, and its last entry is checked against ``domb_number``.
 
 W and F also satisfy linear recurrences in n with polynomial coefficients
 in q (``ROW_RECURRENCES``).  The rows are not built from them; the
@@ -213,6 +215,27 @@ def domb_number(n: int) -> int:
         term = term * ((n - k) ** 3 * (2 * k + 1)) // ((k + 1) ** 3 * (2 * n - 2 * k - 1))
     # term is now T_{(n+1)//2}, the middle term when n is even
     return 2 * half + (term if n % 2 == 0 else 0)
+
+
+def domb_numbers(stop: int) -> list[int]:
+    """[D_0(1), ..., D_{stop-1}(1)], by the three-term recurrence (OEIS A002895)
+
+        n^3 D_n = 2(2n-1)(5n^2-5n+2) D_{n-1} - 64(n-1)^3 D_{n-2},   n >= 2,
+
+    from D_0 = 1 and D_1 = 4: one big-by-small step per number.  Each
+    division must be exact and the last value must equal ``domb_number``'s
+    term sum; otherwise ``ArithmeticError`` is raised.
+    """
+    numbers = [1, 4][:max(stop, 0)]
+    for n in range(2, stop):
+        value, rem = divmod(2 * (2 * n - 1) * (5 * n * n - 5 * n + 2) * numbers[-1]
+                            - 64 * (n - 1) ** 3 * numbers[-2], n ** 3)
+        if rem:
+            raise ArithmeticError(f"Domb recurrence leaves remainder {rem} at n={n}")
+        numbers.append(value)
+    if numbers and numbers[-1] != domb_number(stop - 1):
+        raise ArithmeticError(f"Domb recurrence disagrees with the term sum at n={stop - 1}")
+    return numbers
 
 
 def weighted_assembly(array: TriangularArray, weights: Callable[[int], int], n: int) -> Poly:

@@ -7,17 +7,21 @@ well as quotients and remainders of division (rational coefficients).
 Polynomials are immutable after construction and freely shareable between
 workers.
 
-Root counting builds one signed remainder sequence of (f, f') and keeps
-every element primitive: the remainder is multiplied by the positive lcm of
-its denominators and divided by its positive content, which changes no
-sign, so the chain has the sign variations of the rational Sturm sequence
-while all its arithmetic stays in integers (a primitive remainder
-sequence, Collins 1967).  f need not be squarefree: every element is a
-multiple of gcd(f, f'), so once the roots at the endpoints a and b are
-deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
-roots in (a, b) (the generalized Sturm theorem).  Signs at a rational
-point p/q come from the integer sum c_i p^i q^(d-i), and division of
-integer polynomials is fraction-free pseudo-division.
+Root counting on (a, b) first counts the sign variations V of the Mobius
+image (1 + y)^d f((a + b y) / (1 + y)); by Descartes' rule V bounds the
+roots in (a, b) with their parity, so V <= 1 is the count (the test of
+Vincent, Collins and Akritas).  Only when V >= 2 does it build one signed
+remainder sequence of (f, f'), keeping every element primitive: the
+remainder is multiplied by the positive lcm of its denominators and divided
+by its positive content, which changes no sign, so the chain has the sign
+variations of the rational Sturm sequence while all its arithmetic stays in
+integers (a primitive remainder sequence, Collins 1967).  f need not be
+squarefree: every element is a multiple of gcd(f, f'), so once the roots at
+the endpoints a and b are deflated, that gcd is nonzero at both and
+V(a) - V(b) counts the distinct roots in (a, b) (the generalized Sturm
+theorem).  Signs at a rational point p/q come from the integer sum
+c_i p^i q^(d-i), and division of integer polynomials is fraction-free
+pseudo-division.
 
 Products of two long integer polynomials go through Kronecker substitution:
 each operand is packed into one big integer with a fixed slot of w bits per
@@ -506,8 +510,45 @@ def _deflate_root(p: Poly, r: Fraction) -> Poly:
     for c in reversed(p.coeffs):
         acc = acc * r + c
         out.append(acc)
-    assert out[-1] == 0
+    if out[-1] != 0:
+        raise ArithmeticError(f"cannot deflate a root at {r}: the polynomial is {out[-1]} there")
     return Poly([Fraction(c) for c in reversed(out[:-1])])
+
+
+def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
+    """Sign variations V of (1 + y)^d p((a + b y) / (1 + y)), for a < b.
+
+    The Mobius map y -> (a + b y) / (1 + y) takes (0, oo) onto (a, b), so by
+    Descartes' rule V bounds the number of roots of p in the open interval
+    (a, b), counted with multiplicity, and has its parity; V <= 1 is that
+    number exactly (Collins and Akritas, SYMSAC 1976).  Roots at a or b map
+    to y = 0 or y = oo and are not counted.  p's integer form is taken to
+    g(t) = sum_i c_i (beta + delta t)^i gamma^(d-i), a positive multiple of
+    p(b + (a - b) t), by one homogeneous Horner pass; reversing g gives
+    s^d g(1/s) and a Taylor shift by 1 puts s = 1 + y.  O(d^2) integer
+    operations.
+    """
+    if p.is_zero:
+        raise ValueError("Descartes' bound requires a nonzero polynomial")
+    a, b = Fraction(a), Fraction(b)
+    if not a < b:
+        raise ValueError(f"empty interval ({a}, {b})")
+    coeffs = p.coeffs if _all_int(p.coeffs) else _primitive(p).coeffs
+    # b = beta / gamma and a - b = delta / gamma with gamma > 0
+    gamma = a.denominator * b.denominator
+    beta = b.numerator * a.denominator
+    delta = a.numerator * b.denominator - beta
+    g = [coeffs[-1]]
+    scale = 1
+    for c in reversed(coeffs[:-1]):
+        scale *= gamma
+        g = [beta * lo + delta * hi for lo, hi in zip(g + [0], [0] + g)]
+        g[0] += c * scale
+    g.reverse()
+    for i in range(len(g) - 1):
+        for j in range(len(g) - 2, i - 1, -1):
+            g[j] += g[j + 1]
+    return _sign_variations(g)
 
 
 def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
@@ -516,11 +557,13 @@ def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
     Roots at the endpoints are deflated first, with all their
     multiplicities, so that a root exactly at ``a`` is excluded and one
     exactly at ``b`` is included, per the (a, b] convention.  What is left,
-    f, has no root at a or b; every element of its Sturm chain is a
-    multiple of gcd(f, f'), which is nonzero there, so the difference of
-    sign variations V(a) - V(b) counts the distinct roots of f in (a, b)
-    even when f is not squarefree.  The signs at a = p/q are read from
-    the integers sum_i c_i p^i q^(d-i).
+    f, has no root at a or b.  Descartes' rule decides first: when the
+    variations V of ``descartes_bound(f, a, b)`` are 0 or 1, f has exactly
+    V roots in (a, b), a simple one if V = 1.  Otherwise the Sturm chain
+    decides: every element is a multiple of gcd(f, f'), which is nonzero at
+    a and b, so the difference of sign variations V(a) - V(b) counts the
+    distinct roots of f in (a, b) even when f is not squarefree.  The signs
+    at a = p/q are read from the integers sum_i c_i p^i q^(d-i).
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
@@ -534,6 +577,9 @@ def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
             f = _deflate_root(f, endpoint)
     if f.degree <= 0:
         return count_b
+    variations = descartes_bound(f, a, b)
+    if variations <= 1:
+        return variations + count_b
     chain = sturm_chain(f)
     va = _sign_variations([_homogeneous(q.coeffs, a.numerator, a.denominator) for q in chain])
     vb = _sign_variations([_homogeneous(q.coeffs, b.numerator, b.denominator) for q in chain])
@@ -564,6 +610,8 @@ def sign_constant_on(p: Poly, a: Coeff, b: Coeff) -> IntervalSign:
     # b is not a root, so the (a, b] count equals the open-interval count
     if sturm_count_roots(p, a, b) > 0:
         return IntervalSign.NOT_CONSTANT
-    assert (pa > 0) == (pb > 0)
+    if (pa > 0) != (pb > 0):
+        raise ArithmeticError(f"root count 0 on ({a}, {b}) but p changes sign: "
+                              f"p({a}) = {pa}, p({b}) = {pb}")
     return IntervalSign.POSITIVE if pa > 0 else IntervalSign.NEGATIVE
 

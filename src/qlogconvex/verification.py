@@ -57,7 +57,7 @@ from .criteria import (
     single_crossing,
 )
 from .exactcore import binom
-from .families import DOMB_ARRAY, ROW_RECURRENCES, domb_number, family_poly
+from .families import DOMB_ARRAY, ROW_RECURRENCES, domb_numbers, family_poly
 from .hiprec import ccl_constant_bounds, fraction_to_decimal
 from .polynomials import (
     IntervalSign,
@@ -230,7 +230,7 @@ def chan_partial_sum(N: int) -> Fraction:
     """Exact partial sum of sum_n (5n+1) D_n(1) / 64^n."""
     if N < 0:
         raise ValueError("partial sum needs N >= 0")
-    numerator = sum((5 * n + 1) * domb_number(n) * 64 ** (N - n) for n in range(N + 1))
+    numerator = sum((5 * n + 1) * d * 64 ** (N - n) for n, d in enumerate(domb_numbers(N + 1)))
     return Fraction(numerator, 64**N)
 
 

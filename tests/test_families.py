@@ -24,6 +24,7 @@ def _comb_central(j):
     return math.comb(2 * j, j)
 
 
+@functools.lru_cache(maxsize=None)
 def direct_domb_number(n):
     """Independent oracle: raw summation with math.comb (the central
     binomials memoized, since math.comb(2j, j) dominates the cost)."""
@@ -90,6 +91,22 @@ def test_domb_numbers():
     # n <= 563 is every Domb number the enlarged monotonicity sweep reads
     for n in range(564):
         assert domb_number(n) == direct_domb_number(n), n
+
+
+def test_domb_numbers_by_the_recurrence_match_the_direct_sum():
+    assert [families.domb_numbers(stop) for stop in range(4)] == [[], [1], [1, 4], [1, 4, 28]]
+    numbers = families.domb_numbers(600)
+    assert len(numbers) == 600
+    for n, value in enumerate(numbers):
+        assert value == direct_domb_number(n), n
+
+
+def test_domb_numbers_check_their_last_value_against_the_term_sum(monkeypatch):
+    term_sum = families.domb_number
+    monkeypatch.setattr(families, "domb_number", lambda n: term_sum(n) + (n == 39))
+    with pytest.raises(ArithmeticError, match="n=39"):
+        families.domb_numbers(40)
+    assert families.domb_numbers(39)[-1] == term_sum(38)
 
 
 def test_domb_numbers_match_the_row_sum():

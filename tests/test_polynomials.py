@@ -13,6 +13,7 @@ from qlogconvex.polynomials import (
     IntervalSign,
     Poly,
     ZERO,
+    descartes_bound,
     divmod_poly,
     is_self_reciprocal,
     sign_constant_on,
@@ -21,6 +22,7 @@ from qlogconvex.polynomials import (
     values_at_integers,
 )
 from qlogconvex.families import FAMILY_TAGS, family_poly
+from qlogconvex import proofpolys
 from qlogconvex.proofpolys import eta_poly, theta_poly
 
 
@@ -145,6 +147,18 @@ def test_sturm_rejects_bad_input():
         sturm_count_roots(ZERO, 0, 1)
     with pytest.raises(ValueError):
         sturm_count_roots(Poly([1, 1]), 1, 1)
+
+
+def test_deflating_a_non_root_raises():
+    with pytest.raises(ArithmeticError, match="cannot deflate"):
+        polynomials._deflate_root(Poly([1, 1]), Fraction(1))
+    assert polynomials._deflate_root(Poly([-1, 0, 1]), Fraction(1)) == Poly([1, 1])
+
+
+def test_sign_constant_on_raises_when_a_zero_count_meets_a_sign_change(monkeypatch):
+    monkeypatch.setattr(polynomials, "sturm_count_roots", lambda p, a, b: 0)
+    with pytest.raises(ArithmeticError, match="changes sign"):
+        sign_constant_on(Poly([0, 1]), -1, 1)
 
 
 def test_sign_constant_on_examples():
@@ -638,6 +652,84 @@ def test_sturm_count_random_polys_match_fraction_reference(coeffs, a, b):
         return
     a, b = min(a, b), max(a, b)
     assert sturm_count_roots(Poly(coeffs), a, b) == _ref_sturm_count_roots(Poly(coeffs), a, b)
+
+
+def _ref_gcd(f: list, g: list) -> list:
+    while g:
+        f, g = g, _ref_divmod(f, g)[1]
+    return f
+
+
+def _ref_open_count_with_multiplicity(p: Poly, a, b) -> int:
+    """Roots of p in (a, b) counted with multiplicity.  A root of
+    multiplicity m is a root of the first m of f_0 = p, f_1 = gcd(f_0, f_0'),
+    f_2 = gcd(f_1, f_1'), ..., so their distinct counts add up to it."""
+    total, f = 0, list(p.coeffs)
+    while len(f) > 1:
+        total += _ref_sturm_count_roots(Poly(f), a, b) - (_ref_eval(f, Fraction(b)) == 0)
+        f = _ref_gcd(f, list(Poly(f).derivative().coeffs))
+    return total
+
+
+def _check_descartes_bound(p: Poly, a, b) -> None:
+    """Descartes' rule on (a, b) against the frozen Sturm reference: V bounds
+    the roots counted with multiplicity, has their parity, and is the
+    number of distinct roots when it is at most 1."""
+    variations = descartes_bound(p, a, b)
+    distinct = _ref_sturm_count_roots(p, a, b) - (p(b) == 0)
+    with_multiplicity = _ref_open_count_with_multiplicity(p, a, b)
+    assert variations >= with_multiplicity >= distinct
+    assert (variations - with_multiplicity) % 2 == 0
+    if variations <= 1:
+        assert variations == distinct
+
+
+@given(_planted_root_cases())
+@settings(max_examples=200, deadline=None)
+def test_descartes_bound_against_the_fraction_reference(case):
+    _check_descartes_bound(*case)
+
+
+@given(st.lists(st.integers(min_value=-10**4, max_value=10**4), min_size=1, max_size=9)
+       .filter(lambda c: c[-1] != 0),
+       _endpoint_values, _endpoint_values)
+@settings(max_examples=200, deadline=None)
+def test_descartes_bound_on_random_polys_against_the_fraction_reference(coeffs, a, b):
+    if a == b:
+        return
+    _check_descartes_bound(Poly(coeffs), min(a, b), max(a, b))
+
+
+def test_descartes_bound_examples():
+    p = Poly([-1, 1]) ** 3 * Poly([-2, 1]) ** 2  # (x - 1)^3 (x - 2)^2
+    assert descartes_bound(p, 0, Fraction(3, 2)) == 3
+    assert descartes_bound(p, 1, 2) == 0  # endpoint roots are left out
+    assert descartes_bound(Poly([-1, 0, 1]), -2, 2) == 2
+    assert descartes_bound(Poly([-1, 0, 4]), 0, 1) == 1
+    with pytest.raises(ValueError):
+        descartes_bound(ZERO, 0, 1)
+    with pytest.raises(ValueError):
+        descartes_bound(Poly([1, 1]), 1, 0)
+
+
+def _proof_intervals(n: int) -> list:
+    """The root counts and sign checks of prop31 and claims 2-3 at n:
+    theta'''' .. theta' on (0, n - 1], xi on [3n/4, n - 1], eta on [0, 3n/4]."""
+    th1, th2, th3, th4 = proofpolys.build_theta(n).derivatives
+    return [(th4, 0, n - 1), (th3, 0, n - 1), (th2, 0, n - 1), (th1, 0, n - 1),
+            (proofpolys.xi_poly(n), Fraction(3 * n, 4), n - 1),
+            (proofpolys.eta_poly(n), 0, Fraction(3 * n, 4))]
+
+
+def test_descartes_filter_counts_the_proof_intervals_as_sturm_does(monkeypatch):
+    cases = [case for n in range(5, 81) for case in _proof_intervals(n)]
+    filtered = [sturm_count_roots(*case) for case in cases]
+    # the filter decides theta'''', theta''', xi and eta; theta'' and theta'
+    # go on to the chain
+    assert {tuple(descartes_bound(*case) for case in cases[i:i + 6])
+            for i in range(0, len(cases), 6)} == {(1, 1, 2, 2, 0, 0)}
+    monkeypatch.setattr(polynomials, "descartes_bound", lambda p, a, b: 2)
+    assert [sturm_count_roots(*case) for case in cases] == filtered
 
 
 @given(_planted_root_cases())

@@ -333,6 +333,24 @@ def test_chan_partial_sums():
         chan_partial_sum(-1)
 
 
+def test_chan_partial_sums_match_the_per_n_sum():
+    for N in range(41):
+        assert chan_partial_sum(N) == sum(
+            Fraction((5 * n + 1) * families.domb_number(n), 64**n) for n in range(N + 1)), N
+
+
+def test_domb_number_off_at_the_top_index_fails_monotonicity(monkeypatch):
+    term_sum = families.domb_number
+    # the sweep reads D_0..D_top with top = max(n_max, root_ratio_n_max) + 2
+    top = max(SMALL_CONFIG["n_max_monotonicity"], SMALL_CONFIG["n_max_root_ratio"]) + 2
+    monkeypatch.setattr(families, "domb_number", lambda n: term_sum(n) + (n == top))
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    failing = [c for c in certificate.claims if not c.passed]
+    assert [(c.claim, c.params) for c in failing] == [("monotonicity",
+                                                       {"error": "ArithmeticError"})]
+    assert certificate.verdict == "fail"
+
+
 def test_series_claim_passes_at_n100():
     record = series_claim(100, 40)
     assert record.passed
