@@ -25,7 +25,7 @@ from .criteria import (
 from .families import (
     ARRAY_KINDS,
     FAMILY_TAGS,
-    domb_number,
+    domb_numbers,
     family_poly,
     get_array,
 )
@@ -124,7 +124,7 @@ def cmd_check(args) -> int:
             )
         passed = not bad
     elif args.kind == "logconvex":
-        numbers = [domb_number(n) for n in range(args.n_max + 1)]
+        numbers = domb_numbers(args.n_max + 1)
         failure = log_convex_check(numbers, strict=True)
         summary = {
             "check": "logconvex",

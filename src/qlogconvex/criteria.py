@@ -208,18 +208,20 @@ def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, 
     """(n, first negative defect index, defect or last negative index) for
     one family and n = lo..hi.
 
-    The rows lo-1..hi+1 are built once.  The third entry is the defect when
-    ``keep_defects``, else its last negative index, so a pooled chunk that
-    does not keep defects sends back only small tuples.
+    Each row lo-1..hi+1 is built once, as the sweep reaches it, and only
+    the three that the current defect reads are held.  The third entry is
+    the defect when ``keep_defects``, else its last negative index, so a
+    pooled chunk that does not keep defects sends back only small tuples.
     """
     tag, lo, hi, keep_defects = task
-    polys = [family_poly(tag, i) for i in range(lo - 1, hi + 2)]  # polys[n - lo + 1] is row n
+    below, here = family_poly(tag, lo - 1), family_poly(tag, lo)
     rows = []
     for n in range(lo, hi + 1):
-        below, here, above = polys[n - lo], polys[n - lo + 1], polys[n - lo + 2]
+        above = family_poly(tag, n + 1)
         defect = above * below - here * here
         rows.append((n, _first_negative(defect),
                      defect if keep_defects else _last_negative(defect)))
+        below, here = here, above
     return rows
 
 

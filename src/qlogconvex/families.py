@@ -22,6 +22,11 @@ big-by-small multiplication and division per term.  A list of them,
 ``domb_numbers``, comes from their three-term recurrence in n, one step per
 number, and its last entry is checked against ``domb_number``.
 
+A triangular array keeps at most three rows, the width of the convexity
+operators' stencil: every reader takes rows n - 1, n and n + 1 at a time,
+so an ascending sweep still builds each row once, while the memory held
+stays that of three rows instead of growing with the cube of the largest n.
+
 W and F also satisfy linear recurrences in n with polynomial coefficients
 in q (``ROW_RECURRENCES``).  The rows are not built from them; the
 q-log-convexity sweep uses them to advance its defect products from n to
@@ -72,11 +77,18 @@ class TriangularArray:
     t - k possibly out of range.  The first lookup in row n fills the
     whole row from the row recurrences of C(n, k) and C(2j, j), so each
     entry costs a few small multiplications and exact divisions; the memo
-    maps n to the row, which ``row(n)`` returns whole.  It only grows and inserts are idempotent, so
-    instances are safe to share.
+    maps n to the row, which ``row(n)`` returns whole.
+
+    The memo holds at most ``WINDOW`` = 3 rows: a new row evicts the one
+    farthest from it.  A sweep that reads rows n - 1, n and n + 1 for
+    n going up (or down) one at a time builds each row once; one that
+    jumps back rebuilds the rows it left.  A row handed out stays valid
+    after its eviction, since rows are immutable tuples.
     """
 
     __slots__ = ("kind", "_memo")
+
+    WINDOW = 3  # the operators read rows n - 1, n and n + 1
 
     def __init__(self, kind: str):
         if kind not in ARRAY_KINDS:
@@ -95,9 +107,13 @@ class TriangularArray:
         """The whole row (a(n, 0), ..., a(n, n)), from the same memo."""
         if n < 0:
             raise ValueError(f"array row must be nonnegative, got n={n}")
-        row = self._memo.get(n)
+        memo = self._memo
+        row = memo.get(n)
         if row is None:
-            row = self._memo[n] = self._row(n)
+            row = self._row(n)
+            if len(memo) >= self.WINDOW:
+                del memo[max(memo, key=lambda m: abs(m - n))]
+            memo[n] = row
         return row
 
     def _row(self, n: int) -> tuple[int, ...]:

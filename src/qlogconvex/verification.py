@@ -355,16 +355,28 @@ def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[Cla
     theta'''' and theta''', two for theta'' and theta', with the endpoint
     signs that pin the shape of theta.
     """
-    table_failures = []
-    for n, expected_row in BOUNDARY_TABLE.items():
-        if n > n_max:
-            continue
-        actual = tuple(op_L(DOMB_ARRAY, n, t, 0) for t in range(n + 1))
-        if actual != expected_row:
-            table_failures.append(f"boundary row n={n}: {actual} != {expected_row}")
-    table = _record("prop31", {"part": "table", "n": 0}, table_failures)
     row = functools.partial(_prop31_row, include_sturm=include_sturm)
-    return [table] + _map_rows(pool, row, range(1, n_max + 1))
+    if pool is None:
+        # each table row is checked beside the record that reads the same
+        # array rows, so the ascending sweep builds every array row once
+        table_failures, records = [], []
+        for n in range(1, n_max + 1):
+            table_failures += _boundary_table_failures(n)
+            records.append(row(n))
+    else:
+        table_failures = [failure for n in BOUNDARY_TABLE if n <= n_max
+                          for failure in _boundary_table_failures(n)]
+        records = _map_rows(pool, row, range(1, n_max + 1))
+    return [_record("prop31", {"part": "table", "n": 0}, table_failures)] + records
+
+
+def _boundary_table_failures(n: int) -> list[str]:
+    """The failure for row n of ``BOUNDARY_TABLE``, if any; none beyond it."""
+    expected_row = BOUNDARY_TABLE.get(n)
+    if expected_row is None:
+        return []
+    actual = tuple(op_L(DOMB_ARRAY, n, t, 0) for t in range(n + 1))
+    return [f"boundary row n={n}: {actual} != {expected_row}"] if actual != expected_row else []
 
 
 def _boundary_brackets(n: int) -> list[int] | None:

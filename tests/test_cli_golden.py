@@ -64,7 +64,7 @@ def test_output_matches_golden_bytes(capsys, case):
 
 def test_failing_check_matches_golden_bytes(capsys, monkeypatch):
     # D_n = n + 1 is log-concave, so the strict log-convexity check fails at index 1
-    monkeypatch.setattr(cli, "domb_number", lambda n: n + 1)
+    monkeypatch.setattr(cli, "domb_numbers", lambda stop: [n + 1 for n in range(stop)])
     assert main(["check", "logconvex", "--n-max", "5"]) == EXIT_VERIFICATION_FAILURE
     captured = capsys.readouterr()
     assert captured.out == _expected("check_logconvex_failing", "out")

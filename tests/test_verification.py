@@ -31,7 +31,7 @@ from qlogconvex.verification import (
 from qlogconvex import verification
 from qlogconvex.criteria import _last_negative, op_L, q_log_convex_direct
 from qlogconvex.hiprec import ccl_constant_bounds
-from qlogconvex.families import DOMB_ARRAY
+from qlogconvex.families import DOMB_ARRAY, TriangularArray
 
 SMALL_CONFIG = dict(
     n_max_direct=12,
@@ -147,6 +147,19 @@ def test_factorization_check_rejects_cells_beyond_the_prefactor(n, t, k):
         factorization_check(n, t, k)
 
 
+def _seed_array_rows(monkeypatch, rows):
+    """Have the Domb array build ``rows[m]`` in place of its row m, from a
+    cold memo.  The rows go in where the array builds them, not into its
+    memo, whose three-row window would evict them and build the true rows."""
+    original = TriangularArray._row
+
+    def seeded(array, m):
+        return rows[m] if array is DOMB_ARRAY and m in rows else original(array, m)
+
+    monkeypatch.setattr(TriangularArray, "_row", seeded)
+    monkeypatch.setattr(DOMB_ARRAY, "_memo", {})
+
+
 def test_tampered_array_row_fails_the_factorization_records_that_read_it(monkeypatch):
     # row 7 is read as a(n+1, .), a(n, .) and a(n-1, .) by the records
     # n = 6, 7 and 8; every cell with k = 3 or t - k = 3 breaks, and the
@@ -154,7 +167,7 @@ def test_tampered_array_row_fails_the_factorization_records_that_read_it(monkeyp
     n = 7
     row = list(DOMB_ARRAY.row(n))
     row[3] *= 10**6
-    monkeypatch.setattr(DOMB_ARRAY, "_memo", {n: tuple(row)})
+    _seed_array_rows(monkeypatch, {n: tuple(row)})
     failing = [r for r in factorization_sweep(10) if not r.passed]
     assert [(r.params["n"], r.witness["failure_count"]) for r in failing] == [
         ("6", "4"), ("7", "5"), ("8", "6")]
@@ -189,7 +202,7 @@ def test_tampered_array_row_fails_the_same_prop31_record(monkeypatch):
     row = list(DOMB_ARRAY.row(n))
     for t in (3, n):
         row[t] *= 10**6
-    monkeypatch.setattr(DOMB_ARRAY, "_memo", {n: tuple(row)})
+    _seed_array_rows(monkeypatch, {n: tuple(row)})
     assert [t for t in range(n + 1) if op_L(DOMB_ARRAY, n, t, 0) < 0] == [3, n]
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
@@ -213,7 +226,7 @@ def test_tampered_k0_entry_fails_every_prop31_record_that_reads_it(monkeypatch, 
     # premise ties a(m, 0) to a neighbour; a(3, 0) is also in the table
     row = list(DOMB_ARRAY.row(m))
     row[0] *= 2
-    monkeypatch.setattr(DOMB_ARRAY, "_memo", {m: tuple(row)})
+    _seed_array_rows(monkeypatch, {m: tuple(row)})
     failing = [r for r in verify_prop31(10) if not r.passed]
     table = [("table", "0")] if m <= 4 else []
     assert [(r.params["part"], r.params["n"]) for r in failing] == table + [
@@ -228,12 +241,12 @@ def test_tampered_k0_entry_fails_every_prop31_record_that_reads_it(monkeypatch, 
 def test_negated_k0_column_fails_the_premise_where_the_ratios_still_hold(monkeypatch):
     # a(6, 0), a(7, 0) and a(8, 0) all negated keep both ratios of record 7,
     # while L_t(a(7, 0)) turns negative; the premise asks a(n, 0) > 0 too
-    memo = {}
+    rows = {}
     for m in (6, 7, 8):
         row = list(DOMB_ARRAY.row(m))
         row[0] = -row[0]
-        memo[m] = tuple(row)
-    monkeypatch.setattr(DOMB_ARRAY, "_memo", memo)
+        rows[m] = tuple(row)
+    _seed_array_rows(monkeypatch, rows)
     assert op_L(DOMB_ARRAY, 7, 3, 0) < 0
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [r.params["n"] for r in failing] == ["5", "6", "7", "8", "9"]
@@ -247,7 +260,7 @@ def test_tampered_interior_entry_fails_the_operator_records_that_read_it(monkeyp
     # a(n, 4), whose term -2 a(8, 0) a(8, 4) only grows
     row = list(DOMB_ARRAY.row(8))
     row[4] *= -10**6
-    monkeypatch.setattr(DOMB_ARRAY, "_memo", {8: tuple(row)})
+    _seed_array_rows(monkeypatch, {8: tuple(row)})
     assert [n for n in (7, 8, 9) if op_L(DOMB_ARRAY, n, 4, 0) < 0] == [7, 9]
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [r.params["n"] for r in failing] == ["7", "9"]
