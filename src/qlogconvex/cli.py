@@ -267,23 +267,24 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output_args(p_check)
     p_check.set_defaults(func=cmd_check)
 
+    defaults = VerificationConfig()
     p_verify = sub.add_parser("verify-paper", help="full verification with certificate")
-    p_verify.add_argument("--n-max-direct", type=int, default=150)
-    p_verify.add_argument("--n-max-factorization", type=int, default=60,
+    p_verify.add_argument("--n-max-direct", type=int, default=defaults.n_max_direct)
+    p_verify.add_argument("--n-max-factorization", type=int, default=defaults.n_max_factorization,
                           help="largest n of the factorization sweep; it also bounds "
                                "the prop32 and prop33 sweeps (default: %(default)s)")
-    p_verify.add_argument("--n-max-sturm", type=int, default=100)
-    p_verify.add_argument("--n-max-monotonicity", type=int, default=300)
-    p_verify.add_argument("--n-max-root-ratio", type=int, default=120)
-    p_verify.add_argument("--series-N", type=int, default=100, dest="series_N")
-    p_verify.add_argument("--digits", type=int, default=40)
+    p_verify.add_argument("--n-max-sturm", type=int, default=defaults.n_max_sturm)
+    p_verify.add_argument("--n-max-monotonicity", type=int, default=defaults.n_max_monotonicity)
+    p_verify.add_argument("--n-max-root-ratio", type=int, default=defaults.n_max_root_ratio)
+    p_verify.add_argument("--series-N", type=int, default=defaults.series_N, dest="series_N")
+    p_verify.add_argument("--digits", type=int, default=defaults.series_digits)
     p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
     _add_common_output_args(p_verify)
     p_verify.set_defaults(func=cmd_verify_paper, format="json")
 
     p_series = sub.add_parser("series", help="partial sums of the 1/pi series")
-    p_series.add_argument("--series-N", type=int, default=100, dest="series_N")
-    p_series.add_argument("--digits", type=int, default=40)
+    p_series.add_argument("--series-N", type=int, default=defaults.series_N, dest="series_N")
+    p_series.add_argument("--digits", type=int, default=defaults.series_digits)
     _add_common_output_args(p_series)
     p_series.set_defaults(func=cmd_series)
 

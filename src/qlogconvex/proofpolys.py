@@ -322,88 +322,121 @@ def half(value: int) -> Fraction:
     return Fraction(value, 2)
 
 
-# Endpoint closed forms for theta and its derivatives.  Each entry is
-# (label, derivative order, evaluation point, closed form); the sign column
-# records where the displayed inequality is asserted (minimum n), with None
-# meaning the form is identity-checked only.
+class Builder(str):
+    """The name of a polynomial builder of this module.  Calling it looks the
+    name up first, so a builder replaced at run time is the one called."""
+
+    def __call__(self, n: int) -> Poly:
+        return globals()[self](n)
+
+
+_theta, _xi, _eta = Builder("theta_poly"), Builder("xi_poly"), Builder("eta_poly")
+_nn, _nn1, _nn2, _nn3 = (Builder(f"psi{i}_nn_poly") for i in ("", "1", "2", "3"))
+
+# Endpoint closed forms, in three tables of one shape: each row is
+# (label, builder, derivative order, point, closed form, sign, min n).  The
+# builder is a ``Builder``, a name looked up when it is called, never a
+# function bound at import.  The sign ("+" or "-") is that of the displayed
+# inequality, asserted from min n on.
+#
+# theta and its derivatives in t.
 THETA_ENDPOINT_FORMS: tuple = (
-    ("theta(0)", 0, lambda n: 0, lambda n: 2 * n**2 * (2 * n - 1) * (n + 1) ** 3, "+", 1),
-    ("theta(1)", 0, lambda n: 1, lambda n: 2 * n**3 * (2 * n - 1) * (3 * n**2 - 3 * n - 2), "+", 5),
-    ("theta(n-1)", 0, lambda n: n - 1,
+    ("theta(0)", _theta, 0, lambda n: 0, lambda n: 2 * n**2 * (2 * n - 1) * (n + 1) ** 3, "+", 1),
+    ("theta(1)", _theta, 0, lambda n: 1, lambda n: 2 * n**3 * (2 * n - 1) * (3 * n**2 - 3 * n - 2), "+", 5),
+    ("theta(n-1)", _theta, 0, lambda n: n - 1,
      lambda n: (3 * n**2 + 3 * n - 2) * (n**4 + 2 * n**3 - 9 * n**2 + 6 * n + 4), "+", 5),
-    ("theta(n)", 0, lambda n: n, lambda n: -(n**2) * (n + 1) * (n**3 + 2 * n**2 - 3 * n + 2), "-", 1),
-    ("theta'(0)", 1, lambda n: 0, lambda n: -(n**2) * (n + 1) ** 2 * (8 * n**2 + 12 * n - 5), "-", 1),
-    ("theta'(1)", 1, lambda n: 1, lambda n: n**2 * (8 * n**2 - 4 * n - 3) * (3 * n**2 - 8 * n + 1), "+", 5),
-    ("theta'(n-1)", 1, lambda n: n - 1,
+    ("theta(n)", _theta, 0, lambda n: n, lambda n: -(n**2) * (n + 1) * (n**3 + 2 * n**2 - 3 * n + 2), "-", 1),
+    ("theta'(0)", _theta, 1, lambda n: 0, lambda n: -(n**2) * (n + 1) ** 2 * (8 * n**2 + 12 * n - 5), "-", 1),
+    ("theta'(1)", _theta, 1, lambda n: 1,
+     lambda n: n**2 * (8 * n**2 - 4 * n - 3) * (3 * n**2 - 8 * n + 1), "+", 5),
+    ("theta'(n-1)", _theta, 1, lambda n: n - 1,
      lambda n: -8 * n**6 - 24 * n**5 + 88 * n**4 + 48 * n**3 - 200 * n**2 + 36, "-", 5),
-    ("theta''(0)", 2, lambda n: 0,
+    ("theta''(0)", _theta, 2, lambda n: 0,
      lambda n: 2 * n * (4 * n + 1) * (n + 1) * (4 * n**3 + 7 * n**2 + 3 * n - 3), "+", 1),
-    ("theta''(n/2)", 2, lambda n: Fraction(n, 2),
+    ("theta''(n/2)", _theta, 2, lambda n: Fraction(n, 2),
      lambda n: -Fraction(n * (68 * n**5 + 144 * n**4 - 129 * n**3 - 244 * n**2 - 24 * n + 24), 8), "-", 5),
-    ("theta''(n-1)", 2, lambda n: n - 1,
+    ("theta''(n-1)", _theta, 2, lambda n: n - 1,
      lambda n: 8 * n**6 + 24 * n**5 - 216 * n**4 - 112 * n**3 + 648 * n**2 - 132, "+", 5),
-    ("theta'''(0)", 3, lambda n: 0,
+    ("theta'''(0)", _theta, 3, lambda n: 0,
      lambda n: -6 * (2 * n - 1) * (24 * n**4 + 54 * n**3 + 44 * n**2 + 14 * n + 1), "-", 1),
-    ("theta'''(n-1)", 3, lambda n: n - 1,
+    ("theta'''(n-1)", _theta, 3, lambda n: n - 1,
      lambda n: 6 * (2 * n - 1) * (26 * n**3 + 26 * n**2 - 126 * n - 63), "+", 5),
-    ("theta''''(0)", 4, lambda n: 0,
+    ("theta''''(0)", _theta, 4, lambda n: 0,
      lambda n: 24 * (2 * n - 1) * (26 * n**3 + 41 * n**2 + 21 * n + 3), "+", 1),
-    ("theta''''(n-1)", 4, lambda n: n - 1,
+    ("theta''''(n-1)", _theta, 4, lambda n: n - 1,
      lambda n: -24 * (2 * n - 1) * (4 * n**3 + 4 * n**2 - 66 * n - 33), "-", 5),
 )
 
-# Endpoint closed forms for xi, eta and their t-derivatives: entries are
-# (label, base poly builder, derivative order, point, closed form, sign, min n
-# at which the sign is asserted).
+# xi, eta and their t-derivatives.
 XI_ETA_ENDPOINT_FORMS: tuple = (
-    ("xi(n-1)", xi_poly, 0, lambda n: n - 1,
+    ("xi(n-1)", _xi, 0, lambda n: n - 1,
      lambda n: -8 * n**5 - 14 * n**4 + 119 * n**3 + 75 * n**2 - 100 * n - 36, "-", 4),
-    ("xi(3n/4)", xi_poly, 0, lambda n: Fraction(3 * n, 4),
+    ("xi(3n/4)", _xi, 0, lambda n: Fraction(3 * n, 4),
      lambda n: -Fraction(n * (25 * n**5 - 52 * n**4 + 831 * n**3 + 2614 * n**2 + 224 * n + 480), 128), "-", 8),
-    ("xi'(3n/4)", xi_poly, 1, lambda n: Fraction(3 * n, 4),
+    ("xi'(3n/4)", _xi, 1, lambda n: Fraction(3 * n, 4),
      lambda n: -Fraction(315, 32) * n**5 - Fraction(57, 2) * n**4 + Fraction(213, 16) * n**2 + 18 * n + 3, "-", 8),
-    ("xi'(n-1)", xi_poly, 1, lambda n: n - 1,
+    ("xi'(n-1)", _xi, 1, lambda n: n - 1,
      lambda n: 8 * n**5 - 8 * n**4 - 330 * n**3 - 209 * n**2 + 284 * n + 96, "+", 8),
-    ("xi''(n-1)", xi_poly, 2, lambda n: n - 1,
+    ("xi''(n-1)", _xi, 2, lambda n: n - 1,
      lambda n: 32 * n**4 + 480 * n**3 + 432 * n**2 - 674 * n - 186, "+", 8),
-    ("xi'''(n-1)", xi_poly, 3, lambda n: n - 1,
+    ("xi'''(n-1)", _xi, 3, lambda n: n - 1,
      lambda n: -288 * n**3 - 576 * n**2 + 1236 * n + 234, "-", 8),
-    ("eta(0)", eta_poly, 0, lambda n: 0,
+    ("eta(0)", _eta, 0, lambda n: 0,
      lambda n: -2 * (n + 1) * (64 * n**4 + 72 * n**3 + 42 * n**2 + 11 * n + 3), "-", 4),
-    ("eta(3n/4)", eta_poly, 0, lambda n: Fraction(3 * n, 4),
+    ("eta(3n/4)", _eta, 0, lambda n: Fraction(3 * n, 4),
      lambda n: (-Fraction(575, 64) * n**5 - Fraction(2051, 64) * n**4 - Fraction(357, 8) * n**3
                 - Fraction(889, 16) * n**2 - Fraction(79, 4) * n - 6), "-", 4),
-    ("eta'(3n/4)", eta_poly, 1, lambda n: Fraction(3 * n, 4),
+    ("eta'(3n/4)", _eta, 1, lambda n: Fraction(3 * n, 4),
      lambda n: Fraction(n + 1, 4) * (295 * n**3 + 591 * n**2 + 234 * n + 44), "+", 4),
-    ("eta''(3n/4)", eta_poly, 2, lambda n: Fraction(3 * n, 4),
+    ("eta''(3n/4)", _eta, 2, lambda n: Fraction(3 * n, 4),
      lambda n: -189 * n**3 - 243 * n**2 - 120 * n + 6, "-", 4),
 )
 
-# Endpoint closed forms for the t = n family.  The displayed positivity of
-# psi(n,n)(1) genuinely fails at n = 2 (the value is -80), so its sign is
-# asserted from n = 3 on; the closed form itself is an identity for all n.
+# The t = n family.  The displayed positivity of psi(n,n)(1) genuinely fails
+# at n = 2 (the value is -80), so its sign is asserted from n = 3 on; the
+# closed form itself is an identity for all n.
 NN_ENDPOINT_FORMS: tuple = (
-    ("psi_nn3(0)", psi3_nn_poly, lambda n: 0,
+    ("psi_nn3(0)", _nn3, 0, lambda n: 0,
      lambda n: 8 * n**4 + 44 * n**3 + 68 * n**2 + 40 * n + 11, "+", 2),
-    ("psi_nn3(n/2)", psi3_nn_poly, lambda n: Fraction(n, 2),
+    ("psi_nn3(n/2)", _nn3, 0, lambda n: Fraction(n, 2),
      lambda n: 8 * n**4 + 36 * n**3 + 64 * n**2 + 40 * n + 11, "+", 2),
-    ("psi_nn2(0)", psi2_nn_poly, lambda n: 0,
+    ("psi_nn2(0)", _nn2, 0, lambda n: 0,
      lambda n: 4 * n**6 + 20 * n**5 + 19 * n**4 - 35 * n**3 - 55 * n**2 - 23 * n - 6, "+", 2),
-    ("psi_nn2(n/2)", psi2_nn_poly, lambda n: Fraction(n, 2),
+    ("psi_nn2(n/2)", _nn2, 0, lambda n: Fraction(n, 2),
      lambda n: (-8 * n**6 - 40 * n**5 - 80 * n**4 - 95 * n**3 - half(143 * n**2) - 23 * n - 6), "-", 2),
-    ("psi_nn1(0)", psi1_nn_poly, lambda n: 0,
+    ("psi_nn1(0)", _nn1, 0, lambda n: 0,
      lambda n: -6 * n**6 - 31 * n**5 - 42 * n**4 - 18 * n**3 - 4 * n**2 - 3 * n, "-", 2),
-    ("psi_nn1(n/2)", psi1_nn_poly, lambda n: Fraction(n, 2),
+    ("psi_nn1(n/2)", _nn1, 0, lambda n: Fraction(n, 2),
      lambda n: (n**8 + half(11 * n**7) + half(19 * n**6) + half(3 * n**5)
                 - Fraction(83 * n**4, 8) - half(13 * n**3) - n**2 - 3 * n), "+", 2),
-    ("psi_nn(0)", psi_nn_poly, lambda n: 0,
+    ("psi_nn(0)", _nn, 0, lambda n: 0,
      lambda n: -(n**2) * (n**3 + 2 * n**2 - 3 * n + 2) * (n + 1) ** 3, "-", 2),
-    ("psi_nn(1)", psi_nn_poly, lambda n: 1,
+    ("psi_nn(1)", _nn, 0, lambda n: 1,
      lambda n: (n**6 * (3 * n**2 - 3 * n - 38) + 3 * n**2 * (18 * n**3 - n - 24)
                 + 35 * n**4 - 16 * n + 24), "+", 3),
-    ("psi_nn(n/2)", psi_nn_poly, lambda n: Fraction(n, 2),
+    ("psi_nn(n/2)", _nn, 0, lambda n: Fraction(n, 2),
      lambda n: -Fraction(n**2 * (n - 1) * (2 * n**3 + 3 * n**2 - 5 * n - 8) * (n + 2) ** 3, 32), "-", 2),
 )
+
+
+def endpoint_values(forms, n: int, chains: dict) -> list:
+    """(label, value, closed value, sign, min n) for each row of ``forms`` at n.
+
+    ``chains`` maps a builder's name to the polynomial it builds at n and
+    that polynomial's derivatives, [p, p', p'', ...].  A builder missing from
+    it is called once; a chain grows by derivatives as far as the rows
+    need.  Callers pass the polynomials they have built already, so none is
+    built twice.
+    """
+    values = []
+    for label, builder, order, point, closed, sign, min_n in forms:
+        chain = chains.get(builder)
+        if chain is None:
+            chain = chains[builder] = [builder(n)]
+        while len(chain) <= order:
+            chain.append(chain[-1].derivative())
+        values.append((label, chain[order](Fraction(point(n))), Fraction(closed(n)), sign, min_n))
+    return values
 
 
 # --- validated bundles -------------------------------------------------------
@@ -476,16 +509,11 @@ def build_theta(n: int) -> ThetaBundle:
     """
     if n < 1:
         raise ValueError(f"theta needs n >= 1, got {n}")
-    theta = theta_poly(n)
-    derivs = []
-    current = theta
+    chain = [theta_poly(n)]
     for _ in range(4):
-        current = current.derivative()
-        derivs.append(current)
-    chain = (theta, *derivs)
-    for label, order, point, closed, _sign, _min_n in THETA_ENDPOINT_FORMS:
-        actual = chain[order](Fraction(point(n)))
-        expected = Fraction(closed(n))
+        chain.append(chain[-1].derivative())
+    for label, actual, expected, _sign, _min_n in endpoint_values(
+            THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}):
         if actual != expected:
             raise IdentityError(f"theta endpoint {label} mismatch at n={n}: {actual} != {expected}")
     xi, eta = xi_poly(n), eta_poly(n)
@@ -494,7 +522,7 @@ def build_theta(n: int) -> ThetaBundle:
             raise IdentityError(f"xi extraction failed at n={n}, t={t0}")
         if (n + 1) * eta(t0) != psi2_poly(n, t0)(0):
             raise IdentityError(f"eta extraction failed at n={n}, t={t0}")
-    return ThetaBundle(n, theta, tuple(derivs), xi, eta)
+    return ThetaBundle(n, chain[0], tuple(chain[1:5]), xi, eta)
 
 
 @dataclass(frozen=True)

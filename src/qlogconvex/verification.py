@@ -11,6 +11,11 @@ n, and a certificate only ever asserts the finite instances it actually
 checked plus the grid-certified polynomial identities (which are genuine
 proofs, by the degree-bound argument: a polynomial identity of degree d in a
 parameter that holds at more than d integer points holds identically).
+Those identities are one table, ``GRID_IDENTITIES``: each row is an n grid,
+a t grid or None, and a function that returns the failures at one grid
+point; the record's grid label is read from the ranges.  The row functions
+look the ``proofpolys`` builders and endpoint-form tables up when they run,
+so a builder replaced at run time is the one checked, here and in the sweeps.
 
 The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
 orchestrator opens a single ``multiprocessing.Pool`` for the whole run,
@@ -23,12 +28,12 @@ rows), each sending back only the first and last negative index per n.
 V's defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V
 is decided in the parent from F's indices and an exact check that each V
 row is the F row reversed.
-Only the small parts stay in the parent (the boundary table, claim 1, that
-reversal check, the series and the monotonicity evidence).  The rows are
-the same private functions the serial run loops over, the records are
-sorted before they are assembled, and a row that raises in a worker is
-raised again in the parent in row order, so serial and pooled certificates
-are identical except for the timestamp.  Under the fork start method (the
+Only the small parts stay in the parent (claim 1, that reversal check, the
+series and the monotonicity evidence).  The rows are the same private
+functions the serial run loops over, the records are sorted before they
+are assembled, and a row that raises in a worker is raised again in the
+parent in row order, so serial and pooled certificates are identical
+except for the timestamp.  Under the fork start method (the
 default on Linux) the workers are copies of the parent as it is when the
 run starts, so they see any function replaced before the run began.
 """
@@ -344,30 +349,20 @@ def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
 
 # --- boundary nonnegativity (k = 0) ------------------------------------------
 
-def verify_prop31(n_max: int, include_sturm: bool = True, pool=None) -> list[ClaimRecord]:
+def verify_prop31(n_max: int, pool=None) -> list[ClaimRecord]:
     """L_t(a(n,0)) >= 0: explicit table for n <= 4, sign analysis beyond.
 
     Every row n >= 1 certifies the sign of each L_t(a(n,0)), t = 0..n,
     through a bracket with small multipliers (``_boundary_brackets``).
     For n >= 5 the record also certifies theta(n) < 0 and theta(t) > 0 at
-    all integers t < n; optionally it also certifies the derivative
-    scaffolding via Sturm counts on (0, n-1): exactly one root for
-    theta'''' and theta''', two for theta'' and theta', with the endpoint
-    signs that pin the shape of theta.
+    all integers t < n, and the derivative scaffolding via Sturm counts on
+    (0, n-1): exactly one root for theta'''' and theta''', two for theta''
+    and theta', with the endpoint signs that pin the shape of theta.
     """
-    row = functools.partial(_prop31_row, include_sturm=include_sturm)
-    if pool is None:
-        # each table row is checked beside the record that reads the same
-        # array rows, so the ascending sweep builds every array row once
-        table_failures, records = [], []
-        for n in range(1, n_max + 1):
-            table_failures += _boundary_table_failures(n)
-            records.append(row(n))
-    else:
-        table_failures = [failure for n in BOUNDARY_TABLE if n <= n_max
-                          for failure in _boundary_table_failures(n)]
-        records = _map_rows(pool, row, range(1, n_max + 1))
-    return [_record("prop31", {"part": "table", "n": 0}, table_failures)] + records
+    rows = _map_rows(pool, _prop31_row, range(1, n_max + 1))
+    table_failures = [failure for failures, _record in rows for failure in failures]
+    return [_record("prop31", {"part": "table", "n": 0}, table_failures)] + [
+        record for _failures, record in rows]
 
 
 def _boundary_table_failures(n: int) -> list[str]:
@@ -403,10 +398,14 @@ def _boundary_brackets(n: int) -> list[int] | None:
     return [low * b + high * a - middle * h for b, h, a in zip(below, here, above)]
 
 
-def _prop31_row(n: int, include_sturm: bool) -> ClaimRecord:
-    """One n of Proposition 3.1: the signs of L_t(a(n,0)) for t = 0..n, read
-    from ``_boundary_brackets``, and for n >= 5 theta's signs at t = 0..n,
-    read from one forward-difference table, plus its Sturm scaffolding."""
+def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
+    """One n of Proposition 3.1: the failures of row n of ``BOUNDARY_TABLE``,
+    checked here because they read the same array rows, so an ascending
+    sweep builds every array row once; and the record: the signs of
+    L_t(a(n,0)) for t = 0..n, read from ``_boundary_brackets``, and for
+    n >= 5 theta's signs at t = 0..n, read from one forward-difference
+    table, plus its Sturm scaffolding."""
+    table_failures = _boundary_table_failures(n)
     brackets = _boundary_brackets(n)
     if brackets is None:
         failures = [f"k = 0 column premise failed at n={n}: a(m,0) for m = {n - 1}..{n + 1} "
@@ -418,29 +417,27 @@ def _prop31_row(n: int, include_sturm: bool) -> ClaimRecord:
         try:
             bundle = proofpolys.build_theta(n)
         except IdentityError as exc:
-            return _record("prop31", {"part": "theta", "n": n}, [str(exc)])
+            return table_failures, _record("prop31", {"part": "theta", "n": n}, [str(exc)])
         theta_at = values_at_integers(bundle.theta, n + 1)
         if not theta_at[n] < 0:
             failures.append(f"theta(n) not negative at n={n}")
         for t in range(n):
             if not theta_at[t] > 0:
                 failures.append(f"theta({t}) not positive at n={n}")
-        if include_sturm:
-            th1, th2, th3, th4 = bundle.derivatives
-            half_n = Fraction(n, 2)
-            scaffolding = (
-                (sturm_count_roots(th4, 0, n - 1) == 1, "theta'''' root count"),
-                (sturm_count_roots(th3, 0, n - 1) == 1, "theta''' root count"),
-                (th3(0) < 0 < th3(n - 1), "theta''' endpoint signs"),
-                (sturm_count_roots(th2, 0, n - 1) == 2, "theta'' root count"),
-                (th2(0) > 0 and th2(half_n) < 0 and th2(n - 1) > 0, "theta'' sign pattern"),
-                (sturm_count_roots(th1, 0, n - 1) == 2, "theta' root count"),
-                (th1(0) < 0 and th1(1) > 0 and th1(n - 1) < 0, "theta' sign pattern"),
-            )
-            for ok, what in scaffolding:
-                if not ok:
-                    failures.append(f"{what} failed at n={n}")
-    return _record("prop31", {"part": "theta" if n >= 5 else "operator", "n": n}, failures)
+        th1, th2, th3, th4 = bundle.derivatives
+        half_n = Fraction(n, 2)
+        scaffolding = (
+            (sturm_count_roots(th4, 0, n - 1) == 1, "theta'''' root count"),
+            (sturm_count_roots(th3, 0, n - 1) == 1, "theta''' root count"),
+            (th3(0) < 0 < th3(n - 1), "theta''' endpoint signs"),
+            (sturm_count_roots(th2, 0, n - 1) == 2, "theta'' root count"),
+            (th2(0) > 0 and th2(half_n) < 0 and th2(n - 1) > 0, "theta'' sign pattern"),
+            (sturm_count_roots(th1, 0, n - 1) == 2, "theta' root count"),
+            (th1(0) < 0 and th1(1) > 0 and th1(n - 1) < 0, "theta' sign pattern"),
+        )
+        failures += [f"{what} failed at n={n}" for ok, what in scaffolding if not ok]
+    record = _record("prop31", {"part": "theta" if n >= 5 else "operator", "n": n}, failures)
+    return table_failures, record
 
 
 # --- interior crossing for t < n ----------------------------------------------
@@ -466,32 +463,39 @@ def _prop32_row(n: int) -> ClaimRecord:
         except IdentityError as exc:
             failures.append(str(exc))
             continue
-        mid = Fraction(t, 2)
         if not bundle.psi(0) >= 0:
             failures.append(f"psi(0) negative at (n={n}, t={t})")
         values = [bundle.psi(k) for k in range(1, t // 2 + 1)]
         if values and not single_crossing(values).ok:
             failures.append(f"crossing pattern broken at (n={n}, t={t})")
-        p1_mid = bundle.psi1(mid)
-        if p1_mid != proofpolys.psi1_half_closed(n, t):
-            failures.append(f"psi1 midpoint form mismatch at (n={n}, t={t})")
-        if n == 2 and p1_mid != proofpolys.psi1_half_closed_n2(t):
-            failures.append(f"psi1 midpoint n=2 form mismatch at t={t}")
-        if n == 3 and p1_mid != proofpolys.psi1_half_closed_n3(t):
-            failures.append(f"psi1 midpoint n=3 form mismatch at t={t}")
-        if not p1_mid > 0:
-            failures.append(f"psi1 midpoint not positive at (n={n}, t={t})")
-        p2_mid = bundle.psi2(mid)
-        if p2_mid != proofpolys.psi2_half_closed(n, t):
-            failures.append(f"psi2 midpoint form mismatch at (n={n}, t={t})")
-        if not p2_mid < 0:
-            failures.append(f"psi2 midpoint not negative at (n={n}, t={t})")
-        p3_mid = bundle.psi3(mid)
-        if p3_mid != proofpolys.psi3_half_closed(n, t):
-            failures.append(f"psi3 midpoint form mismatch at (n={n}, t={t})")
-        if not p3_mid > 0:
-            failures.append(f"psi3 midpoint not positive at (n={n}, t={t})")
+        for name, value, sign, missed in _midpoint_values(
+                n, t, bundle.psi1, bundle.psi2, bundle.psi3, "mismatch"):
+            failures += missed
+            if not (value > 0 if sign > 0 else value < 0):
+                word = "positive" if sign > 0 else "negative"
+                failures.append(f"{name} midpoint not {word} at (n={n}, t={t})")
     return _record("prop32", {"n": n, "t_range": f"0..{n - 1}"}, failures)
+
+
+def _midpoint_values(n: int, t: int, psi1: Poly, psi2: Poly, psi3: Poly, verb: str) -> list:
+    """psi1, psi2 and psi3 at their axis x = t/2, as (name, value, sign,
+    missed): sign is the one prop32 asserts for 0 <= t < n, and missed holds
+    a message, with ``verb``, for each closed form the value differs from.
+    psi1 has its own shapes at n = 2 and n = 3."""
+    mid = Fraction(t, 2)
+    values = []
+    for name, poly, sign, closed in (("psi1", psi1, 1, proofpolys.psi1_half_closed),
+                                     ("psi2", psi2, -1, proofpolys.psi2_half_closed),
+                                     ("psi3", psi3, 1, proofpolys.psi3_half_closed)):
+        value = poly(mid)
+        missed = [f"{name} midpoint form {verb} at (n={n}, t={t})"] if value != closed(n, t) else []
+        values.append((name, value, sign, missed))
+    _name, p1, _sign, missed1 = values[0]
+    if n == 2 and p1 != proofpolys.psi1_half_closed_n2(t):
+        missed1.append(f"psi1 midpoint n=2 form {verb} at t={t}")
+    if n == 3 and p1 != proofpolys.psi1_half_closed_n3(t):
+        missed1.append(f"psi1 midpoint n=3 form {verb} at t={t}")
+    return values
 
 
 # --- crossing on the diagonal t = n --------------------------------------------
@@ -515,9 +519,11 @@ def _prop33_row(n: int) -> ClaimRecord:
         bundle = proofpolys.build_psi_nn(n)
     except IdentityError as exc:
         return _record("prop33", {"n": n}, [str(exc)])
-    for label, builder, point, closed, sign, min_n in proofpolys.NN_ENDPOINT_FORMS:
-        value = builder(n)(Fraction(point(n)))
-        if value != Fraction(closed(n)):
+    chains = {"psi_nn_poly": [bundle.psi], "psi1_nn_poly": [bundle.psi1],
+              "psi2_nn_poly": [bundle.psi2], "psi3_nn_poly": [bundle.psi3]}
+    for label, value, closed, sign, min_n in proofpolys.endpoint_values(
+            proofpolys.NN_ENDPOINT_FORMS, n, chains):
+        if value != closed:
             failures.append(f"{label} form mismatch at n={n}")
         if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
             failures.append(f"{label} sign claim failed at n={n}")
@@ -545,21 +551,25 @@ def verify_claims(n_max: int, pool=None) -> list[ClaimRecord]:
     return [claim1] + _map_rows(pool, _claims23_row, range(4, n_max + 1))
 
 
-def _claims23_row(n: int) -> ClaimRecord:
-    forms = {label: (point, closed)
-             for label, _builder, _order, point, closed, _sign_sym, _min_n
-             in proofpolys.XI_ETA_ENDPOINT_FORMS}
+def _negative_forms(n: int, chains: dict, labels: tuple) -> list[str]:
+    """Failures of the xi/eta endpoint forms named by ``labels`` at n: each
+    value must match its closed form and be negative."""
+    forms = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[0] in labels]
     failures = []
-    xi = proofpolys.xi_poly(n)
-    eta = proofpolys.eta_poly(n)
-
-    for label in ("xi(n-1)", "xi(3n/4)"):
-        point, closed = forms[label]
-        value = xi(Fraction(point(n)))
-        if value != Fraction(closed(n)):
+    for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, chains):
+        if value != closed:
             failures.append(f"{label} form mismatch at n={n}")
         if not value < 0:
             failures.append(f"{label} not negative at n={n}")
+    return failures
+
+
+def _claims23_row(n: int) -> ClaimRecord:
+    xi = proofpolys.xi_poly(n)
+    eta = proofpolys.eta_poly(n)
+    chains = {"xi_poly": [xi], "eta_poly": [eta]}
+
+    failures = _negative_forms(n, chains, ("xi(n-1)", "xi(3n/4)"))
     lo, hi = Fraction(3 * n, 4), Fraction(n - 1)
     if lo == hi:
         if not xi(lo) < 0:
@@ -567,13 +577,7 @@ def _claims23_row(n: int) -> ClaimRecord:
     elif sign_constant_on(xi, lo, hi) is not IntervalSign.NEGATIVE:
         failures.append(f"xi not negative on [3n/4, n-1] at n={n}")
 
-    for label in ("eta(0)", "eta(3n/4)"):
-        point, closed = forms[label]
-        value = eta(Fraction(point(n)))
-        if value != Fraction(closed(n)):
-            failures.append(f"{label} form mismatch at n={n}")
-        if not value < 0:
-            failures.append(f"{label} not negative at n={n}")
+    failures += _negative_forms(n, chains, ("eta(0)", "eta(3n/4)"))
     if sign_constant_on(eta, 0, Fraction(3 * n, 4)) is not IntervalSign.NEGATIVE:
         failures.append(f"eta not negative on [0, 3n/4] at n={n}")
     eta2 = eta.derivative().derivative()
@@ -585,23 +589,77 @@ def _claims23_row(n: int) -> ClaimRecord:
 
 # --- grid-certified polynomial identities --------------------------------------
 
-GRID_IDENTITIES = (
-    "cascade",
-    "specialization",
-    "xi_extraction",
-    "eta_extraction",
-    "theta_link",
-    "midpoint_forms",
-    "theta_endpoint_forms",
-    "xi_eta_endpoint_forms",
-    "nn_endpoint_forms",
-)
-
 # Expanded degree bounds of the identities: degree <= 8 in n, <= 6 in t.
 # Grids of 17 n-values and 18 t-values therefore prove the identities.
 _GRID_N = range(1, 18)
 _GRID_T = range(0, 18)
 _FORM_GRID_N = range(1, 21)
+
+# The failure functions of ``GRID_IDENTITIES`` take one grid point, (n, t)
+# or (n,), and look every builder and table up in ``proofpolys`` when they run.
+
+
+def _cascade_failures(n: int, t: int) -> list[str]:
+    psi = proofpolys.psi_poly(n, t)
+    psi1 = proofpolys.psi1_poly(n, t)
+    psi2 = proofpolys.psi2_poly(n, t)
+    psi3 = proofpolys.psi3_poly(n, t)
+    checks = (
+        (psi.derivative(), Poly([-t, 2]) * psi1, "psi'"),
+        (psi1.derivative(), Poly([-2 * t, 4]) * psi2, "psi1'"),
+        (psi2.derivative(), Poly([-6 * t, 12]) * psi3, "psi2'"),
+    )
+    return [f"{label} cascade fails at (n={n}, t={t})" for lhs, rhs, label in checks if lhs != rhs]
+
+
+def _specialization_failures(n: int) -> list[str]:
+    failures = []
+    for name in ("psi", "psi1", "psi2", "psi3"):
+        if getattr(proofpolys, f"{name}_nn_poly")(n) != getattr(proofpolys, f"{name}_poly")(n, n):
+            failures.append(f"{name} specialization fails at n={n}")
+    return failures
+
+
+def _extraction_failures(in_t: str, power: int, at_x0: str, message: str,
+                         n: int, t: int) -> list[str]:
+    """(n+1)^power in_t(n)(t) == at_x0(n, t)(0), for the builders named
+    in_t and at_x0; ``message`` has a ``{}`` for the grid point."""
+    if (n + 1) ** power * getattr(proofpolys, in_t)(n)(t) == getattr(proofpolys, at_x0)(n, t)(0):
+        return []
+    return [message.format(f"(n={n}, t={t})")]
+
+
+def _midpoint_failures(n: int, t: int) -> list[str]:
+    polys = (proofpolys.psi1_poly(n, t), proofpolys.psi2_poly(n, t), proofpolys.psi3_poly(n, t))
+    return [miss for _name, _value, _sign, missed in _midpoint_values(n, t, *polys, "fails")
+            for miss in missed]
+
+
+def _endpoint_form_failures(table: str, n: int) -> list[str]:
+    forms = getattr(proofpolys, table)
+    return [f"{label} fails at n={n}"
+            for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, {})
+            if value != closed]
+
+
+# identity -> (n grid, t grid or None, failures at one grid point)
+GRID_IDENTITIES = {
+    "cascade": (_GRID_N, _GRID_T, _cascade_failures),
+    "specialization": (_GRID_N, None, _specialization_failures),
+    "xi_extraction": (_GRID_N, _GRID_T, functools.partial(
+        _extraction_failures, "xi_poly", 2, "psi1_poly", "xi extraction fails at {}")),
+    "eta_extraction": (_GRID_N, _GRID_T, functools.partial(
+        _extraction_failures, "eta_poly", 1, "psi2_poly", "eta extraction fails at {}")),
+    "theta_link": (_GRID_N, _GRID_T, functools.partial(
+        _extraction_failures, "theta_poly", 2, "psi_poly", "psi(0) != (n+1)^2 theta(t) at {}")),
+    "midpoint_forms": (_FORM_GRID_N, _GRID_T, _midpoint_failures),
+    "theta_endpoint_forms": (_FORM_GRID_N, None,
+                             functools.partial(_endpoint_form_failures, "THETA_ENDPOINT_FORMS")),
+    "xi_eta_endpoint_forms": (_FORM_GRID_N, None,
+                              functools.partial(_endpoint_form_failures, "XI_ETA_ENDPOINT_FORMS")),
+    "nn_endpoint_forms": (_FORM_GRID_N, None,
+                          functools.partial(_endpoint_form_failures, "NN_ENDPOINT_FORMS")),
+}
 
 
 def identity_grid_check(identity: str) -> ClaimRecord:
@@ -611,111 +669,17 @@ def identity_grid_check(identity: str) -> ClaimRecord:
     so a clean sweep constitutes a proof of the identity, not merely
     evidence.  Failures report the first offending grid point.
     """
-    failures: list[str] = []
-
-    if identity == "cascade":
-        for n in _GRID_N:
-            for t in _GRID_T:
-                psi = proofpolys.psi_poly(n, t)
-                psi1 = proofpolys.psi1_poly(n, t)
-                psi2 = proofpolys.psi2_poly(n, t)
-                psi3 = proofpolys.psi3_poly(n, t)
-                checks = (
-                    (psi.derivative(), Poly([-t, 2]) * psi1, "psi'"),
-                    (psi1.derivative(), Poly([-2 * t, 4]) * psi2, "psi1'"),
-                    (psi2.derivative(), Poly([-6 * t, 12]) * psi3, "psi2'"),
-                )
-                for lhs, rhs, label in checks:
-                    if lhs != rhs:
-                        failures.append(f"{label} cascade fails at (n={n}, t={t})")
-        params = {"identity": identity, "grid": "n=1..17, t=0..17"}
-
-    elif identity == "specialization":
-        for n in _GRID_N:
-            pairs = (
-                (proofpolys.psi_nn_poly(n), proofpolys.psi_poly(n, n), "psi"),
-                (proofpolys.psi1_nn_poly(n), proofpolys.psi1_poly(n, n), "psi1"),
-                (proofpolys.psi2_nn_poly(n), proofpolys.psi2_poly(n, n), "psi2"),
-                (proofpolys.psi3_nn_poly(n), proofpolys.psi3_poly(n, n), "psi3"),
-            )
-            for expanded, general, label in pairs:
-                if expanded != general:
-                    failures.append(f"{label} specialization fails at n={n}")
-        params = {"identity": identity, "grid": "n=1..17"}
-
-    elif identity == "xi_extraction":
-        for n in _GRID_N:
-            xi = proofpolys.xi_poly(n)
-            for t in _GRID_T:
-                if (n + 1) ** 2 * xi(t) != proofpolys.psi1_poly(n, t)(0):
-                    failures.append(f"xi extraction fails at (n={n}, t={t})")
-        params = {"identity": identity, "grid": "n=1..17, t=0..17"}
-
-    elif identity == "eta_extraction":
-        for n in _GRID_N:
-            eta = proofpolys.eta_poly(n)
-            for t in _GRID_T:
-                if (n + 1) * eta(t) != proofpolys.psi2_poly(n, t)(0):
-                    failures.append(f"eta extraction fails at (n={n}, t={t})")
-        params = {"identity": identity, "grid": "n=1..17, t=0..17"}
-
-    elif identity == "theta_link":
-        for n in _GRID_N:
-            theta = proofpolys.theta_poly(n)
-            for t in _GRID_T:
-                if proofpolys.psi_poly(n, t)(0) != (n + 1) ** 2 * theta(t):
-                    failures.append(f"psi(0) != (n+1)^2 theta(t) at (n={n}, t={t})")
-        params = {"identity": identity, "grid": "n=1..17, t=0..17"}
-
-    elif identity == "midpoint_forms":
-        for n in _FORM_GRID_N:
-            for t in _GRID_T:
-                mid = Fraction(t, 2)
-                p1 = proofpolys.psi1_poly(n, t)(mid)
-                if p1 != proofpolys.psi1_half_closed(n, t):
-                    failures.append(f"psi1 midpoint form fails at (n={n}, t={t})")
-                if n == 2 and p1 != proofpolys.psi1_half_closed_n2(t):
-                    failures.append(f"psi1 midpoint n=2 form fails at t={t}")
-                if n == 3 and p1 != proofpolys.psi1_half_closed_n3(t):
-                    failures.append(f"psi1 midpoint n=3 form fails at t={t}")
-                if proofpolys.psi2_poly(n, t)(mid) != proofpolys.psi2_half_closed(n, t):
-                    failures.append(f"psi2 midpoint form fails at (n={n}, t={t})")
-                if proofpolys.psi3_poly(n, t)(mid) != proofpolys.psi3_half_closed(n, t):
-                    failures.append(f"psi3 midpoint form fails at (n={n}, t={t})")
-        params = {"identity": identity, "grid": "n=1..20, t=0..17"}
-
-    elif identity == "theta_endpoint_forms":
-        for n in _FORM_GRID_N:
-            theta = proofpolys.theta_poly(n)
-            chain = [theta]
-            for _ in range(4):
-                chain.append(chain[-1].derivative())
-            for label, order, point, closed, _sign_sym, _min_n in proofpolys.THETA_ENDPOINT_FORMS:
-                if chain[order](Fraction(point(n))) != Fraction(closed(n)):
-                    failures.append(f"{label} fails at n={n}")
-        params = {"identity": identity, "grid": "n=1..20"}
-
-    elif identity == "xi_eta_endpoint_forms":
-        for n in _FORM_GRID_N:
-            for label, builder, order, point, closed, _sign_sym, _min_n in proofpolys.XI_ETA_ENDPOINT_FORMS:
-                poly = builder(n)
-                for _ in range(order):
-                    poly = poly.derivative()
-                if poly(Fraction(point(n))) != Fraction(closed(n)):
-                    failures.append(f"{label} fails at n={n}")
-        params = {"identity": identity, "grid": "n=1..20"}
-
-    elif identity == "nn_endpoint_forms":
-        for n in _FORM_GRID_N:
-            for label, builder, point, closed, _sign_sym, _min_n in proofpolys.NN_ENDPOINT_FORMS:
-                if builder(n)(Fraction(point(n))) != Fraction(closed(n)):
-                    failures.append(f"{label} fails at n={n}")
-        params = {"identity": identity, "grid": "n=1..20"}
-
-    else:
+    if identity not in GRID_IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
-
-    return _record("cascade", params, failures)
+    ns, ts, failures_at = GRID_IDENTITIES[identity]
+    grid = f"n={ns[0]}..{ns[-1]}"
+    if ts is None:
+        points = [(n,) for n in ns]
+    else:
+        grid += f", t={ts[0]}..{ts[-1]}"
+        points = itertools.product(ns, ts)
+    failures = [failure for point in points for failure in failures_at(*point)]
+    return _record("cascade", {"identity": identity, "grid": grid}, failures)
 
 
 def _grid_row(identity: str) -> ClaimRecord:

@@ -23,7 +23,7 @@ from qlogconvex.verification import factorization_sweep, verify_prop31
 
 
 def test_sweeps_leave_at_most_three_rows():
-    verify_prop31(200, include_sturm=False)
+    verify_prop31(200)
     assert len(DOMB_ARRAY._memo) <= 3
     factorization_sweep(30)
     assert len(DOMB_ARRAY._memo) <= 3
@@ -36,7 +36,7 @@ def _c2_sweeps(n_max):
 
 # sweep, its n_max; each reads rows 0..n_max + 1
 ASCENDING_SWEEPS = {
-    "prop31": (lambda n_max: verify_prop31(n_max, include_sturm=False), 40),
+    "prop31": (verify_prop31, 40),
     "factorization": (factorization_sweep, 12),
     "c2": (_c2_sweeps, 40),
 }
@@ -79,7 +79,7 @@ def test_prop31_holds_a_few_rows_not_all_of_them(monkeypatch):
     monkeypatch.setattr(DOMB_ARRAY, "_memo", {})
     tracemalloc.start()
     try:
-        verify_prop31(n_max, include_sturm=False)
+        verify_prop31(n_max)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

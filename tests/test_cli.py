@@ -1,9 +1,12 @@
+import dataclasses
 import json
+import os
 
 import pytest
 
 from qlogconvex import cli
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
+from qlogconvex.verification import VerificationConfig
 
 
 def run_cli(capsys, *argv):
@@ -187,6 +190,29 @@ def test_verify_paper_small(tmp_path, capsys):
         "prop31", "prop32", "prop33", "claims123", "factorization", "cascade",
         "qlc_D", "qlc_W", "qlc_V", "qlc_F", "series", "monotonicity",
     }
+
+
+def test_verify_paper_and_series_defaults_are_the_config_defaults(monkeypatch):
+    defaults = VerificationConfig()
+    args = cli.build_parser().parse_args(["verify-paper"])
+    assert (args.n_max_direct, args.n_max_factorization, args.n_max_sturm,
+            args.n_max_monotonicity, args.n_max_root_ratio, args.series_N, args.digits) == (
+        defaults.n_max_direct, defaults.n_max_factorization, defaults.n_max_sturm,
+        defaults.n_max_monotonicity, defaults.n_max_root_ratio, defaults.series_N,
+        defaults.series_digits)
+    assert args.jobs == (os.cpu_count() or 1)
+    series = cli.build_parser().parse_args(["series"])
+    assert (series.series_N, series.digits) == (defaults.series_N, defaults.series_digits)
+
+    # one copy: a changed config default is the CLI's default too
+    @dataclasses.dataclass
+    class Shifted(VerificationConfig):
+        n_max_sturm: int = 7
+        series_digits: int = 50
+
+    monkeypatch.setattr(cli, "VerificationConfig", Shifted)
+    assert cli.build_parser().parse_args(["verify-paper"]).n_max_sturm == 7
+    assert cli.build_parser().parse_args(["series"]).digits == 50
 
 
 def test_verify_paper_failure_exit_code(tmp_path, capsys):

@@ -174,7 +174,7 @@ def test_theta_endpoint_forms_small_grid():
         chain = [theta]
         for _ in range(4):
             chain.append(chain[-1].derivative())
-        for label, order, point, closed, _sign, _min_n in THETA_ENDPOINT_FORMS:
+        for label, _builder, order, point, closed, _sign, _min_n in THETA_ENDPOINT_FORMS:
             assert chain[order](Fraction(point(n))) == Fraction(closed(n)), (label, n)
 
 
@@ -184,7 +184,7 @@ def test_theta_endpoint_signs_where_asserted():
         chain = [theta]
         for _ in range(4):
             chain.append(chain[-1].derivative())
-        for label, order, point, closed, sign, min_n in THETA_ENDPOINT_FORMS:
+        for label, _builder, order, point, closed, sign, min_n in THETA_ENDPOINT_FORMS:
             if n >= min_n:
                 value = chain[order](Fraction(point(n)))
                 assert (value > 0) == (sign == "+"), (label, n)
@@ -246,7 +246,7 @@ def test_nn_specialization_matches_general_form():
 
 def test_nn_endpoint_forms_small_grid():
     for n in range(1, 21):
-        for label, builder, point, closed, sign, min_n in NN_ENDPOINT_FORMS:
+        for label, builder, _order, point, closed, sign, min_n in NN_ENDPOINT_FORMS:
             value = builder(n)(Fraction(point(n)))
             assert value == Fraction(closed(n)), (label, n)
             if n >= min_n:
