@@ -35,7 +35,7 @@ from .criteria import (
     root_monotonicity_check,
     single_crossing,
 )
-from .proofpolys import IdentityError, NnBundle, PsiBundle, ThetaBundle, build_psi, build_psi_nn, build_theta
+from .proofpolys import IdentityError, PsiBundle, ThetaBundle, build_psi, build_psi_nn, build_theta
 from .verification import (
     Certificate,
     ClaimRecord,
@@ -59,7 +59,7 @@ __all__ = [
     "CriterionReport", "MonotonicityReport", "QlcWitness", "SignCrossing",
     "criterion_c2_sweep", "criterion_verdict", "log_convex_check", "op_L",
     "op_L_tilde", "q_log_convex_direct", "root_monotonicity_check", "single_crossing",
-    "IdentityError", "NnBundle", "PsiBundle", "ThetaBundle", "build_psi",
+    "IdentityError", "PsiBundle", "ThetaBundle", "build_psi",
     "build_psi_nn", "build_theta",
     "Certificate", "ClaimRecord", "VerificationConfig", "chan_partial_sum",
     "factorization_check", "identity_grid_check", "run_full_verification",

@@ -3,25 +3,26 @@
 A single class serves both integer and rational polynomials: Python ints and
 ``fractions.Fraction`` mix exactly under arithmetic, so one dense
 representation carries the combinatorial families (integer coefficients) as
-well as quotients and remainders of division (rational coefficients).
-Polynomials are immutable after construction and freely shareable between
-workers.
+well as rational ones.  Rational coefficients never come from division:
+``divmod_poly`` is fraction-free pseudo-division of integer polynomials and
+refuses a Fraction operand; they come from a caller, or from deflating a
+root at a rational endpoint.  Polynomials are immutable after construction
+and freely shareable between workers.
 
 Root counting on (a, b) first counts the sign variations V of the Mobius
 image (1 + y)^d f((a + b y) / (1 + y)); by Descartes' rule V bounds the
 roots in (a, b) with their parity, so V <= 1 is the count (the test of
 Vincent, Collins and Akritas).  Only when V >= 2 does it build one signed
-remainder sequence of (f, f'), keeping every element primitive: the
-remainder is multiplied by the positive lcm of its denominators and divided
-by its positive content, which changes no sign, so the chain has the sign
-variations of the rational Sturm sequence while all its arithmetic stays in
-integers (a primitive remainder sequence, Collins 1967).  f need not be
-squarefree: every element is a multiple of gcd(f, f'), so once the roots at
-the endpoints a and b are deflated, that gcd is nonzero at both and
-V(a) - V(b) counts the distinct roots in (a, b) (the generalized Sturm
-theorem).  Signs at a rational point p/q come from the integer sum
-c_i p^i q^(d-i), and division of integer polynomials is fraction-free
-pseudo-division.
+remainder sequence of (f, f'), keeping every element primitive: each
+remainder is the integer pseudo-remainder of ``divmod_poly``, a positive
+multiple of the Euclidean one, divided by its positive content, which
+changes no sign, so the chain has the sign variations of the rational Sturm
+sequence while all its arithmetic stays in integers (a primitive remainder
+sequence, Collins 1967).  f need not be squarefree: every element is a
+multiple of gcd(f, f'), so once the roots at the endpoints a and b are
+deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
+roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point p/q come from the integer sum
+c_i p^i q^(d-i).
 
 Products of two long integer polynomials go through Kronecker substitution:
 each operand is packed into one big integer with a fixed slot of w bits per
@@ -406,48 +407,28 @@ def is_self_reciprocal(p: Poly, n: int) -> bool:
     return all(p.coefficient(k) == p.coefficient(n - k) for k in range(n + 1))
 
 
-def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly]:
-    """Exact rational long division: f = q*g + r with deg r < deg g.
-
-    Both results have Fraction coefficients.  Two integer operands are
-    divided without fractions (see ``_pseudo_divmod``) and each output
-    coefficient becomes a Fraction only at the end.
-    """
-    if g.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    if _all_int(f.coeffs) and _all_int(g.coeffs):
-        quo, rem, scale = _pseudo_divmod(f.coeffs, g.coeffs)
-        return (Poly([Fraction(c, scale) for c in quo]),
-                Poly([Fraction(c, scale) for c in rem]))
-    rem = [Fraction(c) for c in f.coeffs]
-    div = [Fraction(c) for c in g.coeffs]
-    dd = len(div) - 1
-    lead = div[-1]
-    quo = [Fraction(0)] * max(len(rem) - dd, 0)
-    for i in range(len(rem) - dd - 1, -1, -1):
-        factor = rem[i + dd] / lead
-        if factor:
-            quo[i] = factor
-            for j, c in enumerate(div):
-                rem[i + j] -= factor * c
-    return Poly(quo), Poly(rem[:dd])
-
-
-def _pseudo_divmod(f: tuple, g: tuple) -> tuple[list, list, int]:
-    """Integer quo, rem and scale > 0 with scale*f = quo*g + rem, deg rem < deg g.
+def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
+    """Fraction-free pseudo-division of integer polynomials: quo, rem and an
+    integer scale > 0 with scale*f = quo*g + rem and deg rem < deg g.
 
     Each step cancels the top coefficient c of the running remainder with
     the smallest integer multipliers, rem <- s rem - t x^i g with s > 0,
     where s = lead/h, t = c/h and h = gcd(lead, c) carries the sign of
     lead; scale gathers the factors s, so a divisor with lead +-1 never
-    scales.
+    scales.  quo/scale and rem/scale are the rational quotient and
+    remainder.  A Fraction coefficient raises TypeError.
     """
-    dd = len(g) - 1
-    lead = g[-1]
-    rem = list(f)
-    quo = [0] * max(len(f) - dd, 0)
+    if g.is_zero:
+        raise ZeroDivisionError("polynomial division by zero")
+    if not (_all_int(f.coeffs) and _all_int(g.coeffs)):
+        raise TypeError("divmod_poly divides integer polynomials only")
+    div = g.coeffs
+    dd = len(div) - 1
+    lead = div[-1]
+    rem = list(f.coeffs)
+    quo = [0] * max(len(rem) - dd, 0)
     scale = 1
-    for i in range(len(f) - dd - 1, -1, -1):
+    for i in range(len(quo) - 1, -1, -1):
         c = rem.pop()  # the coefficient of x^(i + dd)
         if not c:
             continue
@@ -459,15 +440,17 @@ def _pseudo_divmod(f: tuple, g: tuple) -> tuple[list, list, int]:
             rem = [s * v for v in rem]
         quo[i] = t
         for j in range(dd):
-            rem[i + j] -= t * g[j]
-    return quo, rem, scale
+            rem[i + j] -= t * div[j]
+    return Poly(quo), Poly(rem), scale
 
 
 def _primitive(p: Poly) -> Poly:
     """The integer polynomial p * r for the one rational r > 0 that makes
     its coefficients coprime integers; p must be nonzero."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    coeffs = p.coeffs
+    if not _all_int(coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     content = math.gcd(*coeffs)
     return Poly([c // content for c in coeffs])
 
@@ -477,8 +460,9 @@ def sturm_chain(p: Poly) -> list[Poly]:
 
     chain[0], chain[1] are positive multiples of p and p', and each later
     element is a positive multiple of the negated Euclidean remainder of
-    the previous two, stored as a primitive integer polynomial.  Scaling
-    by positive numbers changes no sign, so the chain has the sign
+    the previous two: the integer pseudo-remainder of ``divmod_poly``, which
+    is that remainder times scale > 0, divided by its positive content.
+    Scaling by positive numbers changes no sign, so the chain has the sign
     variations of the rational Sturm sequence.  Degrees strictly decrease;
     the last element is a multiple of gcd(p, p'), a nonzero constant when
     p is squarefree.  A nonzero constant p gives the one-element chain

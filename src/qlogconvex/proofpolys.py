@@ -326,8 +326,8 @@ class Builder(str):
     """The name of a polynomial builder of this module.  Calling it looks the
     name up first, so a builder replaced at run time is the one called."""
 
-    def __call__(self, n: int) -> Poly:
-        return globals()[self](n)
+    def __call__(self, *args: int) -> Poly:
+        return globals()[self](*args)
 
 
 _theta, _xi, _eta = Builder("theta_poly"), Builder("xi_poly"), Builder("eta_poly")
@@ -439,30 +439,81 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
     return values
 
 
+# --- the identities, one checker each -------------------------------------
+#
+# A checker returns what breaks and leaves the message to its reader: the
+# bundles below raise IdentityError at the first break, and the grid records
+# of ``verification.GRID_IDENTITIES`` list every one.
+
+_LEVELS = ("", "1", "2", "3")  # the suffixes of psi and its three cofactors
+
+
+def psi_polys(n: int, t: int) -> tuple[Poly, Poly, Poly, Poly]:
+    return psi_poly(n, t), psi1_poly(n, t), psi2_poly(n, t), psi3_poly(n, t)
+
+
+def psi_nn_polys(n: int) -> tuple[Poly, Poly, Poly, Poly]:
+    return psi_nn_poly(n), psi1_nn_poly(n), psi2_nn_poly(n), psi3_nn_poly(n)
+
+
+def _breaks(pairs) -> list[tuple[str, int]]:
+    """(suffix, first differing coefficient index) for each pair of
+    polynomials that differ, the pairs taken in the order of ``_LEVELS``."""
+    breaks = []
+    for level, (p, q) in zip(_LEVELS, pairs):
+        if p != q:
+            size = max(len(p.coeffs), len(q.coeffs))
+            first = min(i for i in range(size) if p.coefficient(i) != q.coefficient(i))
+            breaks.append((level, first))
+    return breaks
+
+
+def cascade_breaks(polys: tuple, t: int) -> list[tuple[str, int]]:
+    """The identities psi' = (2x - t) psi1, psi1' = 2 (2x - t) psi2 and
+    psi2' = 6 (2x - t) psi3 that polys = (psi, psi1, psi2, psi3) break, by
+    the suffix of the polynomial differentiated."""
+    return _breaks((polys[i].derivative(), Poly(_times_linear(polys[i + 1].coeffs, -t * s, 2 * s)))
+                   for i, s in enumerate((1, 2, 6)))
+
+
+def specialization_breaks(n: int, expanded: tuple) -> list[tuple[str, int]]:
+    """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
+    general forms at (n, n)."""
+    return _breaks(zip(expanded, psi_polys(n, n)))
+
+
+# The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):
+# name -> (p, power, q), the builders named (``Builder``), never bound at
+# import.
+EXTRACTIONS = {
+    "xi": (_xi, 2, Builder("psi1_poly")),
+    "eta": (_eta, 1, Builder("psi2_poly")),
+    "theta": (_theta, 2, Builder("psi_poly")),
+}
+
+
+def extraction_holds(name: str, n: int, t: int, in_t: Poly | None = None) -> bool:
+    """Whether the extraction ``name`` of ``EXTRACTIONS`` holds at (n, t);
+    ``in_t`` is its polynomial p(n) when the caller has built it already."""
+    builder, power, cofactor = EXTRACTIONS[name]
+    if in_t is None:
+        in_t = builder(n)
+    return (n + 1) ** power * in_t(t) == cofactor(n, t)(0)
+
+
 # --- validated bundles -------------------------------------------------------
 
-def _first_mismatch(p: Poly, q: Poly) -> int | None:
-    if p.coeffs == q.coeffs:
-        return None
-    limit = max(p.degree, q.degree) + 1
-    for i in range(limit):
-        if p.coefficient(i) != q.coefficient(i):
-            return i
-    return None
-
-
-def _check_cascade(name: str, upper: Poly, factor_scale: int, t: int, lower: Poly) -> None:
-    expected = Poly(_times_linear(lower.coeffs, -t * factor_scale, 2 * factor_scale))
-    idx = _first_mismatch(upper.derivative(), expected)
-    if idx is not None:
-        raise IdentityError(
-            f"derivative cascade broke for {name}: first differing coefficient index {idx}"
-        )
+def _check_cascade(polys: tuple, t: int, stem: str, cell: str) -> None:
+    if breaks := cascade_breaks(polys, t):
+        level, index = breaks[0]
+        raise IdentityError(f"derivative cascade broke for {stem}{level}{cell}: "
+                            f"first differing coefficient index {index}")
 
 
 @dataclass(frozen=True)
 class PsiBundle:
-    """psi and its three derivative cofactors for one (n, t) cell."""
+    """psi and its three derivative cofactors for one (n, t) cell; from
+    ``build_psi_nn`` the t = n expansions, with t = n."""
 
     n: int
     t: int
@@ -482,30 +533,41 @@ def build_psi(n: int, t: int) -> PsiBundle:
         raise ValueError(f"bundle needs n >= 1, got {n}")
     if t < 0 or t > n:
         raise ValueError(f"bundle needs 0 <= t <= n, got t={t}")
-    psi, psi1, psi2, psi3 = psi_poly(n, t), psi1_poly(n, t), psi2_poly(n, t), psi3_poly(n, t)
-    _check_cascade(f"psi(n={n},t={t})", psi, 1, t, psi1)
-    _check_cascade(f"psi1(n={n},t={t})", psi1, 2, t, psi2)
-    _check_cascade(f"psi2(n={n},t={t})", psi2, 6, t, psi3)
-    return PsiBundle(n, t, psi, psi1, psi2, psi3)
+    polys = psi_polys(n, t)
+    _check_cascade(polys, t, "psi", f"(n={n},t={t})")
+    return PsiBundle(n, t, *polys)
+
+
+def build_psi_nn(n: int) -> PsiBundle:
+    """Construct the t = n bundle from the expansions; asserts their cascade
+    and that they specialize the general forms."""
+    if n < 1:
+        raise ValueError(f"bundle needs n >= 1, got {n}")
+    polys = psi_nn_polys(n)
+    _check_cascade(polys, n, "psi_nn", f"(n={n})")
+    if breaks := specialization_breaks(n, polys):
+        level, index = breaks[0]
+        raise IdentityError(
+            f"t = n specialization of psi{level} differs at n={n}, coefficient {index}")
+    return PsiBundle(n, n, *polys)
 
 
 @dataclass(frozen=True)
 class ThetaBundle:
-    """theta, its derivatives to order four, and the xi/eta extractions."""
+    """theta and its derivatives in t to order four."""
 
     n: int
     theta: Poly
     derivatives: tuple[Poly, Poly, Poly, Poly]
-    xi: Poly
-    eta: Poly
 
 
 def build_theta(n: int) -> ThetaBundle:
     """Construct theta for one n, certifying endpoint forms and extractions.
 
     The fourteen endpoint closed forms are checked by exact evaluation, and
-    the xi/eta extraction identities are certified on a t-grid that exceeds
-    their degree (xi is quintic in t, so nine points is plenty).
+    the xi and eta extractions at t = 0..8.  The grid records prove those
+    for all n from polynomial builders; this per-n check also sees a psi1
+    or psi2 that is wrong at one n beyond the grid's n range.
     """
     if n < 1:
         raise ValueError(f"theta needs n >= 1, got {n}")
@@ -516,44 +578,9 @@ def build_theta(n: int) -> ThetaBundle:
             THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}):
         if actual != expected:
             raise IdentityError(f"theta endpoint {label} mismatch at n={n}: {actual} != {expected}")
-    xi, eta = xi_poly(n), eta_poly(n)
+    in_t = {name: EXTRACTIONS[name][0](n) for name in ("xi", "eta")}
     for t0 in range(9):
-        if (n + 1) ** 2 * xi(t0) != psi1_poly(n, t0)(0):
-            raise IdentityError(f"xi extraction failed at n={n}, t={t0}")
-        if (n + 1) * eta(t0) != psi2_poly(n, t0)(0):
-            raise IdentityError(f"eta extraction failed at n={n}, t={t0}")
-    return ThetaBundle(n, chain[0], tuple(chain[1:5]), xi, eta)
-
-
-@dataclass(frozen=True)
-class NnBundle:
-    """The t = n specialization of the cofactor bundle."""
-
-    n: int
-    psi: Poly
-    psi1: Poly
-    psi2: Poly
-    psi3: Poly
-
-
-def build_psi_nn(n: int) -> NnBundle:
-    """Construct the t = n bundle; asserts cascade and specialization."""
-    if n < 1:
-        raise ValueError(f"bundle needs n >= 1, got {n}")
-    psi, psi1, psi2, psi3 = psi_nn_poly(n), psi1_nn_poly(n), psi2_nn_poly(n), psi3_nn_poly(n)
-    _check_cascade(f"psi_nn(n={n})", psi, 1, n, psi1)
-    _check_cascade(f"psi_nn1(n={n})", psi1, 2, n, psi2)
-    _check_cascade(f"psi_nn2(n={n})", psi2, 6, n, psi3)
-    pairs = (
-        ("psi", psi, psi_poly(n, n)),
-        ("psi1", psi1, psi1_poly(n, n)),
-        ("psi2", psi2, psi2_poly(n, n)),
-        ("psi3", psi3, psi3_poly(n, n)),
-    )
-    for name, expanded, general in pairs:
-        idx = _first_mismatch(expanded, general)
-        if idx is not None:
-            raise IdentityError(
-                f"t = n specialization of {name} differs at n={n}, coefficient {idx}"
-            )
-    return NnBundle(n, psi, psi1, psi2, psi3)
+        for name, poly in in_t.items():
+            if not extraction_holds(name, n, t0, poly):
+                raise IdentityError(f"{name} extraction failed at n={n}, t={t0}")
+    return ThetaBundle(n, chain[0], tuple(chain[1:5]))

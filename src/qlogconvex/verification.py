@@ -417,7 +417,8 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
         try:
             bundle = proofpolys.build_theta(n)
         except IdentityError as exc:
-            return table_failures, _record("prop31", {"part": "theta", "n": n}, [str(exc)])
+            failures.append(str(exc))
+            return table_failures, _record("prop31", {"part": "theta", "n": n}, failures)
         theta_at = values_at_integers(bundle.theta, n + 1)
         if not theta_at[n] < 0:
             failures.append(f"theta(n) not negative at n={n}")
@@ -600,33 +601,19 @@ _FORM_GRID_N = range(1, 21)
 
 
 def _cascade_failures(n: int, t: int) -> list[str]:
-    psi = proofpolys.psi_poly(n, t)
-    psi1 = proofpolys.psi1_poly(n, t)
-    psi2 = proofpolys.psi2_poly(n, t)
-    psi3 = proofpolys.psi3_poly(n, t)
-    checks = (
-        (psi.derivative(), Poly([-t, 2]) * psi1, "psi'"),
-        (psi1.derivative(), Poly([-2 * t, 4]) * psi2, "psi1'"),
-        (psi2.derivative(), Poly([-6 * t, 12]) * psi3, "psi2'"),
-    )
-    return [f"{label} cascade fails at (n={n}, t={t})" for lhs, rhs, label in checks if lhs != rhs]
+    return [f"psi{level}' cascade fails at (n={n}, t={t})"
+            for level, _index in proofpolys.cascade_breaks(proofpolys.psi_polys(n, t), t)]
 
 
 def _specialization_failures(n: int) -> list[str]:
-    failures = []
-    for name in ("psi", "psi1", "psi2", "psi3"):
-        if getattr(proofpolys, f"{name}_nn_poly")(n) != getattr(proofpolys, f"{name}_poly")(n, n):
-            failures.append(f"{name} specialization fails at n={n}")
-    return failures
+    return [f"psi{level} specialization fails at n={n}"
+            for level, _index in proofpolys.specialization_breaks(n, proofpolys.psi_nn_polys(n))]
 
 
-def _extraction_failures(in_t: str, power: int, at_x0: str, message: str,
-                         n: int, t: int) -> list[str]:
-    """(n+1)^power in_t(n)(t) == at_x0(n, t)(0), for the builders named
-    in_t and at_x0; ``message`` has a ``{}`` for the grid point."""
-    if (n + 1) ** power * getattr(proofpolys, in_t)(n)(t) == getattr(proofpolys, at_x0)(n, t)(0):
-        return []
-    return [message.format(f"(n={n}, t={t})")]
+def _extraction_failures(name: str, message: str, n: int, t: int) -> list[str]:
+    """The extraction ``name`` of ``proofpolys.EXTRACTIONS`` at (n, t);
+    ``message`` has a ``{}`` for the grid point."""
+    return [] if proofpolys.extraction_holds(name, n, t) else [message.format(f"(n={n}, t={t})")]
 
 
 def _midpoint_failures(n: int, t: int) -> list[str]:
@@ -647,11 +634,11 @@ GRID_IDENTITIES = {
     "cascade": (_GRID_N, _GRID_T, _cascade_failures),
     "specialization": (_GRID_N, None, _specialization_failures),
     "xi_extraction": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "xi_poly", 2, "psi1_poly", "xi extraction fails at {}")),
+        _extraction_failures, "xi", "xi extraction fails at {}")),
     "eta_extraction": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "eta_poly", 1, "psi2_poly", "eta extraction fails at {}")),
+        _extraction_failures, "eta", "eta extraction fails at {}")),
     "theta_link": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "theta_poly", 2, "psi_poly", "psi(0) != (n+1)^2 theta(t) at {}")),
+        _extraction_failures, "theta", "psi(0) != (n+1)^2 theta(t) at {}")),
     "midpoint_forms": (_FORM_GRID_N, _GRID_T, _midpoint_failures),
     "theta_endpoint_forms": (_FORM_GRID_N, None,
                              functools.partial(_endpoint_form_failures, "THETA_ENDPOINT_FORMS")),

@@ -4,7 +4,9 @@ Each builder in ``proofpolys`` is replaced in turn by one whose constant
 coefficient is off by one at a single n, and each endpoint-form table gets
 one closed form off by one.  The grid records must see the replacement: they
 look their builders and tables up in ``proofpolys`` when they run.  And the
-sweeps that read the endpoint-form tables build each polynomial once.
+sweeps that read the endpoint-form tables build each polynomial once.  The
+messages of the per-n bundles and of the identity records are pinned word
+for word, since both read the one checker of each identity.
 """
 
 import collections
@@ -13,6 +15,7 @@ import pytest
 
 from qlogconvex import proofpolys, verification
 from qlogconvex.polynomials import Poly
+from qlogconvex.proofpolys import IdentityError
 from qlogconvex.verification import (
     GRID_IDENTITIES,
     identity_grid_check,
@@ -121,3 +124,117 @@ def test_the_endpoint_form_readers_build_each_polynomial_once(monkeypatch, reade
                             or original(n))
     reader(BUMPED_N)
     assert built == builds
+
+
+# The messages of the per-n bundles and of the identity grid records, word
+# for word.  (builder, coefficient bumped by 1 at n = 9) -> (the IdentityError
+# of build_psi_nn(9), that of build_theta(9), and each failing record among
+# the cascade, the specialization and the three extractions, with its first
+# failure and failure count); None where the bundle builds.
+PINNED_MESSAGES = {
+    ("psi_nn_poly", 0): (
+        "t = n specialization of psi differs at n=9, coefficient 0", None,
+        {"specialization": ("psi specialization fails at n=9", "1")}),
+    ("psi_nn_poly", 1): (
+        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 0", None,
+        {"specialization": ("psi specialization fails at n=9", "1")}),
+    ("psi1_nn_poly", 0): (
+        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 0", None,
+        {"specialization": ("psi1 specialization fails at n=9", "1")}),
+    ("psi1_nn_poly", 1): (
+        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 1", None,
+        {"specialization": ("psi1 specialization fails at n=9", "1")}),
+    ("psi2_nn_poly", 0): (
+        "derivative cascade broke for psi_nn1(n=9): first differing coefficient index 0", None,
+        {"specialization": ("psi2 specialization fails at n=9", "1")}),
+    ("psi2_nn_poly", 1): (
+        "derivative cascade broke for psi_nn1(n=9): first differing coefficient index 1", None,
+        {"specialization": ("psi2 specialization fails at n=9", "1")}),
+    ("psi3_nn_poly", 0): (
+        "derivative cascade broke for psi_nn2(n=9): first differing coefficient index 0", None,
+        {"specialization": ("psi3 specialization fails at n=9", "1")}),
+    ("psi3_nn_poly", 1): (
+        "derivative cascade broke for psi_nn2(n=9): first differing coefficient index 1", None,
+        {"specialization": ("psi3 specialization fails at n=9", "1")}),
+    ("psi_poly", 0): (
+        "t = n specialization of psi differs at n=9, coefficient 0", None,
+        {"specialization": ("psi specialization fails at n=9", "1"),
+         "theta_link": ("psi(0) != (n+1)^2 theta(t) at (n=9, t=0)", "18")}),
+    ("psi_poly", 1): (
+        "t = n specialization of psi differs at n=9, coefficient 1", None,
+        {"cascade": ("psi' cascade fails at (n=9, t=0)", "18"),
+         "specialization": ("psi specialization fails at n=9", "1")}),
+    ("psi1_poly", 0): (
+        "t = n specialization of psi1 differs at n=9, coefficient 0",
+        "xi extraction failed at n=9, t=0",
+        {"cascade": ("psi' cascade fails at (n=9, t=0)", "18"),
+         "specialization": ("psi1 specialization fails at n=9", "1"),
+         "xi_extraction": ("xi extraction fails at (n=9, t=0)", "18")}),
+    ("psi1_poly", 1): (
+        "t = n specialization of psi1 differs at n=9, coefficient 1", None,
+        {"cascade": ("psi' cascade fails at (n=9, t=0)", "36"),
+         "specialization": ("psi1 specialization fails at n=9", "1")}),
+    ("psi2_poly", 0): (
+        "t = n specialization of psi2 differs at n=9, coefficient 0",
+        "eta extraction failed at n=9, t=0",
+        {"cascade": ("psi1' cascade fails at (n=9, t=0)", "18"),
+         "specialization": ("psi2 specialization fails at n=9", "1"),
+         "eta_extraction": ("eta extraction fails at (n=9, t=0)", "18")}),
+    ("psi2_poly", 1): (
+        "t = n specialization of psi2 differs at n=9, coefficient 1", None,
+        {"cascade": ("psi1' cascade fails at (n=9, t=0)", "36"),
+         "specialization": ("psi2 specialization fails at n=9", "1")}),
+    ("psi3_poly", 0): (
+        "t = n specialization of psi3 differs at n=9, coefficient 0", None,
+        {"cascade": ("psi2' cascade fails at (n=9, t=0)", "18"),
+         "specialization": ("psi3 specialization fails at n=9", "1")}),
+    ("psi3_poly", 1): (
+        "t = n specialization of psi3 differs at n=9, coefficient 1", None,
+        {"cascade": ("psi2' cascade fails at (n=9, t=0)", "18"),
+         "specialization": ("psi3 specialization fails at n=9", "1")}),
+    ("xi_poly", 0): (None, "xi extraction failed at n=9, t=0",
+                     {"xi_extraction": ("xi extraction fails at (n=9, t=0)", "18")}),
+    ("xi_poly", 1): (None, "xi extraction failed at n=9, t=1",
+                     {"xi_extraction": ("xi extraction fails at (n=9, t=1)", "17")}),
+    ("eta_poly", 0): (None, "eta extraction failed at n=9, t=0",
+                      {"eta_extraction": ("eta extraction fails at (n=9, t=0)", "18")}),
+    ("eta_poly", 1): (None, "eta extraction failed at n=9, t=1",
+                      {"eta_extraction": ("eta extraction fails at (n=9, t=1)", "17")}),
+    ("theta_poly", 0): (None, "theta endpoint theta(0) mismatch at n=9: 2754001 != 2754000",
+                        {"theta_link": ("psi(0) != (n+1)^2 theta(t) at (n=9, t=0)", "18")}),
+    ("theta_poly", 1): (None, "theta endpoint theta(1) mismatch at n=9: 5304205 != 5304204",
+                        {"theta_link": ("psi(0) != (n+1)^2 theta(t) at (n=9, t=1)", "17")}),
+}
+
+PINNED_RECORDS = ("cascade", "specialization", "xi_extraction", "eta_extraction", "theta_link")
+
+
+def _identity_error(build, n: int):
+    try:
+        build(n)
+    except IdentityError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("builder, index", sorted(PINNED_MESSAGES))
+def test_the_bundle_and_grid_messages_of_a_bumped_builder(monkeypatch, builder, index):
+    original = getattr(proofpolys, builder)
+
+    def bumped(n, *t):
+        poly = original(n, *t)
+        if n != BUMPED_N:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[index] += 1
+        return Poly(coeffs)
+
+    monkeypatch.setattr(proofpolys, builder, bumped)
+    records = {}
+    for identity in PINNED_RECORDS:
+        record = identity_grid_check(identity)
+        if not record.passed:
+            records[identity] = (record.witness["first_failure"], record.witness["failure_count"])
+    assert (_identity_error(proofpolys.build_psi_nn, BUMPED_N),
+            _identity_error(proofpolys.build_theta, BUMPED_N),
+            records) == PINNED_MESSAGES[builder, index]

@@ -85,10 +85,22 @@ def test_self_reciprocal_examples():
 
 def test_divmod_round_trip():
     f = Poly([1, -3, 0, 2, 5])
-    g = Poly([2, 0, 1])
-    q, r = divmod_poly(f, g)
-    assert q * g + r == Poly([Fraction(c) for c in f.coeffs])
-    assert r.degree < g.degree
+    for g, expected_scale in ((Poly([2, 0, 1]), 1), (Poly([2, 0, 3]), 9)):
+        q, r, scale = divmod_poly(f, g)
+        assert all(type(c) is int for c in q.coeffs + r.coeffs + (scale,))
+        assert scale == expected_scale
+        assert q * g + r == scale * f
+        assert r.degree < g.degree
+
+
+def test_divmod_refuses_fraction_operands():
+    for f, g in ((Poly([Fraction(1, 2), 1]), Poly([1, 1])),
+                 (Poly([1, 0, 1]), Poly([Fraction(1, 3), 1])),
+                 (Poly([Fraction(2), 1]), Poly([1, 1]))):
+        with pytest.raises(TypeError):
+            divmod_poly(f, g)
+    with pytest.raises(ZeroDivisionError):
+        divmod_poly(Poly([1, 1]), ZERO)
 
 
 def test_squarefree_part():
@@ -780,10 +792,13 @@ _int_coeff_lists = st.lists(st.integers(min_value=-10**12, max_value=10**12), ma
 @given(_int_coeff_lists, _int_coeff_lists.filter(lambda c: any(c)))
 @settings(max_examples=300, deadline=None)
 def test_integer_divmod_matches_fraction_division(f, g):
-    quo, rem = divmod_poly(Poly(f), Poly(g))
+    quo, rem, scale = divmod_poly(Poly(f), Poly(g))
+    assert all(type(c) is int for c in quo.coeffs + rem.coeffs + (scale,))
+    assert scale > 0
+    assert quo * Poly(g) + rem == scale * Poly(f)
     ref_quo, ref_rem = _ref_divmod(list(Poly(f).coeffs), list(Poly(g).coeffs))
-    assert quo.coeffs == tuple(ref_quo) and rem.coeffs == tuple(ref_rem)
-    assert all(type(c) is Fraction for c in quo.coeffs + rem.coeffs)
+    assert [Fraction(c, scale) for c in quo.coeffs] == ref_quo
+    assert [Fraction(c, scale) for c in rem.coeffs] == ref_rem
 
 
 @given(_int_coeff_lists, st.fractions(max_denominator=10**9))

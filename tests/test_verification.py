@@ -269,6 +269,37 @@ def test_tampered_interior_entry_fails_the_operator_records_that_read_it(monkeyp
         for n in (7, 9)]
 
 
+def test_prop31_keeps_the_operator_failures_when_build_theta_raises(monkeypatch):
+    # row 7 tampered as in the test above, and theta(0)'s closed form off by
+    # one at n = 7, so build_theta raises after the operator signs failed:
+    # the record lists all three failures, the operator's first
+    n = 7
+    row = list(DOMB_ARRAY.row(n))
+    for t in (3, n):
+        row[t] *= 10**6
+    _seed_array_rows(monkeypatch, {n: tuple(row)})
+    first, *rest = proofpolys.THETA_ENDPOINT_FORMS
+    closed = first[4]
+    monkeypatch.setattr(proofpolys, "THETA_ENDPOINT_FORMS", (
+        first[:4] + (lambda m: closed(m) + (m == n),) + first[5:], *rest))
+    listed = {}
+    original_record = verification._record
+
+    def spy(claim, params, failures):
+        listed[claim, params.get("part"), params.get("n")] = list(failures)
+        return original_record(claim, params, failures)
+
+    monkeypatch.setattr(verification, "_record", spy)
+    failing = [r for r in verify_prop31(10) if not r.passed]
+    assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
+    assert failing[0].witness == {"first_failure": f"operator negative at (n={n}, t=3, k=0)",
+                                  "failure_count": "3"}
+    value = proofpolys.theta_poly(n)(0)
+    assert listed["prop31", "theta", n] == [
+        f"operator negative at (n={n}, t=3, k=0)", f"operator negative at (n={n}, t={n}, k=0)",
+        f"theta endpoint theta(0) mismatch at n={n}: {value} != {value + 1}"]
+
+
 @pytest.mark.parametrize("index", range(7))
 def test_theta_coefficient_bumped_by_one_fails_prop31(monkeypatch, index):
     n = 9
@@ -293,7 +324,7 @@ def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
         if m != n:
             return bundle
         theta = bundle.theta - Poly([bundle.theta(8)])
-        return proofpolys.ThetaBundle(m, theta, bundle.derivatives, bundle.xi, bundle.eta)
+        return proofpolys.ThetaBundle(m, theta, bundle.derivatives)
 
     monkeypatch.setattr(proofpolys, "build_theta", shifted)
     failing = [r for r in verify_prop31(10) if not r.passed]
