@@ -21,8 +21,8 @@ sequence while all its arithmetic stays in integers (a primitive remainder
 sequence, Collins 1967).  f need not be squarefree: every element is a
 multiple of gcd(f, f'), so once the roots at the endpoints a and b are
 deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
-roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point p/q come from the integer sum
-c_i p^i q^(d-i).
+roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point
+p/q come from the integer sum c_i p^i q^(d-i).
 
 Products of two long integer polynomials go through Kronecker substitution:
 each operand is packed into one big integer with a fixed slot of w bits per
@@ -447,10 +447,8 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
 def _primitive(p: Poly) -> Poly:
     """The integer polynomial p * r for the one rational r > 0 that makes
     its coefficients coprime integers; p must be nonzero."""
-    coeffs = p.coeffs
-    if not _all_int(coeffs):
-        den = math.lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
+    den = math.lcm(*(c.denominator for c in p.coeffs))
+    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
     content = math.gcd(*coeffs)
     return Poly([c // content for c in coeffs])
 

@@ -39,21 +39,38 @@ CATCHES = {
 }
 
 
-def _failing_grid_records() -> set:
-    return {identity for identity in GRID_IDENTITIES
-            if not identity_grid_check(identity).passed}
-
-
-@pytest.mark.parametrize("builder", sorted(CATCHES))
-def test_a_bumped_builder_fails_exactly_the_grid_records_that_read_it(monkeypatch, builder):
+def _bump(monkeypatch, builder: str, index: int) -> None:
+    """Put 1 on coefficient ``index`` of ``builder``'s polynomials at n = 9."""
     original = getattr(proofpolys, builder)
 
     def bumped(n, *t):
         poly = original(n, *t)
-        return Poly((poly.coeffs[0] + 1,) + poly.coeffs[1:]) if n == BUMPED_N else poly
+        if n != BUMPED_N:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[index] += 1
+        return Poly(coeffs)
 
     monkeypatch.setattr(proofpolys, builder, bumped)
-    assert _failing_grid_records() == CATCHES[builder]
+
+
+def _grid_failures(identities) -> dict:
+    """identity -> (first failure, failure count) of each failing record."""
+    failures = {}
+    for identity in identities:
+        record = identity_grid_check(identity)
+        if not record.passed:
+            failures[identity] = (record.witness["first_failure"],
+                                  record.witness["failure_count"])
+    return failures
+
+
+@pytest.mark.parametrize("builder", sorted(CATCHES))
+def test_a_bumped_builder_fails_exactly_the_grid_records_that_read_it(monkeypatch, builder):
+    _bump(monkeypatch, builder, 0)
+    failures = _grid_failures(GRID_IDENTITIES)
+    assert set(failures) == CATCHES[builder]
+    assert _messages(failures) == PINNED_MESSAGES[builder, 0]
 
 
 def _bump_first_closed_form(monkeypatch, table: str) -> str:
@@ -217,24 +234,16 @@ def _identity_error(build, n: int):
     return None
 
 
-@pytest.mark.parametrize("builder, index", sorted(PINNED_MESSAGES))
-def test_the_bundle_and_grid_messages_of_a_bumped_builder(monkeypatch, builder, index):
-    original = getattr(proofpolys, builder)
-
-    def bumped(n, *t):
-        poly = original(n, *t)
-        if n != BUMPED_N:
-            return poly
-        coeffs = list(poly.coeffs)
-        coeffs[index] += 1
-        return Poly(coeffs)
-
-    monkeypatch.setattr(proofpolys, builder, bumped)
-    records = {}
-    for identity in PINNED_RECORDS:
-        record = identity_grid_check(identity)
-        if not record.passed:
-            records[identity] = (record.witness["first_failure"], record.witness["failure_count"])
-    assert (_identity_error(proofpolys.build_psi_nn, BUMPED_N),
+def _messages(failures: dict) -> tuple:
+    """The pinned messages of a fault, given its failing grid records."""
+    return (_identity_error(proofpolys.build_psi_nn, BUMPED_N),
             _identity_error(proofpolys.build_theta, BUMPED_N),
-            records) == PINNED_MESSAGES[builder, index]
+            {identity: failures[identity] for identity in PINNED_RECORDS
+             if identity in failures})
+
+
+@pytest.mark.parametrize("builder", sorted(CATCHES))
+def test_the_bundle_and_grid_messages_of_a_bumped_builder(monkeypatch, builder):
+    # coefficient 0 is pinned by the test of the records a bump fails
+    _bump(monkeypatch, builder, 1)
+    assert _messages(_grid_failures(PINNED_RECORDS)) == PINNED_MESSAGES[builder, 1]
