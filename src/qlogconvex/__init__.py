@@ -3,7 +3,7 @@
 # set before the submodule imports: verification reads it at import time
 __version__ = "0.1.0"
 
-from .exactcore import BinomialCache, binom, central_binom, rat_cmp
+from .exactcore import BinomialCache, binom, central_binom
 from .polynomials import (
     IntervalSign,
     Poly,
@@ -16,7 +16,6 @@ from .families import (
     DOMB_ARRAY,
     NARAYANA_ARRAY,
     TriangularArray,
-    coeff_a,
     domb_number,
     family_poly,
     weighted_assembly,
@@ -51,10 +50,10 @@ from .verification import (
 )
 
 __all__ = [
-    "BinomialCache", "binom", "central_binom", "rat_cmp",
+    "BinomialCache", "binom", "central_binom",
     "IntervalSign", "Poly", "is_self_reciprocal", "sign_constant_on",
     "sturm_chain", "sturm_count_roots",
-    "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "coeff_a", "domb_number",
+    "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number",
     "family_poly", "weighted_assembly",
     "CriterionReport", "MonotonicityReport", "QlcWitness", "SignCrossing",
     "criterion_c2_sweep", "criterion_verdict", "log_convex_check", "op_L",

@@ -16,12 +16,7 @@ import json
 import os
 import sys
 
-from .criteria import (
-    criterion_c2_sweep,
-    log_convex_check,
-    q_log_convex_direct,
-    sweep_passes,
-)
+from .criteria import criterion_c2_sweep, log_convex_check, sweep_passes
 from .families import (
     ARRAY_KINDS,
     FAMILY_TAGS,
@@ -29,13 +24,13 @@ from .families import (
     family_poly,
     get_array,
 )
-from .hiprec import ccl_constant_bounds, fraction_to_decimal, fraction_to_scientific
+from .hiprec import fraction_to_decimal, fraction_to_scientific
 from .verification import (
-    SERIES_TOLERANCE,
     VerificationConfig,
-    chan_partial_sum,
     check_series_digits,
+    qlc_check,
     run_full_verification,
+    series_check,
 )
 
 EXIT_OK = 0
@@ -110,19 +105,19 @@ def cmd_families(args) -> int:
 
 def cmd_check(args) -> int:
     if args.kind == "qlc":
-        witnesses = q_log_convex_direct(args.family, args.n_max, jobs=args.jobs)
-        bad = [w for w in witnesses if not w.passed]
+        record, rows = qlc_check(args.family, args.n_max, args.jobs)
         summary = {
             "check": "qlc",
             "family": args.family,
             "n_max": str(args.n_max),
-            "result": "pass" if not bad else "fail",
+            "result": record.outcome,
         }
+        bad = [(n, first) for n, first, _last in rows if first is not None]
         if bad:
-            summary["first_witness"] = (
-                f"n={bad[0].n}, coefficient {bad[0].first_negative_coefficient_index}"
-            )
-        passed = not bad
+            summary["first_witness"] = f"n={bad[0][0]}, coefficient {bad[0][1]}"
+        elif not record.passed:  # a V row that is not F's reversed
+            summary["first_witness"] = record.witness["first_failure"]
+        passed = record.passed
     elif args.kind == "logconvex":
         numbers = domb_numbers(args.n_max + 1)
         failure = log_convex_check(numbers, strict=True)
@@ -221,10 +216,7 @@ def cmd_series(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    partial = chan_partial_sum(args.series_N)
-    lo, hi = ccl_constant_bounds(args.digits)
-    distance_bound = max(abs(partial - lo), abs(partial - hi))
-    passed = distance_bound < SERIES_TOLERANCE
+    partial, lo, hi, distance_bound, passed = series_check(args.series_N, args.digits)
     summary = {
         "N": str(args.series_N),
         "partial_sum": fraction_to_decimal(partial, args.digits),

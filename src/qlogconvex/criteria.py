@@ -10,18 +10,18 @@ replaces the even-t midpoint term by a(n+1,k) a(n-1,k) - a(n,k)^2.
 
 q-log-convexity is checked on the defects P_{n+1} P_{n-1} - P_n^2 in two
 ways.  ``q_log_convex_direct`` (and ``_qlc_chunk``) multiplies both
-products out for every n, for any family; it is what ``check qlc`` runs and
-the tests' oracle.  ``_qlc_recurrence_chunk`` serves the certificate's W
-and F records: it carries the products from n to n + 1 by the family's
-recurrence in n (``families.ROW_RECURRENCES``) at one packed point, which
-is linear in the size of the numbers per step instead of one big multiply,
-and falls back to direct products wherever the recurrence is not checked
-to hold on the rows read.
+products out for every n, for any family; it serves D's records and is the
+tests' oracle.  ``_qlc_recurrence_chunk`` serves the W and F records: it
+carries the products from n to n + 1 by the family's recurrence in n
+(``families.ROW_RECURRENCES``) at one packed point, which is linear in the
+size of the numbers per step instead of one big multiply, and falls back to
+direct products wherever the recurrence is not checked to hold on the rows
+read.  Both ``check qlc`` and the certificate reach them through
+``verification._qlc_claim``, which also opens any process pool.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -314,22 +314,15 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
     return out
 
 
-def q_log_convex_direct(tag: str, n_max: int, jobs: int = 1) -> list[QlcWitness]:
+def q_log_convex_direct(tag: str, n_max: int) -> list[QlcWitness]:
     """Brute-force q-log-convexity witnesses for n = 1..n_max.
 
     The family passes iff every witness has no negative defect coefficient.
-    With ``jobs`` > 1 the n-ranges of ``qlc_ranges`` run in a process pool.
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    if jobs > 1:
-        tasks = [(tag, lo, hi, True) for lo, hi in qlc_ranges(n_max, jobs)]
-        with multiprocessing.Pool(jobs) as pool:
-            chunks = pool.map(_qlc_chunk, tasks, chunksize=1)
-        rows = [row for chunk in chunks for row in chunk]
-    else:
-        rows = _qlc_chunk((tag, 1, n_max, True))
-    return [QlcWitness(n, defect, index) for n, index, defect in rows]
+    return [QlcWitness(n, defect, index)
+            for n, index, defect in _qlc_chunk((tag, 1, n_max, True))]
 
 
 @dataclass(frozen=True)

@@ -1,16 +1,14 @@
-"""Exact integer and rational scalars plus shared binomial memoization.
+"""Shared binomial memoization over exact integers.
 
-Python ints are arbitrary precision and ``fractions.Fraction`` keeps every
-rational reduced with a positive denominator, so both carrier types come
-straight from the standard library.  What this module pins down are the
-conventions the rest of the package relies on: out-of-range binomials are
-zero, the cache only grows, and comparisons never go through floating point.
+Python ints are arbitrary precision, so the carrier type comes straight from
+the standard library.  What this module pins down are the conventions the
+rest of the package relies on: out-of-range binomials are zero and the
+cache only grows.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 
 class BinomialCache:
@@ -54,13 +52,3 @@ def central_binom(k: int) -> int:
         raise ValueError(f"central binomial index must be nonnegative, got {k}")
     return SHARED_BINOMIALS.get(2 * k, k)
 
-
-def rat_cmp(a: Fraction, b: Fraction) -> int:
-    """Exact three-way comparison of rationals: -1, 0 or +1.
-
-    Fraction comparison cross-multiplies integers internally, so this never
-    touches floating point.
-    """
-    if a == b:
-        return 0
-    return -1 if a < b else 1

@@ -14,7 +14,8 @@ triangular arrays are built along the row, by the multiplicative recurrences
     C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
 
 whose divisions are exact; they bypass the binomial memo, which only
-``family_coefficient`` (single entries) still reads.  The central binomials
+``family_coefficient`` (single entries) and the binomial prefactor of
+``verification.factorization_check`` still read.  The central binomials
 are kept in one list that only grows, so each C(2j, j) is computed once per
 process.  A Domb number needs no row: ``domb_number`` steps from
 C(2n, n) through the ratio of consecutive terms of D_n(1), one exact
@@ -134,11 +135,6 @@ def get_array(kind: str) -> TriangularArray:
     if kind == "narayana_a":
         return NARAYANA_ARRAY
     raise ValueError(f"unknown array kind {kind!r}")
-
-
-def coeff_a(kind: str, n: int, k: int) -> int:
-    """Array value a(n, k); zero out of range, memoized."""
-    return get_array(kind)(n, k)
 
 
 def family_coefficient(tag: str, n: int, k: int) -> int:

@@ -38,43 +38,32 @@ Operands with a Fraction coefficient, and operands shorter than
 ``KRONECKER_MIN_TERMS`` (Sturm chains, the psi builds), keep the schoolbook
 loop.
 
-Large products evaluate at two points instead (Harvey 2009,
-arXiv:0712.4046): with X = 2^(w/2) and f(x) = E(x^2) + x O(x^2), the even
-and odd coefficients are packed in w-bit slots, f(+-X) = E(X^2) +- X O(X^2),
-and the product h = ab has h(X) + h(-X) = 2 H_even(X^2) and
-h(X) - h(-X) = 2X H_odd(X^2), whose w-bit slots are read back as above.
-Two multiplies of half the size cost about 2/3 of one under Karatsuba (a
-square stays two squares).  The path is taken from
-``KRONECKER_TWO_POINT_BITS`` packed bits (slot bits times the shorter
-length), the measured crossover; F's defect products take it from n = 45
-on.
-
-Of the certificate's q-log-convexity defects only D's products reach
-``_kronecker_mul``.  V's defects are F's read through the reversal
-V_n(q) = q^n F_n(1/q), and the W and F products are carried from n to
-n + 1 by their recurrences in n (``criteria._qlc_recurrence_chunk``), at
-one X packed and read back with ``_kronecker_pack`` and
-``_kronecker_unpack``; their few seed products multiply the packed
-integers directly.  ``check qlc`` and ``q_log_convex_direct`` still
-multiply every family's rows through ``Poly.__mul__``.
+Of the q-log-convexity defects that ``check qlc`` and the certificate
+decide, only D's products reach ``_kronecker_mul``.  V's defects are F's
+read through the reversal V_n(q) = q^n F_n(1/q), and the W and F products
+are carried from n to n + 1 by their recurrences in n
+(``criteria._qlc_recurrence_chunk``), at one X packed and read back with
+``_kronecker_pack`` and ``_kronecker_unpack``; their few seed products
+multiply the packed integers directly.  ``q_log_convex_direct``, the tests'
+oracle, multiplies any family's rows through ``Poly.__mul__``.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
-point of Harvey 2009), so one multiply at X = 2^b with b about w/2 gives
-every coefficient (``_palindromic_mul``).  Each operand is packed once at X,
-its even and odd coefficients in 2b-bit fields since a coefficient may be
-wider than b bits; every product slot carries the offset 2^(2b-2), and b is
+point of Harvey 2009, arXiv:0712.4046), so one multiply at X = 2^b with b
+about w/2 gives every coefficient (``_palindromic_mul``).  Each operand is
+packed once at X, its even and odd coefficients in 2b-bit fields since a
+coefficient may be wider than b bits; every product slot carries the offset 2^(2b-2), and b is
 the fewest whole bytes with 2b - 2 at least the bits of the bound, so each
 offset coefficient lies in (0, 2^(2b-1)).  The low end of the one integer
 gives coefficient i modulo X through a running carry, its top end gives the
 mirrored coefficient plus a remainder below X, and the two meet at the middle,
 where the carry must equal that remainder; the coefficients read must also
-sum to a(1) b(1).  One multiply of half the size replaces the two of the
-two-point path or the one full-size multiply.  It is taken when both
-operands equal their reversal, from
-``KRONECKER_PALINDROME_BITS`` packed bits, the measured crossover, which the
-D and W defect products reach from n = 26 and 36; V, F, the Sturm chains and
-psi are not palindromic and keep the paths above.
+sum to a(1) b(1).  One multiply of half the size replaces the full-size
+one.  It is taken when both operands equal their reversal, from
+``KRONECKER_PALINDROME_BITS`` packed bits (slot bits times the shorter
+length), the measured crossover, which the D and W defect products reach
+from n = 26 and 36; V, F, the Sturm chains and psi are not palindromic and
+keep the one full-size multiply.
 """
 
 from __future__ import annotations
@@ -93,17 +82,9 @@ Coeff = Union[int, Fraction]
 # operands of 3-200 bits; 600-bit random operands break even near 30.
 KRONECKER_MIN_TERMS = 16
 
-# Packed size (slot bits times the shorter length) from which a Kronecker
-# product evaluates at +-2^(w/2) with two half-size multiplies instead of one.
-# Measured (median of 15 interleaved timings per case, product and square):
-# break-even at 6-8k bits on D, W, V and F rows (0.95-1.09x at 4-8k),
-# 1.02-1.2x at 12-15k, 1.2-1.3x at 16-30k and 1.4x on D at n = 128-160;
-# random signed operands of 16-500 terms and 8-1000 bits gain 1.02-1.26x
-# from 12k bits on (400 terms of 30 bits, 28.8k bits: 1.13x).
-KRONECKER_TWO_POINT_BITS = 12_000
-
-# Packed size from which a product of two palindromic operands takes one
-# half-width multiply (``_palindromic_mul``) instead of either path above.
+# Packed size (slot bits times the shorter length) from which a product of
+# two palindromic operands takes one half-width multiply
+# (``_palindromic_mul``) instead of the full-width one.
 # Measured (median of 7-9 interleaved timings per case, product and square):
 # 0.7-0.9x below 3k bits, break-even at 3-5k bits on D and W rows and on
 # random palindromes of 16-200 terms, 1.1-1.4x at 5-10k, 1.3-1.5x on D at
@@ -232,7 +213,6 @@ class Poly:
 
 ZERO = Poly()
 ONE = Poly([1])
-X = Poly([0, 1])
 
 
 def _all_int(coeffs: tuple) -> bool:
@@ -304,38 +284,20 @@ def _kronecker_mul(a: tuple, b: tuple) -> list:
     """Exact product coefficients of two nonzero int polynomials.
 
     Palindromic operands from ``KRONECKER_PALINDROME_BITS`` packed bits on
-    take one half-width multiply (``_palindromic_mul``).  Otherwise one
-    big-int multiply at 2^(8 size), or, from ``KRONECKER_TWO_POINT_BITS``
-    packed bits on, two half-size multiplies at +-2^(4 size).
+    take one half-width multiply (``_palindromic_mul``); the others one
+    big-int multiply at 2^(8 size).
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     size = bound.bit_length() // 8 + 1  # bound's bits plus a sign bit, in bytes
     count = len(a) + len(b) - 1
     # equal operands make a square, which CPython multiplies faster
     square = a == b
-    packed_bits = 8 * size * min(len(a), len(b))
-    if (packed_bits >= KRONECKER_PALINDROME_BITS and a == a[::-1]
+    if (8 * size * min(len(a), len(b)) >= KRONECKER_PALINDROME_BITS and a == a[::-1]
             and (square or b == b[::-1])):
         return _palindromic_mul(a, b, bound.bit_length())
-    if packed_bits < KRONECKER_TWO_POINT_BITS:
-        packed_a = _kronecker_pack(a, size)
-        packed_b = packed_a if square else _kronecker_pack(b, size)
-        return _kronecker_unpack(packed_a * packed_b, count, size)
-    # f(+-X) = E(X^2) +- X O(X^2) for X = 2^(4 size), with the even and odd
-    # coefficients packed in the slots of X^2 = 2^(8 size); then h = a b has
-    # h(X) + h(-X) = 2 H_even(X^2) and h(X) - h(-X) = 2 X H_odd(X^2)
-    shift = 4 * size
-    even_a, odd_a = _kronecker_pack(a[0::2], size), _kronecker_pack(a[1::2], size) << shift
-    if square:
-        plus, minus = even_a + odd_a, even_a - odd_a
-        plus, minus = plus * plus, minus * minus
-    else:
-        even_b, odd_b = _kronecker_pack(b[0::2], size), _kronecker_pack(b[1::2], size) << shift
-        plus, minus = (even_a + odd_a) * (even_b + odd_b), (even_a - odd_a) * (even_b - odd_b)
-    out = [0] * count
-    out[0::2] = _kronecker_unpack((plus + minus) >> 1, (count + 1) // 2, size)
-    out[1::2] = _kronecker_unpack((plus - minus) >> (shift + 1), count // 2, size)
-    return out
+    packed_a = _kronecker_pack(a, size)
+    packed_b = packed_a if square else _kronecker_pack(b, size)
+    return _kronecker_unpack(packed_a * packed_b, count, size)
 
 
 def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:

@@ -36,6 +36,8 @@ parent in row order, so serial and pooled certificates are identical
 except for the timestamp.  Under the fork start method (the
 default on Linux) the workers are copies of the parent as it is when the
 run starts, so they see any function replaced before the run began.
+``check qlc`` reads ``qlc_check``, which gives one family's qlc record and
+rows the same way, in a pool of its own.
 """
 
 from __future__ import annotations
@@ -118,6 +120,16 @@ def _guarded(row, item):
         return True, row(item)
     except Exception as exc:  # raised again by _map_rows, in item order
         return False, exc
+
+
+def _pool(jobs: int):
+    """A ``multiprocessing.Pool`` of ``jobs`` workers to use as a context, or
+    a context that gives None when ``jobs`` is 1.
+
+    Open it when the run starts, not at import: the workers are forked from
+    the parent as it is then, small and with any replaced function in place.
+    """
+    return multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext()
 
 
 def _map_rows(pool, row, items) -> list:
@@ -239,8 +251,10 @@ def chan_partial_sum(N: int) -> Fraction:
     return Fraction(numerator, 64**N)
 
 
-def series_claim(N: int, digits: int) -> ClaimRecord:
-    """|partial sum - 8/(sqrt(3) pi)| < 1e-28, with a rigorous enclosure.
+def series_check(N: int, digits: int) -> tuple[Fraction, Fraction, Fraction, Fraction, bool]:
+    """The partial sum to N, the enclosure lo, hi of 8/(sqrt(3) pi) to
+    ``digits`` digits, the distance bound, and whether that bound is below
+    SERIES_TOLERANCE.
 
     The distance is bounded above by the distance to the far end of the
     constant's enclosure, so a pass is exact even though the limit is
@@ -249,6 +263,12 @@ def series_claim(N: int, digits: int) -> ClaimRecord:
     partial = chan_partial_sum(N)
     lo, hi = ccl_constant_bounds(digits)
     distance_bound = max(abs(partial - lo), abs(partial - hi))
+    return partial, lo, hi, distance_bound, distance_bound < SERIES_TOLERANCE
+
+
+def series_claim(N: int, digits: int) -> ClaimRecord:
+    """|partial sum - 8/(sqrt(3) pi)| < 1e-28, with a rigorous enclosure."""
+    partial, lo, hi, distance_bound, passed = series_check(N, digits)
     params = {"N": N, "digits": digits, "tolerance": "1e-28"}
     witness = {
         "partial_sum": fraction_to_decimal(partial, digits),
@@ -256,7 +276,7 @@ def series_claim(N: int, digits: int) -> ClaimRecord:
         "constant_high": fraction_to_decimal(hi, digits),
         "distance_bound": fraction_to_decimal(distance_bound, digits),
     }
-    outcome = "pass" if distance_bound < SERIES_TOLERANCE else "fail"
+    outcome = "pass" if passed else "fail"
     return ClaimRecord("series", {k: str(v) for k, v in params.items()}, outcome, witness)
 
 
@@ -717,13 +737,25 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
                     for row in chunk]
         elif pool is None:
             rows = [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
-                    for w in q_log_convex_direct(tag, n_max, jobs=jobs)]
+                    for w in q_log_convex_direct(tag, n_max)]
         else:
             tasks = [(tag, lo, hi, False) for lo, hi in qlc_ranges(n_max, jobs)]
             rows = [row for chunk in _map_rows(pool, _qlc_chunk, tasks) for row in chunk]
     failures += [f"negative defect coefficient {first} at n={n}"
                  for n, first, _last in rows if first is not None]
     return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures), rows
+
+
+def qlc_check(tag: str, n_max: int,
+              jobs: int) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
+    """The ``qlc_<tag>`` record of a certificate with ``n_max_direct`` =
+    ``n_max`` and ``parallelism`` = ``jobs``, and its rows (n, first
+    negative, last negative defect coefficient index), from ``_qlc_claim``
+    in a pool of its own.  V reads F's rows, as ``_qlc_f_and_v`` does.
+    """
+    with _pool(jobs) as pool:
+        f_rows = _qlc_claim("F", n_max, jobs, pool)[1] if tag == "V" else None
+        return _qlc_claim(tag, n_max, jobs, pool, f_rows)
 
 
 def _unmirrored_rows(n_max: int) -> set[int]:
@@ -812,12 +844,9 @@ def run_full_verification(config: VerificationConfig | None = None) -> Certifica
     """
     config = config or VerificationConfig()
     config.validate()
-    jobs = config.parallelism
 
     claims: list[ClaimRecord] = []
-    # opened here, not at import: the workers are forked from the parent as
-    # it is now, small and with any replaced function already in place
-    with multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext() as pool:
+    with _pool(config.parallelism) as pool:
         for claim_id, sweep in SWEEPS:
             try:
                 claims.extend(sweep(config, pool))

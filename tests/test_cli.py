@@ -6,7 +6,7 @@ import pytest
 
 from qlogconvex import cli
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
-from qlogconvex.verification import VerificationConfig
+from qlogconvex.verification import ClaimRecord, VerificationConfig
 
 
 def run_cli(capsys, *argv):
@@ -157,8 +157,9 @@ def test_check_rejects_flags_it_does_not_read(capsys, kind, flag, value):
 
 def test_check_applies_defaults_where_the_flag_is_read(capsys, monkeypatch):
     seen = {}
-    monkeypatch.setattr(cli, "q_log_convex_direct",
-                        lambda tag, n_max, jobs: seen.update(tag=tag, jobs=jobs) or [])
+    record = ClaimRecord("qlc_D", {"family": "D", "n_max": "2"}, "pass")
+    monkeypatch.setattr(cli, "qlc_check",
+                        lambda tag, n_max, jobs: seen.update(tag=tag, jobs=jobs) or (record, []))
     monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
     code, out, _ = run_cli(capsys, "check", "qlc", "--n-max", "2")
     assert code == EXIT_OK and seen == {"tag": "D", "jobs": 3}

@@ -1,9 +1,7 @@
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, strategies as st
 
-from qlogconvex.exactcore import BinomialCache, binom, central_binom, rat_cmp
+from qlogconvex.exactcore import BinomialCache, binom, central_binom
 
 
 def pascal_triangle(rows):
@@ -69,12 +67,6 @@ def test_cache_grows_and_is_consistent():
     assert cache.get(7, 3) == cache.get(6, 2) + cache.get(6, 3)
 
 
-def test_rat_cmp_examples():
-    assert rat_cmp(Fraction(1, 2), Fraction(2, 4)) == 0
-    assert rat_cmp(Fraction(3, 4), Fraction(2, 3)) == 1
-    assert rat_cmp(Fraction(-1, 3), Fraction(0, 1)) == -1
-
-
 rationals = st.fractions(
     min_value=-10**6, max_value=10**6, max_denominator=10**4
 )
@@ -89,7 +81,3 @@ def test_rational_addition_round_trips(a, b):
 def test_rational_multiplication_round_trips(a, b):
     assert (a * b) / b == a
 
-
-@given(rationals, rationals)
-def test_rat_cmp_is_antisymmetric(a, b):
-    assert rat_cmp(a, b) == -rat_cmp(b, a)

@@ -9,10 +9,10 @@ from qlogconvex.families import (
     DOMB_ARRAY,
     NARAYANA_ARRAY,
     TriangularArray,
-    coeff_a,
     domb_number,
     family_coefficient,
     family_poly,
+    get_array,
     weighted_assembly,
 )
 from qlogconvex.exactcore import central_binom
@@ -34,19 +34,19 @@ def direct_domb_number(n):
     )
 
 
-def test_coeff_a_examples():
-    assert coeff_a("domb_a", 1, 0) == 2
-    assert coeff_a("domb_a", 3, 1) == 54
-    assert coeff_a("domb_a", 2, 5) == 0
-    assert coeff_a("narayana_a", 4, 2) == 36
-    assert coeff_a("narayana_a", 4, -1) == 0
+def test_array_entries_examples():
+    assert get_array("domb_a")(1, 0) == 2
+    assert get_array("domb_a")(3, 1) == 54
+    assert get_array("domb_a")(2, 5) == 0
+    assert get_array("narayana_a")(4, 2) == 36
+    assert get_array("narayana_a")(4, -1) == 0
 
 
-def test_coeff_a_rejects_negative_row():
+def test_array_rejects_negative_row_and_unknown_kind():
     with pytest.raises(ValueError):
-        coeff_a("domb_a", -1, 0)
+        get_array("domb_a")(-1, 0)
     with pytest.raises(ValueError):
-        coeff_a("bogus", 1, 0)
+        get_array("bogus")(1, 0)
 
 
 def test_family_poly_examples():

@@ -9,7 +9,6 @@ from qlogconvex import polynomials
 from qlogconvex.polynomials import (
     KRONECKER_MIN_TERMS,
     KRONECKER_PALINDROME_BITS,
-    KRONECKER_TWO_POINT_BITS,
     IntervalSign,
     Poly,
     ZERO,
@@ -278,9 +277,8 @@ def test_mul_matches_schoolbook_reference(a, b):
 
 
 def _spy_unpacks(monkeypatch) -> list:
-    """Record the slot count of every Kronecker unpack: the one-point path
-    reads one product, the two-point path an even and an odd half; the
-    palindromic path records ("palindromic", count) instead."""
+    """Record the slot count of every Kronecker unpack, one per full-width
+    product; the palindromic path records ("palindromic", count) instead."""
     counts = []
     original = polynomials._kronecker_unpack
     monkeypatch.setattr(polynomials, "_kronecker_unpack",
@@ -308,8 +306,6 @@ def _expected_unpacks(a, b) -> list:
     if (_packed_bits(a, b) >= polynomials.KRONECKER_PALINDROME_BITS
             and list(a) == list(a)[::-1] and list(b) == list(b)[::-1]):
         return [("palindromic", count)]
-    if _packed_bits(a, b) >= polynomials.KRONECKER_TWO_POINT_BITS:
-        return [(count + 1) // 2, count // 2]
     return [count]
 
 
@@ -317,16 +313,12 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # all coefficients at one magnitude make the middle product coefficient
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
     # sizes the bound fills its last byte in some cases and not in others.
-    # With the two-point threshold at 0 every product takes that path, which
-    # reads the same bound from the even and the odd half of the product;
-    # with the palindromic threshold at 0 as well, the symmetric pairs take
-    # the half-width product, whose slot holds 2 shift - 2 bits of the bound
+    # With the palindromic threshold at 0 the symmetric pairs take the
+    # half-width product, whose slot holds 2 shift - 2 bits of the bound
     # and whose middle coefficient is -bound for the second pair.
     unpacks = _spy_unpacks(monkeypatch)
     sizes = [*range(1, 80), 699, 700]
-    for two_point_bits, palindrome_bits in ((KRONECKER_TWO_POINT_BITS, KRONECKER_PALINDROME_BITS),
-                                            (0, math.inf), (0, 0)):
-        monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", two_point_bits)
+    for palindrome_bits in (KRONECKER_PALINDROME_BITS, math.inf, 0):
         monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
         unpacks.clear()
         expected_unpacks = []
@@ -342,20 +334,21 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
                 assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
                 expected_unpacks += _expected_unpacks(a, b)
         assert unpacks == expected_unpacks
-    # in the last run, with both thresholds at 0, the two all-equal pairs
-    # and the odd-length alternating squares are symmetric: one palindromic
-    # product each, and two unpacks for each of the others
+    # in the last run, with the threshold at 0, the two all-equal pairs and
+    # the odd-length alternating squares are symmetric: one palindromic
+    # product each, and one unpack for each of the others
     odd = sum((KRONECKER_MIN_TERMS + bits % 5) % 2 for bits in sizes)
     assert sum(isinstance(u, tuple) for u in unpacks) == 2 * len(sizes) + odd
-    assert len(unpacks) == 2 * 4 * len(sizes) - (2 * len(sizes) + odd)
+    assert len(unpacks) == 4 * len(sizes)
 
 
 def _two_point_cases() -> list:
-    """Deterministic operand pairs around and above the two-point threshold."""
+    """Deterministic operand pairs of about 5k to 30k packed bits: 17 to 24
+    terms of 300 bits, square and not, and unbalanced pairs of 16 and 400
+    terms."""
     top = 2**300 - 1
     mixed = [(-1) ** (i * i // 3) * (top - 7 * i) for i in range(24)]
     cases = []
-    # 300-bit coefficients cross the threshold between 19 and 20 terms
     for la in range(17, 24):
         for lb in (la, la + 1):
             cases.append((mixed[:la], [top - i for i in range(lb)]))
@@ -371,35 +364,28 @@ def _two_point_cases() -> list:
 
 def test_mul_two_point_matches_schoolbook(monkeypatch):
     # the all-negative squares are symmetric; with the palindromic path
-    # switched off they take the two-point path too
+    # switched off they take the full-width product too
     unpacks = _spy_unpacks(monkeypatch)
     for palindrome_bits in (KRONECKER_PALINDROME_BITS, math.inf):
         monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
         unpacks.clear()
         expected_unpacks = []
-        sides = set()
         for a, b in _two_point_cases():
             assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
             expected_unpacks += _expected_unpacks(a, b)
-            sides.add(_packed_bits(a, b) >= KRONECKER_TWO_POINT_BITS)
         assert unpacks == expected_unpacks
-        assert sides == {False, True}
 
 
 @pytest.mark.parametrize("n", [48, 96, 160])
 def test_mul_two_point_family_defect_products(monkeypatch, n):
     # the defect's two products: the self-reciprocal D and W rows take the
-    # palindromic path, V and F the two-point path
+    # palindromic path, V and F the full-width product
     unpacks = _spy_unpacks(monkeypatch)
-    expected_unpacks = []
     for tag in FAMILY_TAGS:
         below, here, above = (family_poly(tag, m).coeffs for m in (n - 1, n, n + 1))
         for a, b in ((above, below), (here, here)):
             assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-            expected_unpacks += _expected_unpacks(a, b)
-    assert unpacks == expected_unpacks
-    assert unpacks[:4] == [("palindromic", 2 * n + 1)] * 4
-    assert len(unpacks) == 4 + 2 * 2 * 2
+    assert unpacks == [("palindromic", 2 * n + 1)] * 4 + [2 * n + 1] * 4
 
 
 def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
@@ -418,22 +404,10 @@ def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
     assert len(calls) == 1  # short and int x Fraction products keep the schoolbook loop
 
 
-def test_mul_kronecker_two_point_dispatch(monkeypatch):
+def test_mul_kronecker_palindromic_dispatch(monkeypatch):
     # the threshold is inclusive and reads the packed size, not the term count
-    a = [(-1) ** i * (2**300 - i) for i in range(21)]
-    b = [2**290 + i for i in range(20)]
-    packed = _packed_bits(a, b)
-    count = len(a) + len(b) - 1
-    expected = _reference_product(a, b)
+    a = [(-1) ** i * (2**300 - i) for i in range(11)]
     unpacks = _spy_unpacks(monkeypatch)
-    for threshold, path in ((packed + 1, [count]), (packed, [(count + 1) // 2, count // 2]),
-                            (packed - 1, [(count + 1) // 2, count // 2])):
-        monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", threshold)
-        unpacks.clear()
-        assert list((Poly(a) * Poly(b)).coeffs) == expected
-        assert unpacks == path
-    # the palindromic threshold is inclusive on the packed size as well
-    monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", math.inf)
     symmetric = a[:10] + a[10::-1]
     packed = _packed_bits(symmetric, symmetric)
     count = 2 * len(symmetric) - 1
@@ -444,18 +418,17 @@ def test_mul_kronecker_two_point_dispatch(monkeypatch):
         assert list((Poly(symmetric) * Poly(symmetric)).coeffs) == _reference_product(symmetric,
                                                                                      symmetric)
         assert unpacks == path
-    # at the real thresholds: the same term count on each side of them; the
-    # symmetric squares take the palindromic path above its threshold, the
-    # same operands bumped in one coefficient the two-point path
-    monkeypatch.setattr(polynomials, "KRONECKER_TWO_POINT_BITS", KRONECKER_TWO_POINT_BITS)
+    # at the real threshold: the same term count on each side of it; the
+    # symmetric squares take the palindromic path above it, the same
+    # operands bumped in one coefficient the full-width product
     monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", KRONECKER_PALINDROME_BITS)
     length = 20
     small, large = ([2**bits - 1] * length for bits in (5, 2000))
     bumped = [2**2000 - 2] + large[1:]
     assert _packed_bits(small, small) < KRONECKER_PALINDROME_BITS
-    assert max(KRONECKER_PALINDROME_BITS, KRONECKER_TWO_POINT_BITS) <= _packed_bits(bumped, bumped)
+    assert KRONECKER_PALINDROME_BITS <= _packed_bits(bumped, bumped)
     for operand, path in ((small, [2 * length - 1]), (large, [("palindromic", 2 * length - 1)]),
-                          (bumped, [length, length - 1])):
+                          (bumped, [2 * length - 1])):
         unpacks.clear()
         assert list((Poly(operand) * Poly(operand)).coeffs) == _reference_product(operand, operand)
         assert unpacks == path

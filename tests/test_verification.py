@@ -28,7 +28,7 @@ from qlogconvex.verification import (
     verify_prop32,
     verify_prop33,
 )
-from qlogconvex import verification
+from qlogconvex import cli, verification
 from qlogconvex.criteria import _last_negative, op_L, q_log_convex_direct
 from qlogconvex.hiprec import ccl_constant_bounds
 from qlogconvex.families import DOMB_ARRAY, TriangularArray
@@ -734,3 +734,65 @@ def test_an_error_in_the_reversal_check_fails_qlc_v_alone(monkeypatch):
     assert [c for c in certificate.claims if not c.passed] == [ClaimRecord(
         "qlc_V", {"error": "RuntimeError"}, "fail", {"message": "reversal check blew up"})]
     assert [c.passed for c in certificate.claims if c.claim == "qlc_F"] == [True]
+
+
+# --- check qlc reads the qlc records ------------------------------------------
+
+def _direct_qlc_summary(tag, n_max):
+    """``check qlc --format json``'s bytes, built from the direct products."""
+    bad = [w for w in q_log_convex_direct(tag, n_max) if not w.passed]
+    summary = {"check": "qlc", "family": tag, "n_max": str(n_max),
+               "result": "fail" if bad else "pass"}
+    if bad:
+        summary["first_witness"] = (f"n={bad[0].n}, "
+                                    f"coefficient {bad[0].first_negative_coefficient_index}")
+    return json.dumps(summary, indent=2) + "\n"
+
+
+def _check_qlc(capsys, tag, n_max, jobs):
+    code = cli.main(["check", "qlc", "--family", tag, "--n-max", str(n_max),
+                     "--jobs", str(jobs), "--format", "json"])
+    return code, capsys.readouterr().out
+
+
+@pytest.mark.parametrize("tag", ["D", "W", "V", "F"])
+def test_check_qlc_serial_and_pooled_match_the_direct_products(capsys, tag):
+    outputs = {jobs: _check_qlc(capsys, tag, 40, jobs) for jobs in (1, 2)}
+    assert outputs[1] == outputs[2] == (cli.EXIT_OK, _direct_qlc_summary(tag, 40))
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("tag, mirrored, bumps", [
+    ("F", False, [(9, 3)]), ("F", False, [(9, 7)]), ("F", True, [(14, 4)]),
+    ("V", True, [(9, 0)]), ("V", True, [(6, 3), (17, 12)])])
+def test_check_qlc_on_tampered_rows_gives_the_direct_witness(capsys, monkeypatch,
+                                                             tag, mirrored, bumps, jobs):
+    # F's row m tripled at coefficient k, alone or with V's row m in mirror
+    def triple_f(family, m, row):
+        for bumped_m, k in bumps:
+            if (family, m) == ("F", bumped_m):
+                row[k] *= 3
+
+    if mirrored:
+        _mirrored_tamper(monkeypatch, bumps)
+    else:
+        _tamper_family_rows(monkeypatch, triple_f)
+    expected = _direct_qlc_summary(tag, 20)
+    assert '"result": "fail"' in expected
+    assert _check_qlc(capsys, tag, 20, jobs) == (cli.EXIT_VERIFICATION_FAILURE, expected)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_qlc_fails_a_v_row_that_is_not_f_reversed(capsys, monkeypatch, jobs):
+    # V's row 6 off by one at coefficient 2: its direct defects stay
+    # nonnegative, but no F defect certifies them
+    def change(tag, m, row):
+        if (tag, m) == ("V", 6):
+            row[2] += 1
+
+    _tamper_family_rows(monkeypatch, change)
+    assert '"result": "pass"' in _direct_qlc_summary("V", 20)
+    code, out = _check_qlc(capsys, "V", 20, jobs)
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert json.loads(out) == {"check": "qlc", "family": "V", "n_max": "20", "result": "fail",
+                               "first_witness": "row 6 of V is not row 6 of F reversed"}
