@@ -128,20 +128,13 @@ def op_L_tilde(a: TriangularArray, n: int, t: int, k: int) -> int:
     return op_L(a, n, t, k)
 
 
-def criterion_c2_sweep(
-    a: TriangularArray, n: int, t_max: int | None = None
-) -> list[tuple[int, SignCrossing]]:
-    """Single-crossing classification of [L_t(a(n,k))]_k for each t in 0..t_max.
-
-    t_max defaults to n, matching the hypothesis range of the
-    self-reciprocal criterion (the operator itself is defined up to 2n).
+def criterion_c2_sweep(a: TriangularArray, n: int) -> list[tuple[int, SignCrossing]]:
+    """Single-crossing classification of [L_t(a(n,k))]_k for each t in 0..n,
+    the hypothesis range of the self-reciprocal criterion (the operator
+    itself is defined up to 2n).
     """
-    if t_max is None:
-        t_max = n
-    if t_max > 2 * n:
-        raise ValueError(f"t_max={t_max} exceeds the operator range 2n={2 * n}")
     results = []
-    for t in range(t_max + 1):
+    for t in range(n + 1):
         values = [op_L(a, n, t, k) for k in range(t // 2 + 1)]
         results.append((t, single_crossing(values)))
     return results
@@ -419,12 +412,10 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int | None = None) -> 
         root_ratio_n_max = min(n_max, 120)
     numbers = domb_numbers(max(n_max, root_ratio_n_max) + 3)
 
-    ratio_fail = None
-    for n in range(n_max):
-        # D_{n+2}/D_{n+1} > D_{n+1}/D_n, cross-multiplied
-        if not numbers[n + 2] * numbers[n] > numbers[n + 1] ** 2:
-            ratio_fail = n
-            break
+    # D_{n+2}/D_{n+1} > D_{n+1}/D_n for n < n_max is strict log-convexity at
+    # the interior indices n + 1
+    interior_fail = log_convex_check(numbers[:n_max + 2], strict=True)
+    ratio_fail = None if interior_fail is None else interior_fail - 1
 
     nth_root_fail = None
     for n in range(1, n_max + 1):

@@ -19,6 +19,10 @@ from fractions import Fraction
 
 _GUARD_DIGITS = 12
 
+# compare_products doubles its log2 precision from 64 bits up to this many,
+# then settles the comparison by exact powering.
+COMPARE_MAX_PREC = 256
+
 
 def _arctan_inv_scaled(x: int, scale: int) -> tuple[int, int]:
     """(approximation of scale*arctan(1/x), number of series terms used)."""
@@ -142,11 +146,7 @@ def log2_bounds(x: int, prec: int) -> tuple[int, int]:
     return lo, hi
 
 
-def compare_products(
-    lhs: list[tuple[int, int]],
-    rhs: list[tuple[int, int]],
-    max_prec: int = 256,
-) -> int:
+def compare_products(lhs: list[tuple[int, int]], rhs: list[tuple[int, int]]) -> int:
     """Exact sign of prod(x^e for lhs) - prod(y^f for rhs); entries (base, exp).
 
     Bases must be >= 1 and exponents >= 0.  Decides through log2 enclosures
@@ -157,7 +157,7 @@ def compare_products(
         if base < 1 or exp < 0:
             raise ValueError("bases must be >= 1 and exponents nonnegative")
     prec = 64
-    while prec <= max_prec:
+    while prec <= COMPARE_MAX_PREC:
         llo = lhi = rlo = rhi = 0
         for base, exp in lhs:
             lo, hi = log2_bounds(base, prec)

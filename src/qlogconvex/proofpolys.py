@@ -337,7 +337,14 @@ _nn, _nn1, _nn2, _nn3 = (Builder(f"psi{i}_nn_poly") for i in ("", "1", "2", "3")
 # (label, builder, derivative order, point, closed form, sign, min n).  The
 # builder is a ``Builder``, a name looked up when it is called, never a
 # function bound at import.  The sign ("+" or "-") is that of the displayed
-# inequality, asserted from min n on.
+# inequality, and these columns are the only statement of it: the sweeps
+# assert it from min n on through ``verification._form_failures``, which
+# also matches each value they read against its closed form.  prop31 reads
+# every theta row for n >= 5, prop33 every t = n row, and claims 2-3 the
+# four order-0 xi/eta rows, the ends of their Sturm intervals.  The six
+# derivative rows of xi and eta are asserted per n by no sweep; the Sturm
+# interval counts prove what they only support.  The grid records of
+# ``verification.GRID_IDENTITIES`` prove every row's closed form for all n.
 #
 # theta and its derivatives in t.
 THETA_ENDPOINT_FORMS: tuple = (
@@ -372,7 +379,7 @@ XI_ETA_ENDPOINT_FORMS: tuple = (
     ("xi(n-1)", _xi, 0, lambda n: n - 1,
      lambda n: -8 * n**5 - 14 * n**4 + 119 * n**3 + 75 * n**2 - 100 * n - 36, "-", 4),
     ("xi(3n/4)", _xi, 0, lambda n: Fraction(3 * n, 4),
-     lambda n: -Fraction(n * (25 * n**5 - 52 * n**4 + 831 * n**3 + 2614 * n**2 + 224 * n + 480), 128), "-", 8),
+     lambda n: -Fraction(n * (25 * n**5 - 52 * n**4 + 831 * n**3 + 2614 * n**2 + 224 * n + 480), 128), "-", 4),
     ("xi'(3n/4)", _xi, 1, lambda n: Fraction(3 * n, 4),
      lambda n: -Fraction(315, 32) * n**5 - Fraction(57, 2) * n**4 + Fraction(213, 16) * n**2 + 18 * n + 3, "-", 8),
     ("xi'(n-1)", _xi, 1, lambda n: n - 1,
@@ -554,11 +561,13 @@ def build_psi_nn(n: int) -> PsiBundle:
 
 @dataclass(frozen=True)
 class ThetaBundle:
-    """theta and its derivatives in t to order four."""
+    """theta, its derivatives in t to order four, and the rows of
+    ``THETA_ENDPOINT_FORMS`` at n as ``endpoint_values`` gives them."""
 
     n: int
     theta: Poly
     derivatives: tuple[Poly, Poly, Poly, Poly]
+    forms: tuple
 
 
 def build_theta(n: int) -> ThetaBundle:
@@ -567,15 +576,16 @@ def build_theta(n: int) -> ThetaBundle:
     The fourteen endpoint closed forms are checked by exact evaluation, and
     the xi and eta extractions at t = 0..8.  The grid records prove those
     for all n from polynomial builders; this per-n check also sees a psi1
-    or psi2 that is wrong at one n beyond the grid's n range.
+    or psi2 that is wrong at one n beyond the grid's n range.  The bundle
+    keeps the fourteen values, whose signs prop31 reads.
     """
     if n < 1:
         raise ValueError(f"theta needs n >= 1, got {n}")
     chain = [theta_poly(n)]
     for _ in range(4):
         chain.append(chain[-1].derivative())
-    for label, actual, expected, _sign, _min_n in endpoint_values(
-            THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}):
+    forms = tuple(endpoint_values(THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}))
+    for label, actual, expected, _sign, _min_n in forms:
         if actual != expected:
             raise IdentityError(f"theta endpoint {label} mismatch at n={n}: {actual} != {expected}")
     in_t = {name: EXTRACTIONS[name][0](n) for name in ("xi", "eta")}
@@ -583,4 +593,4 @@ def build_theta(n: int) -> ThetaBundle:
         for name, poly in in_t.items():
             if not extraction_holds(name, n, t0, poly):
                 raise IdentityError(f"{name} extraction failed at n={n}, t={t0}")
-    return ThetaBundle(n, chain[0], tuple(chain[1:5]))
+    return ThetaBundle(n, chain[0], tuple(chain[1:5]), forms)

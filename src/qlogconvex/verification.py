@@ -375,9 +375,10 @@ def verify_prop31(n_max: int, pool=None) -> list[ClaimRecord]:
     Every row n >= 1 certifies the sign of each L_t(a(n,0)), t = 0..n,
     through a bracket with small multipliers (``_boundary_brackets``).
     For n >= 5 the record also certifies theta(n) < 0 and theta(t) > 0 at
-    all integers t < n, and the derivative scaffolding via Sturm counts on
-    (0, n-1): exactly one root for theta'''' and theta''', two for theta''
-    and theta', with the endpoint signs that pin the shape of theta.
+    all integers t < n, the sign of each row of
+    ``proofpolys.THETA_ENDPOINT_FORMS`` (theta and its derivatives at 0, 1,
+    n/2 and n-1), and Sturm counts on (0, n-1): exactly one root for
+    theta'''' and theta''', two for theta'' and theta'.
     """
     rows = _map_rows(pool, _prop31_row, range(1, n_max + 1))
     table_failures = [failure for failures, _record in rows for failure in failures]
@@ -424,7 +425,7 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
     sweep builds every array row once; and the record: the signs of
     L_t(a(n,0)) for t = 0..n, read from ``_boundary_brackets``, and for
     n >= 5 theta's signs at t = 0..n, read from one forward-difference
-    table, plus its Sturm scaffolding."""
+    table, the signs of its endpoint rows and its Sturm root counts."""
     table_failures = _boundary_table_failures(n)
     brackets = _boundary_brackets(n)
     if brackets is None:
@@ -445,20 +446,28 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
         for t in range(n):
             if not theta_at[t] > 0:
                 failures.append(f"theta({t}) not positive at n={n}")
+        failures += _form_failures(bundle.forms, n)
         th1, th2, th3, th4 = bundle.derivatives
-        half_n = Fraction(n, 2)
-        scaffolding = (
-            (sturm_count_roots(th4, 0, n - 1) == 1, "theta'''' root count"),
-            (sturm_count_roots(th3, 0, n - 1) == 1, "theta''' root count"),
-            (th3(0) < 0 < th3(n - 1), "theta''' endpoint signs"),
-            (sturm_count_roots(th2, 0, n - 1) == 2, "theta'' root count"),
-            (th2(0) > 0 and th2(half_n) < 0 and th2(n - 1) > 0, "theta'' sign pattern"),
-            (sturm_count_roots(th1, 0, n - 1) == 2, "theta' root count"),
-            (th1(0) < 0 and th1(1) > 0 and th1(n - 1) < 0, "theta' sign pattern"),
-        )
-        failures += [f"{what} failed at n={n}" for ok, what in scaffolding if not ok]
+        failures += [f"{name} root count failed at n={n}"
+                     for poly, roots, name in ((th4, 1, "theta''''"), (th3, 1, "theta'''"),
+                                               (th2, 2, "theta''"), (th1, 2, "theta'"))
+                     if sturm_count_roots(poly, 0, n - 1) != roots]
     record = _record("prop31", {"part": "theta" if n >= 5 else "operator", "n": n}, failures)
     return table_failures, record
+
+
+def _form_failures(values: list, n: int) -> list[str]:
+    """The failures at n of endpoint rows (label, value, closed value, sign,
+    min n) from ``proofpolys.endpoint_values``: a value that differs from its
+    closed form, and from min n on, a value without the row's sign (a zero
+    fails)."""
+    failures = []
+    for label, value, closed, sign, min_n in values:
+        if value != closed:
+            failures.append(f"{label} form mismatch at n={n}")
+        if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
+            failures.append(f"{label} sign claim failed at n={n}")
+    return failures
 
 
 # --- interior crossing for t < n ----------------------------------------------
@@ -535,19 +544,14 @@ def verify_prop33(n_max: int, pool=None) -> list[ClaimRecord]:
 
 
 def _prop33_row(n: int) -> ClaimRecord:
-    failures = []
     try:
         bundle = proofpolys.build_psi_nn(n)
     except IdentityError as exc:
         return _record("prop33", {"n": n}, [str(exc)])
     chains = {"psi_nn_poly": [bundle.psi], "psi1_nn_poly": [bundle.psi1],
               "psi2_nn_poly": [bundle.psi2], "psi3_nn_poly": [bundle.psi3]}
-    for label, value, closed, sign, min_n in proofpolys.endpoint_values(
-            proofpolys.NN_ENDPOINT_FORMS, n, chains):
-        if value != closed:
-            failures.append(f"{label} form mismatch at n={n}")
-        if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
-            failures.append(f"{label} sign claim failed at n={n}")
+    failures = _form_failures(
+        proofpolys.endpoint_values(proofpolys.NN_ENDPOINT_FORMS, n, chains), n)
     values = [bundle.psi(k) for k in range(1, n // 2 + 1)]
     if values and not single_crossing(values).ok:
         failures.append(f"diagonal crossing pattern broken at n={n}")
@@ -572,33 +576,18 @@ def verify_claims(n_max: int, pool=None) -> list[ClaimRecord]:
     return [claim1] + _map_rows(pool, _claims23_row, range(4, n_max + 1))
 
 
-def _negative_forms(n: int, chains: dict, labels: tuple) -> list[str]:
-    """Failures of the xi/eta endpoint forms named by ``labels`` at n: each
-    value must match its closed form and be negative."""
-    forms = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[0] in labels]
-    failures = []
-    for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, chains):
-        if value != closed:
-            failures.append(f"{label} form mismatch at n={n}")
-        if not value < 0:
-            failures.append(f"{label} not negative at n={n}")
-    return failures
-
-
 def _claims23_row(n: int) -> ClaimRecord:
+    """Claims 2 and 3 at n: the order-0 rows of ``XI_ETA_ENDPOINT_FORMS``,
+    xi(n-1), xi(3n/4), eta(0) and eta(3n/4), which are the ends of the two
+    Sturm intervals; then the intervals and the eta'' axis."""
     xi = proofpolys.xi_poly(n)
     eta = proofpolys.eta_poly(n)
-    chains = {"xi_poly": [xi], "eta_poly": [eta]}
-
-    failures = _negative_forms(n, chains, ("xi(n-1)", "xi(3n/4)"))
-    lo, hi = Fraction(3 * n, 4), Fraction(n - 1)
-    if lo == hi:
-        if not xi(lo) < 0:
-            failures.append(f"xi not negative at the degenerate interval point, n={n}")
-    elif sign_constant_on(xi, lo, hi) is not IntervalSign.NEGATIVE:
+    ends = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[2] == 0]
+    failures = _form_failures(
+        proofpolys.endpoint_values(ends, n, {"xi_poly": [xi], "eta_poly": [eta]}), n)
+    # at n = 4 the xi interval is the point 3, whose sign the xi(n-1) row asserts
+    if n > 4 and sign_constant_on(xi, Fraction(3 * n, 4), n - 1) is not IntervalSign.NEGATIVE:
         failures.append(f"xi not negative on [3n/4, n-1] at n={n}")
-
-    failures += _negative_forms(n, chains, ("eta(0)", "eta(3n/4)"))
     if sign_constant_on(eta, 0, Fraction(3 * n, 4)) is not IntervalSign.NEGATIVE:
         failures.append(f"eta not negative on [0, 3n/4] at n={n}")
     eta2 = eta.derivative().derivative()

@@ -324,13 +324,38 @@ def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
         if m != n:
             return bundle
         theta = bundle.theta - Poly([bundle.theta(8)])
-        return proofpolys.ThetaBundle(m, theta, bundle.derivatives)
+        return proofpolys.ThetaBundle(m, theta, bundle.derivatives, bundle.forms)
 
     monkeypatch.setattr(proofpolys, "build_theta", shifted)
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [r.params["n"] for r in failing] == [str(n)]
     assert failing[0].witness == {"first_failure": f"theta(8) not positive at n={n}",
                                   "failure_count": "1"}
+
+
+def _flip_sign(monkeypatch, table: str, label: str) -> None:
+    """Give the row ``label`` of the endpoint-form table ``table`` the other sign."""
+    rows = getattr(proofpolys, table)
+    assert label in [row[0] for row in rows]
+    monkeypatch.setattr(proofpolys, table, tuple(
+        row[:5] + ({"+": "-", "-": "+"}[row[5]],) + row[6:] if row[0] == label else row
+        for row in rows))
+
+
+@pytest.mark.parametrize("table, label, sweep, first_n", [
+    ("THETA_ENDPOINT_FORMS", "theta''''(0)", verify_prop31, 5),
+    ("XI_ETA_ENDPOINT_FORMS", "eta(3n/4)", verify_claims, 4),
+    # min n 4: the claims 2-3 records at n = 4..7 read xi(3n/4)'s sign too
+    ("XI_ETA_ENDPOINT_FORMS", "xi(3n/4)", verify_claims, 4),
+    ("NN_ENDPOINT_FORMS", "psi_nn(1)", verify_prop33, 3),
+])
+def test_a_flipped_sign_column_fails_the_sweep_that_reads_it(monkeypatch, table, label, sweep,
+                                                             first_n):
+    _flip_sign(monkeypatch, table, label)
+    failing = [r for r in sweep(8) if not r.passed]
+    assert [(r.params["n"], r.witness) for r in failing] == [
+        (str(n), {"first_failure": f"{label} sign claim failed at n={n}", "failure_count": "1"})
+        for n in range(first_n, 9)]
 
 
 def test_verify_prop32_small():
@@ -796,3 +821,23 @@ def test_check_qlc_fails_a_v_row_that_is_not_f_reversed(capsys, monkeypatch, job
     assert code == cli.EXIT_VERIFICATION_FAILURE
     assert json.loads(out) == {"check": "qlc", "family": "V", "n_max": "20", "result": "fail",
                                "first_witness": "row 6 of V is not row 6 of F reversed"}
+
+
+def test_monotonicity_and_check_logconvex_name_the_same_failing_position(capsys, monkeypatch):
+    # D_30 doubled breaks strict log-convexity at the interior index 30, which
+    # the ratio claim D_{n+2}/D_{n+1} > D_{n+1}/D_n names as n = 29
+    original = families.domb_numbers
+
+    def tampered(stop):
+        numbers = original(stop)
+        if stop > 30:
+            numbers[30] *= 2
+        return numbers
+
+    monkeypatch.setattr(criteria, "domb_numbers", tampered)
+    monkeypatch.setattr(cli, "domb_numbers", tampered)
+    record = verification._monotonicity_claim(40, 10)
+    assert record.witness["first_failure"] == "ratio growth fails at n=29"
+    assert cli.main(["check", "logconvex", "--n-max", "40", "--format", "json"]) == \
+        cli.EXIT_VERIFICATION_FAILURE
+    assert json.loads(capsys.readouterr().out)["first_witness"] == "index 30"
