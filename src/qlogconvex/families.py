@@ -14,7 +14,8 @@ triangular arrays are built along the row, by the multiplicative recurrences
     C(n,k+1) = C(n,k) (n-k) / (k+1),    C(2j,j) = C(2j-2,j-1) 2(2j-1) / j,
 
 whose divisions are exact; they bypass the binomial memo, which only
-``family_coefficient`` (single entries) and the binomial prefactor of
+``family_coefficient`` (single entries) and the prefactor columns
+C(n,j)^2 C(2n-2j,n-j), one per row n, of
 ``verification.factorization_check`` still read.  The central binomials
 are kept in one list that only grows, so each C(2j, j) is computed once per
 process.  A Domb number needs no row: ``domb_number`` steps from

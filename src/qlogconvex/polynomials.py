@@ -237,12 +237,13 @@ def values_at_integers(p: Poly, stop: int) -> list:
     differences Delta^j p(0) start the table.  Delta^d p is constant, and
     the values of Delta^j p at x = 0, 1, ... are the running sums of those
     of Delta^(j+1) p from Delta^j p(0), so the sweep is d running sums: only
-    additions.  With stop <= d the seeds are fewer, and the table of their
-    interpolant gives the same values at the points asked for.
+    additions.  With stop <= d + 1 the Horner seeds are the values asked for.
     """
     if stop <= 0:
         return []
     diffs = [p(x) for x in range(min(stop, max(p.degree, 0) + 1))]
+    if stop <= len(diffs):
+        return diffs
     for j in range(1, len(diffs)):
         for i in range(len(diffs) - 1, j - 1, -1):
             diffs[i] -= diffs[i - 1]

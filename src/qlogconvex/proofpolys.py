@@ -33,6 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 
 from .polynomials import Poly, _kronecker_unpack
 
@@ -299,13 +300,14 @@ def psi1_half_closed_n3(t: int) -> Fraction:
 def psi2_half_closed(n: int, t: int) -> Fraction:
     """Closed form of psi2 at x = t/2, collected in powers of (n - t)."""
     v = n - t
-    return (
-        -(8 * n**2 + 10 * n + 5) * v**4
-        - (32 * n**3 + 70 * n**2 + 50 * n + 15) * v**3
-        - Fraction(96 * n**4 + 300 * n**3 + 330 * n**2 + 144 * n + 27, 2) * v**2
-        - (32 * n**5 + 130 * n**4 + 200 * n**3 + 152 * n**2 + 49 * n + 11) * v
-        - Fraction(16 * n**6 + 80 * n**5 + 160 * n**4 + 190 * n**3 + 143 * n**2 + 46 * n + 12, 2)
+    twice = (
+        -2 * (8 * n**2 + 10 * n + 5) * v**4
+        - 2 * (32 * n**3 + 70 * n**2 + 50 * n + 15) * v**3
+        - (96 * n**4 + 300 * n**3 + 330 * n**2 + 144 * n + 27) * v**2
+        - 2 * (32 * n**5 + 130 * n**4 + 200 * n**3 + 152 * n**2 + 49 * n + 11) * v
+        - (16 * n**6 + 80 * n**5 + 160 * n**4 + 190 * n**3 + 143 * n**2 + 46 * n + 12)
     )
+    return Fraction(twice, 2)
 
 
 def psi3_half_closed(n: int, t: int) -> int:
@@ -465,13 +467,15 @@ def psi_nn_polys(n: int) -> tuple[Poly, Poly, Poly, Poly]:
 
 def _breaks(pairs) -> list[tuple[str, int]]:
     """(suffix, first differing coefficient index) for each pair of
-    polynomials that differ, the pairs taken in the order of ``_LEVELS``."""
+    coefficient lists, ascending, that differ as polynomials (a coefficient
+    past the end is zero), the pairs taken in the order of ``_LEVELS``."""
     breaks = []
     for level, (p, q) in zip(_LEVELS, pairs):
         if p != q:
-            size = max(len(p.coeffs), len(q.coeffs))
-            first = min(i for i in range(size) if p.coefficient(i) != q.coefficient(i))
-            breaks.append((level, first))
+            first = next((i for i, (a, b) in enumerate(zip_longest(p, q, fillvalue=0))
+                          if a != b), None)
+            if first is not None:
+                breaks.append((level, first))
     return breaks
 
 
@@ -479,14 +483,15 @@ def cascade_breaks(polys: tuple, t: int) -> list[tuple[str, int]]:
     """The identities psi' = (2x - t) psi1, psi1' = 2 (2x - t) psi2 and
     psi2' = 6 (2x - t) psi3 that polys = (psi, psi1, psi2, psi3) break, by
     the suffix of the polynomial differentiated."""
-    return _breaks((polys[i].derivative(), Poly(_times_linear(polys[i + 1].coeffs, -t * s, 2 * s)))
+    return _breaks(([j * c for j, c in enumerate(polys[i].coeffs)][1:],
+                    _times_linear(polys[i + 1].coeffs, -t * s, 2 * s))
                    for i, s in enumerate((1, 2, 6)))
 
 
 def specialization_breaks(n: int, expanded: tuple) -> list[tuple[str, int]]:
     """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
     general forms at (n, n)."""
-    return _breaks(zip(expanded, psi_polys(n, n)))
+    return _breaks((p.coeffs, q.coeffs) for p, q in zip(expanded, psi_polys(n, n)))
 
 
 # The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):

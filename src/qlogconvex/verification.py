@@ -53,7 +53,6 @@ from fractions import Fraction
 
 from . import __version__, proofpolys
 from .criteria import (
-    _check_operator_args,
     _last_negative,
     _qlc_chunk,
     _qlc_recurrence_chunk,
@@ -284,7 +283,7 @@ def series_claim(N: int, digits: int) -> ClaimRecord:
 
 @dataclass(frozen=True)
 class FactorizationCheck:
-    """Both sides of the operator factorization at one (n, t, k) cell."""
+    """Both sides of the operator factorization at one failing (n, t, k) cell."""
 
     n: int
     t: int
@@ -294,73 +293,62 @@ class FactorizationCheck:
     identity_ok: bool
     sign_ok: bool
 
-    @property
-    def passed(self) -> bool:
-        return self.identity_ok and self.sign_ok
-
 
 def _sign(v) -> int:
     return (v > 0) - (v < 0)
 
 
-def factorization_check(n: int, t: int, k: int, psi: Poly | None = None) -> FactorizationCheck:
-    """Check L_t(a(n,k)) * denominator == binomial prefactor * psi(n,t)(k).
+def factorization_check(n: int) -> list[FactorizationCheck]:
+    """The cells (t, k) of row n, 0 <= t <= n and 0 <= k <= t/2, where
+    L_t(a(n,k)) * denominator differs from binomial prefactor * psi(n,t)(k)
+    or where the signs of L and psi do not coincide; empty when the row holds.
 
-    The denominator factors are odd or positive integers and never vanish
-    on the admissible ranges; (2n-2t+2k-1) is the lone negative one, at
-    t = n, k = 0, which is exactly where the signs of L and psi flip.
-    ``psi`` is psi(n, t) when the caller has built it already; otherwise it
-    is built here.  L_t(a(n,k)) is read from the whole rows n-1, n and n+1,
-    padded with the zeros outside the array (a(n-1, n) = 0 at t = n).
-    The prefactor holds C(n, t - k), so the cell needs t - k <= n.
+    Everything that depends on n alone is read once: the array rows n-1
+    (padded with a(n-1, n) = 0), n and n+1, the prefactor column
+    P(j) = C(n,j)^2 C(2n-2j, n-j) and the denominator column
+    d(j) = (n-j+1)^3 (2n-2j-1), so that with j = t - k the prefactor is
+    P(k) P(j) and the denominator n^2 d(k) d(j).  The factors of d are odd or
+    positive and never vanish; d(n) = -1 is the lone negative one, at t = n,
+    k = 0, which is exactly where the signs of L and psi flip.  psi(n, t) is
+    built once per t, looked up when the row runs, and its values at
+    k = 0..t/2 come from one forward-difference table.  A
+    ``FactorizationCheck`` is made only for a failing cell.
     """
-    _check_operator_args(n, t, k)
-    if t - k > n:
-        raise ValueError(f"factorization cell needs t - k <= n, got (n={n}, t={t}, k={k})")
-    pad = (0,) * (t + 1 - n)
-    below = DOMB_ARRAY.row(n - 1) + pad
-    here = DOMB_ARRAY.row(n) + pad
-    above = DOMB_ARRAY.row(n + 1) + pad
-    j = t - k
-    L = above[k] * below[j] + below[k] * above[j] - 2 * here[k] * here[j]
-    denominator = (
-        n**2 * (n - k + 1) ** 3 * (n - t + k + 1) ** 3
-        * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1)
-    )
-    lhs = L * denominator
-    if psi is None:
-        psi = proofpolys.psi_poly(n, t)
-    psi_value = psi(k)
-    prefactor = (
-        binom(n, k) ** 2 * binom(2 * n - 2 * k, n - k)
-        * binom(n, t - k) ** 2 * binom(2 * n - 2 * t + 2 * k, n - t + k)
-    )
-    rhs = prefactor * psi_value
-    if t == n and k == 0:
-        sign_ok = _sign(L) == -_sign(psi_value)
-    else:
-        sign_ok = _sign(L) == _sign(psi_value)
-    return FactorizationCheck(n, t, k, lhs, rhs, lhs == rhs, sign_ok)
+    if type(n) is not int or n < 1:
+        raise ValueError(f"factorization row needs an integer n >= 1, got {n!r}")
+    below = DOMB_ARRAY.row(n - 1) + (0,)
+    here = DOMB_ARRAY.row(n)
+    above = DOMB_ARRAY.row(n + 1)
+    prefactor = [binom(n, j) ** 2 * binom(2 * n - 2 * j, n - j) for j in range(n + 1)]
+    denominator = [(n - j + 1) ** 3 * (2 * n - 2 * j - 1) for j in range(n + 1)]
+    n_squared = n * n
+    failures = []
+    for t in range(n + 1):
+        psi_at = values_at_integers(proofpolys.psi_poly(n, t), t // 2 + 1)
+        for k, psi_value in enumerate(psi_at):
+            j = t - k
+            L = above[k] * below[j] + below[k] * above[j] - 2 * here[k] * here[j]
+            lhs = L * n_squared * denominator[k] * denominator[j]
+            rhs = prefactor[k] * prefactor[j] * psi_value
+            psi_sign = _sign(psi_value)
+            sign_ok = _sign(L) == (-psi_sign if t == n and k == 0 else psi_sign)
+            if lhs != rhs or not sign_ok:
+                failures.append(FactorizationCheck(n, t, k, lhs, rhs, lhs == rhs, sign_ok))
+    return failures
 
 
 def _factorization_row(n: int) -> tuple[int, list[str]]:
-    failures = []
-    for t in range(n + 1):
-        psi = proofpolys.psi_poly(n, t)
-        for k in range(t // 2 + 1):
-            check = factorization_check(n, t, k, psi)
-            if not check.passed:
-                kind = "identity" if not check.identity_ok else "sign"
-                failures.append(
-                    f"{kind} failure at (n={n}, t={t}, k={k}): lhs={check.lhs}, rhs={check.rhs}"
-                )
-    return n, failures
+    return n, [f"{'sign' if c.identity_ok else 'identity'} failure at "
+               f"(n={n}, t={c.t}, k={c.k}): lhs={c.lhs}, rhs={c.rhs}"
+               for c in factorization_check(n)]
 
 
 def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
     """Exact factorization identity and sign coincidence for all cells up to n_max.
 
-    The rows go through ``pool`` when one is given, else in this process.
+    One record per n, from ``factorization_check(n)``, which checks the
+    whole row at once.  The rows go through ``pool`` when one is given,
+    else in this process.
     """
     rows = _map_rows(pool, _factorization_row, range(1, n_max + 1))
     return [_record("factorization", {"n": n, "t_range": f"0..{n}"}, failures)
@@ -493,9 +481,10 @@ def _prop32_row(n: int) -> ClaimRecord:
         except IdentityError as exc:
             failures.append(str(exc))
             continue
-        if not bundle.psi(0) >= 0:
+        psi_at = values_at_integers(bundle.psi, t // 2 + 1)
+        if not psi_at[0] >= 0:
             failures.append(f"psi(0) negative at (n={n}, t={t})")
-        values = [bundle.psi(k) for k in range(1, t // 2 + 1)]
+        values = psi_at[1:]
         if values and not single_crossing(values).ok:
             failures.append(f"crossing pattern broken at (n={n}, t={t})")
         for name, value, sign, missed in _midpoint_values(

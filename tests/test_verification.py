@@ -51,28 +51,6 @@ def test_boundary_table_is_the_published_list():
         assert row == tuple(op_L(DOMB_ARRAY, n, t, 0) for t in range(n + 1))
 
 
-def test_factorization_hand_checked_cell():
-    check = factorization_check(2, 2, 1)
-    assert check.lhs == check.rhs == -5120
-    assert check.passed
-
-
-def test_factorization_trivial_cell():
-    check = factorization_check(1, 0, 0)
-    assert check.identity_ok and check.sign_ok
-    assert op_L(DOMB_ARRAY, 1, 0, 0) == 4
-
-
-def test_factorization_excluded_cell_flips_sign():
-    n = 5
-    check = factorization_check(n, n, 0)
-    assert check.identity_ok
-    assert check.sign_ok  # "sign_ok" encodes the expected opposite signs there
-    assert 2 * n - 2 * n + 2 * 0 - 1 == -1  # the lone negative denominator factor
-    assert op_L(DOMB_ARRAY, n, n, 0) > 0
-    assert proofpolys.psi_poly(n, n)(0) < 0
-
-
 def _corrupt_psi(monkeypatch, cell):
     """Make proofpolys.psi_poly wrong by one in the constant term at one (n, t)."""
     original = proofpolys.psi_poly
@@ -84,32 +62,70 @@ def _corrupt_psi(monkeypatch, cell):
     monkeypatch.setattr(proofpolys, "psi_poly", tampered)
 
 
-def _row_with_recorded_checks(monkeypatch, n, per_cell_psi):
-    """_factorization_row(n) and the checks it made; with per_cell_psi the
-    prebuilt psi is dropped, so every cell builds its own."""
-    checks = []
-
-    def recording(n, t, k, psi=None):
-        check = factorization_check(n, t, k, None if per_cell_psi else psi)
-        checks.append(check)
-        return check
-
-    monkeypatch.setattr(verification, "factorization_check", recording)
-    return _factorization_row(n), checks
+def _prefactor(n, t, k):
+    """C(n,k)^2 C(2n-2k,n-k) C(n,t-k)^2 C(2n-2t+2k,n-t+k), from math.comb."""
+    j = t - k
+    return (math.comb(n, k) ** 2 * math.comb(2 * n - 2 * k, n - k)
+            * math.comb(n, j) ** 2 * math.comb(2 * n - 2 * j, n - j))
 
 
-@pytest.mark.parametrize("tamper", [None, (9, 4)])
+def _denominator(n, t, k):
+    return (n**2 * (n - k + 1) ** 3 * (n - t + k + 1) ** 3
+            * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1))
+
+
+def _row_cells(n):
+    return [(t, k) for t in range(n + 1) for k in range(t // 2 + 1)]
+
+
+def test_factorization_hand_checked_cell(monkeypatch):
+    assert factorization_check(2) == []
+    assert op_L(DOMB_ARRAY, 2, 2, 1) * _denominator(2, 2, 1) == -5120
+    assert _prefactor(2, 2, 1) * proofpolys.psi_poly(2, 2)(1) == -5120
+    _corrupt_psi(monkeypatch, (2, 2))
+    cells = factorization_check(2)
+    assert [(c.t, c.k, c.lhs, c.rhs) for c in cells][-1] == (2, 1, -5120, -5120 + 64)
+
+
+def test_factorization_trivial_cell(monkeypatch):
+    assert factorization_check(1) == []
+    assert op_L(DOMB_ARRAY, 1, 0, 0) == 4
+    _corrupt_psi(monkeypatch, (1, 0))
+    [cell] = factorization_check(1)
+    assert (cell.t, cell.k, cell.lhs) == (0, 0, 4 * _denominator(1, 0, 0))
+    assert not cell.identity_ok and cell.sign_ok
+
+
+def test_factorization_excluded_cell_flips_sign():
+    n = 5
+    # the t = n, k = 0 cell holds with L and psi of opposite signs
+    assert factorization_check(n) == []
+    assert _denominator(n, n, 0) < 0  # (2n - 2t + 2k - 1) = -1 there
+    assert op_L(DOMB_ARRAY, n, n, 0) > 0
+    assert proofpolys.psi_poly(n, n)(0) < 0
+
+
+@pytest.mark.parametrize("tamper", [None, Poly([1])])
 def test_factorization_row_matches_per_cell_checks(monkeypatch, tamper):
+    # with psi shifted by one at every (n, t) every cell fails, so the row
+    # returns each: its rhs is the math.comb prefactor times the true
+    # psi(k) + 1, and the row reports it in the message it always had
+    original = proofpolys.psi_poly
     if tamper is not None:
-        _corrupt_psi(monkeypatch, tamper)
+        monkeypatch.setattr(proofpolys, "psi_poly", lambda n, t: original(n, t) + tamper)
     for n in range(1, 13):
-        row, checks = _row_with_recorded_checks(monkeypatch, n, per_cell_psi=False)
-        reference, reference_checks = _row_with_recorded_checks(monkeypatch, n, per_cell_psi=True)
-        assert row == reference
-        assert len(checks) == sum(t // 2 + 1 for t in range(n + 1))
-        assert [(c.t, c.k, c.lhs, c.rhs) for c in checks] == [
-            (c.t, c.k, c.lhs, c.rhs) for c in reference_checks]
-        assert bool(row[1]) == (tamper is not None and n == tamper[0])
+        cells = factorization_check(n)
+        assert _factorization_row(n) == (n, [
+            f"identity failure at (n={n}, t={c.t}, k={c.k}): lhs={c.lhs}, rhs={c.rhs}"
+            for c in cells])
+        if tamper is None:
+            assert cells == []
+            continue
+        assert len(cells) == sum(t // 2 + 1 for t in range(n + 1))
+        assert [(c.n, c.t, c.k) for c in cells] == [(n, t, k) for t, k in _row_cells(n)]
+        for c in cells:
+            assert c.rhs == _prefactor(n, c.t, c.k) * (original(n, c.t)(c.k) + 1), (n, c.t, c.k)
+            assert not c.identity_ok
 
 
 def test_tampered_psi_fails_its_factorization_record(monkeypatch):
@@ -124,27 +140,40 @@ def test_tampered_psi_fails_its_factorization_record(monkeypatch):
     assert failing[0].witness["failure_count"] == str(t // 2 + 1)
 
 
-def test_factorization_check_reads_the_operator_of_every_admissible_cell():
-    # op_L is the reference for L_t(a(n,k)), also at t > n, where the rows
-    # are read beyond their ends (cells with t - k > n have no prefactor)
+def test_factorization_check_reads_the_operator_of_every_admissible_cell(monkeypatch):
+    # op_L is the reference for L_t(a(n,k)), also at t = n, where row n - 1
+    # is read one past its end; psi shifted by one makes every cell fail,
+    # so the row returns the lhs of each
+    original = proofpolys.psi_poly
+    monkeypatch.setattr(proofpolys, "psi_poly", lambda n, t: original(n, t) + Poly([1]))
     for n in range(1, 13):
-        for t in range(2 * n + 1):
-            psi = proofpolys.psi_poly(n, t)
-            for k in range(max(0, t - n), t // 2 + 1):
-                denominator = (n**2 * (n - k + 1) ** 3 * (n - t + k + 1) ** 3
-                               * (2 * n - 2 * k - 1) * (2 * n - 2 * t + 2 * k - 1))
-                check = factorization_check(n, t, k, psi)
-                assert check.lhs == op_L(DOMB_ARRAY, n, t, k) * denominator, (n, t, k)
-    for n, t, k in ((0, 0, 0), (3, 7, 0), (3, -1, 0), (3, 2, 2), (3, 2, -1)):
-        with pytest.raises(ValueError):
-            factorization_check(n, t, k)
+        cells = factorization_check(n)
+        assert [(c.t, c.k) for c in cells] == _row_cells(n)
+        for c in cells:
+            assert c.lhs == op_L(DOMB_ARRAY, n, c.t, c.k) * _denominator(n, c.t, c.k), (n, c.t, c.k)
+    for n in (0, -1, 1.0, "3"):
+        with pytest.raises(ValueError, match="factorization row needs an integer n >= 1"):
+            factorization_check(n)
 
 
 @pytest.mark.parametrize("n, t, k", [(1, 2, 0), (3, 5, 1), (3, 6, 2), (12, 20, 7)])
-def test_factorization_check_rejects_cells_beyond_the_prefactor(n, t, k):
-    # t - k > n: C(n, t - k) in the prefactor has no row; the error names the cell
-    with pytest.raises(ValueError, match=rf"t - k <= n, got \(n={n}, t={t}, k={k}\)"):
-        factorization_check(n, t, k)
+def test_factorization_check_rejects_cells_beyond_the_prefactor(monkeypatch, n, t, k):
+    # t - k > n: C(n, t - k) in the prefactor has no row, so row n builds
+    # psi(n, t) only for t <= n and returns no such cell, even when every
+    # cell it checks fails
+    built = []
+    original = proofpolys.psi_poly
+
+    def recording(m, s):
+        built.append((m, s))
+        return original(m, s) + Poly([1])
+
+    monkeypatch.setattr(proofpolys, "psi_poly", recording)
+    cells = factorization_check(n)
+    assert built == [(n, s) for s in range(n + 1)]
+    assert len(cells) == len(_row_cells(n))
+    assert (t, k) not in [(c.t, c.k) for c in cells]
+    assert all(c.t - c.k <= n for c in cells)
 
 
 def _seed_array_rows(monkeypatch, rows):
