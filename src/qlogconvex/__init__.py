@@ -23,7 +23,6 @@ from .families import (
 from .criteria import (
     CriterionReport,
     MonotonicityReport,
-    QlcWitness,
     SignCrossing,
     criterion_c2_sweep,
     criterion_verdict,
@@ -55,7 +54,7 @@ __all__ = [
     "sturm_chain", "sturm_count_roots",
     "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number",
     "family_poly", "weighted_assembly",
-    "CriterionReport", "MonotonicityReport", "QlcWitness", "SignCrossing",
+    "CriterionReport", "MonotonicityReport", "SignCrossing",
     "criterion_c2_sweep", "criterion_verdict", "log_convex_check", "op_L",
     "op_L_tilde", "q_log_convex_direct", "root_monotonicity_check", "single_crossing",
     "IdentityError", "PsiBundle", "ThetaBundle", "build_psi",

@@ -9,14 +9,16 @@ assembly of the array stays q-log-convex.  The companion operator L~_t
 replaces the even-t midpoint term by a(n+1,k) a(n-1,k) - a(n,k)^2.
 
 q-log-convexity is checked on the defects P_{n+1} P_{n-1} - P_n^2 in two
-ways.  ``q_log_convex_direct`` (and ``_qlc_chunk``) multiplies both
-products out for every n, for any family; it serves D's records and is the
-tests' oracle.  ``_qlc_recurrence_chunk`` serves the W and F records: it
-carries the products from n to n + 1 by the family's recurrence in n
-(``families.ROW_RECURRENCES``) at one packed point, which is linear in the
-size of the numbers per step instead of one big multiply, and falls back to
-direct products wherever the recurrence is not checked to hold on the rows
-read.  Both ``check qlc`` and the certificate reach them through
+ways, and both give one row per n, (n, first negative, last negative defect
+coefficient index), with (n, None, None) for a defect that has no negative
+coefficient; no defect outlives its row.  ``q_log_convex_direct`` (and
+``_qlc_chunk``) multiplies both products out for every n, for any family;
+it serves D's records.  ``_qlc_recurrence_chunk`` serves the W and F
+records: it carries the products from n to n + 1 by the family's recurrence
+in n (``families.ROW_RECURRENCES``) at one packed point, which is linear in
+the size of the numbers per step instead of one big multiply, and falls
+back to direct products wherever the recurrence is not checked to hold on
+the rows read.  Both ``check qlc`` and the certificate reach them through
 ``verification._qlc_claim``, which also opens any process pool.
 """
 
@@ -33,7 +35,7 @@ from .families import (
     weighted_assembly,
 )
 from .hiprec import compare_products
-from .polynomials import Poly, _kronecker_pack, _kronecker_unpack, is_self_reciprocal
+from .polynomials import _kronecker_pack, _kronecker_unpack, is_self_reciprocal
 
 
 @dataclass(frozen=True)
@@ -144,31 +146,10 @@ def sweep_passes(results: Sequence[tuple[int, SignCrossing]]) -> bool:
     return all(crossing.ok for _, crossing in results)
 
 
-@dataclass(frozen=True)
-class QlcWitness:
-    """Defect polynomial f_{n+1} f_{n-1} - f_n^2 and its first negative slot."""
-
-    n: int
-    defect: Poly
-    first_negative_coefficient_index: int | None
-
-    @property
-    def passed(self) -> bool:
-        return self.first_negative_coefficient_index is None
-
-
-def _first_negative(poly: Poly) -> int | None:
-    for i, c in enumerate(poly.coeffs):
-        if c < 0:
-            return i
-    return None
-
-
-def _last_negative(poly: Poly) -> int | None:
-    for i in range(len(poly.coeffs) - 1, -1, -1):
-        if poly.coeffs[i] < 0:
-            return i
-    return None
+def _negative_ends(coeffs: Sequence[int]) -> tuple[int | None, int | None]:
+    """The first and last index of a negative coefficient, or (None, None)."""
+    negative = [i for i, c in enumerate(coeffs) if c < 0]
+    return (negative[0], negative[-1]) if negative else (None, None)
 
 
 def qlc_ranges(n_max: int, jobs: int, per_job: int = 4,
@@ -197,23 +178,20 @@ def qlc_ranges(n_max: int, jobs: int, per_job: int = 4,
     return ranges
 
 
-def _qlc_chunk(task: tuple[str, int, int, bool]) -> list[tuple[int, int | None, Poly | int | None]]:
-    """(n, first negative defect index, defect or last negative index) for
-    one family and n = lo..hi.
+def _qlc_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
+    """(n, first, last negative defect index) for one family and n = lo..hi,
+    each defect P_{n+1} P_{n-1} - P_n^2 multiplied out by ``Poly.__mul__``.
 
     Each row lo-1..hi+1 is built once, as the sweep reaches it, and only
-    the three that the current defect reads are held.  The third entry is
-    the defect when ``keep_defects``, else its last negative index, so a
-    pooled chunk that does not keep defects sends back only small tuples.
+    the three that the current defect reads are held; a defect is dropped
+    once its two indices are read, so a chunk holds no more than one.
     """
-    tag, lo, hi, keep_defects = task
+    tag, lo, hi = task
     below, here = family_poly(tag, lo - 1), family_poly(tag, lo)
     rows = []
     for n in range(lo, hi + 1):
         above = family_poly(tag, n + 1)
-        defect = above * below - here * here
-        rows.append((n, _first_negative(defect),
-                     defect if keep_defects else _last_negative(defect)))
+        rows.append((n, *_negative_ends((above * below - here * here).coeffs)))
         below, here = here, above
     return rows
 
@@ -298,8 +276,7 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
             above, here, below = rows[m - lo + 1], rows[m - lo], rows[m - lo - 1]
             count = max(len(above) + len(below), 2 * len(here), 2) - 1
             defect = _kronecker_unpack(products[m, m - 2] - products[m - 1, m - 1], count, size)
-            negative = [i for i, c in enumerate(defect) if c < 0]
-            out.append((m - 1, negative[0], negative[-1]) if negative else (m - 1, None, None))
+            out.append((m - 1, *_negative_ends(defect)))
         # row m - r and its products are read by no later step
         packed.pop(m - r, None)
         for a in range(m - r, m + 1):
@@ -307,15 +284,15 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
     return out
 
 
-def q_log_convex_direct(tag: str, n_max: int) -> list[QlcWitness]:
-    """Brute-force q-log-convexity witnesses for n = 1..n_max.
+def q_log_convex_direct(tag: str, n_max: int) -> list[tuple[int, int | None, int | None]]:
+    """(n, first, last negative defect index) for n = 1..n_max, from the
+    defects multiplied out (``_qlc_chunk``).
 
-    The family passes iff every witness has no negative defect coefficient.
+    The family passes iff every row is (n, None, None).
     """
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
-    return [QlcWitness(n, defect, index)
-            for n, index, defect in _qlc_chunk((tag, 1, n_max, True))]
+    return _qlc_chunk((tag, 1, n_max))
 
 
 @dataclass(frozen=True)
@@ -399,7 +376,7 @@ class MonotonicityReport:
         )
 
 
-def root_monotonicity_check(n_max: int, root_ratio_n_max: int | None = None) -> MonotonicityReport:
+def root_monotonicity_check(n_max: int, root_ratio_n_max: int) -> MonotonicityReport:
     """Evidence checks: D_{n+1}/D_n increasing, D_n^{1/n} increasing,
     D_{n+1}^{1/(n+1)} / D_n^{1/n} decreasing.
 
@@ -408,8 +385,6 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int | None = None) -> 
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
-    if root_ratio_n_max is None:
-        root_ratio_n_max = min(n_max, 120)
     numbers = domb_numbers(max(n_max, root_ratio_n_max) + 3)
 
     # D_{n+2}/D_{n+1} > D_{n+1}/D_n for n < n_max is strict log-convexity at

@@ -24,46 +24,50 @@ deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
 roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point
 p/q come from the integer sum c_i p^i q^(d-i).
 
-Products of two long integer polynomials go through Kronecker substitution:
-each operand is packed into one big integer with a fixed slot of w bits per
-coefficient, the two integers are multiplied once (CPython's Karatsuba), and
-the product's slots are read back as the coefficients.  The slot width is the
-exact bound max|a| * max|b| * min(len a, len b) on any product coefficient,
-plus a sign bit, rounded up to whole bytes, so no slot overflows into its
-neighbour.  Packing joins the coefficients' signed bytes and takes back the
-unit each negative slot lends to the next one; unpacking slices the signed
-bytes of the product and propagates the borrow upward.  Both are linear in
-the size of the numbers, and the result is exactly the schoolbook product.
-Operands with a Fraction coefficient, and operands shorter than
-``KRONECKER_MIN_TERMS`` (Sturm chains, the psi builds), keep the schoolbook
-loop.
+Products of two integer polynomials are chosen by operand shape alone: when
+both operands equal their reversal they take ``_palindromic_mul``, else the
+full-width Kronecker product ``_kronecker_mul``.  An operand with a Fraction
+coefficient (the rational Sturm tests) keeps the schoolbook loop.
 
-Of the q-log-convexity defects that ``check qlc`` and the certificate
-decide, only D's products reach ``_kronecker_mul``.  V's defects are F's
-read through the reversal V_n(q) = q^n F_n(1/q), and the W and F products
-are carried from n to n + 1 by their recurrences in n
-(``criteria._qlc_recurrence_chunk``), at one X packed and read back with
-``_kronecker_pack`` and ``_kronecker_unpack``; their few seed products
-multiply the packed integers directly.  ``q_log_convex_direct``, the tests'
-oracle, multiplies any family's rows through ``Poly.__mul__``.
+Kronecker substitution packs each operand into one big integer with a fixed
+slot of w bits per coefficient, multiplies the two integers once (CPython's
+Karatsuba), and reads the product's slots back as the coefficients.  The
+slot width is the exact bound max|a| * max|b| * min(len a, len b) on any
+product coefficient, plus a sign bit, rounded up to whole bytes, so no slot
+overflows into its neighbour.  Packing joins the coefficients' signed bytes
+and takes back the unit each negative slot lends to the next one; unpacking
+slices the signed bytes of the product and propagates the borrow upward.
+Both are linear in the size of the numbers, and the result is exactly the
+schoolbook product.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
 point of Harvey 2009, arXiv:0712.4046), so one multiply at X = 2^b with b
 about w/2 gives every coefficient (``_palindromic_mul``).  Each operand is
 packed once at X, its even and odd coefficients in 2b-bit fields since a
-coefficient may be wider than b bits; every product slot carries the offset 2^(2b-2), and b is
-the fewest whole bytes with 2b - 2 at least the bits of the bound, so each
-offset coefficient lies in (0, 2^(2b-1)).  The low end of the one integer
-gives coefficient i modulo X through a running carry, its top end gives the
-mirrored coefficient plus a remainder below X, and the two meet at the middle,
-where the carry must equal that remainder; the coefficients read must also
-sum to a(1) b(1).  One multiply of half the size replaces the full-size
-one.  It is taken when both operands equal their reversal, from
-``KRONECKER_PALINDROME_BITS`` packed bits (slot bits times the shorter
-length), the measured crossover, which the D and W defect products reach
-from n = 26 and 36; V, F, the Sturm chains and psi are not palindromic and
-keep the one full-size multiply.
+coefficient may be wider than b bits; every product slot carries the offset
+2^(2b-2), and b is the fewest whole bytes with 2b - 2 at least the bits of
+the bound, so each offset coefficient lies in (0, 2^(2b-1)).  The low end of
+the one integer gives coefficient i modulo X through a running carry, its
+top end gives the mirrored coefficient plus a remainder below X, and the two
+meet at the middle, where the carry must equal that remainder; the
+coefficients read must also sum to a(1) b(1).  One multiply of half the size
+replaces the full-size one.
+
+Only D's q-log-convexity defects reach ``Poly.__mul__`` in the certificate
+and the CLI.  V's defects are F's read through the reversal
+V_n(q) = q^n F_n(1/q), and the W and F products are carried from n to n + 1
+by their recurrences in n (``criteria._qlc_recurrence_chunk``), at one X
+packed and read back with ``_kronecker_pack`` and ``_kronecker_unpack``;
+their few seed products multiply the packed integers directly.  Counted over
+the four benchmark workloads and every ``check`` and ``families`` command,
+each product that reaches ``Poly.__mul__`` has two palindromic int D rows:
+300 at the default bounds, 320 with qlc_D to n = 160 and 2 on the
+proof-sized workload.  No other operand reaches it outside the tests.  The
+half-width multiply gains only from about 5,000 packed bits on (D from
+n = 26), but the defects of D below that, n = 1..26, take 2-3.5 ms in all
+on any path (2-core Xeon, CPython 3.11), so no size threshold picks
+between the kernels.
 """
 
 from __future__ import annotations
@@ -75,22 +79,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
-
-# Shorter-operand length from which an all-int product uses Kronecker
-# substitution.  Measured break-even: 12-16 terms on family products
-# (D_{n+1} D_{n-1}, D_n^2, likewise W) and 16-20 terms on random signed
-# operands of 3-200 bits; 600-bit random operands break even near 30.
-KRONECKER_MIN_TERMS = 16
-
-# Packed size (slot bits times the shorter length) from which a product of
-# two palindromic operands takes one half-width multiply
-# (``_palindromic_mul``) instead of the full-width one.
-# Measured (median of 7-9 interleaved timings per case, product and square):
-# 0.7-0.9x below 3k bits, break-even at 3-5k bits on D and W rows and on
-# random palindromes of 16-200 terms, 1.1-1.4x at 5-10k, 1.3-1.5x on D at
-# n = 40-50 and 1.6-2x at n = 96-160.
-KRONECKER_PALINDROME_BITS = 5_000
-
 
 def _strip(coeffs: list) -> tuple:
     i = len(coeffs)
@@ -116,7 +104,8 @@ class Poly:
 
     def __reduce__(self):
         # pickle through the constructor, since __setattr__ refuses the
-        # default slot restore; pool workers send defects back this way
+        # default slot restore; no pool result carries a Poly, but a Poly
+        # stays picklable
         return Poly, (self.coeffs,)
 
     @property
@@ -165,8 +154,9 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return ZERO
-            if (min(len(a), len(b)) >= KRONECKER_MIN_TERMS
-                    and _all_int(a) and _all_int(b)):
+            if _all_int(a) and _all_int(b):
+                if a == a[::-1] and b == b[::-1]:
+                    return Poly(_palindromic_mul(a, b, _bound_bits(a, b)))
                 return Poly(_kronecker_mul(a, b))
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -281,24 +271,20 @@ def _kronecker_unpack(value: int, count: int, size: int) -> list:
     return out
 
 
-def _kronecker_mul(a: tuple, b: tuple) -> list:
-    """Exact product coefficients of two nonzero int polynomials.
+def _bound_bits(a: tuple, b: tuple) -> int:
+    """Bit length of max|a| max|b| min(len a, len b), which bounds every
+    coefficient of the product of a and b."""
+    return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
 
-    Palindromic operands from ``KRONECKER_PALINDROME_BITS`` packed bits on
-    take one half-width multiply (``_palindromic_mul``); the others one
-    big-int multiply at 2^(8 size).
-    """
-    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    size = bound.bit_length() // 8 + 1  # bound's bits plus a sign bit, in bytes
-    count = len(a) + len(b) - 1
-    # equal operands make a square, which CPython multiplies faster
-    square = a == b
-    if (8 * size * min(len(a), len(b)) >= KRONECKER_PALINDROME_BITS and a == a[::-1]
-            and (square or b == b[::-1])):
-        return _palindromic_mul(a, b, bound.bit_length())
+
+def _kronecker_mul(a: tuple, b: tuple) -> list:
+    """Exact product coefficients of two nonzero int polynomials, from one
+    full-width big-int multiply at 2^(8 size)."""
+    size = _bound_bits(a, b) // 8 + 1  # the bound's bits plus a sign bit, in bytes
     packed_a = _kronecker_pack(a, size)
-    packed_b = packed_a if square else _kronecker_pack(b, size)
-    return _kronecker_unpack(packed_a * packed_b, count, size)
+    # equal operands make a square, which CPython multiplies faster
+    packed_b = packed_a if a == b else _kronecker_pack(b, size)
+    return _kronecker_unpack(packed_a * packed_b, len(a) + len(b) - 1, size)
 
 
 def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:

@@ -53,7 +53,6 @@ from fractions import Fraction
 
 from . import __version__, proofpolys
 from .criteria import (
-    _last_negative,
     _qlc_chunk,
     _qlc_recurrence_chunk,
     op_L,
@@ -290,8 +289,6 @@ class FactorizationCheck:
     k: int
     lhs: int
     rhs: int
-    identity_ok: bool
-    sign_ok: bool
 
 
 def _sign(v) -> int:
@@ -300,8 +297,8 @@ def _sign(v) -> int:
 
 def factorization_check(n: int) -> list[FactorizationCheck]:
     """The cells (t, k) of row n, 0 <= t <= n and 0 <= k <= t/2, where
-    L_t(a(n,k)) * denominator differs from binomial prefactor * psi(n,t)(k)
-    or where the signs of L and psi do not coincide; empty when the row holds.
+    L_t(a(n,k)) * denominator differs from binomial prefactor * psi(n,t)(k);
+    empty when the row holds.
 
     Everything that depends on n alone is read once: the array rows n-1
     (padded with a(n-1, n) = 0), n and n+1, the prefactor column
@@ -309,10 +306,13 @@ def factorization_check(n: int) -> list[FactorizationCheck]:
     d(j) = (n-j+1)^3 (2n-2j-1), so that with j = t - k the prefactor is
     P(k) P(j) and the denominator n^2 d(k) d(j).  The factors of d are odd or
     positive and never vanish; d(n) = -1 is the lone negative one, at t = n,
-    k = 0, which is exactly where the signs of L and psi flip.  psi(n, t) is
-    built once per t, looked up when the row runs, and its values at
-    k = 0..t/2 come from one forward-difference table.  A
-    ``FactorizationCheck`` is made only for a failing cell.
+    k = 0, which is exactly where the signs of L and psi flip.  So the
+    identity also fixes the sign of L, and no sign test can fail on its own:
+    P(k) P(j) > 0 and n^2 > 0, d(k) > 0 for k <= n/2, and d(j) < 0 only at
+    t = n, k = 0, so where both sides agree L has the sign of psi, flipped
+    at that one cell.  psi(n, t) is built once per t, looked up when the
+    row runs, and its values at k = 0..t/2 come from one forward-difference
+    table.  A ``FactorizationCheck`` is made only for a failing cell.
     """
     if type(n) is not int or n < 1:
         raise ValueError(f"factorization row needs an integer n >= 1, got {n!r}")
@@ -330,21 +330,19 @@ def factorization_check(n: int) -> list[FactorizationCheck]:
             L = above[k] * below[j] + below[k] * above[j] - 2 * here[k] * here[j]
             lhs = L * n_squared * denominator[k] * denominator[j]
             rhs = prefactor[k] * prefactor[j] * psi_value
-            psi_sign = _sign(psi_value)
-            sign_ok = _sign(L) == (-psi_sign if t == n and k == 0 else psi_sign)
-            if lhs != rhs or not sign_ok:
-                failures.append(FactorizationCheck(n, t, k, lhs, rhs, lhs == rhs, sign_ok))
+            if lhs != rhs:
+                failures.append(FactorizationCheck(n, t, k, lhs, rhs))
     return failures
 
 
 def _factorization_row(n: int) -> tuple[int, list[str]]:
-    return n, [f"{'sign' if c.identity_ok else 'identity'} failure at "
-               f"(n={n}, t={c.t}, k={c.k}): lhs={c.lhs}, rhs={c.rhs}"
+    return n, [f"identity failure at (n={n}, t={c.t}, k={c.k}): lhs={c.lhs}, rhs={c.rhs}"
                for c in factorization_check(n)]
 
 
 def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
-    """Exact factorization identity and sign coincidence for all cells up to n_max.
+    """Exact factorization identity, which fixes the sign coincidence, for
+    all cells up to n_max.
 
     One record per n, from ``factorization_check(n)``, which checks the
     whole row at once.  The rows go through ``pool`` when one is given,
@@ -678,11 +676,12 @@ def _grid_row(identity: str) -> ClaimRecord:
 def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
                f_rows=None) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
     """One family's q-log-convexity record for n = 1..n_max, and its rows
-    (n, first negative, last negative defect coefficient index).
+    (n, first negative, last negative defect coefficient index), the one
+    row shape every engine gives.
 
-    D multiplies its defects out: in this process through
-    ``q_log_convex_direct``, or through ``pool`` in contiguous n-ranges that
-    send back only the two indices.  W and F, which have recurrences in n
+    D multiplies its defects out and keeps only those two indices of each:
+    in this process through ``q_log_convex_direct``, or through ``pool`` in
+    contiguous n-ranges of ``criteria._qlc_chunk``.  W and F, which have recurrences in n
     (``families.ROW_RECURRENCES``), advance their defect products by them
     in ``criteria._qlc_recurrence_chunk``: one range 1..n_max in this
     process, or one range per worker through ``pool``, each seeded directly.
@@ -714,10 +713,9 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
             rows = [row for chunk in _map_rows(pool, _qlc_recurrence_chunk, tasks)
                     for row in chunk]
         elif pool is None:
-            rows = [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
-                    for w in q_log_convex_direct(tag, n_max)]
+            rows = q_log_convex_direct(tag, n_max)
         else:
-            tasks = [(tag, lo, hi, False) for lo, hi in qlc_ranges(n_max, jobs)]
+            tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
             rows = [row for chunk in _map_rows(pool, _qlc_chunk, tasks) for row in chunk]
     failures += [f"negative defect coefficient {first} at n={n}"
                  for n, first, _last in rows if first is not None]

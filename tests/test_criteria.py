@@ -7,11 +7,10 @@ from hypothesis import given, settings, strategies as st
 from qlogconvex import criteria, families
 from qlogconvex.criteria import (
     _exact_quotient,
+    _negative_ends,
     _qlc_chunk,
     _qlc_recurrence_chunk,
     _slot_bytes,
-    _first_negative,
-    _last_negative,
     criterion_c2_sweep,
     criterion_verdict,
     log_convex_check,
@@ -155,16 +154,29 @@ def test_log_convex_check_rejects_bad_input():
         log_convex_check([1, 0, 2])
 
 
+def _defect(tag, n):
+    """P_{n+1} P_{n-1} - P_n^2, from the rows where the qlc chunks read them
+    (``criteria.family_poly``, which a test may tamper with)."""
+    row = criteria.family_poly
+    return row(tag, n + 1) * row(tag, n - 1) - row(tag, n) ** 2
+
+
+def _ends(coeffs):
+    negative = [i for i, c in enumerate(coeffs) if c < 0]
+    return (negative[0], negative[-1]) if negative else (None, None)
+
+
+def _direct_rows(tag, n_max):
+    """(n, first, last negative defect index) for n = 1..n_max, from
+    defects computed here."""
+    return [(n, *_ends(_defect(tag, n).coeffs)) for n in range(1, n_max + 1)]
+
+
 def test_qlc_direct_hand_computed_defects():
-    d_witness = q_log_convex_direct("D", 1)[0]
-    assert d_witness.defect == Poly([2, 8, 2])
-    assert d_witness.passed
-
-    v_witness = q_log_convex_direct("V", 1)[0]
-    assert v_witness.defect == Poly([0, 4, 2])
-
-    w_witness = q_log_convex_direct("W", 1)[0]
-    assert w_witness.defect == Poly([0, 2])
+    assert _defect("D", 1) == Poly([2, 8, 2])
+    assert _defect("V", 1) == Poly([0, 4, 2])
+    assert _defect("W", 1) == Poly([0, 2])
+    assert [q_log_convex_direct(tag, 1) for tag in ("D", "V", "W")] == [[(1, None, None)]] * 3
 
 
 def test_qlc_direct_rejects_bad_bound():
@@ -203,25 +215,17 @@ def test_qlc_ranges_for_recurrences_give_one_range_per_worker_at_n_squared(n_max
     assert all(sum(n**2 for n in range(lo, hi + 1)) < share + hi**2 for lo, hi in ranges)
 
 def test_qlc_chunks_agree_with_one_serial_chunk():
-    defects = [Poly([-1, 0, 3]), Poly([2, -5, 0, -1, 4]), Poly([1, 2])]
-    assert [(_first_negative(d), _last_negative(d)) for d in defects] == [
-        (0, 0), (1, 3), (None, None)]
+    defects = [(-1, 0, 3), (2, -5, 0, -1, 4), (1, 2), ()]
+    assert [_negative_ends(d) for d in defects] == [(0, 0), (1, 3), (None, None), (None, None)]
     for tag in ("V", "F"):
-        whole = _qlc_chunk((tag, 1, 30, True))
-        pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk((tag, lo, hi, True))]
+        whole = _qlc_chunk((tag, 1, 30))
+        assert whole == _direct_rows(tag, 30)
+        pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk((tag, lo, hi))]
         assert pieces == whole
-        indices_only = [row for lo, hi in qlc_ranges(30, 2)
-                        for row in _qlc_chunk((tag, lo, hi, False))]
-        assert indices_only == [(n, index, _last_negative(defect)) for n, index, defect in whole]
 
 
 
 # --- W and F defects advanced by their recurrences in n -----------------------------
-
-def _direct_rows(tag, n_max):
-    return [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
-            for w in q_log_convex_direct(tag, n_max)]
-
 
 @pytest.mark.parametrize("tag", ["W", "F"])
 @pytest.mark.parametrize("n_max", [1, 2, 3, 60, 160])
@@ -313,18 +317,60 @@ def test_a_wrong_recurrence_reseeds_every_step(monkeypatch, tag, which):
     assert divisions  # the true one does advance
 
 
-def test_witness_defects_survive_pickling():
-    witness = q_log_convex_direct("W", 6)[-1]
-    assert pickle.loads(pickle.dumps(witness.defect)) == witness.defect
+def _schoolbook_rows(tag, n_max):
+    """(n, first, last negative defect index) for n = 1..n_max, each defect
+    multiplied out by a schoolbook loop over the rows the qlc chunks read,
+    with no ``Poly`` arithmetic in between."""
+    rows = [criteria.family_poly(tag, m).coeffs for m in range(n_max + 2)]
+
+    def product(a, b):
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            for j, y in enumerate(b):
+                out[i + j] += x * y
+        return out
+
+    out = []
+    for n in range(1, n_max + 1):
+        outer, square = product(rows[n + 1], rows[n - 1]), product(rows[n], rows[n])
+        outer += [0] * (len(square) - len(outer))
+        square += [0] * (len(outer) - len(square))
+        out.append((n, *_ends([x - y for x, y in zip(outer, square)])))
+    return out
+
+
+@pytest.mark.parametrize("tag", ["D", "W", "V", "F"])
+@pytest.mark.parametrize("tamper", [None, (13, 4, 3)])
+def test_every_qlc_engine_gives_the_schoolbook_rows(monkeypatch, tag, tamper):
+    # untampered every row passes; with row 13 tripled at coefficient 4 the
+    # defects that read it turn negative, and each engine must say where
+    n_max = 40
+    if tamper is not None:
+        _tamper_rows(monkeypatch, tag, *tamper)
+    expected = _schoolbook_rows(tag, n_max)
+    failing = [n for n, first, _last in expected if first is not None]
+    assert failing == ([] if tamper is None else [13])
+    assert q_log_convex_direct(tag, n_max) == expected
+    for jobs in (2, 3):
+        assert [row for lo, hi in qlc_ranges(n_max, jobs)
+                for row in _qlc_chunk((tag, lo, hi))] == expected
+    if tag in ROW_RECURRENCES:
+        assert _qlc_recurrence_chunk((tag, 1, n_max)) == expected
+        assert [row for lo, hi in qlc_ranges(n_max, 2, per_job=1, power=2)
+                for row in _qlc_recurrence_chunk((tag, lo, hi))] == expected
+
+
+def test_defects_survive_pickling():
+    defect = _defect("W", 6)
+    assert pickle.loads(pickle.dumps(defect)) == defect
 
 
 def test_qlc_at_one_implies_number_log_convexity():
-    witnesses = q_log_convex_direct("D", 30)
-    assert all(w.passed for w in witnesses)
+    assert q_log_convex_direct("D", 30) == [(n, None, None) for n in range(1, 31)]
     # evaluating the defect at q = 1 gives the log-convexity gap of the numbers
-    for w in witnesses:
-        gap = domb_number(w.n + 1) * domb_number(w.n - 1) - domb_number(w.n) ** 2
-        assert w.defect(1) == gap >= 0
+    for n in range(1, 31):
+        gap = domb_number(n + 1) * domb_number(n - 1) - domb_number(n) ** 2
+        assert _defect("D", n)(1) == gap >= 0
     assert log_convex_check([domb_number(n) for n in range(32)]) is None
 
 
@@ -370,4 +416,4 @@ def test_monotonicity_report_small_range():
 
 def test_monotonicity_rejects_tiny_bound():
     with pytest.raises(ValueError):
-        root_monotonicity_check(1)
+        root_monotonicity_check(1, 1)

@@ -7,8 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 
 from qlogconvex import polynomials
 from qlogconvex.polynomials import (
-    KRONECKER_MIN_TERMS,
-    KRONECKER_PALINDROME_BITS,
     IntervalSign,
     Poly,
     ZERO,
@@ -262,11 +260,11 @@ def _reference_product(a: list, b: list) -> list:
 
 @st.composite
 def _signed_coeff_lists(draw):
-    """Coefficient lists around the Kronecker crossover, with interior zeros
-    and possibly zero leading coefficients (length 0 is the zero polynomial)."""
+    """Coefficient lists of up to 40 terms, with interior zeros and possibly
+    zero leading coefficients (length 0 is the zero polynomial)."""
     bits = draw(st.integers(min_value=1, max_value=700))
     coeff = st.integers(min_value=-(2**bits - 1), max_value=2**bits - 1)
-    body = draw(st.lists(st.one_of(st.just(0), coeff), max_size=2 * KRONECKER_MIN_TERMS + 8))
+    body = draw(st.lists(st.one_of(st.just(0), coeff), max_size=40))
     return body + [0] * draw(st.integers(min_value=0, max_value=2))
 
 
@@ -296,15 +294,11 @@ def _bound_bits(a, b) -> int:
     return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
 
 
-def _packed_bits(a, b) -> int:
-    """Slot bits times the shorter length, the size the Kronecker dispatch reads."""
-    return 8 * (_bound_bits(a, b) // 8 + 1) * min(len(a), len(b))
-
-
 def _expected_unpacks(a, b) -> list:
+    """The one path of an int product: palindromic when both operands equal
+    their reversal, else one full-width unpack."""
     count = len(a) + len(b) - 1
-    if (_packed_bits(a, b) >= polynomials.KRONECKER_PALINDROME_BITS
-            and list(a) == list(a)[::-1] and list(b) == list(b)[::-1]):
+    if list(a) == list(a)[::-1] and list(b) == list(b)[::-1]:
         return [("palindromic", count)]
     return [count]
 
@@ -313,33 +307,32 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # all coefficients at one magnitude make the middle product coefficient
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
     # sizes the bound fills its last byte in some cases and not in others.
-    # With the palindromic threshold at 0 the symmetric pairs take the
-    # half-width product, whose slot holds 2 shift - 2 bits of the bound
-    # and whose middle coefficient is -bound for the second pair.
+    # The symmetric pairs take the half-width product through Poly.__mul__,
+    # whose slot holds 2 shift - 2 bits of the bound and whose middle
+    # coefficient is -bound for the second pair; the full-width product is
+    # called on its own for every pair.
     unpacks = _spy_unpacks(monkeypatch)
     sizes = [*range(1, 80), 699, 700]
-    for palindrome_bits in (KRONECKER_PALINDROME_BITS, math.inf, 0):
-        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
-        unpacks.clear()
-        expected_unpacks = []
-        for bits in sizes:
-            top = 2**bits - 1
-            length = KRONECKER_MIN_TERMS + bits % 5
-            for a, b in (
-                ([top] * length, [top] * length),
-                ([-top] * length, [top] * (length + 3)),
-                ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
-                ([top] * length, [0] + [-top] * length),
-            ):
-                assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-                expected_unpacks += _expected_unpacks(a, b)
-        assert unpacks == expected_unpacks
-    # in the last run, with the threshold at 0, the two all-equal pairs and
-    # the odd-length alternating squares are symmetric: one palindromic
-    # product each, and one unpack for each of the others
-    odd = sum((KRONECKER_MIN_TERMS + bits % 5) % 2 for bits in sizes)
+    expected_unpacks = []
+    for bits in sizes:
+        top = 2**bits - 1
+        length = 16 + bits % 5
+        for a, b in (
+            ([top] * length, [top] * length),
+            ([-top] * length, [top] * (length + 3)),
+            ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
+            ([top] * length, [0] + [-top] * length),
+        ):
+            expected = _reference_product(a, b)
+            assert list((Poly(a) * Poly(b)).coeffs) == expected
+            assert polynomials._kronecker_mul(tuple(a), tuple(b)) == expected
+            expected_unpacks += _expected_unpacks(a, b) + [len(a) + len(b) - 1]
+    assert unpacks == expected_unpacks
+    # the two all-equal pairs and the odd-length alternating squares are
+    # symmetric: one palindromic product each through Poly.__mul__
+    odd = sum((16 + bits % 5) % 2 for bits in sizes)
     assert sum(isinstance(u, tuple) for u in unpacks) == 2 * len(sizes) + odd
-    assert len(unpacks) == 4 * len(sizes)
+    assert len(unpacks) == 8 * len(sizes)
 
 
 def _two_point_cases() -> list:
@@ -363,23 +356,23 @@ def _two_point_cases() -> list:
 
 
 def test_mul_two_point_matches_schoolbook(monkeypatch):
-    # the all-negative squares are symmetric; with the palindromic path
-    # switched off they take the full-width product too
+    # the all-negative squares are symmetric and take the palindromic path
+    # through Poly.__mul__; the full-width product, called on its own,
+    # multiplies them too
     unpacks = _spy_unpacks(monkeypatch)
-    for palindrome_bits in (KRONECKER_PALINDROME_BITS, math.inf):
-        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", palindrome_bits)
-        unpacks.clear()
-        expected_unpacks = []
-        for a, b in _two_point_cases():
-            assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-            expected_unpacks += _expected_unpacks(a, b)
-        assert unpacks == expected_unpacks
+    expected_unpacks = []
+    for a, b in _two_point_cases():
+        expected = _reference_product(a, b)
+        assert list((Poly(a) * Poly(b)).coeffs) == expected
+        assert polynomials._kronecker_mul(tuple(a), tuple(b)) == expected
+        expected_unpacks += _expected_unpacks(a, b) + [len(a) + len(b) - 1]
+    assert unpacks == expected_unpacks
 
 
-@pytest.mark.parametrize("n", [48, 96, 160])
+@pytest.mark.parametrize("n", [1, 5, 20, 48, 96, 160])
 def test_mul_two_point_family_defect_products(monkeypatch, n):
-    # the defect's two products: the self-reciprocal D and W rows take the
-    # palindromic path, V and F the full-width product
+    # the defect's two products at every size: the self-reciprocal D and W
+    # rows take the palindromic path, V and F the full-width product
     unpacks = _spy_unpacks(monkeypatch)
     for tag in FAMILY_TAGS:
         below, here, above = (family_poly(tag, m).coeffs for m in (n - 1, n, n + 1))
@@ -388,46 +381,39 @@ def test_mul_two_point_family_defect_products(monkeypatch, n):
     assert unpacks == [("palindromic", 2 * n + 1)] * 4 + [2 * n + 1] * 4
 
 
-def test_mul_kronecker_crossover_and_fraction_dispatch(monkeypatch):
-    calls = []
-    original = polynomials._kronecker_mul
-    monkeypatch.setattr(polynomials, "_kronecker_mul",
-                        lambda a, b: calls.append((len(a), len(b))) or original(a, b))
-    long_ints = Poly(range(1, KRONECKER_MIN_TERMS + 1))
-    short_ints = Poly(range(1, KRONECKER_MIN_TERMS))
-    assert long_ints * long_ints == Poly(_reference_product(list(long_ints.coeffs),
-                                                           list(long_ints.coeffs)))
-    assert calls == [(KRONECKER_MIN_TERMS, KRONECKER_MIN_TERMS)]
-    short_ints * long_ints
-    long_ints * Poly([Fraction(1, 3)] * KRONECKER_MIN_TERMS)
-    assert ZERO * long_ints == long_ints * ZERO == ZERO
-    assert len(calls) == 1  # short and int x Fraction products keep the schoolbook loop
+def test_mul_dispatch_reads_operand_type_and_shape(monkeypatch):
+    # int operands of any length take the palindromic path when both are
+    # symmetric and the full-width product otherwise; a Fraction operand
+    # keeps the schoolbook loop
+    unpacks = _spy_unpacks(monkeypatch)
+    symmetric = Poly([3, 1, 3])
+    for a, b in ((Poly([5]), Poly([7])), (symmetric, symmetric), (Poly([2] * 40), symmetric),
+                 (Poly([1, 2]), Poly([1, 2])), (symmetric, Poly(range(1, 41))),
+                 (Poly([0, 1]), Poly([1]))):
+        unpacks.clear()
+        assert (a * b).coeffs == Poly(_reference_product(list(a.coeffs), list(b.coeffs))).coeffs
+        assert unpacks == _expected_unpacks(a.coeffs, b.coeffs)
+    unpacks.clear()
+    thirds = Poly([Fraction(1, 3)] * 3)
+    assert symmetric * thirds == thirds * symmetric == Poly(
+        _reference_product([3, 1, 3], [Fraction(1, 3)] * 3))
+    assert ZERO * symmetric == symmetric * ZERO == ZERO
+    assert unpacks == []
 
 
 def test_mul_kronecker_palindromic_dispatch(monkeypatch):
-    # the threshold is inclusive and reads the packed size, not the term count
-    a = [(-1) ** i * (2**300 - i) for i in range(11)]
+    # the same term count at 5 and 2000 bits: the symmetric squares take the
+    # palindromic path at either size, the same operands bumped in one
+    # coefficient the full-width product
     unpacks = _spy_unpacks(monkeypatch)
+    a = [(-1) ** i * (2**300 - i) for i in range(11)]
     symmetric = a[:10] + a[10::-1]
-    packed = _packed_bits(symmetric, symmetric)
-    count = 2 * len(symmetric) - 1
-    for threshold, path in ((packed + 1, [count]), (packed, [("palindromic", count)]),
-                            (packed - 1, [("palindromic", count)])):
-        monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", threshold)
-        unpacks.clear()
-        assert list((Poly(symmetric) * Poly(symmetric)).coeffs) == _reference_product(symmetric,
-                                                                                     symmetric)
-        assert unpacks == path
-    # at the real threshold: the same term count on each side of it; the
-    # symmetric squares take the palindromic path above it, the same
-    # operands bumped in one coefficient the full-width product
-    monkeypatch.setattr(polynomials, "KRONECKER_PALINDROME_BITS", KRONECKER_PALINDROME_BITS)
     length = 20
     small, large = ([2**bits - 1] * length for bits in (5, 2000))
     bumped = [2**2000 - 2] + large[1:]
-    assert _packed_bits(small, small) < KRONECKER_PALINDROME_BITS
-    assert KRONECKER_PALINDROME_BITS <= _packed_bits(bumped, bumped)
-    for operand, path in ((small, [2 * length - 1]), (large, [("palindromic", 2 * length - 1)]),
+    for operand, path in ((symmetric, [("palindromic", 2 * len(symmetric) - 1)]),
+                          (small, [("palindromic", 2 * length - 1)]),
+                          (large, [("palindromic", 2 * length - 1)]),
                           (bumped, [2 * length - 1])):
         unpacks.clear()
         assert list((Poly(operand) * Poly(operand)).coeffs) == _reference_product(operand, operand)
@@ -440,7 +426,7 @@ def _palindromic_coeff_lists(draw):
     some have every coefficient of one magnitude, which puts the product's
     middle coefficient at the slot bound."""
     top = 2 ** draw(st.integers(min_value=1, max_value=700)) - 1
-    length = draw(st.integers(min_value=1, max_value=2 * KRONECKER_MIN_TERMS + 8))
+    length = draw(st.integers(min_value=1, max_value=40))
     if draw(st.booleans()):
         return (draw(st.sampled_from([top, -top])),) * length
     half = draw(st.lists(st.integers(min_value=-top, max_value=top),
@@ -503,7 +489,7 @@ def test_palindromic_mul_raises_on_a_slot_one_bit_too_narrow():
         polynomials._palindromic_mul(a, b, 14)
 
 
-@given(_signed_coeff_lists(), st.integers(min_value=1, max_value=KRONECKER_MIN_TERMS + 4),
+@given(_signed_coeff_lists(), st.integers(min_value=1, max_value=20),
        st.fractions(max_denominator=10**6))
 @settings(max_examples=100, deadline=None)
 def test_mul_int_by_fraction_poly(a, length, fraction):

@@ -29,7 +29,7 @@ from qlogconvex.verification import (
     verify_prop33,
 )
 from qlogconvex import cli, verification
-from qlogconvex.criteria import _last_negative, op_L, q_log_convex_direct
+from qlogconvex.criteria import op_L
 from qlogconvex.hiprec import ccl_constant_bounds
 from qlogconvex.families import DOMB_ARRAY, TriangularArray
 
@@ -93,7 +93,7 @@ def test_factorization_trivial_cell(monkeypatch):
     _corrupt_psi(monkeypatch, (1, 0))
     [cell] = factorization_check(1)
     assert (cell.t, cell.k, cell.lhs) == (0, 0, 4 * _denominator(1, 0, 0))
-    assert not cell.identity_ok and cell.sign_ok
+    assert cell.lhs != cell.rhs and (cell.lhs > 0) == (cell.rhs > 0)
 
 
 def test_factorization_excluded_cell_flips_sign():
@@ -125,7 +125,7 @@ def test_factorization_row_matches_per_cell_checks(monkeypatch, tamper):
         assert [(c.n, c.t, c.k) for c in cells] == [(n, t, k) for t, k in _row_cells(n)]
         for c in cells:
             assert c.rhs == _prefactor(n, c.t, c.k) * (original(n, c.t)(c.k) + 1), (n, c.t, c.k)
-            assert not c.identity_ok
+            assert c.lhs != c.rhs
 
 
 def test_tampered_psi_fails_its_factorization_record(monkeypatch):
@@ -682,12 +682,30 @@ def test_pooled_certificate_with_recurrence_ranges_matches_serial():
 
 # --- qlc_V read from F's defects through V_n(q) = q^n F_n(1/q) -------------------
 
+def _defect(tag, n):
+    """P_{n+1} P_{n-1} - P_n^2, from the rows where the qlc sweeps read them
+    (``criteria.family_poly``, which a test may tamper with)."""
+    row = criteria.family_poly
+    return row(tag, n + 1) * row(tag, n - 1) - row(tag, n) ** 2
+
+
+def _direct_rows(tag, n_max):
+    """(n, first, last negative defect index) for n = 1..n_max, from
+    defects computed here."""
+    rows = []
+    for n in range(1, n_max + 1):
+        negative = [i for i, c in enumerate(_defect(tag, n).coeffs) if c < 0]
+        rows.append((n, negative[0], negative[-1]) if negative else (n, None, None))
+    return rows
+
+
 def test_v_defect_is_the_f_defect_reversed():
     # F's defect ends in a zero coefficient that Poly strips, so it is
     # padded to the 2n + 1 coefficients of degree 2n before it is reversed
-    for v, f in zip(q_log_convex_direct("V", 40), q_log_convex_direct("F", 40)):
-        padded = f.defect.coeffs + (0,) * (2 * f.n + 1 - len(f.defect.coeffs))
-        assert v.defect == Poly(padded[::-1])
+    for n in range(1, 41):
+        f = _defect("F", n).coeffs
+        padded = f + (0,) * (2 * n + 1 - len(f))
+        assert _defect("V", n) == Poly(padded[::-1])
 
 
 def _tamper_family_rows(monkeypatch, change):
@@ -724,14 +742,12 @@ def test_derived_v_failures_match_the_direct_products(monkeypatch, bumps):
     n_max = 20
     f_record, f_rows = verification._qlc_claim("F", n_max, 1)
     v_record, v_rows = verification._qlc_claim("V", n_max, 1, None, f_rows)
-    direct = q_log_convex_direct("V", n_max)
-    assert v_rows == [(w.n, w.first_negative_coefficient_index, _last_negative(w.defect))
-                      for w in direct]
-    bad = [w for w in direct if not w.passed]
+    direct = _direct_rows("V", n_max)
+    assert v_rows == direct
+    bad = [(n, first) for n, first, _last in direct if first is not None]
     assert bad and not f_record.passed
     assert v_record.witness == {
-        "first_failure": f"negative defect coefficient "
-                         f"{bad[0].first_negative_coefficient_index} at n={bad[0].n}",
+        "first_failure": f"negative defect coefficient {bad[0][1]} at n={bad[0][0]}",
         "failure_count": str(len(bad))}
 
 
@@ -794,12 +810,11 @@ def test_an_error_in_the_reversal_check_fails_qlc_v_alone(monkeypatch):
 
 def _direct_qlc_summary(tag, n_max):
     """``check qlc --format json``'s bytes, built from the direct products."""
-    bad = [w for w in q_log_convex_direct(tag, n_max) if not w.passed]
+    bad = [(n, first) for n, first, _last in _direct_rows(tag, n_max) if first is not None]
     summary = {"check": "qlc", "family": tag, "n_max": str(n_max),
                "result": "fail" if bad else "pass"}
     if bad:
-        summary["first_witness"] = (f"n={bad[0].n}, "
-                                    f"coefficient {bad[0].first_negative_coefficient_index}")
+        summary["first_witness"] = f"n={bad[0][0]}, coefficient {bad[0][1]}"
     return json.dumps(summary, indent=2) + "\n"
 
 
