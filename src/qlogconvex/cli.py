@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import os
@@ -26,6 +27,7 @@ from .families import (
 )
 from .hiprec import fraction_to_decimal, fraction_to_scientific
 from .verification import (
+    SERIES_TOLERANCE_TEXT,
     VerificationConfig,
     check_series_digits,
     qlc_check,
@@ -38,21 +40,8 @@ EXIT_VERIFICATION_FAILURE = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
 
-CHECK_MIN_N_MAX = {"qlc": 1, "logconvex": 2, "crossing": 0}
-
-# The optional flags each kind of check reads, with their defaults (None: the
-# CPU count).  Giving a kind a flag it does not read is a usage error.
-CHECK_FLAGS = {
-    "qlc": {"family": "D", "jobs": None},
-    "logconvex": {},
-    "crossing": {"array": "domb_a"},
-}
-
-
-def _check_flag_help(flag: str) -> str:
-    kind = next(kind for kind, flags in CHECK_FLAGS.items() if flag in flags)
-    default = CHECK_FLAGS[kind][flag]
-    return f"read by check {kind} only (default: {default or 'the CPU count'})"
+N_MAX_HELP = {"n_max_factorization": "largest n of the factorization sweep; it also bounds "
+                                     "the prop32 and prop33 sweeps (default: %(default)s)"}
 
 
 def _emit(text: str, out_path: str | None, passed: bool = True) -> int:
@@ -103,49 +92,51 @@ def cmd_families(args) -> int:
     return _emit(_render_families(args.family, ns, args.format), args.out)
 
 
+def _run_qlc(args) -> tuple[dict[str, str], bool, str | None]:
+    record, rows = qlc_check(args.family, args.n_max, args.jobs)
+    bad = [f"n={n}, coefficient {first}" for n, first, _last in rows if first is not None]
+    # a failing record without a negative row: a V row is not F's reversed
+    witness = bad[0] if bad else (None if record.passed else record.witness["first_failure"])
+    return {"family": args.family}, record.passed, witness
+
+
+def _run_logconvex(args) -> tuple[dict[str, str], bool, str | None]:
+    failure = log_convex_check(domb_numbers(args.n_max + 1), strict=True)
+    return ({"sequence": "domb_numbers"}, failure is None,
+            None if failure is None else f"index {failure}")
+
+
+def _run_crossing(args) -> tuple[dict[str, str], bool, str | None]:
+    array = get_array(args.array)
+    first = next((n for n in range(1, args.n_max + 1)
+                  if not sweep_passes(criterion_c2_sweep(array, n))), None)
+    return {"array": args.array}, first is None, None if first is None else f"n={first}"
+
+
+# kind -> (the optional flags it reads, with their defaults (None: the CPU
+# count); the smallest n-max that leaves it something to test; its runner,
+# which returns the summary's subject, the verdict and the first witness or
+# None).  Giving a kind a flag it does not read is a usage error.  qlc and
+# crossing start at n = 1, and log-convexity needs D_0, D_1 and D_2.
+CHECKS = {
+    "qlc": ({"family": "D", "jobs": None}, 1, _run_qlc),
+    "logconvex": ({}, 2, _run_logconvex),
+    "crossing": ({"array": "domb_a"}, 1, _run_crossing),
+}
+
+
+def _check_flag_help(flag: str) -> str:
+    kind, reads = next((kind, reads) for kind, (reads, _, _) in CHECKS.items() if flag in reads)
+    return f"read by check {kind} only (default: {reads[flag] or 'the CPU count'})"
+
+
 def cmd_check(args) -> int:
-    if args.kind == "qlc":
-        record, rows = qlc_check(args.family, args.n_max, args.jobs)
-        summary = {
-            "check": "qlc",
-            "family": args.family,
-            "n_max": str(args.n_max),
-            "result": record.outcome,
-        }
-        bad = [(n, first) for n, first, _last in rows if first is not None]
-        if bad:
-            summary["first_witness"] = f"n={bad[0][0]}, coefficient {bad[0][1]}"
-        elif not record.passed:  # a V row that is not F's reversed
-            summary["first_witness"] = record.witness["first_failure"]
-        passed = record.passed
-    elif args.kind == "logconvex":
-        numbers = domb_numbers(args.n_max + 1)
-        failure = log_convex_check(numbers, strict=True)
-        summary = {
-            "check": "logconvex",
-            "sequence": "domb_numbers",
-            "n_max": str(args.n_max),
-            "result": "pass" if failure is None else "fail",
-        }
-        if failure is not None:
-            summary["first_witness"] = f"index {failure}"
-        passed = failure is None
-    else:  # crossing
-        array = get_array(args.array)
-        violations = []
-        for n in range(1, args.n_max + 1):
-            results = criterion_c2_sweep(array, n)
-            if not sweep_passes(results):
-                violations.append(n)
-        summary = {
-            "check": "crossing",
-            "array": args.array,
-            "n_max": str(args.n_max),
-            "result": "pass" if not violations else "fail",
-        }
-        if violations:
-            summary["first_witness"] = f"n={violations[0]}"
-        passed = not violations
+    _reads, _fewest, run = CHECKS[args.kind]
+    subject, passed, witness = run(args)
+    summary = {"check": args.kind, **subject, "n_max": str(args.n_max),
+               "result": "pass" if passed else "fail"}
+    if witness is not None:
+        summary["first_witness"] = witness
     return _emit(_render_summary(summary, args.format), args.out, passed)
 
 
@@ -172,16 +163,8 @@ def _certificate_text(certificate) -> str:
 
 
 def cmd_verify_paper(args) -> int:
-    config = VerificationConfig(
-        n_max_direct=args.n_max_direct,
-        n_max_factorization=args.n_max_factorization,
-        n_max_sturm=args.n_max_sturm,
-        series_N=args.series_N,
-        series_digits=args.digits,
-        parallelism=args.jobs,
-        n_max_monotonicity=args.n_max_monotonicity,
-        n_max_root_ratio=args.n_max_root_ratio,
-    )
+    config = VerificationConfig(**{f.name: getattr(args, f.name)
+                                   for f in dataclasses.fields(VerificationConfig)})
     try:
         config.validate()
     except ValueError as exc:
@@ -212,19 +195,19 @@ def cmd_verify_paper(args) -> int:
 
 def cmd_series(args) -> int:
     try:
-        check_series_digits(args.digits)
+        check_series_digits(args.series_digits)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    partial, lo, hi, distance_bound, passed = series_check(args.series_N, args.digits)
+    partial, lo, hi, distance_bound, passed = series_check(args.series_N, args.series_digits)
     summary = {
         "N": str(args.series_N),
-        "partial_sum": fraction_to_decimal(partial, args.digits),
-        "constant_low": fraction_to_decimal(lo, args.digits),
-        "constant_high": fraction_to_decimal(hi, args.digits),
+        "partial_sum": fraction_to_decimal(partial, args.series_digits),
+        "constant_low": fraction_to_decimal(lo, args.series_digits),
+        "constant_high": fraction_to_decimal(hi, args.series_digits),
         # scientific: truncated to --digits places it would read 0.000...
         "distance_bound": fraction_to_scientific(distance_bound),
-        "tolerance": "1e-28",
+        "tolerance": SERIES_TOLERANCE_TEXT,
         "result": "pass" if passed else "fail",
     }
     return _emit(_render_summary(summary, args.format), args.out, passed)
@@ -233,6 +216,12 @@ def cmd_series(args) -> int:
 def _add_common_output_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("json", "csv", "text"), default="text")
     parser.add_argument("--out", metavar="PATH", default=None)
+
+
+def _add_series_args(parser: argparse.ArgumentParser, defaults: VerificationConfig) -> None:
+    parser.add_argument("--series-N", type=int, default=defaults.series_N)
+    parser.add_argument("--digits", type=int, default=defaults.series_digits,
+                        dest="series_digits", metavar="DIGITS")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -259,24 +248,20 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common_output_args(p_check)
     p_check.set_defaults(func=cmd_check)
 
+    # every config field is one flag, whose destination is the field's name
     defaults = VerificationConfig()
     p_verify = sub.add_parser("verify-paper", help="full verification with certificate")
-    p_verify.add_argument("--n-max-direct", type=int, default=defaults.n_max_direct)
-    p_verify.add_argument("--n-max-factorization", type=int, default=defaults.n_max_factorization,
-                          help="largest n of the factorization sweep; it also bounds "
-                               "the prop32 and prop33 sweeps (default: %(default)s)")
-    p_verify.add_argument("--n-max-sturm", type=int, default=defaults.n_max_sturm)
-    p_verify.add_argument("--n-max-monotonicity", type=int, default=defaults.n_max_monotonicity)
-    p_verify.add_argument("--n-max-root-ratio", type=int, default=defaults.n_max_root_ratio)
-    p_verify.add_argument("--series-N", type=int, default=defaults.series_N, dest="series_N")
-    p_verify.add_argument("--digits", type=int, default=defaults.series_digits)
-    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1)
+    for name in (f.name for f in dataclasses.fields(defaults) if f.name.startswith("n_max_")):
+        p_verify.add_argument("--" + name.replace("_", "-"), type=int,
+                              default=getattr(defaults, name), help=N_MAX_HELP.get(name))
+    _add_series_args(p_verify, defaults)
+    p_verify.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
+                          dest="parallelism", metavar="JOBS")
     _add_common_output_args(p_verify)
     p_verify.set_defaults(func=cmd_verify_paper, format="json")
 
     p_series = sub.add_parser("series", help="partial sums of the 1/pi series")
-    p_series.add_argument("--series-N", type=int, default=defaults.series_N, dest="series_N")
-    p_series.add_argument("--digits", type=int, default=defaults.series_digits)
+    _add_series_args(p_series, defaults)
     _add_common_output_args(p_series)
     p_series.set_defaults(func=cmd_series)
 
@@ -292,19 +277,16 @@ def main(argv: list[str] | None = None) -> int:
     if hasattr(args, "n_max") and args.n_max < 0:
         parser.error(f"n-max must be nonnegative, got {args.n_max}")
     if args.command == "check":
-        for kind, flags in CHECK_FLAGS.items():
-            for flag, default in flags.items():
-                if kind != args.kind:
-                    if getattr(args, flag) is not None:
-                        parser.error(f"check {args.kind} does not read --{flag}")
-                elif getattr(args, flag) is None:
-                    setattr(args, flag, default or os.cpu_count() or 1)
-        # below these the check has nothing to test: qlc starts at n = 1 and
-        # log-convexity needs the three numbers D_0, D_1, D_2
-        fewest = CHECK_MIN_N_MAX[args.kind]
+        reads, fewest, _run = CHECKS[args.kind]
+        for flag in dict.fromkeys(flag for row in CHECKS.values() for flag in row[0]):
+            if flag not in reads:
+                if getattr(args, flag) is not None:
+                    parser.error(f"check {args.kind} does not read --{flag}")
+            elif getattr(args, flag) is None:
+                setattr(args, flag, reads[flag] or os.cpu_count() or 1)
         if args.n_max < fewest:
             parser.error(f"check {args.kind} needs n-max >= {fewest}, got {args.n_max}")
-        if args.kind == "qlc" and args.jobs < 1:
+        if "jobs" in reads and args.jobs < 1:
             parser.error(f"jobs must be at least 1, got {args.jobs}")
     if args.command == "series" and args.series_N < 0:
         parser.error(f"series-N must be nonnegative, got {args.series_N}")

@@ -482,39 +482,47 @@ def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
     return _sign_variations(g)
 
 
+def _roots_inside(f: Poly, a: Fraction, b: Fraction) -> int:
+    """Number of distinct roots of a nonzero f in the open interval (a, b),
+    for a < b where f has no root at a or b.
+
+    Descartes' rule decides first: when the variations V of
+    ``descartes_bound(f, a, b)`` are 0 or 1, f has exactly V roots in
+    (a, b), a simple one if V = 1.  Otherwise the Sturm chain decides:
+    every element is a multiple of gcd(f, f'), which is nonzero at a and b,
+    so the difference of sign variations V(a) - V(b) counts the distinct
+    roots of f in (a, b) even when f is not squarefree.  The signs at
+    a = p/q are read from the integers sum_i c_i p^i q^(d-i).
+    """
+    variations = descartes_bound(f, a, b)
+    if variations <= 1:
+        return variations
+    chain = sturm_chain(f)
+    va = _sign_variations([_homogeneous(q.coeffs, a.numerator, a.denominator) for q in chain])
+    vb = _sign_variations([_homogeneous(q.coeffs, b.numerator, b.denominator) for q in chain])
+    return va - vb
+
+
 def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
     Roots at the endpoints are deflated first, with all their
     multiplicities, so that a root exactly at ``a`` is excluded and one
-    exactly at ``b`` is included, per the (a, b] convention.  What is left,
-    f, has no root at a or b.  Descartes' rule decides first: when the
-    variations V of ``descartes_bound(f, a, b)`` are 0 or 1, f has exactly
-    V roots in (a, b), a simple one if V = 1.  Otherwise the Sturm chain
-    decides: every element is a multiple of gcd(f, f'), which is nonzero at
-    a and b, so the difference of sign variations V(a) - V(b) counts the
-    distinct roots of f in (a, b) even when f is not squarefree.  The signs
-    at a = p/q are read from the integers sum_i c_i p^i q^(d-i).
+    exactly at ``b`` is included, per the (a, b] convention; what is left
+    has no root at a or b, and ``_roots_inside`` counts its roots.
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
     a, b = Fraction(a), Fraction(b)
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b}]")
-    count_b = 1 if p(b) == 0 else 0
+    count_b = 0
     f = p
     for endpoint in (a, b):
         while f.degree > 0 and f(endpoint) == 0:
             f = _deflate_root(f, endpoint)
-    if f.degree <= 0:
-        return count_b
-    variations = descartes_bound(f, a, b)
-    if variations <= 1:
-        return variations + count_b
-    chain = sturm_chain(f)
-    va = _sign_variations([_homogeneous(q.coeffs, a.numerator, a.denominator) for q in chain])
-    vb = _sign_variations([_homogeneous(q.coeffs, b.numerator, b.denominator) for q in chain])
-    return va - vb + count_b
+            count_b = int(endpoint == b)  # a root at b counts once
+    return _roots_inside(f, a, b) + count_b
 
 
 class IntervalSign(enum.Enum):
@@ -538,8 +546,7 @@ def sign_constant_on(p: Poly, a: Coeff, b: Coeff) -> IntervalSign:
     pa, pb = p(a), p(b)
     if pa == 0 or pb == 0:
         return IntervalSign.NOT_CONSTANT
-    # b is not a root, so the (a, b] count equals the open-interval count
-    if sturm_count_roots(p, a, b) > 0:
+    if _roots_inside(p, a, b) > 0:
         return IntervalSign.NOT_CONSTANT
     if (pa > 0) != (pb > 0):
         raise ArithmeticError(f"root count 0 on ({a}, {b}) but p changes sign: "

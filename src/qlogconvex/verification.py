@@ -32,8 +32,9 @@ Only the small parts stay in the parent (claim 1, that reversal check, the
 series and the monotonicity evidence).  The rows are the same private
 functions the serial run loops over, the records are sorted before they
 are assembled, and a row that raises in a worker is raised again in the
-parent in row order, so serial and pooled certificates are identical
-except for the timestamp.  Under the fork start method (the
+parent in row order, so serial and pooled certificates have the same
+claims and verdict; their ``parameters`` differ only in ``parallelism``,
+and the timestamps differ.  Under the fork start method (the
 default on Linux) the workers are copies of the parent as it is when the
 run starts, so they see any function replaced before the run began.
 ``check qlc`` reads ``qlc_check``, which gives one family's qlc record and
@@ -47,7 +48,7 @@ import functools
 import itertools
 import json
 import multiprocessing
-from dataclasses import dataclass, field, asdict
+from dataclasses import asdict, dataclass, field, fields
 from datetime import datetime, timezone
 from fractions import Fraction
 
@@ -73,7 +74,8 @@ from .polynomials import (
 )
 from .proofpolys import IdentityError
 
-SERIES_TOLERANCE = Fraction(1, 10**28)
+SERIES_TOLERANCE_TEXT = "1e-28"  # as the certificate and the series command print it
+SERIES_TOLERANCE = Fraction(SERIES_TOLERANCE_TEXT)
 
 # Explicit boundary operator values L_t(a(n,0)) for n = 1..4, checked verbatim.
 BOUNDARY_TABLE = {
@@ -205,16 +207,13 @@ class VerificationConfig:
     n_max_root_ratio: int = 120
 
     def validate(self) -> None:
-        bounds = (self.n_max_direct, self.n_max_factorization, self.n_max_sturm,
-                  self.series_N, self.parallelism, self.n_max_monotonicity,
-                  self.n_max_root_ratio)
-        if any(b < 1 for b in bounds):
+        if any(getattr(self, f.name) < 1 for f in fields(self) if f.name != "series_digits"):
             raise ValueError("all verification bounds must be >= 1")
         check_series_digits(self.series_digits)
 
     def as_parameters(self) -> dict[str, str]:
         out = {k: str(v) for k, v in vars(self).items()}
-        out["series_tolerance"] = "1e-28"
+        out["series_tolerance"] = SERIES_TOLERANCE_TEXT
         return out
 
 
@@ -236,9 +235,9 @@ def check_series_digits(digits: int) -> None:
         fewest = next(d for d in itertools.count(1)
                       if _enclosure_half_width(d) < SERIES_TOLERANCE)
         raise ValueError(
-            f"series digits {digits} give an enclosure of 8/(sqrt(3) pi) at least "
-            f"twice the series tolerance 1e-28 wide, so the series claim can only fail; "
-            f"use at least {fewest}")
+            f"series digits {digits} give an enclosure of 8/(sqrt(3) pi) at least twice "
+            f"the series tolerance {SERIES_TOLERANCE_TEXT} wide, so the series claim can "
+            f"only fail; use at least {fewest}")
 
 
 def chan_partial_sum(N: int) -> Fraction:
@@ -265,9 +264,9 @@ def series_check(N: int, digits: int) -> tuple[Fraction, Fraction, Fraction, Fra
 
 
 def series_claim(N: int, digits: int) -> ClaimRecord:
-    """|partial sum - 8/(sqrt(3) pi)| < 1e-28, with a rigorous enclosure."""
+    """|partial sum - 8/(sqrt(3) pi)| < SERIES_TOLERANCE, with a rigorous enclosure."""
     partial, lo, hi, distance_bound, passed = series_check(N, digits)
-    params = {"N": N, "digits": digits, "tolerance": "1e-28"}
+    params = {"N": N, "digits": digits, "tolerance": SERIES_TOLERANCE_TEXT}
     witness = {
         "partial_sum": fraction_to_decimal(partial, digits),
         "constant_low": fraction_to_decimal(lo, digits),
@@ -464,10 +463,8 @@ def verify_prop32(n_max: int, pool=None) -> list[ClaimRecord]:
     Also certifies the midpoint values that drive the argument: psi1(t/2)
     and psi3(t/2) strictly positive, psi2(t/2) strictly negative, each
     matching its closed form (including the dedicated n = 2 and n = 3
-    shapes of the psi1 form).
+    shapes of the psi1 form).  Rows start at n = 2.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
     return _map_rows(pool, _prop32_row, range(2, n_max + 1))
 
 
@@ -524,9 +521,8 @@ def verify_prop33(n_max: int, pool=None) -> list[ClaimRecord]:
     all n; the strict positivity of psi(n,n)(1) is asserted from n = 3 on,
     since the value at n = 2 is -80 (the all-nonpositive value list there
     still satisfies the crossing shape with an empty positive prefix).
+    Rows start at n = 2.
     """
-    if n_max < 2:
-        raise ValueError("n_max must be at least 2")
     return _map_rows(pool, _prop33_row, range(2, n_max + 1))
 
 
@@ -791,13 +787,13 @@ def _sort_key(record: ClaimRecord):
 
 # Every sweep in run order: the claim id of its error record, and a function
 # of the run's config and pool (None when serial) that returns its records.
-# Degenerate bounds leave a sweep empty rather than failing the certificate.
+# Degenerate bounds leave a sweep empty rather than failing the certificate:
+# a sweep whose bound is below its first n has no rows, and monotonicity,
+# whose check raises below n = 2, is skipped there.
 SWEEPS = (
     ("prop31", lambda c, pool: verify_prop31(c.n_max_sturm, pool=pool)),
-    ("prop32", lambda c, pool: verify_prop32(c.n_max_factorization, pool=pool)
-        if c.n_max_factorization >= 2 else []),
-    ("prop33", lambda c, pool: verify_prop33(c.n_max_factorization, pool=pool)
-        if c.n_max_factorization >= 2 else []),
+    ("prop32", lambda c, pool: verify_prop32(c.n_max_factorization, pool=pool)),
+    ("prop33", lambda c, pool: verify_prop33(c.n_max_factorization, pool=pool)),
     ("claims123", lambda c, pool: verify_claims(c.n_max_sturm, pool=pool)),
     ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization, pool=pool)),
     ("cascade", lambda c, pool: _map_rows(pool, _grid_row, GRID_IDENTITIES)),

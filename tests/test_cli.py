@@ -5,6 +5,7 @@ import os
 import pytest
 
 from qlogconvex import cli
+from qlogconvex.criteria import SignCrossing
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
 from qlogconvex.verification import ClaimRecord, VerificationConfig
 
@@ -128,6 +129,7 @@ def test_cache_flag_only_where_it_is_read(capsys, argv):
     (["check", "qlc", "--n-max", "0", "--jobs", "1"], "check qlc needs n-max >= 1, got 0"),
     (["check", "logconvex", "--n-max", "1"], "check logconvex needs n-max >= 2, got 1"),
     (["check", "qlc", "--n-max", "5", "--jobs", "-2"], "jobs must be at least 1, got -2"),
+    (["check", "crossing", "--n-max", "0"], "check crossing needs n-max >= 1, got 0"),
 ])
 def test_inputs_that_can_only_fail_are_usage_errors(capsys, argv, message):
     with pytest.raises(SystemExit) as excinfo:
@@ -172,6 +174,39 @@ def test_smallest_accepted_check_bounds(capsys):
     assert code == EXIT_OK and "result: pass" in out
     code, out, _ = run_cli(capsys, "check", "logconvex", "--n-max", "2")
     assert code == EXIT_OK and "result: pass" in out
+    code, out, _ = run_cli(capsys, "check", "crossing", "--n-max", "1")
+    assert code == EXIT_OK and "result: pass" in out
+
+
+def test_failing_crossing_check_names_the_first_failing_n(capsys, monkeypatch):
+    def sweep(array, n):
+        return [(0, SignCrossing.violation(1, 5) if n >= 3 else SignCrossing.crossing(0))]
+
+    monkeypatch.setattr(cli, "criterion_c2_sweep", sweep)
+    code, out, _ = run_cli(capsys, "check", "crossing", "--n-max", "5", "--format", "json")
+    assert code == EXIT_VERIFICATION_FAILURE
+    assert out == json.dumps({"check": "crossing", "array": "domb_a", "n_max": "5",
+                              "result": "fail", "first_witness": "n=3"}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("argv, shown", [
+    ([], ["families", "check", "verify-paper", "series"]),
+    (["families"], ["--family", "--n-from N_FROM", "--n-max N_MAX", "--format", "--out PATH"]),
+    (["check"], ["--family", "--array", "--n-max N_MAX", "--jobs JOBS", "--format",
+                 "--out PATH"]),
+    (["verify-paper"], ["--n-max-direct N_MAX_DIRECT", "--n-max-factorization N_MAX_FACTORIZATION",
+                        "--n-max-sturm N_MAX_STURM", "--n-max-monotonicity N_MAX_MONOTONICITY",
+                        "--n-max-root-ratio N_MAX_ROOT_RATIO", "--series-N SERIES_N",
+                        "--digits DIGITS", "--jobs JOBS", "--format", "--out PATH"]),
+    (["series"], ["--series-N SERIES_N", "--digits DIGITS", "--format", "--out PATH"]),
+])
+def test_help_names_every_flag(capsys, argv, shown):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + ["--help"])
+    assert excinfo.value.code == EXIT_OK
+    out = capsys.readouterr().out
+    assert out.startswith("usage: qlogconvex")
+    assert all(flag in out for flag in shown)
 
 
 def test_verify_paper_small(tmp_path, capsys):
@@ -197,13 +232,15 @@ def test_verify_paper_and_series_defaults_are_the_config_defaults(monkeypatch):
     defaults = VerificationConfig()
     args = cli.build_parser().parse_args(["verify-paper"])
     assert (args.n_max_direct, args.n_max_factorization, args.n_max_sturm,
-            args.n_max_monotonicity, args.n_max_root_ratio, args.series_N, args.digits) == (
+            args.n_max_monotonicity, args.n_max_root_ratio, args.series_N,
+            args.series_digits) == (
         defaults.n_max_direct, defaults.n_max_factorization, defaults.n_max_sturm,
         defaults.n_max_monotonicity, defaults.n_max_root_ratio, defaults.series_N,
         defaults.series_digits)
-    assert args.jobs == (os.cpu_count() or 1)
+    assert args.parallelism == (os.cpu_count() or 1)
     series = cli.build_parser().parse_args(["series"])
-    assert (series.series_N, series.digits) == (defaults.series_N, defaults.series_digits)
+    assert (series.series_N, series.series_digits) == (defaults.series_N,
+                                                       defaults.series_digits)
 
     # one copy: a changed config default is the CLI's default too
     @dataclasses.dataclass
@@ -213,7 +250,7 @@ def test_verify_paper_and_series_defaults_are_the_config_defaults(monkeypatch):
 
     monkeypatch.setattr(cli, "VerificationConfig", Shifted)
     assert cli.build_parser().parse_args(["verify-paper"]).n_max_sturm == 7
-    assert cli.build_parser().parse_args(["series"]).digits == 50
+    assert cli.build_parser().parse_args(["series"]).series_digits == 50
 
 
 def test_verify_paper_failure_exit_code(tmp_path, capsys):

@@ -165,7 +165,7 @@ def test_deflating_a_non_root_raises():
 
 
 def test_sign_constant_on_raises_when_a_zero_count_meets_a_sign_change(monkeypatch):
-    monkeypatch.setattr(polynomials, "sturm_count_roots", lambda p, a, b: 0)
+    monkeypatch.setattr(polynomials, "_roots_inside", lambda p, a, b: 0)
     with pytest.raises(ArithmeticError, match="changes sign"):
         sign_constant_on(Poly([0, 1]), -1, 1)
 

@@ -477,6 +477,16 @@ def test_degenerate_bounds_give_valid_certificate():
     assert Certificate.loads(certificate.dumps()) == certificate
 
 
+def test_sweeps_below_their_first_n_have_no_rows():
+    table = verify_prop31(0)
+    assert [r.params for r in table] == [{"part": "table", "n": "0"}] and table[0].passed
+    assert verify_prop32(1) == [] and verify_prop33(1) == []
+    assert verify_prop32(-3) == [] and verify_prop33(0) == []
+    claim1 = verify_claims(3)
+    assert [r.params for r in claim1] == [{"part": "claim1", "n": "0"}] and claim1[0].passed
+    assert factorization_sweep(0) == []
+
+
 def test_config_validation():
     VerificationConfig().validate()
     with pytest.raises(ValueError):
@@ -618,6 +628,16 @@ def test_pooled_run_matches_serial():
     pooled = run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2))
     assert serial.passed
     assert pooled.claims == serial.claims
+
+
+def test_pooled_certificate_differs_from_serial_only_in_parallelism_and_timestamp():
+    serial, pooled = (run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=jobs))
+                      for jobs in (1, 2))
+    dicts = [certificate.to_dict() for certificate in (serial, pooled)]
+    assert [d["parameters"]["parallelism"] for d in dicts] == ["1", "2"]
+    for d in dicts:
+        del d["timestamp"], d["parameters"]["parallelism"]
+    assert dicts[0] == dicts[1]
 
 
 def test_one_pool_per_run(monkeypatch):
