@@ -10,8 +10,6 @@ overflow the native number types of most downstream tools.
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import io
 import json
 import os
@@ -59,6 +57,8 @@ def _emit(text: str, out_path: str | None, passed: bool = True) -> int:
 
 
 def _csv_text(rows) -> str:
+    import csv  # only the csv format loads it
+
     buf = io.StringIO()
     csv.writer(buf).writerows(rows)
     return buf.getvalue()
@@ -163,8 +163,7 @@ def _certificate_text(certificate) -> str:
 
 
 def cmd_verify_paper(args) -> int:
-    config = VerificationConfig(**{f.name: getattr(args, f.name)
-                                   for f in dataclasses.fields(VerificationConfig)})
+    config = VerificationConfig(*(getattr(args, name) for name in VerificationConfig._fields))
     try:
         config.validate()
     except ValueError as exc:
@@ -251,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     # every config field is one flag, whose destination is the field's name
     defaults = VerificationConfig()
     p_verify = sub.add_parser("verify-paper", help="full verification with certificate")
-    for name in (f.name for f in dataclasses.fields(defaults) if f.name.startswith("n_max_")):
+    for name in (field for field in defaults._fields if field.startswith("n_max_")):
         p_verify.add_argument("--" + name.replace("_", "-"), type=int,
                               default=getattr(defaults, name), help=N_MAX_HELP.get(name))
     _add_series_args(p_verify, defaults)

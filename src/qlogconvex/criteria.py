@@ -24,8 +24,7 @@ the rows read.  Both ``check qlc`` and the certificate reach them through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .families import (
     ROW_RECURRENCES,
@@ -38,8 +37,7 @@ from .hiprec import compare_products
 from .polynomials import _kronecker_pack, _kronecker_unpack, is_self_reciprocal
 
 
-@dataclass(frozen=True)
-class SignCrossing:
+class SignCrossing(NamedTuple):
     """Outcome of the single-crossing test on a value sequence.
 
     ``crossing(k)`` certifies values[i] >= 0 for i <= k and values[i] <= 0
@@ -295,8 +293,7 @@ def q_log_convex_direct(tag: str, n_max: int) -> list[tuple[int, int | None, int
     return _qlc_chunk((tag, 1, n_max))
 
 
-@dataclass(frozen=True)
-class CriterionReport:
+class CriterionReport(NamedTuple):
     """Outcome of checking the self-reciprocal criterion's hypotheses.
 
     Per-n C1 results and per-(n, t) C2 outcomes are kept in full; the
@@ -352,8 +349,7 @@ def criterion_verdict(
     )
 
 
-@dataclass(frozen=True)
-class MonotonicityReport:
+class MonotonicityReport(NamedTuple):
     """Desk-scale evidence for the Domb-number growth conjectures.
 
     All three parts are decided by exact integer comparisons: ratio growth

@@ -31,9 +31,9 @@ input multiplies the factors out one at a time on coefficient lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
+from typing import NamedTuple
 
 from .polynomials import Poly, _kronecker_unpack
 
@@ -522,8 +522,7 @@ def _check_cascade(polys: tuple, t: int, stem: str, cell: str) -> None:
                             f"first differing coefficient index {index}")
 
 
-@dataclass(frozen=True)
-class PsiBundle:
+class PsiBundle(NamedTuple):
     """psi and its three derivative cofactors for one (n, t) cell; from
     ``build_psi_nn`` the t = n expansions, with t = n."""
 
@@ -564,8 +563,7 @@ def build_psi_nn(n: int) -> PsiBundle:
     return PsiBundle(n, n, *polys)
 
 
-@dataclass(frozen=True)
-class ThetaBundle:
+class ThetaBundle(NamedTuple):
     """theta, its derivatives in t to order four, and the rows of
     ``THETA_ENDPOINT_FORMS`` at n as ``endpoint_values`` gives them."""
 

@@ -18,7 +18,8 @@ look the ``proofpolys`` builders and endpoint-form tables up when they run,
 so a builder replaced at run time is the one checked, here and in the sweeps.
 
 The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
-orchestrator opens a single ``multiprocessing.Pool`` for the whole run,
+orchestrator imports ``multiprocessing`` (a serial run never loads it) and
+opens a single ``multiprocessing.Pool`` for the whole run,
 before the first sweep, and every sweep sends its independent rows through
 it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
 factorization, one per grid identity, and contiguous n-ranges of about
@@ -47,10 +48,9 @@ import contextlib
 import functools
 import itertools
 import json
-import multiprocessing
-from dataclasses import asdict, dataclass, field, fields
-from datetime import datetime, timezone
+import time
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import __version__, proofpolys
 from .criteria import (
@@ -89,14 +89,13 @@ BOUNDARY_TABLE = {
 CLAIM1_PAIRS = ((2, 0), (2, 1), (3, 0), (3, 1), (3, 2), (4, 0), (4, 1), (4, 2), (4, 3))
 
 
-@dataclass(frozen=True)
-class ClaimRecord:
+class ClaimRecord(NamedTuple):
     """One verified (or failed) claim; all values kept as decimal strings."""
 
     claim: str
     params: dict[str, str]
     outcome: str  # "pass" | "fail"
-    witness: dict[str, str] = field(default_factory=dict)
+    witness: dict[str, str] = {}  # one dict shared by the records given none
 
     @property
     def passed(self) -> bool:
@@ -108,7 +107,7 @@ def _record(claim: str, params: dict, failures: list[str]) -> ClaimRecord:
     if failures:
         return ClaimRecord(claim, str_params, "fail", {"first_failure": failures[0],
                                                        "failure_count": str(len(failures))})
-    return ClaimRecord(claim, str_params, "pass")
+    return ClaimRecord(claim, str_params, "pass", {})
 
 
 def _error_record(claim: str, exc: Exception) -> ClaimRecord:
@@ -128,8 +127,13 @@ def _pool(jobs: int):
 
     Open it when the run starts, not at import: the workers are forked from
     the parent as it is then, small and with any replaced function in place.
+    ``multiprocessing`` is imported here too, so a serial run never loads it.
     """
-    return multiprocessing.Pool(jobs) if jobs > 1 else contextlib.nullcontext()
+    if jobs <= 1:
+        return contextlib.nullcontext()
+    import multiprocessing
+
+    return multiprocessing.Pool(jobs)
 
 
 def _map_rows(pool, row, items) -> list:
@@ -153,8 +157,7 @@ def _map_rows(pool, row, items) -> list:
     return results
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(NamedTuple):
     """Machine-readable record of a verification run."""
 
     version: str
@@ -171,7 +174,7 @@ class Certificate:
         return {
             "version": self.version,
             "parameters": dict(self.parameters),
-            "claims": [asdict(c) for c in self.claims],
+            "claims": [c._asdict() for c in self.claims],
             "verdict": self.verdict,
             "timestamp": self.timestamp,
         }
@@ -193,8 +196,7 @@ class Certificate:
         return cls.from_dict(json.loads(text))
 
 
-@dataclass
-class VerificationConfig:
+class VerificationConfig(NamedTuple):
     """Bounds of a full verification run."""
 
     n_max_direct: int = 150
@@ -207,12 +209,14 @@ class VerificationConfig:
     n_max_root_ratio: int = 120
 
     def validate(self) -> None:
-        if any(getattr(self, f.name) < 1 for f in fields(self) if f.name != "series_digits"):
-            raise ValueError("all verification bounds must be >= 1")
+        for name, value in self._asdict().items():
+            if name != "series_digits" and value < 1:
+                flag = "jobs" if name == "parallelism" else name.replace("_", "-")
+                raise ValueError(f"--{flag} must be >= 1, got {value}")
         check_series_digits(self.series_digits)
 
     def as_parameters(self) -> dict[str, str]:
-        out = {k: str(v) for k, v in vars(self).items()}
+        out = {k: str(v) for k, v in self._asdict().items()}
         out["series_tolerance"] = SERIES_TOLERANCE_TEXT
         return out
 
@@ -279,8 +283,7 @@ def series_claim(N: int, digits: int) -> ClaimRecord:
 
 # --- factorization -----------------------------------------------------------
 
-@dataclass(frozen=True)
-class FactorizationCheck:
+class FactorizationCheck(NamedTuple):
     """Both sides of the operator factorization at one failing (n, t, k) cell."""
 
     n: int
@@ -832,5 +835,5 @@ def run_full_verification(config: VerificationConfig | None = None) -> Certifica
         parameters=config.as_parameters(),
         claims=tuple(claims),
         verdict=verdict,
-        timestamp=datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        timestamp=time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     )

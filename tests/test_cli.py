@@ -1,6 +1,7 @@
-import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -140,6 +141,15 @@ def test_inputs_that_can_only_fail_are_usage_errors(capsys, argv, message):
     assert f"error: {message}" in captured.err
 
 
+@pytest.mark.parametrize("flags, line", [
+    (["--n-max-sturm", "0", "--jobs", "1"], "error: --n-max-sturm must be >= 1, got 0\n"),
+    (["--series-N", "0", "--jobs", "1"], "error: --series-N must be >= 1, got 0\n"),
+    (["--jobs", "0"], "error: --jobs must be >= 1, got 0\n"),
+])
+def test_verify_paper_names_the_bound_below_one(capsys, flags, line):
+    assert run_cli(capsys, "verify-paper", *flags) == (EXIT_USAGE, "", line)
+
+
 @pytest.mark.parametrize("kind, flag, value", [
     ("logconvex", "--jobs", "4"),
     ("logconvex", "--family", "W"),
@@ -243,10 +253,10 @@ def test_verify_paper_and_series_defaults_are_the_config_defaults(monkeypatch):
                                                        defaults.series_digits)
 
     # one copy: a changed config default is the CLI's default too
-    @dataclasses.dataclass
     class Shifted(VerificationConfig):
-        n_max_sturm: int = 7
-        series_digits: int = 50
+        def __new__(cls, n_max_sturm=7, series_digits=50, **others):
+            return super().__new__(cls, n_max_sturm=n_max_sturm, series_digits=series_digits,
+                                   **others)
 
     monkeypatch.setattr(cli, "VerificationConfig", Shifted)
     assert cli.build_parser().parse_args(["verify-paper"]).n_max_sturm == 7
@@ -285,3 +295,41 @@ def test_out_path_io_error(tmp_path, capsys):
 
 def test_exit_codes_are_distinct():
     assert len({EXIT_OK, EXIT_VERIFICATION_FAILURE, EXIT_USAGE, EXIT_IO}) == 4
+
+
+SRC = os.path.dirname(os.path.dirname(cli.__file__))
+# loaded only by the runs that use them: a pool, the csv format, nothing else
+NOT_AT_IMPORT = {"multiprocessing", "dataclasses", "inspect", "datetime", "csv"}
+
+
+def _fresh_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a new interpreter that ignores PYTHON* variables and the
+    user site, with the package's sources first on its path."""
+    return subprocess.run([sys.executable, "-E", "-s", "-c",
+                           f"import sys; sys.path.insert(0, {SRC!r})\n{code}"],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_import_loads_only_what_a_run_executes():
+    # a module the interpreter's own start-up loaded is not the package's cost
+    result = _fresh_python("before = set(sys.modules)\n"
+                           "import qlogconvex, qlogconvex.cli\n"
+                           "print(*set(sys.modules) - before)")
+    assert result.returncode == 0, result.stderr
+    loaded = set(result.stdout.split())
+    assert "qlogconvex.cli" in loaded
+    assert loaded & NOT_AT_IMPORT == set()
+
+
+def test_pooled_run_from_a_cold_start(tmp_path):
+    out_path = tmp_path / "certificate.json"
+    argv = ["verify-paper", "--n-max-direct", "4", "--n-max-factorization", "4",
+            "--n-max-sturm", "4", "--n-max-monotonicity", "4", "--n-max-root-ratio", "4",
+            "--jobs", "2", "--out", str(out_path)]
+    result = _fresh_python("from qlogconvex.cli import main\n"
+                           f"code = main({argv!r})\n"
+                           "print('multiprocessing' in sys.modules)\n"
+                           "sys.exit(code)")
+    assert result.returncode == EXIT_OK, result.stderr
+    assert result.stdout.splitlines()[-1] == "True"
+    assert json.loads(out_path.read_text())["verdict"] == "pass"

@@ -1,6 +1,9 @@
 import json
 import math
 import multiprocessing
+import pickle
+import re
+from datetime import datetime, timezone
 from fractions import Fraction
 
 import pytest
@@ -523,6 +526,34 @@ def test_certificate_round_trip():
     # numbers live as decimal strings in the serialized document
     data = json.loads(text)
     assert data["parameters"]["n_max_direct"] == "12"
+
+
+def test_records_survive_json_and_pickle():
+    certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG, "series_N": 1}))
+    assert not certificate.passed
+    loaded = Certificate.loads(certificate.dumps())
+    assert loaded == certificate
+    assert all(type(record) is ClaimRecord for record in loaded.claims)
+    # pool workers send their records back pickled
+    failing = next(record for record in certificate.claims if not record.passed)
+    passing = next(record for record in certificate.claims if record.passed)
+    assert failing.witness and not passing.witness
+    for record in (failing, passing):
+        assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_timestamp_is_utc_to_the_second():
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    stamp = run_full_verification(VerificationConfig(**SMALL_CONFIG)).timestamp
+    after = datetime.now(timezone.utc)
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp)
+    assert before <= datetime.fromisoformat(stamp) <= after
+
+
+def test_passing_records_do_not_share_a_witness():
+    first, second = (verification._record("series", {"N": n}, []) for n in (1, 2))
+    assert first.witness == second.witness == {}
+    assert first.witness is not second.witness
 
 
 def test_certificate_verdict_reflects_failures():
