@@ -19,7 +19,8 @@ in n (``families.ROW_RECURRENCES``) at one packed point, which is linear in
 the size of the numbers per step instead of one big multiply, and falls
 back to direct products wherever the recurrence is not checked to hold on
 the rows read.  Both ``check qlc`` and the certificate reach them through
-``verification._qlc_claim``, which also opens any process pool.
+``verification._qlc_claim``, serially or from the results of a pooled run's
+one map (``verification._qlc_tasks`` lists the ranges).
 """
 
 from __future__ import annotations

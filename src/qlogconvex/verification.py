@@ -18,33 +18,37 @@ look the ``proofpolys`` builders and endpoint-form tables up when they run,
 so a builder replaced at run time is the one checked, here and in the sweeps.
 
 The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
-orchestrator imports ``multiprocessing`` (a serial run never loads it) and
-opens a single ``multiprocessing.Pool`` for the whole run,
-before the first sweep, and every sweep sends its independent rows through
-it: one task per n for prop31, prop32, prop33, claims 2 and 3 and the
-factorization, one per grid identity, and contiguous n-ranges of about
-equal cost for the q-log-convexity defects of D, W and F (W and F advanced
-by their recurrences in n, one range per worker, each seeded at its first
-rows), each sending back only the first and last negative index per n.
-V's defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V
-is decided in the parent from F's indices and an exact check that each V
-row is the F row reversed.
-Only the small parts stay in the parent (claim 1, that reversal check, the
-series and the monotonicity evidence).  The rows are the same private
-functions the serial run loops over, the records are sorted before they
-are assembled, and a row that raises in a worker is raised again in the
-parent in row order, so serial and pooled certificates have the same
-claims and verdict; their ``parameters`` differ only in ``parallelism``,
-and the timestamps differ.  Under the fork start method (the
-default on Linux) the workers are copies of the parent as it is when the
-run starts, so they see any function replaced before the run began.
-``check qlc`` reads ``qlc_check``, which gives one family's qlc record and
-rows the same way, in a pool of its own.
+orchestrator imports ``multiprocessing`` (a serial run never loads it),
+opens a single pool before the first sweep and sends the independent rows
+of every sweep through it in one ``pool.map``, with no barrier between
+sweeps, then closes it.  ``_schedule`` lists the tasks, costliest sweep
+first: the n-rows of prop31, prop32, prop33, claims 2 and 3 and the
+factorization, and the grid identities, each cut into ``CHUNKS_PER_WORKER``
+contiguous chunks per worker, ascending in n within a chunk so that the
+Domb array's three-row window builds each row once; and contiguous n-ranges
+of about equal cost for the q-log-convexity defects of D, W and F (W and F
+advanced by their recurrences in n, one range per worker, each seeded at
+its first rows), each sending back only the first and last negative index
+per n.  V's defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so
+qlc_V is decided in the parent from F's indices and an exact check that
+each V row is the F row reversed.  The sweeps then run in the parent as
+they do serially, each reading its rows from the map's results
+(``_map_rows``); only the small parts are computed there (claim 1, that
+reversal check, the series and the monotonicity evidence).  The rows are
+the same private functions the serial run loops over, the records are
+sorted before they are assembled, and a row that raises in a worker is
+raised again in its sweep in row order, so serial and pooled certificates
+have the same claims and verdict; their ``parameters`` differ only in
+``parallelism``, and the timestamps differ.  If the map itself raises, every
+pooled sweep gets an error record.  The pool uses the fork start method, so
+the workers are copies of the parent as it is when the run starts and see
+any function replaced before the run began.  ``check qlc`` reads
+``qlc_check``, which gives one family's qlc record and rows the same way,
+in a pool and a map of its own.
 """
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import itertools
 import json
@@ -114,43 +118,101 @@ def _error_record(claim: str, exc: Exception) -> ClaimRecord:
     return ClaimRecord(claim, {"error": type(exc).__name__}, "fail", {"message": str(exc)})
 
 
-def _guarded(row, item):
-    try:
-        return True, row(item)
-    except Exception as exc:  # raised again by _map_rows, in item order
-        return False, exc
-
-
 def _pool(jobs: int):
-    """A ``multiprocessing.Pool`` of ``jobs`` workers to use as a context, or
-    a context that gives None when ``jobs`` is 1.
+    """A fork ``multiprocessing.Pool`` of ``jobs`` workers.
 
     Open it when the run starts, not at import: the workers are forked from
     the parent as it is then, small and with any replaced function in place.
-    ``multiprocessing`` is imported here too, so a serial run never loads it.
+    The start method is pinned, since that copy is what the pooled rows rely
+    on and fork is not the default everywhere (Python 3.14 starts Linux
+    workers from a fork server).  ``multiprocessing`` is imported here too,
+    so a serial run never loads it.
     """
-    if jobs <= 1:
-        return contextlib.nullcontext()
     import multiprocessing
 
-    return multiprocessing.Pool(jobs)
+    return multiprocessing.get_context("fork").Pool(jobs)
 
 
-def _map_rows(pool, row, items) -> list:
-    """``[row(item) for item in items]``, through ``pool`` when there is one.
+# Contiguous chunks per worker that each n-sweep of a pooled run is cut into.
+# Fewer chunks send fewer tasks and rebuild fewer array rows at chunk edges;
+# more leave smaller tasks to even out the workers before the one barrier.
+# Measured with `verify-paper --jobs 2` at default bounds on 2 cores: 1, 2,
+# 3, 4 and 6 chunks gave wall medians within the noise of each other
+# (0.62-0.71 s over 10 alternating runs each, against 0.77 s with one map
+# per sweep and one row per task), and with 2 the two workers' last tasks
+# ended within 2 ms of each other in each of 3 timed runs.
+CHUNKS_PER_WORKER = 2
 
-    ``row`` must be a module-level function (or a partial of one) that the
-    pool can pickle by name.  Pooled rows go out one per task, last item
-    first: the rows of the n-sweeps grow in cost with n, so the largest
-    start first and the small ones fill the tail.  A pooled row
-    that raises returns its exception, and the first one in item order is
-    raised here, as the serial loop would raise it.
+
+def _chunks(items: list, count: int) -> list[list]:
+    """``items`` cut into min(count, len(items)) contiguous chunks in order,
+    none empty, whose lengths differ by at most one."""
+    count = min(count, len(items))
+    return [items[i * len(items) // count:(i + 1) * len(items) // count]
+            for i in range(count)]
+
+
+def _run_chunk(task: tuple) -> list[tuple[bool, object]]:
+    """(True, row(item)) for each item of a task (row, items) in order, up to
+    the first row that raises, which gives (False, its exception) and ends
+    the chunk: ``_map_rows`` raises it before it would read a later item."""
+    row, items = task
+    outcomes = []
+    for item in items:
+        try:
+            outcomes.append((True, row(item)))
+        except Exception as exc:  # raised again by _map_rows, in item order
+            outcomes.append((False, exc))
+            break
+    return outcomes
+
+
+def _run_batch(jobs: int, tasks: list[tuple]) -> dict | Exception:
+    """Every task (row, items) through one ``pool.map`` in a pool of ``jobs``
+    workers, one task at a time in list order, as {row: {item: (ok, value)}};
+    or the exception the map raised (a worker died, or a result could not be
+    pickled back), which ``_map_rows`` then raises for every row it is asked
+    for."""
+    with _pool(jobs) as pool:
+        try:
+            outcomes = pool.map(_run_chunk, tasks, chunksize=1)
+        except Exception as exc:  # every pooled sweep gets its own error record
+            return exc
+    batch: dict = {}
+    for (row, items), chunk in zip(tasks, outcomes):
+        batch.setdefault(row, {}).update(zip(items, chunk))
+    return batch
+
+
+def _split(row, items, jobs: int) -> list[tuple]:
+    """The tasks of one n-sweep: its items in ``CHUNKS_PER_WORKER`` chunks per
+    worker, each ascending in n so that the array's three-row window builds
+    each row once, and the last chunk first, since a row's cost grows with n."""
+    return [(row, chunk) for chunk in _chunks(list(items), CHUNKS_PER_WORKER * jobs)[::-1]]
+
+
+def _map_rows(batch, row, items) -> list:
+    """``[row(item) for item in items]``, read from ``batch`` when there is one.
+
+    A pooled run computes every row before the first sweep, in one
+    ``pool.map`` (``_run_batch``) of the tasks that ``_schedule`` lists, or
+    ``_qlc_schedule`` for ``qlc_check``, and the sweeps then run in this
+    process, each reading its rows here.  A row that raised in a worker is
+    raised here, the first in item order, as the serial loop would raise
+    it.  A row the batch did not plan raises ``LookupError``, so a schedule
+    that drifts from its sweep fails that sweep, and when the map itself
+    raised, that exception is raised again.
     """
-    if pool is None:
+    if batch is None:
         return [row(item) for item in items]
-    outcomes = pool.map(functools.partial(_guarded, row), list(items)[::-1], chunksize=1)
+    if isinstance(batch, Exception):
+        raise batch
+    outcomes = batch.get(row, {})
     results = []
-    for ok, value in reversed(outcomes):
+    for item in items:
+        if item not in outcomes:
+            raise LookupError(f"the pooled schedule has no row {row.__name__}({item!r})")
+        ok, value = outcomes[item]
         if not ok:
             raise value
         results.append(value)
@@ -342,22 +404,22 @@ def _factorization_row(n: int) -> tuple[int, list[str]]:
                for c in factorization_check(n)]
 
 
-def factorization_sweep(n_max: int, pool=None) -> list[ClaimRecord]:
+def factorization_sweep(n_max: int, batch=None) -> list[ClaimRecord]:
     """Exact factorization identity, which fixes the sign coincidence, for
     all cells up to n_max.
 
     One record per n, from ``factorization_check(n)``, which checks the
-    whole row at once.  The rows go through ``pool`` when one is given,
-    else in this process.
+    whole row at once.  The rows are read from a pooled run's ``batch``
+    when one is given, else computed in this process.
     """
-    rows = _map_rows(pool, _factorization_row, range(1, n_max + 1))
+    rows = _map_rows(batch, _factorization_row, range(1, n_max + 1))
     return [_record("factorization", {"n": n, "t_range": f"0..{n}"}, failures)
             for n, failures in rows]
 
 
 # --- boundary nonnegativity (k = 0) ------------------------------------------
 
-def verify_prop31(n_max: int, pool=None) -> list[ClaimRecord]:
+def verify_prop31(n_max: int, batch=None) -> list[ClaimRecord]:
     """L_t(a(n,0)) >= 0: explicit table for n <= 4, sign analysis beyond.
 
     Every row n >= 1 certifies the sign of each L_t(a(n,0)), t = 0..n,
@@ -368,7 +430,7 @@ def verify_prop31(n_max: int, pool=None) -> list[ClaimRecord]:
     n/2 and n-1), and Sturm counts on (0, n-1): exactly one root for
     theta'''' and theta''', two for theta'' and theta'.
     """
-    rows = _map_rows(pool, _prop31_row, range(1, n_max + 1))
+    rows = _map_rows(batch, _prop31_row, range(1, n_max + 1))
     table_failures = [failure for failures, _record in rows for failure in failures]
     return [_record("prop31", {"part": "table", "n": 0}, table_failures)] + [
         record for _failures, record in rows]
@@ -460,7 +522,7 @@ def _form_failures(values: list, n: int) -> list[str]:
 
 # --- interior crossing for t < n ----------------------------------------------
 
-def verify_prop32(n_max: int, pool=None) -> list[ClaimRecord]:
+def verify_prop32(n_max: int, batch=None) -> list[ClaimRecord]:
     """Single crossing of psi(n,t) at integer points for 0 <= t <= n - 1.
 
     Also certifies the midpoint values that drive the argument: psi1(t/2)
@@ -468,7 +530,7 @@ def verify_prop32(n_max: int, pool=None) -> list[ClaimRecord]:
     matching its closed form (including the dedicated n = 2 and n = 3
     shapes of the psi1 form).  Rows start at n = 2.
     """
-    return _map_rows(pool, _prop32_row, range(2, n_max + 1))
+    return _map_rows(batch, _prop32_row, range(2, n_max + 1))
 
 
 def _prop32_row(n: int) -> ClaimRecord:
@@ -517,7 +579,7 @@ def _midpoint_values(n: int, t: int, psi1: Poly, psi2: Poly, psi3: Poly, verb: s
 
 # --- crossing on the diagonal t = n --------------------------------------------
 
-def verify_prop33(n_max: int, pool=None) -> list[ClaimRecord]:
+def verify_prop33(n_max: int, batch=None) -> list[ClaimRecord]:
     """Single crossing of psi(n,n) at integer points k >= 1, with endpoint signs.
 
     Every displayed endpoint value is matched against its closed form for
@@ -526,7 +588,7 @@ def verify_prop33(n_max: int, pool=None) -> list[ClaimRecord]:
     still satisfies the crossing shape with an empty positive prefix).
     Rows start at n = 2.
     """
-    return _map_rows(pool, _prop33_row, range(2, n_max + 1))
+    return _map_rows(batch, _prop33_row, range(2, n_max + 1))
 
 
 def _prop33_row(n: int) -> ClaimRecord:
@@ -546,7 +608,7 @@ def _prop33_row(n: int) -> ClaimRecord:
 
 # --- the xi / eta negativity claims --------------------------------------------
 
-def verify_claims(n_max: int, pool=None) -> list[ClaimRecord]:
+def verify_claims(n_max: int, batch=None) -> list[ClaimRecord]:
     """The three negativity claims that force psi1(0) < 0 when psi2(0) > 0.
 
     Claim 1 rules out n = 2, 3, 4 by direct evaluation at nine pairs;
@@ -559,7 +621,7 @@ def verify_claims(n_max: int, pool=None) -> list[ClaimRecord]:
         if proofpolys.eta_poly(n)(t) >= 0:
             claim1_failures.append(f"psi2(0) not negative at (n={n}, t={t})")
     claim1 = _record("claims123", {"part": "claim1", "n": 0}, claim1_failures)
-    return [claim1] + _map_rows(pool, _claims23_row, range(4, n_max + 1))
+    return [claim1] + _map_rows(batch, _claims23_row, range(4, n_max + 1))
 
 
 def _claims23_row(n: int) -> ClaimRecord:
@@ -672,18 +734,36 @@ def _grid_row(identity: str) -> ClaimRecord:
 
 # --- q-log-convexity and monotonicity claims ------------------------------------
 
-def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
+def _qlc_tasks(tag: str, n_max: int, jobs: int) -> tuple:
+    """The row function and the tasks (tag, lo, hi) of family ``tag``'s
+    defects for ``jobs`` workers: contiguous n-ranges of about equal cost,
+    four per worker for D, one per worker for W and F (one range 1..n_max
+    when ``jobs`` is 1), as ``criteria.qlc_ranges`` cuts them."""
+    if tag in ROW_RECURRENCES:
+        return _qlc_recurrence_chunk, [(tag, lo, hi) for lo, hi
+                                       in qlc_ranges(n_max, jobs, per_job=1, power=2)]
+    return _qlc_chunk, [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
+
+
+def _qlc_schedule(tag: str, n_max: int, jobs: int) -> list[tuple]:
+    """The pooled tasks of family ``tag``'s defects: one per range."""
+    row, tasks = _qlc_tasks(tag, n_max, jobs)
+    return [(row, [task]) for task in tasks]
+
+
+def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
                f_rows=None) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
     """One family's q-log-convexity record for n = 1..n_max, and its rows
     (n, first negative, last negative defect coefficient index), the one
     row shape every engine gives.
 
     D multiplies its defects out and keeps only those two indices of each:
-    in this process through ``q_log_convex_direct``, or through ``pool`` in
-    contiguous n-ranges of ``criteria._qlc_chunk``.  W and F, which have recurrences in n
-    (``families.ROW_RECURRENCES``), advance their defect products by them
-    in ``criteria._qlc_recurrence_chunk``: one range 1..n_max in this
-    process, or one range per worker through ``pool``, each seeded directly.
+    in this process through ``q_log_convex_direct``, or in a pooled run's
+    ``batch`` in contiguous n-ranges of ``criteria._qlc_chunk``.  W and F,
+    which have recurrences in n (``families.ROW_RECURRENCES``), advance
+    their defect products by them in ``criteria._qlc_recurrence_chunk``: one
+    range 1..n_max in this process, or one range per worker in ``batch``,
+    each seeded directly.  ``_qlc_tasks`` lists the ranges.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -705,17 +785,11 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, pool=None,
                 for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
         failures = []
-        if tag in ROW_RECURRENCES:
-            ranges = ([(1, n_max)] if pool is None
-                      else qlc_ranges(n_max, jobs, per_job=1, power=2))
-            tasks = [(tag, lo, hi) for lo, hi in ranges]
-            rows = [row for chunk in _map_rows(pool, _qlc_recurrence_chunk, tasks)
-                    for row in chunk]
-        elif pool is None:
+        if batch is None and tag not in ROW_RECURRENCES:
             rows = q_log_convex_direct(tag, n_max)
         else:
-            tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
-            rows = [row for chunk in _map_rows(pool, _qlc_chunk, tasks) for row in chunk]
+            row, tasks = _qlc_tasks(tag, n_max, jobs)
+            rows = [r for chunk in _map_rows(batch, row, tasks) for r in chunk]
     failures += [f"negative defect coefficient {first} at n={n}"
                  for n, first, _last in rows if first is not None]
     return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures), rows
@@ -725,12 +799,15 @@ def qlc_check(tag: str, n_max: int,
               jobs: int) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
     """The ``qlc_<tag>`` record of a certificate with ``n_max_direct`` =
     ``n_max`` and ``parallelism`` = ``jobs``, and its rows (n, first
-    negative, last negative defect coefficient index), from ``_qlc_claim``
-    in a pool of its own.  V reads F's rows, as ``_qlc_f_and_v`` does.
+    negative, last negative defect coefficient index), from ``_qlc_claim``.
+    With ``jobs`` above 1 the family's ranges go through one ``pool.map``
+    in a pool of its own, as a pooled run's do.  V reads F's rows, as
+    ``_qlc_f_and_v`` does.
     """
-    with _pool(jobs) as pool:
-        f_rows = _qlc_claim("F", n_max, jobs, pool)[1] if tag == "V" else None
-        return _qlc_claim(tag, n_max, jobs, pool, f_rows)
+    batch = None if jobs <= 1 else _run_batch(
+        jobs, _qlc_schedule("F" if tag == "V" else tag, n_max, jobs))
+    f_rows = _qlc_claim("F", n_max, jobs, batch)[1] if tag == "V" else None
+    return _qlc_claim(tag, n_max, jobs, batch, f_rows)
 
 
 def _unmirrored_rows(n_max: int) -> set[int]:
@@ -744,7 +821,7 @@ def _unmirrored_rows(n_max: int) -> set[int]:
     return unmirrored
 
 
-def _qlc_f_and_v(config: VerificationConfig, pool) -> list[ClaimRecord]:
+def _qlc_f_and_v(config: VerificationConfig, batch) -> list[ClaimRecord]:
     """The qlc_F and qlc_V records from one set of F defect products.
 
     An exception in F's products fails both records; one in V's reversal
@@ -752,11 +829,11 @@ def _qlc_f_and_v(config: VerificationConfig, pool) -> list[ClaimRecord]:
     """
     n_max, jobs = config.n_max_direct, config.parallelism
     try:
-        f_record, f_rows = _qlc_claim("F", n_max, jobs, pool)
+        f_record, f_rows = _qlc_claim("F", n_max, jobs, batch)
     except Exception as exc:  # V rests on these products too
         return [_error_record("qlc_F", exc), _error_record("qlc_V", exc)]
     try:
-        v_record, _rows = _qlc_claim("V", n_max, jobs, pool, f_rows)
+        v_record, _rows = _qlc_claim("V", n_max, jobs, batch, f_rows)
     except Exception as exc:
         v_record = _error_record("qlc_V", exc)
     return [f_record, v_record]
@@ -789,25 +866,46 @@ def _sort_key(record: ClaimRecord):
 
 
 # Every sweep in run order: the claim id of its error record, and a function
-# of the run's config and pool (None when serial) that returns its records.
+# of the run's config and batch (None when serial) that returns its records.
 # Degenerate bounds leave a sweep empty rather than failing the certificate:
 # a sweep whose bound is below its first n has no rows, and monotonicity,
 # whose check raises below n = 2, is skipped there.
 SWEEPS = (
-    ("prop31", lambda c, pool: verify_prop31(c.n_max_sturm, pool=pool)),
-    ("prop32", lambda c, pool: verify_prop32(c.n_max_factorization, pool=pool)),
-    ("prop33", lambda c, pool: verify_prop33(c.n_max_factorization, pool=pool)),
-    ("claims123", lambda c, pool: verify_claims(c.n_max_sturm, pool=pool)),
-    ("factorization", lambda c, pool: factorization_sweep(c.n_max_factorization, pool=pool)),
-    ("cascade", lambda c, pool: _map_rows(pool, _grid_row, GRID_IDENTITIES)),
-    ("qlc_D", lambda c, pool: [_qlc_claim("D", c.n_max_direct, c.parallelism, pool)[0]]),
-    ("qlc_W", lambda c, pool: [_qlc_claim("W", c.n_max_direct, c.parallelism, pool)[0]]),
+    ("prop31", lambda c, batch: verify_prop31(c.n_max_sturm, batch)),
+    ("prop32", lambda c, batch: verify_prop32(c.n_max_factorization, batch)),
+    ("prop33", lambda c, batch: verify_prop33(c.n_max_factorization, batch)),
+    ("claims123", lambda c, batch: verify_claims(c.n_max_sturm, batch)),
+    ("factorization", lambda c, batch: factorization_sweep(c.n_max_factorization, batch)),
+    ("cascade", lambda c, batch: _map_rows(batch, _grid_row, GRID_IDENTITIES)),
+    ("qlc_D", lambda c, batch: [_qlc_claim("D", c.n_max_direct, c.parallelism, batch)[0]]),
+    ("qlc_W", lambda c, batch: [_qlc_claim("W", c.n_max_direct, c.parallelism, batch)[0]]),
     ("qlc_F", _qlc_f_and_v),  # and qlc_V, read from F's defects
-    ("series", lambda c, pool: [series_claim(c.series_N, c.series_digits)]),
-    ("monotonicity", lambda c, pool: [_monotonicity_claim(c.n_max_monotonicity,
-                                                          c.n_max_root_ratio)]
+    ("series", lambda c, batch: [series_claim(c.series_N, c.series_digits)]),
+    ("monotonicity", lambda c, batch: [_monotonicity_claim(c.n_max_monotonicity,
+                                                           c.n_max_root_ratio)]
         if c.n_max_monotonicity >= 2 else []),
 )
+
+
+def _schedule(config: VerificationConfig) -> list[tuple]:
+    """The tasks (row, items) of a pooled run: every row that ``SWEEPS``
+    reads through ``_map_rows``, costliest sweep first as a traced serial
+    run at default bounds times them (qlc_D, prop32, qlc_F, factorization,
+    prop31, qlc_W, then the grid identities, claims 2-3 and prop33), so
+    that the cheap tasks fill the tail of the one map."""
+    jobs, n_direct = config.parallelism, config.n_max_direct
+    n_fact, n_sturm = config.n_max_factorization, config.n_max_sturm
+    return [
+        *_qlc_schedule("D", n_direct, jobs),
+        *_split(_prop32_row, range(2, n_fact + 1), jobs),
+        *_qlc_schedule("F", n_direct, jobs),
+        *_split(_factorization_row, range(1, n_fact + 1), jobs),
+        *_split(_prop31_row, range(1, n_sturm + 1), jobs),
+        *_qlc_schedule("W", n_direct, jobs),
+        *_split(_grid_row, GRID_IDENTITIES, jobs),
+        *_split(_claims23_row, range(4, n_sturm + 1), jobs),
+        *_split(_prop33_row, range(2, n_fact + 1), jobs),
+    ]
 
 
 def run_full_verification(config: VerificationConfig | None = None) -> Certificate:
@@ -815,18 +913,20 @@ def run_full_verification(config: VerificationConfig | None = None) -> Certifica
 
     Unexpected exceptions inside a sweep become failing claim records; the
     overall verdict is "pass" exactly when every record passed.  With
-    ``parallelism`` above 1 one pool of that many workers serves every sweep.
+    ``parallelism`` above 1 one pool of that many workers computes the rows
+    of every sweep in one map (``_schedule``) before the sweeps run.
     """
     config = config or VerificationConfig()
     config.validate()
 
+    jobs = config.parallelism
+    batch = None if jobs <= 1 else _run_batch(jobs, _schedule(config))
     claims: list[ClaimRecord] = []
-    with _pool(config.parallelism) as pool:
-        for claim_id, sweep in SWEEPS:
-            try:
-                claims.extend(sweep(config, pool))
-            except Exception as exc:  # a failed sweep must surface, never vanish
-                claims.append(_error_record(claim_id, exc))
+    for claim_id, sweep in SWEEPS:
+        try:
+            claims.extend(sweep(config, batch))
+        except Exception as exc:  # a failed sweep must surface, never vanish
+            claims.append(_error_record(claim_id, exc))
 
     claims.sort(key=_sort_key)
     verdict = "pass" if all(c.passed for c in claims) else "fail"

@@ -333,3 +333,31 @@ def test_pooled_run_from_a_cold_start(tmp_path):
     assert result.returncode == EXIT_OK, result.stderr
     assert result.stdout.splitlines()[-1] == "True"
     assert json.loads(out_path.read_text())["verdict"] == "pass"
+
+
+def test_pooled_workers_are_forked_under_a_spawn_default():
+    # spawned workers would import the package afresh, without the tampered
+    # psi1 below, and a pooled run would pass where the serial run fails
+    script = """
+import multiprocessing
+multiprocessing.set_start_method("spawn")
+from qlogconvex import proofpolys
+from qlogconvex.polynomials import Poly
+from qlogconvex.verification import VerificationConfig, run_full_verification
+original = proofpolys.psi1_poly
+
+def tampered(n, t):
+    poly = original(n, t)
+    return Poly((poly.coeffs[0] + 1,) + poly.coeffs[1:]) if (n, t) == (7, 3) else poly
+
+proofpolys.psi1_poly = tampered
+bounds = dict(n_max_direct=4, n_max_factorization=8, n_max_sturm=8,
+              n_max_monotonicity=4, n_max_root_ratio=4)
+failing = [[c.claim for c in run_full_verification(
+    VerificationConfig(**bounds, parallelism=jobs)).claims if not c.passed] for jobs in (1, 2)]
+print(failing[0] == failing[1], *failing[0])
+"""
+    result = _fresh_python(script)
+    assert result.returncode == 0, result.stderr
+    same, *failing = result.stdout.split()
+    assert same == "True" and failing

@@ -1,6 +1,7 @@
 import json
 import math
 import multiprocessing
+import multiprocessing.pool
 import pickle
 import re
 from datetime import datetime, timezone
@@ -214,9 +215,8 @@ def test_factorization_sweep_small():
 
 
 def test_factorization_sweep_parallel_matches_serial():
-    with multiprocessing.Pool(2) as pool:
-        pooled = factorization_sweep(6, pool=pool)
-    assert pooled == factorization_sweep(6)
+    batch = verification._run_batch(2, verification._split(_factorization_row, range(1, 7), 2))
+    assert factorization_sweep(6, batch) == factorization_sweep(6)
 
 
 def test_verify_prop31_small():
@@ -673,15 +673,22 @@ def test_pooled_certificate_differs_from_serial_only_in_parallelism_and_timestam
 
 def test_one_pool_per_run(monkeypatch):
     opened = []
-    real_pool = multiprocessing.Pool
+    real_context = multiprocessing.get_context
 
-    def counting_pool(*args, **kwargs):
-        opened.append(args)
-        return real_pool(*args, **kwargs)
+    def counting_context(method=None):
+        context = real_context(method)
 
-    monkeypatch.setattr(multiprocessing, "Pool", counting_pool)
+        class Counting:
+            @staticmethod
+            def Pool(*args, **kwargs):
+                opened.append((method, args))
+                return context.Pool(*args, **kwargs)
+
+        return Counting
+
+    monkeypatch.setattr(multiprocessing, "get_context", counting_context)
     assert run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2)).passed
-    assert opened == [(2,)]
+    assert opened == [("fork", (2,))]
     opened.clear()
     assert run_full_verification(VerificationConfig(**SMALL_CONFIG)).passed
     assert opened == []
@@ -730,6 +737,103 @@ def test_pooled_certificate_with_recurrence_ranges_matches_serial():
                       for jobs in (1, 2))
     assert pooled.claims == serial.claims
     assert serial.verdict == "pass"
+
+
+# --- the pooled schedule: every row in one map ----------------------------------
+
+def _count_maps(monkeypatch):
+    maps = []
+    real_map = multiprocessing.pool.Pool.map
+
+    def counting_map(self, *args, **kwargs):
+        maps.append(len(args[1]))
+        return real_map(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counting_map)
+    return maps
+
+
+@pytest.mark.parametrize("run", [
+    lambda jobs: run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=jobs)),
+    lambda jobs: verification.qlc_check("D", 20, jobs),
+    lambda jobs: verification.qlc_check("V", 20, jobs),
+], ids=["verify-paper", "qlc-D", "qlc-V"])
+def test_a_pooled_run_makes_one_map_and_a_serial_run_none(monkeypatch, run):
+    maps = _count_maps(monkeypatch)
+    run(2)
+    assert len(maps) == 1 and maps[0] > 1
+    maps.clear()
+    run(1)
+    assert maps == []
+
+
+@pytest.mark.parametrize("length, count", [(0, 4), (1, 4), (3, 4), (4, 4), (59, 4), (100, 6)])
+def test_chunks_cover_every_item_once_contiguous_and_in_order(length, count):
+    items = list(range(10, 10 + length))
+    chunks = verification._chunks(items, count)
+    assert len(chunks) == min(length, count)
+    assert all(chunks) and [item for chunk in chunks for item in chunk] == items
+    assert max(map(len, chunks), default=0) - min(map(len, chunks), default=0) <= 1
+
+
+def test_the_schedule_lists_every_row_the_sweeps_read(monkeypatch):
+    # a sweep reading a row the schedule did not plan fails that sweep alone
+    config = VerificationConfig(**SMALL_CONFIG, parallelism=2)
+    tasks = verification._schedule(config)
+    assert {row for row, _items in tasks} == {
+        verification._prop31_row, verification._prop32_row, verification._prop33_row,
+        verification._claims23_row, _factorization_row, verification._grid_row,
+        criteria._qlc_chunk, criteria._qlc_recurrence_chunk}
+    monkeypatch.setattr(verification, "_schedule", lambda c: [
+        (row, items) for row, items in tasks if row is not verification._prop33_row])
+    errors = [c for c in run_full_verification(config).claims if not c.passed]
+    assert errors == [ClaimRecord("prop33", {"error": "LookupError"}, "fail", {
+        "message": "the pooled schedule has no row _prop33_row(2)"})]
+
+
+def test_a_row_error_in_the_last_chunk_matches_serial(monkeypatch):
+    """The last n of prop32 and of the factorization raise in the chunks the
+    pool runs first; each sweep still gives the serial run's error record."""
+    original_psi, original_check = proofpolys.build_psi, verification.factorization_check
+
+    def flaky_psi(n, t):
+        if n == 8:
+            raise RuntimeError(f"psi row {n} blew up")
+        return original_psi(n, t)
+
+    def flaky_check(n):
+        if n >= 7:
+            raise ArithmeticError(f"factorization row {n} blew up")
+        return original_check(n)
+
+    monkeypatch.setattr(proofpolys, "build_psi", flaky_psi)
+    monkeypatch.setattr(verification, "factorization_check", flaky_check)
+    serial, pooled = (run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=jobs))
+                      for jobs in (1, 2))
+    assert pooled.claims == serial.claims
+    assert [c for c in serial.claims if "error" in c.params] == [
+        ClaimRecord("factorization", {"error": "ArithmeticError"}, "fail",
+                    {"message": "factorization row 7 blew up"}),
+        ClaimRecord("prop32", {"error": "RuntimeError"}, "fail",
+                    {"message": "psi row 8 blew up"})]
+
+
+def test_a_map_that_raises_gives_every_pooled_sweep_an_error_record(monkeypatch):
+    class LocalError(Exception):
+        """Defined here, so a worker cannot pickle it back and the map raises."""
+
+    def explode(n, t):
+        raise LocalError("not sent back")
+
+    monkeypatch.setattr(proofpolys, "build_psi", explode)
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2))
+    assert certificate.verdict == "fail"
+    errors = [c for c in certificate.claims if not c.passed]
+    assert [c.claim for c in errors] == sorted([
+        "prop31", "prop32", "prop33", "claims123", "factorization", "cascade",
+        "qlc_D", "qlc_W", "qlc_F", "qlc_V"])
+    assert {c.params["error"] for c in errors} == {"MaybeEncodingError"}
+    assert [c.claim for c in certificate.claims if c.passed] == ["monotonicity", "series"]
 
 # --- qlc_V read from F's defects through V_n(q) = q^n F_n(1/q) -------------------
 
