@@ -3,11 +3,10 @@
 # set before the submodule imports: verification reads it at import time
 __version__ = "0.1.0"
 
-from .exactcore import BinomialCache, binom, central_binom
+from .exactcore import BinomialCache, binom
 from .polynomials import (
     IntervalSign,
     Poly,
-    is_self_reciprocal,
     sign_constant_on,
     sturm_chain,
     sturm_count_roots,
@@ -18,17 +17,13 @@ from .families import (
     TriangularArray,
     domb_number,
     family_poly,
-    weighted_assembly,
 )
 from .criteria import (
-    CriterionReport,
     MonotonicityReport,
     SignCrossing,
     criterion_c2_sweep,
-    criterion_verdict,
     log_convex_check,
     op_L,
-    op_L_tilde,
     q_log_convex_direct,
     root_monotonicity_check,
     single_crossing,
@@ -49,14 +44,11 @@ from .verification import (
 )
 
 __all__ = [
-    "BinomialCache", "binom", "central_binom",
-    "IntervalSign", "Poly", "is_self_reciprocal", "sign_constant_on",
-    "sturm_chain", "sturm_count_roots",
-    "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number",
-    "family_poly", "weighted_assembly",
-    "CriterionReport", "MonotonicityReport", "SignCrossing",
-    "criterion_c2_sweep", "criterion_verdict", "log_convex_check", "op_L",
-    "op_L_tilde", "q_log_convex_direct", "root_monotonicity_check", "single_crossing",
+    "BinomialCache", "binom",
+    "IntervalSign", "Poly", "sign_constant_on", "sturm_chain", "sturm_count_roots",
+    "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number", "family_poly",
+    "MonotonicityReport", "SignCrossing", "criterion_c2_sweep", "log_convex_check",
+    "op_L", "q_log_convex_direct", "root_monotonicity_check", "single_crossing",
     "IdentityError", "PsiBundle", "ThetaBundle", "build_psi",
     "build_psi_nn", "build_theta",
     "Certificate", "ClaimRecord", "VerificationConfig", "chan_partial_sum",

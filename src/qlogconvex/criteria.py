@@ -5,8 +5,7 @@ The central object is the bilinear operator on a triangular array a(n, k)
     L_t(a(n,k)) = a(n+1,k) a(n-1,t-k) + a(n-1,k) a(n+1,t-k) - 2 a(n,k) a(n,t-k)
 
 whose sign pattern over k = 0..floor(t/2) decides whether the weighted
-assembly of the array stays q-log-convex.  The companion operator L~_t
-replaces the even-t midpoint term by a(n+1,k) a(n-1,k) - a(n,k)^2.
+assembly of the array stays q-log-convex.
 
 q-log-convexity is checked on the defects P_{n+1} P_{n-1} - P_n^2 in two
 ways, and both give one row per n, (n, first negative, last negative defect
@@ -25,17 +24,11 @@ one map (``verification._qlc_tasks`` lists the ranges).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
-from .families import (
-    ROW_RECURRENCES,
-    TriangularArray,
-    domb_numbers,
-    family_poly,
-    weighted_assembly,
-)
+from .families import ROW_RECURRENCES, TriangularArray, domb_numbers, family_poly
 from .hiprec import compare_products
-from .polynomials import _kronecker_pack, _kronecker_unpack, is_self_reciprocal
+from .polynomials import _kronecker_pack, _kronecker_unpack
 
 
 class SignCrossing(NamedTuple):
@@ -119,14 +112,6 @@ def op_L(a: TriangularArray, n: int, t: int, k: int) -> int:
         + a(n - 1, k) * a(n + 1, t - k)
         - 2 * a(n, k) * a(n, t - k)
     )
-
-
-def op_L_tilde(a: TriangularArray, n: int, t: int, k: int) -> int:
-    """L~_t(a(n,k)): as op_L except at the even-t midpoint k = t/2."""
-    _check_operator_args(n, t, k)
-    if 2 * k == t:
-        return a(n + 1, k) * a(n - 1, k) - a(n, k) ** 2
-    return op_L(a, n, t, k)
 
 
 def criterion_c2_sweep(a: TriangularArray, n: int) -> list[tuple[int, SignCrossing]]:
@@ -292,62 +277,6 @@ def q_log_convex_direct(tag: str, n_max: int) -> list[tuple[int, int | None, int
     if n_max < 1:
         raise ValueError("n_max must be at least 1")
     return _qlc_chunk((tag, 1, n_max))
-
-
-class CriterionReport(NamedTuple):
-    """Outcome of checking the self-reciprocal criterion's hypotheses.
-
-    Per-n C1 results and per-(n, t) C2 outcomes are kept in full; the
-    verdict asserts the hypotheses at desk scale only and never claims the
-    unbounded statement.
-    """
-
-    n_max: int
-    weights_log_convex: bool
-    c1_results: tuple[tuple[int, bool], ...]
-    c2_outcomes: tuple[tuple[int, int, SignCrossing], ...]
-    scope: str
-
-    @property
-    def c1_failures(self) -> tuple[int, ...]:
-        return tuple(n for n, ok in self.c1_results if not ok)
-
-    @property
-    def c2_violations(self) -> tuple[tuple[int, int], ...]:
-        return tuple((n, t) for n, t, crossing in self.c2_outcomes if not crossing.ok)
-
-    @property
-    def passed(self) -> bool:
-        return self.weights_log_convex and not self.c1_failures and not self.c2_violations
-
-
-def criterion_verdict(
-    a: TriangularArray, u: Callable[[int], int], n_max: int
-) -> CriterionReport:
-    """Check C1 (self-reciprocity of the assembly) and C2 (single crossing).
-
-    C1 looks at g_n = sum_k a(n,k) u_k q^k for each n <= n_max; C2 sweeps
-    L_t over 0 <= t <= n.  The weight sequence itself is checked for
-    log-convexity on the prefix it contributes.
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    weights_ok = log_convex_check([u(k) for k in range(n_max + 2)]) is None
-    c1_results = []
-    for n in range(n_max + 1):
-        g = weighted_assembly(a, u, n)
-        c1_results.append((n, is_self_reciprocal(g, n)))
-    c2_outcomes = []
-    for n in range(1, n_max + 1):
-        for t, crossing in criterion_c2_sweep(a, n):
-            c2_outcomes.append((n, t, crossing))
-    return CriterionReport(
-        n_max=n_max,
-        weights_log_convex=weights_ok,
-        c1_results=tuple(c1_results),
-        c2_outcomes=tuple(c2_outcomes),
-        scope=f"hypotheses verified for n <= {n_max}",
-    )
 
 
 class MonotonicityReport(NamedTuple):

@@ -44,11 +44,3 @@ SHARED_BINOMIALS = BinomialCache()
 def binom(n: int, k: int) -> int:
     """C(n, k), zero for k < 0 or k > n; negative n is a domain error."""
     return SHARED_BINOMIALS.get(n, k)
-
-
-def central_binom(k: int) -> int:
-    """C(2k, k)."""
-    if k < 0:
-        raise ValueError(f"central binomial index must be nonnegative, got {k}")
-    return SHARED_BINOMIALS.get(2 * k, k)
-

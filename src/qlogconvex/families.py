@@ -38,9 +38,8 @@ n + 1, and checks them on every row it reads.
 from __future__ import annotations
 
 import math
-from typing import Callable
 
-from .exactcore import binom, central_binom
+from .exactcore import binom
 from .polynomials import Poly
 
 ARRAY_KINDS = ("domb_a", "narayana_a")
@@ -145,11 +144,11 @@ def family_coefficient(tag: str, n: int, k: int) -> int:
         return 0
     sq = binom(n, k) ** 2
     if tag == "D":
-        return sq * central_binom(k) * binom(2 * n - 2 * k, n - k)
+        return sq * binom(2 * k, k) * binom(2 * n - 2 * k, n - k)
     if tag == "W":
         return sq
     if tag == "V":
-        return sq * central_binom(k)
+        return sq * binom(2 * k, k)
     if tag == "F":
         return sq * binom(2 * n - 2 * k, n - k)
     raise ValueError(f"unknown family tag {tag!r}")
@@ -249,10 +248,3 @@ def domb_numbers(stop: int) -> list[int]:
     if numbers and numbers[-1] != domb_number(stop - 1):
         raise ArithmeticError(f"Domb recurrence disagrees with the term sum at n={stop - 1}")
     return numbers
-
-
-def weighted_assembly(array: TriangularArray, weights: Callable[[int], int], n: int) -> Poly:
-    """sum_k a(n,k) * u_k * q^k for the given array and weight sequence."""
-    if n < 0:
-        raise ValueError(f"assembly index must be nonnegative, got n={n}")
-    return Poly([array(n, k) * weights(k) for k in range(n + 1)])

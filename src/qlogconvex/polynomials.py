@@ -349,13 +349,6 @@ def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
     return out
 
 
-def is_self_reciprocal(p: Poly, n: int) -> bool:
-    """True iff coefficient a_k == a_{n-k} for 0 <= k <= n (missing ones are 0)."""
-    if n < p.degree:
-        raise ValueError(f"nominal degree {n} below actual degree {p.degree}")
-    return all(p.coefficient(k) == p.coefficient(n - k) for k in range(n + 1))
-
-
 def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
     """Fraction-free pseudo-division of integer polynomials: quo, rem and an
     integer scale > 0 with scale*f = quo*g + rem and deg rem < deg g.

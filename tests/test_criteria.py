@@ -12,17 +12,14 @@ from qlogconvex.criteria import (
     _qlc_recurrence_chunk,
     _slot_bytes,
     criterion_c2_sweep,
-    criterion_verdict,
     log_convex_check,
     op_L,
-    op_L_tilde,
     q_log_convex_direct,
     qlc_ranges,
     root_monotonicity_check,
     single_crossing,
     sweep_passes,
 )
-from qlogconvex.exactcore import central_binom
 from qlogconvex.families import (
     DOMB_ARRAY,
     NARAYANA_ARRAY,
@@ -57,31 +54,6 @@ def test_operator_rejects_bad_arguments():
         op_L(DOMB_ARRAY, 2, 5, 0)
     with pytest.raises(ValueError):
         op_L(DOMB_ARRAY, 2, 2, 2)  # k > t/2
-    with pytest.raises(ValueError):
-        op_L_tilde(DOMB_ARRAY, 2, 2, 2)
-
-
-def test_operator_tilde_examples():
-    assert op_L_tilde(NARAYANA_ARRAY, 2, 2, 1) == 9 * 1 - 16
-    assert op_L_tilde(NARAYANA_ARRAY, 1, 0, 0) == 0
-    assert op_L_tilde(DOMB_ARRAY, 2, 2, 0) == op_L(DOMB_ARRAY, 2, 2, 0) == 24
-
-
-def test_tilde_agrees_with_op_below_midpoint():
-    for n in range(1, 21):
-        for t in range(2 * n + 1):
-            for k in range((t - 1) // 2 + 1):
-                if 2 * k < t:
-                    assert op_L_tilde(DOMB_ARRAY, n, t, k) == op_L(DOMB_ARRAY, n, t, k)
-
-
-def test_tilde_crossing_for_narayana_full_operator_range():
-    # the mechanism that yields the weighted Narayana family: single crossing
-    # of the midpoint-adjusted operator over the whole 0 <= t <= 2n range
-    for n in range(1, 26):
-        for t in range(2 * n + 1):
-            values = [op_L_tilde(NARAYANA_ARRAY, n, t, k) for k in range(t // 2 + 1)]
-            assert single_crossing(values).ok, (n, t, values)
 
 
 def test_single_crossing_examples():
@@ -372,28 +344,6 @@ def test_qlc_at_one_implies_number_log_convexity():
         gap = domb_number(n + 1) * domb_number(n - 1) - domb_number(n) ** 2
         assert _defect("D", n)(1) == gap >= 0
     assert log_convex_check([domb_number(n) for n in range(32)]) is None
-
-
-def test_criterion_verdict_examples():
-    report = criterion_verdict(DOMB_ARRAY, central_binom, 10)
-    assert report.passed
-    assert report.weights_log_convex
-    assert report.c1_failures == ()
-    assert report.c2_violations == ()
-    assert report.scope == "hypotheses verified for n <= 10"
-
-    narayana = criterion_verdict(NARAYANA_ARRAY, lambda k: 1, 2)
-    assert narayana.c1_failures == ()  # type-B Narayana polynomials are palindromic
-
-    tiny = criterion_verdict(DOMB_ARRAY, central_binom, 1)
-    assert tiny.passed
-
-
-def test_criterion_verdict_detects_c1_failure():
-    # weighted Narayana assembly is not self-reciprocal
-    report = criterion_verdict(NARAYANA_ARRAY, central_binom, 4)
-    assert report.c1_failures != ()
-    assert not report.passed
 
 
 def test_monotonicity_examples():

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qlogconvex.exactcore import BinomialCache, binom, central_binom
+from qlogconvex.exactcore import BinomialCache, binom
+from qlogconvex.families import _central_binomials
 
 
 def pascal_triangle(rows):
@@ -41,20 +42,11 @@ def test_binom_rejects_negative_row():
         binom(-1, 0)
 
 
-def test_central_binom_values():
-    assert central_binom(0) == 1
-    assert central_binom(1) == 2
-    assert central_binom(3) == 20 == binom(6, 3)
-
-
-def test_central_binom_rejects_negative():
-    with pytest.raises(ValueError):
-        central_binom(-2)
-
-
 def test_central_binom_weights_are_log_convex():
+    central = _central_binomials(201)
+    assert central == [binom(2 * k, k) for k in range(202)]
     for k in range(1, 201):
-        assert central_binom(k + 1) * central_binom(k - 1) >= central_binom(k) ** 2
+        assert central[k + 1] * central[k - 1] >= central[k] ** 2
 
 
 def test_cache_grows_and_is_consistent():

@@ -1,0 +1,45 @@
+import ast
+import pathlib
+
+import pytest
+
+import qlogconvex
+
+PACKAGE = pathlib.Path(qlogconvex.__file__).parent
+
+
+def _imported_names(tree):
+    """The names a module's import statements bind, ``__future__`` aside."""
+    return {alias.asname or alias.name.split(".")[0]
+            for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__" for alias in node.names}
+
+
+def _used_names(tree):
+    """Every name a module reads, string annotations included."""
+    used = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            used |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return used
+
+
+def test_all_lists_each_export_once_and_every_one_resolves():
+    names = qlogconvex.__all__
+    assert len(names) == len(set(names))
+    for name in names:
+        assert hasattr(qlogconvex, name), name
+
+
+def test_init_exports_every_name_it_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    assert _imported_names(tree) == set(qlogconvex.__all__) - {"__version__"}
+
+
+@pytest.mark.parametrize("path", sorted(p.name for p in PACKAGE.glob("*.py") if p.name != "__init__.py"))
+def test_no_module_imports_a_name_it_never_reads(path):
+    tree = ast.parse((PACKAGE / path).read_text())
+    assert _imported_names(tree) - _used_names(tree) == set()

@@ -12,7 +12,6 @@ from qlogconvex.polynomials import (
     ZERO,
     descartes_bound,
     divmod_poly,
-    is_self_reciprocal,
     sign_constant_on,
     sturm_chain,
     sturm_count_roots,
@@ -68,16 +67,6 @@ def test_eval_examples():
     assert Poly([11, 5, 3])(0) == 11
     # theta(n) = -n^2 (n+1) (n^3 + 2n^2 - 3n + 2) at n=5
     assert theta_poly(5)(5) == -25 * 6 * 162 == -24300
-
-
-def test_self_reciprocal_examples():
-    assert is_self_reciprocal(Poly([6, 16, 6]), 2)
-    assert not is_self_reciprocal(Poly([1, 8, 6]), 2)
-    assert is_self_reciprocal(Poly([1]), 0)
-    # missing coefficients count as zeros
-    assert not is_self_reciprocal(Poly([1, 1]), 3)
-    with pytest.raises(ValueError):
-        is_self_reciprocal(Poly([1, 2, 3]), 1)
 
 
 def test_divmod_round_trip():
