@@ -19,8 +19,6 @@ from .families import (
     family_poly,
 )
 from .criteria import (
-    MonotonicityReport,
-    SignCrossing,
     criterion_c2_sweep,
     log_convex_check,
     op_L,
@@ -47,8 +45,8 @@ __all__ = [
     "BinomialCache", "binom",
     "IntervalSign", "Poly", "sign_constant_on", "sturm_chain", "sturm_count_roots",
     "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number", "family_poly",
-    "MonotonicityReport", "SignCrossing", "criterion_c2_sweep", "log_convex_check",
-    "op_L", "q_log_convex_direct", "root_monotonicity_check", "single_crossing",
+    "criterion_c2_sweep", "log_convex_check", "op_L", "q_log_convex_direct",
+    "root_monotonicity_check", "single_crossing",
     "IdentityError", "PsiBundle", "ThetaBundle", "build_psi",
     "build_psi_nn", "build_theta",
     "Certificate", "ClaimRecord", "VerificationConfig", "chan_partial_sum",

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 
-from .criteria import criterion_c2_sweep, log_convex_check, sweep_passes
+from .criteria import criterion_c2_sweep, log_convex_check
 from .families import (
     ARRAY_KINDS,
     FAMILY_TAGS,
@@ -101,7 +101,7 @@ def _run_qlc(args) -> tuple[dict[str, str], bool, str | None]:
 
 
 def _run_logconvex(args) -> tuple[dict[str, str], bool, str | None]:
-    failure = log_convex_check(domb_numbers(args.n_max + 1), strict=True)
+    failure = log_convex_check(domb_numbers(args.n_max + 1))
     return ({"sequence": "domb_numbers"}, failure is None,
             None if failure is None else f"index {failure}")
 
@@ -109,7 +109,7 @@ def _run_logconvex(args) -> tuple[dict[str, str], bool, str | None]:
 def _run_crossing(args) -> tuple[dict[str, str], bool, str | None]:
     array = get_array(args.array)
     first = next((n for n in range(1, args.n_max + 1)
-                  if not sweep_passes(criterion_c2_sweep(array, n))), None)
+                  if criterion_c2_sweep(array, n) is not None), None)
     return {"array": args.array}, first is None, None if first is None else f"n={first}"
 
 

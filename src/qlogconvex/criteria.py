@@ -24,62 +24,26 @@ one map (``verification._qlc_tasks`` lists the ranges).
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 from .families import ROW_RECURRENCES, TriangularArray, domb_numbers, family_poly
 from .hiprec import compare_products
 from .polynomials import _kronecker_pack, _kronecker_unpack
 
 
-class SignCrossing(NamedTuple):
-    """Outcome of the single-crossing test on a value sequence.
-
-    ``crossing(k)`` certifies values[i] >= 0 for i <= k and values[i] <= 0
-    for i > k (k may be -1 for an all-nonpositive sequence); ``violation``
-    pinpoints the first strictly positive value that follows a strictly
-    negative one.
-    """
-
-    outcome: str  # "crossing" | "all_nonnegative" | "violation"
-    index: int | None = None
-    value: int | None = None
-
-    @property
-    def ok(self) -> bool:
-        return self.outcome != "violation"
-
-    @classmethod
-    def crossing(cls, k: int) -> "SignCrossing":
-        return cls("crossing", k)
-
-    @classmethod
-    def all_nonnegative(cls) -> "SignCrossing":
-        return cls("all_nonnegative")
-
-    @classmethod
-    def violation(cls, position: int, value: int) -> "SignCrossing":
-        return cls("violation", position, value)
-
-
-def single_crossing(values: Sequence[int]) -> SignCrossing:
-    """Classify a sequence as nonneg-prefix/nonpos-tail, or find the break.
-
-    Zeros are compatible with both signs; the crossing index is the last
-    index before the first strictly negative value.
+def single_crossing(values: Sequence[int]) -> int | None:
+    """None if ``values`` is a nonnegative prefix followed by a nonpositive
+    tail, zeros fitting either sign; else the index of the first positive
+    value that follows a negative one.
     """
     if len(values) == 0:
         raise ValueError("single_crossing needs a nonempty sequence")
-    first_negative = next((i for i, v in enumerate(values) if v < 0), None)
-    if first_negative is None:
-        return SignCrossing.all_nonnegative()
-    for j in range(first_negative + 1, len(values)):
-        if values[j] > 0:
-            return SignCrossing.violation(j, values[j])
-    return SignCrossing.crossing(first_negative - 1)
+    first_negative = next((i for i, v in enumerate(values) if v < 0), len(values))
+    return next((j for j in range(first_negative + 1, len(values)) if values[j] > 0), None)
 
 
-def log_convex_check(seq: Sequence[int], strict: bool = False) -> int | None:
-    """Verify a[n-1]*a[n+1] >= a[n]^2 (or > if strict) for every interior n.
+def log_convex_check(seq: Sequence[int]) -> int | None:
+    """Verify a[n-1]*a[n+1] > a[n]^2 for every interior n.
 
     Returns None on success, else the first failing interior index.
     """
@@ -88,9 +52,7 @@ def log_convex_check(seq: Sequence[int], strict: bool = False) -> int | None:
     if any(v <= 0 for v in seq):
         raise ValueError("log-convexity check requires positive entries")
     for i in range(1, len(seq) - 1):
-        lhs = seq[i - 1] * seq[i + 1]
-        rhs = seq[i] * seq[i]
-        if lhs < rhs or (strict and lhs == rhs):
+        if seq[i - 1] * seq[i + 1] <= seq[i] * seq[i]:
             return i
     return None
 
@@ -114,20 +76,15 @@ def op_L(a: TriangularArray, n: int, t: int, k: int) -> int:
     )
 
 
-def criterion_c2_sweep(a: TriangularArray, n: int) -> list[tuple[int, SignCrossing]]:
-    """Single-crossing classification of [L_t(a(n,k))]_k for each t in 0..n,
-    the hypothesis range of the self-reciprocal criterion (the operator
-    itself is defined up to 2n).
+def criterion_c2_sweep(a: TriangularArray, n: int) -> int | None:
+    """None if [L_t(a(n,k))]_k crosses zero once (``single_crossing``) for
+    each t in 0..n, the hypothesis range of the self-reciprocal criterion
+    (the operator itself is defined up to 2n); else the first t that does
+    not.
     """
-    results = []
-    for t in range(n + 1):
-        values = [op_L(a, n, t, k) for k in range(t // 2 + 1)]
-        results.append((t, single_crossing(values)))
-    return results
-
-
-def sweep_passes(results: Sequence[tuple[int, SignCrossing]]) -> bool:
-    return all(crossing.ok for _, crossing in results)
+    return next((t for t in range(n + 1)
+                 if single_crossing([op_L(a, n, t, k) for k in range(t // 2 + 1)]) is not None),
+                None)
 
 
 def _negative_ends(coeffs: Sequence[int]) -> tuple[int | None, int | None]:
@@ -279,35 +236,17 @@ def q_log_convex_direct(tag: str, n_max: int) -> list[tuple[int, int | None, int
     return _qlc_chunk((tag, 1, n_max))
 
 
-class MonotonicityReport(NamedTuple):
-    """Desk-scale evidence for the Domb-number growth conjectures.
-
-    All three parts are decided by exact integer comparisons: ratio growth
-    by cross-multiplication, the n-th-root and root-ratio parts by certified
-    log2 enclosures with an exact-powering fallback.
-    """
-
-    n_max: int
-    root_ratio_n_max: int
-    ratio_first_failure: int | None
-    nth_root_first_failure: int | None
-    root_ratio_first_failure: int | None
-
-    @property
-    def passed(self) -> bool:
-        return (
-            self.ratio_first_failure is None
-            and self.nth_root_first_failure is None
-            and self.root_ratio_first_failure is None
-        )
-
-
-def root_monotonicity_check(n_max: int, root_ratio_n_max: int) -> MonotonicityReport:
+def root_monotonicity_check(n_max: int, root_ratio_n_max: int
+                            ) -> tuple[int | None, int | None, int | None]:
     """Evidence checks: D_{n+1}/D_n increasing, D_n^{1/n} increasing,
-    D_{n+1}^{1/(n+1)} / D_n^{1/n} decreasing.
+    D_{n+1}^{1/(n+1)} / D_n^{1/n} decreasing, each answered by the first n
+    where it fails, or None.
 
-    These are desk-scale observations, not proofs.  The root-ratio part is
-    cubic in the exponents, so it runs over its own (smaller) range.
+    These are desk-scale observations, not proofs, decided by exact integer
+    comparisons: ratio growth by cross-multiplication, the n-th-root and
+    root-ratio parts by certified log2 enclosures with an exact-powering
+    fallback.  The root-ratio part is cubic in the exponents, so it runs
+    over its own (smaller) range.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -315,7 +254,7 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int) -> MonotonicityRe
 
     # D_{n+2}/D_{n+1} > D_{n+1}/D_n for n < n_max is strict log-convexity at
     # the interior indices n + 1
-    interior_fail = log_convex_check(numbers[:n_max + 2], strict=True)
+    interior_fail = log_convex_check(numbers[:n_max + 2])
     ratio_fail = None if interior_fail is None else interior_fail - 1
 
     nth_root_fail = None
@@ -333,10 +272,4 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int) -> MonotonicityRe
             root_ratio_fail = n
             break
 
-    return MonotonicityReport(
-        n_max=n_max,
-        root_ratio_n_max=root_ratio_n_max,
-        ratio_first_failure=ratio_fail,
-        nth_root_first_failure=nth_root_fail,
-        root_ratio_first_failure=root_ratio_fail,
-    )
+    return ratio_fail, nth_root_fail, root_ratio_fail

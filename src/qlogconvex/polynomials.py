@@ -24,21 +24,20 @@ deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
 roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point
 p/q come from the integer sum c_i p^i q^(d-i).
 
-Products of two integer polynomials are chosen by operand shape alone: when
-both operands equal their reversal they take ``_palindromic_mul``, else the
-full-width Kronecker product ``_kronecker_mul``.  An operand with a Fraction
-coefficient (the rational Sturm tests) keeps the schoolbook loop.
+Products of two integer polynomials that both equal their reversal take
+``_palindromic_mul``; every other product, of integer or Fraction
+coefficients (the rational Sturm tests), takes the schoolbook loop.
 
-Kronecker substitution packs each operand into one big integer with a fixed
-slot of w bits per coefficient, multiplies the two integers once (CPython's
-Karatsuba), and reads the product's slots back as the coefficients.  The
-slot width is the exact bound max|a| * max|b| * min(len a, len b) on any
-product coefficient, plus a sign bit, rounded up to whole bytes, so no slot
-overflows into its neighbour.  Packing joins the coefficients' signed bytes
-and takes back the unit each negative slot lends to the next one; unpacking
-slices the signed bytes of the product and propagates the borrow upward.
-Both are linear in the size of the numbers, and the result is exactly the
-schoolbook product.
+Kronecker substitution packs a polynomial into one big integer with a fixed
+slot of w bits per coefficient, so that a product of polynomials becomes one
+product of integers (CPython's Karatsuba) whose slots read back as the
+coefficients.  The slot must hold the bound max|a| * max|b| *
+min(len a, len b) on any product coefficient, with a sign bit, so that no
+slot overflows into its neighbour.  Packing (``_kronecker_pack``) joins the
+coefficients' signed bytes and takes back the unit each negative slot lends
+to the next one; unpacking (``_kronecker_unpack``) slices the signed bytes
+of the product and propagates the borrow upward.  Both are linear in the
+size of the numbers.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
@@ -63,11 +62,12 @@ their few seed products multiply the packed integers directly.  Counted over
 the four benchmark workloads and every ``check`` and ``families`` command,
 each product that reaches ``Poly.__mul__`` has two palindromic int D rows:
 300 at the default bounds, 320 with qlc_D to n = 160 and 2 on the
-proof-sized workload.  No other operand reaches it outside the tests.  The
-half-width multiply gains only from about 5,000 packed bits on (D from
-n = 26), but the defects of D below that, n = 1..26, take 2-3.5 ms in all
-on any path (2-core Xeon, CPython 3.11), so no size threshold picks
-between the kernels.
+proof-sized workload.  The products of non-palindromic integer rows, which
+only a tampered row or a test makes, take the schoolbook loop.  The
+half-width multiply gains over a full-width Kronecker product only from
+about 5,000 packed bits on (D from n = 26), but the defects of D below
+that, n = 1..26, take 2-3.5 ms in all on any path (2-core Xeon, CPython
+3.11), so no size threshold picks another kernel for the small rows.
 """
 
 from __future__ import annotations
@@ -154,10 +154,8 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return ZERO
-            if _all_int(a) and _all_int(b):
-                if a == a[::-1] and b == b[::-1]:
-                    return Poly(_palindromic_mul(a, b, _bound_bits(a, b)))
-                return Poly(_kronecker_mul(a, b))
+            if _all_int(a) and _all_int(b) and a == a[::-1] and b == b[::-1]:
+                return Poly(_palindromic_mul(a, b, _bound_bits(a, b)))
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
                 if ca:
@@ -275,16 +273,6 @@ def _bound_bits(a: tuple, b: tuple) -> int:
     """Bit length of max|a| max|b| min(len a, len b), which bounds every
     coefficient of the product of a and b."""
     return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
-
-
-def _kronecker_mul(a: tuple, b: tuple) -> list:
-    """Exact product coefficients of two nonzero int polynomials, from one
-    full-width big-int multiply at 2^(8 size)."""
-    size = _bound_bits(a, b) // 8 + 1  # the bound's bits plus a sign bit, in bytes
-    packed_a = _kronecker_pack(a, size)
-    # equal operands make a square, which CPython multiplies faster
-    packed_b = packed_a if a == b else _kronecker_pack(b, size)
-    return _kronecker_unpack(packed_a * packed_b, len(a) + len(b) - 1, size)
 
 
 def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:

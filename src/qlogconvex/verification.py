@@ -167,17 +167,17 @@ def _run_chunk(task: tuple) -> list[tuple[bool, object]]:
     return outcomes
 
 
-def _run_batch(jobs: int, tasks: list[tuple]) -> dict | Exception:
+def _run_batch(jobs: int, tasks: list[tuple]) -> dict:
     """Every task (row, items) through one ``pool.map`` in a pool of ``jobs``
-    workers, one task at a time in list order, as {row: {item: (ok, value)}};
-    or the exception the map raised (a worker died, or a result could not be
-    pickled back), which ``_map_rows`` then raises for every row it is asked
-    for."""
+    workers, one task at a time in list order, as {row: {item: (ok, value)}}.
+    When the map itself raises (a worker died, or a result could not be
+    pickled back), each task's first item holds (False, that exception), so
+    ``_map_rows`` raises it for every row it is asked for."""
     with _pool(jobs) as pool:
         try:
             outcomes = pool.map(_run_chunk, tasks, chunksize=1)
         except Exception as exc:  # every pooled sweep gets its own error record
-            return exc
+            outcomes = [[(False, exc)]] * len(tasks)
     batch: dict = {}
     for (row, items), chunk in zip(tasks, outcomes):
         batch.setdefault(row, {}).update(zip(items, chunk))
@@ -200,13 +200,10 @@ def _map_rows(batch, row, items) -> list:
     process, each reading its rows here.  A row that raised in a worker is
     raised here, the first in item order, as the serial loop would raise
     it.  A row the batch did not plan raises ``LookupError``, so a schedule
-    that drifts from its sweep fails that sweep, and when the map itself
-    raised, that exception is raised again.
+    that drifts from its sweep fails that sweep.
     """
     if batch is None:
         return [row(item) for item in items]
-    if isinstance(batch, Exception):
-        raise batch
     outcomes = batch.get(row, {})
     results = []
     for item in items:
@@ -545,7 +542,7 @@ def _prop32_row(n: int) -> ClaimRecord:
         if not psi_at[0] >= 0:
             failures.append(f"psi(0) negative at (n={n}, t={t})")
         values = psi_at[1:]
-        if values and not single_crossing(values).ok:
+        if values and single_crossing(values) is not None:
             failures.append(f"crossing pattern broken at (n={n}, t={t})")
         for name, value, sign, missed in _midpoint_values(
                 n, t, bundle.psi1, bundle.psi2, bundle.psi3, "mismatch"):
@@ -601,7 +598,7 @@ def _prop33_row(n: int) -> ClaimRecord:
     failures = _form_failures(
         proofpolys.endpoint_values(proofpolys.NN_ENDPOINT_FORMS, n, chains), n)
     values = [bundle.psi(k) for k in range(1, n // 2 + 1)]
-    if values and not single_crossing(values).ok:
+    if values and single_crossing(values) is not None:
         failures.append(f"diagonal crossing pattern broken at n={n}")
     return _record("prop33", {"n": n}, failures)
 
@@ -840,14 +837,9 @@ def _qlc_f_and_v(config: VerificationConfig, batch) -> list[ClaimRecord]:
 
 
 def _monotonicity_claim(n_max: int, root_ratio_n_max: int) -> ClaimRecord:
-    report = root_monotonicity_check(n_max, root_ratio_n_max)
-    failures = []
-    if report.ratio_first_failure is not None:
-        failures.append(f"ratio growth fails at n={report.ratio_first_failure}")
-    if report.nth_root_first_failure is not None:
-        failures.append(f"nth-root growth fails at n={report.nth_root_first_failure}")
-    if report.root_ratio_first_failure is not None:
-        failures.append(f"root-ratio decrease fails at n={report.root_ratio_first_failure}")
+    failures = [f"{part} fails at n={n}" for part, n in zip(
+        ("ratio growth", "nth-root growth", "root-ratio decrease"),
+        root_monotonicity_check(n_max, root_ratio_n_max)) if n is not None]
     return _record("monotonicity",
                    {"n_max": n_max, "root_ratio_n_max": root_ratio_n_max}, failures)
 

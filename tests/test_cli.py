@@ -6,7 +6,6 @@ import sys
 import pytest
 
 from qlogconvex import cli
-from qlogconvex.criteria import SignCrossing
 from qlogconvex.cli import EXIT_IO, EXIT_OK, EXIT_USAGE, EXIT_VERIFICATION_FAILURE, main
 from qlogconvex.verification import ClaimRecord, VerificationConfig
 
@@ -190,7 +189,7 @@ def test_smallest_accepted_check_bounds(capsys):
 
 def test_failing_crossing_check_names_the_first_failing_n(capsys, monkeypatch):
     def sweep(array, n):
-        return [(0, SignCrossing.violation(1, 5) if n >= 3 else SignCrossing.crossing(0))]
+        return 0 if n >= 3 else None
 
     monkeypatch.setattr(cli, "criterion_c2_sweep", sweep)
     code, out, _ = run_cli(capsys, "check", "crossing", "--n-max", "5", "--format", "json")

@@ -18,7 +18,6 @@ from qlogconvex.criteria import (
     qlc_ranges,
     root_monotonicity_check,
     single_crossing,
-    sweep_passes,
 )
 from qlogconvex.families import (
     DOMB_ARRAY,
@@ -57,37 +56,67 @@ def test_operator_rejects_bad_arguments():
 
 
 def test_single_crossing_examples():
-    result = single_crossing([4, 2, -1])
-    assert result.outcome == "crossing" and result.index == 1
-    assert single_crossing([5, 0, 3]).outcome == "all_nonnegative"
-    violation = single_crossing([-1, 3])
-    assert violation.outcome == "violation"
-    assert violation.index == 1 and violation.value == 3
-    assert not violation.ok
+    assert single_crossing([4, 2, -1]) is None
+    assert single_crossing([5, 0, 3]) is None
+    assert single_crossing([-1, 3]) == 1
+    assert single_crossing([2, -1, 0, -4, 7, 9]) == 4  # the first positive after a negative
 
 
 def test_single_crossing_zero_handling():
-    assert single_crossing([4, 0, -1]).index == 1  # zero joins the prefix
-    assert single_crossing([-1]).index == -1  # empty nonnegative prefix
-    assert single_crossing([0]).outcome == "all_nonnegative"
+    assert single_crossing([4, 0, -1]) is None  # zero joins the prefix
+    assert single_crossing([-1, 0, -2]) is None  # empty nonnegative prefix, zero in the tail
+    assert single_crossing([0]) is None
+    assert single_crossing([0, -1, 0, 2]) == 3
     with pytest.raises(ValueError):
         single_crossing([])
 
 
-def test_c2_sweep_examples():
-    results = dict(criterion_c2_sweep(DOMB_ARRAY, 2))
-    assert results[2].outcome == "crossing" and results[2].index == 0
+def _crossing_by_definition(values) -> int | None:
+    """None when some k has values[:k+1] >= 0 and values[k+1:] <= 0, else the
+    first positive value with a negative value before it."""
+    if any(all(v >= 0 for v in values[:k + 1]) and all(v <= 0 for v in values[k + 1:])
+           for k in range(-1, len(values))):
+        return None
+    return next(j for j, v in enumerate(values) if v > 0 and any(u < 0 for u in values[:j]))
+
+
+@st.composite
+def _sign_sequences(draw):
+    """Short integer lists, half of them a nonnegative prefix and a
+    nonpositive tail, some of those with one entry flipped in sign."""
+    small = st.integers(min_value=-3, max_value=3)
+    if draw(st.booleans()):
+        return draw(st.lists(small, min_size=1, max_size=12))
+    head = draw(st.lists(st.integers(min_value=0, max_value=3), max_size=6))
+    tail = draw(st.lists(st.integers(min_value=-3, max_value=0), max_size=6))
+    values = head + tail or [0]
+    if draw(st.booleans()):
+        i = draw(st.integers(min_value=0, max_value=len(values) - 1))
+        values[i] = -values[i]
+    return values
+
+
+@given(_sign_sequences())
+@settings(max_examples=400, deadline=None)
+def test_single_crossing_matches_its_definition(values):
+    assert single_crossing(values) == _crossing_by_definition(values)
+
+
+def test_c2_sweep_examples(monkeypatch):
+    assert criterion_c2_sweep(DOMB_ARRAY, 2) is None
     assert [op_L(DOMB_ARRAY, 2, 2, k) for k in range(2)] == [24, -20]
-
-    results = dict(criterion_c2_sweep(DOMB_ARRAY, 1))
-    assert results[1].outcome == "all_nonnegative"
-
+    assert criterion_c2_sweep(DOMB_ARRAY, 1) is None
     assert op_L(DOMB_ARRAY, 4, 4, 0) == 860
+    # an operator that turns from negative to positive from t = 3 on: the
+    # sweep answers the first such t
+    monkeypatch.setattr(criteria, "op_L", lambda a, n, t, k: (-1, 1)[k % 2] if t >= 3 else 1)
+    assert criterion_c2_sweep(DOMB_ARRAY, 2) is None
+    assert criterion_c2_sweep(DOMB_ARRAY, 5) == 3
 
 
 def test_c2_sweep_passes_small_range():
     for n in range(1, 41):
-        assert sweep_passes(criterion_c2_sweep(DOMB_ARRAY, n))
+        assert criterion_c2_sweep(DOMB_ARRAY, n) is None
 
 
 def test_boundary_nonnegativity_up_to_150():
@@ -112,11 +141,34 @@ def test_sign_coincidence_with_psi():
 
 
 def test_log_convex_check_examples():
-    assert log_convex_check([1, 4, 28, 256], strict=True) is None
-    assert log_convex_check([1, 2, 3], strict=True) == 1
+    assert log_convex_check([1, 4, 28, 256]) is None
+    assert log_convex_check([1, 2, 3]) == 1
     assert log_convex_check([1, 2, 6, 20]) is None
-    assert log_convex_check([1, 2, 4, 8], strict=True) == 1  # equality fails strictly
-    assert log_convex_check([1, 2, 4, 8]) is None
+    assert log_convex_check([1, 2, 4, 8]) == 1  # equality fails
+    assert log_convex_check([1, 2, 6, 18]) == 2
+
+
+@st.composite
+def _positive_sequences(draw):
+    """Positive integer lists of 3 to 10 entries: random ones, and
+    b^(i^2) c^i (strictly log-convex for b >= 2, geometric for b = 1) with
+    possibly one entry moved by at most 2."""
+    if draw(st.booleans()):
+        return draw(st.lists(st.integers(min_value=1, max_value=40), min_size=3, max_size=10))
+    b, c = draw(st.integers(min_value=1, max_value=3)), draw(st.integers(min_value=1, max_value=5))
+    seq = [b ** (i * i) * c**i for i in range(draw(st.integers(min_value=3, max_value=10)))]
+    i = draw(st.integers(min_value=0, max_value=len(seq) - 1))
+    seq[i] = max(1, seq[i] + draw(st.integers(min_value=-2, max_value=2)))
+    return seq
+
+
+@given(_positive_sequences())
+@settings(max_examples=400, deadline=None)
+def test_log_convex_check_matches_a_scan_of_the_ratios(seq):
+    # strict log-convexity is ratios a[i+1]/a[i] strictly increasing
+    ratios = [Fraction(seq[i + 1], seq[i]) for i in range(len(seq) - 1)]
+    first = next((i for i in range(1, len(seq) - 1) if ratios[i] <= ratios[i - 1]), None)
+    assert log_convex_check(seq) == first
 
 
 def test_log_convex_check_rejects_bad_input():
@@ -357,11 +409,7 @@ def test_monotonicity_examples():
 
 
 def test_monotonicity_report_small_range():
-    report = root_monotonicity_check(25, 15)
-    assert report.passed
-    assert report.ratio_first_failure is None
-    assert report.nth_root_first_failure is None
-    assert report.root_ratio_first_failure is None
+    assert root_monotonicity_check(25, 15) == (None, None, None)
 
 
 def test_monotonicity_rejects_tiny_bound():

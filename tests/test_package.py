@@ -27,6 +27,41 @@ def _used_names(tree):
     return used
 
 
+def _read_names(tree):
+    """Every name a module reads: loaded names, attributes and the names in
+    string annotations, but not the names it only assigns."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        annotation = getattr(node, "returns", None) or getattr(node, "annotation", None)
+        if isinstance(annotation, ast.Constant) and isinstance(annotation.value, str):
+            read |= _used_names(ast.parse(annotation.value, mode="eval"))
+    return read
+
+
+def _private_definitions(tree):
+    """The top-level names a module defines that start with one underscore."""
+    defined = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            defined |= {name.id for target in targets for name in ast.walk(target)
+                        if isinstance(name, ast.Name)}
+    return {name for name in defined if name.startswith("_") and not name.startswith("__")}
+
+
+def test_every_private_top_level_name_is_read_by_some_module():
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    read = set().union(*map(_read_names, trees.values()))
+    assert [f"{path}: {name}" for path, tree in trees.items()
+            for name in sorted(_private_definitions(tree) - read)] == []
+
+
 def test_all_lists_each_export_once_and_every_one_resolves():
     names = qlogconvex.__all__
     assert len(names) == len(set(names))

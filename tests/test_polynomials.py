@@ -263,14 +263,10 @@ def test_mul_matches_schoolbook_reference(a, b):
     assert (Poly(a) * Poly(b)).coeffs == Poly(_reference_product(a, b)).coeffs
 
 
-def _spy_unpacks(monkeypatch) -> list:
-    """Record the slot count of every Kronecker unpack, one per full-width
-    product; the palindromic path records ("palindromic", count) instead."""
+def _spy_palindromic(monkeypatch) -> list:
+    """Record ("palindromic", slot count) for every product that takes the
+    half-width path; every other product takes the schoolbook loop."""
     counts = []
-    original = polynomials._kronecker_unpack
-    monkeypatch.setattr(polynomials, "_kronecker_unpack",
-                        lambda value, count, size: counts.append(count)
-                        or original(value, count, size))
     palindromic = polynomials._palindromic_mul
     monkeypatch.setattr(polynomials, "_palindromic_mul",
                         lambda a, b, bits: counts.append(("palindromic", len(a) + len(b) - 1))
@@ -283,26 +279,24 @@ def _bound_bits(a, b) -> int:
     return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
 
 
-def _expected_unpacks(a, b) -> list:
+def _expected_paths(a, b) -> list:
     """The one path of an int product: palindromic when both operands equal
-    their reversal, else one full-width unpack."""
-    count = len(a) + len(b) - 1
+    their reversal, else the schoolbook loop, which the spy does not see."""
     if list(a) == list(a)[::-1] and list(b) == list(b)[::-1]:
-        return [("palindromic", count)]
-    return [count]
+        return [("palindromic", len(a) + len(b) - 1)]
+    return []
 
 
 def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # all coefficients at one magnitude make the middle product coefficient
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
     # sizes the bound fills its last byte in some cases and not in others.
-    # The symmetric pairs take the half-width product through Poly.__mul__,
-    # whose slot holds 2 shift - 2 bits of the bound and whose middle
-    # coefficient is -bound for the second pair; the full-width product is
-    # called on its own for every pair.
-    unpacks = _spy_unpacks(monkeypatch)
+    # The symmetric pairs take the half-width product, whose slot holds
+    # 2 shift - 2 bits of the bound and whose middle coefficient is -bound
+    # for the second pair; the others take the schoolbook loop.
+    paths = _spy_palindromic(monkeypatch)
     sizes = [*range(1, 80), 699, 700]
-    expected_unpacks = []
+    expected_paths = []
     for bits in sizes:
         top = 2**bits - 1
         length = 16 + bits % 5
@@ -312,16 +306,13 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
             ([(-1) ** i * top for i in range(length)], [(-1) ** i * top for i in range(length)]),
             ([top] * length, [0] + [-top] * length),
         ):
-            expected = _reference_product(a, b)
-            assert list((Poly(a) * Poly(b)).coeffs) == expected
-            assert polynomials._kronecker_mul(tuple(a), tuple(b)) == expected
-            expected_unpacks += _expected_unpacks(a, b) + [len(a) + len(b) - 1]
-    assert unpacks == expected_unpacks
+            assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+            expected_paths += _expected_paths(a, b)
+    assert paths == expected_paths
     # the two all-equal pairs and the odd-length alternating squares are
-    # symmetric: one palindromic product each through Poly.__mul__
+    # symmetric: one palindromic product each
     odd = sum((16 + bits % 5) % 2 for bits in sizes)
-    assert sum(isinstance(u, tuple) for u in unpacks) == 2 * len(sizes) + odd
-    assert len(unpacks) == 8 * len(sizes)
+    assert len(paths) == 2 * len(sizes) + odd
 
 
 def _two_point_cases() -> list:
@@ -346,55 +337,51 @@ def _two_point_cases() -> list:
 
 def test_mul_two_point_matches_schoolbook(monkeypatch):
     # the all-negative squares are symmetric and take the palindromic path
-    # through Poly.__mul__; the full-width product, called on its own,
-    # multiplies them too
-    unpacks = _spy_unpacks(monkeypatch)
-    expected_unpacks = []
+    paths = _spy_palindromic(monkeypatch)
+    expected_paths = []
     for a, b in _two_point_cases():
-        expected = _reference_product(a, b)
-        assert list((Poly(a) * Poly(b)).coeffs) == expected
-        assert polynomials._kronecker_mul(tuple(a), tuple(b)) == expected
-        expected_unpacks += _expected_unpacks(a, b) + [len(a) + len(b) - 1]
-    assert unpacks == expected_unpacks
+        assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
+        expected_paths += _expected_paths(a, b)
+    assert paths == expected_paths and paths
 
 
 @pytest.mark.parametrize("n", [1, 5, 20, 48, 96, 160])
 def test_mul_two_point_family_defect_products(monkeypatch, n):
     # the defect's two products at every size: the self-reciprocal D and W
-    # rows take the palindromic path, V and F the full-width product
-    unpacks = _spy_unpacks(monkeypatch)
+    # rows take the palindromic path, V and F the schoolbook loop
+    paths = _spy_palindromic(monkeypatch)
     for tag in FAMILY_TAGS:
         below, here, above = (family_poly(tag, m).coeffs for m in (n - 1, n, n + 1))
         for a, b in ((above, below), (here, here)):
             assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-    assert unpacks == [("palindromic", 2 * n + 1)] * 4 + [2 * n + 1] * 4
+    assert paths == [("palindromic", 2 * n + 1)] * 4
 
 
 def test_mul_dispatch_reads_operand_type_and_shape(monkeypatch):
     # int operands of any length take the palindromic path when both are
-    # symmetric and the full-width product otherwise; a Fraction operand
-    # keeps the schoolbook loop
-    unpacks = _spy_unpacks(monkeypatch)
+    # symmetric and the schoolbook loop otherwise; so does a Fraction
+    # operand, even a symmetric one
+    paths = _spy_palindromic(monkeypatch)
     symmetric = Poly([3, 1, 3])
     for a, b in ((Poly([5]), Poly([7])), (symmetric, symmetric), (Poly([2] * 40), symmetric),
                  (Poly([1, 2]), Poly([1, 2])), (symmetric, Poly(range(1, 41))),
                  (Poly([0, 1]), Poly([1]))):
-        unpacks.clear()
+        paths.clear()
         assert (a * b).coeffs == Poly(_reference_product(list(a.coeffs), list(b.coeffs))).coeffs
-        assert unpacks == _expected_unpacks(a.coeffs, b.coeffs)
-    unpacks.clear()
+        assert paths == _expected_paths(a.coeffs, b.coeffs)
+    paths.clear()
     thirds = Poly([Fraction(1, 3)] * 3)
     assert symmetric * thirds == thirds * symmetric == Poly(
         _reference_product([3, 1, 3], [Fraction(1, 3)] * 3))
     assert ZERO * symmetric == symmetric * ZERO == ZERO
-    assert unpacks == []
+    assert paths == []
 
 
 def test_mul_kronecker_palindromic_dispatch(monkeypatch):
     # the same term count at 5 and 2000 bits: the symmetric squares take the
     # palindromic path at either size, the same operands bumped in one
-    # coefficient the full-width product
-    unpacks = _spy_unpacks(monkeypatch)
+    # coefficient the schoolbook loop
+    paths = _spy_palindromic(monkeypatch)
     a = [(-1) ** i * (2**300 - i) for i in range(11)]
     symmetric = a[:10] + a[10::-1]
     length = 20
@@ -403,10 +390,10 @@ def test_mul_kronecker_palindromic_dispatch(monkeypatch):
     for operand, path in ((symmetric, [("palindromic", 2 * len(symmetric) - 1)]),
                           (small, [("palindromic", 2 * length - 1)]),
                           (large, [("palindromic", 2 * length - 1)]),
-                          (bumped, [2 * length - 1])):
-        unpacks.clear()
+                          (bumped, [])):
+        paths.clear()
         assert list((Poly(operand) * Poly(operand)).coeffs) == _reference_product(operand, operand)
-        assert unpacks == path
+        assert paths == path
 
 
 @st.composite
@@ -437,17 +424,18 @@ def test_palindromic_mul_matches_schoolbook(a, b):
 
 @pytest.mark.parametrize("n", [48, 96, 160])
 def test_mul_rows_one_bump_from_palindromic_take_the_general_path(monkeypatch, n):
-    unpacks = _spy_unpacks(monkeypatch)
+    paths = _spy_palindromic(monkeypatch)
     for tag in ("D", "W"):
         here = family_poly(tag, n).coeffs
         above = family_poly(tag, n + 1).coeffs
         for k in (0, n // 3):
             bumped = here[:k] + (here[k] + 1,) + here[k + 1:]
             for a, b in ((bumped, bumped), (above, bumped), (bumped, here)):
-                unpacks.clear()
                 assert list((Poly(a) * Poly(b)).coeffs) == _reference_product(a, b)
-                assert unpacks == _expected_unpacks(a, b)
-                assert unpacks and all(type(u) is int for u in unpacks)
+            assert paths == []
+        assert list((Poly(here) * Poly(above)).coeffs) == _reference_product(here, above)
+        assert paths == [("palindromic", 2 * n + 2)]
+        paths.clear()
 
 
 def test_palindromic_mul_raises_when_the_ends_do_not_meet(monkeypatch):

@@ -302,18 +302,18 @@ def test_tampered_interior_entry_fails_the_operator_records_that_read_it(monkeyp
 
 
 def test_prop31_keeps_the_operator_failures_when_build_theta_raises(monkeypatch):
-    # row 7 tampered as in the test above, and theta(0)'s closed form off by
-    # one at n = 7, so build_theta raises after the operator signs failed:
-    # the record lists all three failures, the operator's first
+    # row 7 tampered as in the test above, and xi's constant coefficient off
+    # by one at n = 7, so build_theta's xi extraction check raises after the
+    # operator signs failed: the record lists all three failures, the
+    # operator's first
     n = 7
     row = list(DOMB_ARRAY.row(n))
     for t in (3, n):
         row[t] *= 10**6
     _seed_array_rows(monkeypatch, {n: tuple(row)})
-    first, *rest = proofpolys.THETA_ENDPOINT_FORMS
-    closed = first[4]
-    monkeypatch.setattr(proofpolys, "THETA_ENDPOINT_FORMS", (
-        first[:4] + (lambda m: closed(m) + (m == n),) + first[5:], *rest))
+    original_xi = proofpolys.xi_poly
+    monkeypatch.setattr(proofpolys, "xi_poly",
+                        lambda m: original_xi(m) + Poly([1]) if m == n else original_xi(m))
     listed = {}
     original_record = verification._record
 
@@ -326,10 +326,9 @@ def test_prop31_keeps_the_operator_failures_when_build_theta_raises(monkeypatch)
     assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
     assert failing[0].witness == {"first_failure": f"operator negative at (n={n}, t=3, k=0)",
                                   "failure_count": "3"}
-    value = proofpolys.theta_poly(n)(0)
     assert listed["prop31", "theta", n] == [
         f"operator negative at (n={n}, t=3, k=0)", f"operator negative at (n={n}, t={n}, k=0)",
-        f"theta endpoint theta(0) mismatch at n={n}: {value} != {value + 1}"]
+        f"xi extraction failed at n={n}, t=0"]
 
 
 @pytest.mark.parametrize("index", range(7))
