@@ -6,8 +6,8 @@ representation carries the combinatorial families (integer coefficients) as
 well as rational ones.  Rational coefficients never come from division:
 ``divmod_poly`` is fraction-free pseudo-division of integer polynomials and
 refuses a Fraction operand; they come from a caller, or from deflating a
-root at a rational endpoint.  Polynomials are immutable after construction
-and freely shareable between workers.
+root at an endpoint p/q with q > 1.  Polynomials are immutable after
+construction and freely shareable between workers.
 
 Root counting on (a, b) first counts the sign variations V of the Mobius
 image (1 + y)^d f((a + b y) / (1 + y)); by Descartes' rule V bounds the
@@ -21,8 +21,15 @@ sequence while all its arithmetic stays in integers (a primitive remainder
 sequence, Collins 1967).  f need not be squarefree: every element is a
 multiple of gcd(f, f'), so once the roots at the endpoints a and b are
 deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
-roots in (a, b) (the generalized Sturm theorem).  Signs at a rational point
-p/q come from the integer sum c_i p^i q^(d-i).
+roots in (a, b) (the generalized Sturm theorem).
+
+The kernels compute in the ring of their inputs.  ``sturm_count_roots``,
+``descartes_bound`` and ``sign_constant_on`` read an integral endpoint (an
+int, or a Fraction with denominator 1) as an int, so for an integer
+polynomial at an integer endpoint the endpoint values, the deflation of a
+root there, the Mobius transform and the Sturm signs are integer Horner
+and build no Fraction.  Signs at a rational point p/q, q > 1, come from the
+integer sum c_i p^i q^(d-i).
 
 Products of two integer polynomials that both equal their reversal take
 ``_palindromic_mul``; every other product, of integer or Fraction
@@ -203,14 +210,31 @@ ZERO = Poly()
 ONE = Poly([1])
 
 
+_INT_TYPE = frozenset((int,))
+
+
 def _all_int(coeffs: tuple) -> bool:
-    return all(type(c) is int for c in coeffs)
+    return _INT_TYPE.issuperset(map(type, coeffs))
+
+
+def _own_ring(x: Coeff) -> Coeff:
+    """x as an int when it is integral, else as a Fraction."""
+    if type(x) is int:
+        return x
+    if type(x) is not Fraction:
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
 
 
 def _homogeneous(coeffs: tuple, p: int, q: int) -> int:
     """sum_i c_i p^i q^(d-i) for nonempty int coefficients c_0..c_d: q^d times
-    the value at p/q, so for q > 0 it has the sign of that value."""
+    the value at p/q, so for q > 0 it has the sign of that value.  For q = 1
+    it is integer Horner at p."""
     acc = coeffs[-1]
+    if q == 1:
+        for c in reversed(coeffs[:-1]):
+            acc = acc * p + c
+        return acc
     q_power = 1
     for c in reversed(coeffs[:-1]):
         q_power *= q
@@ -377,8 +401,10 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
 def _primitive(p: Poly) -> Poly:
     """The integer polynomial p * r for the one rational r > 0 that makes
     its coefficients coprime integers; p must be nonzero."""
-    den = math.lcm(*(c.denominator for c in p.coeffs))
-    coeffs = [c.numerator * (den // c.denominator) for c in p.coeffs]
+    coeffs = p.coeffs
+    if not _all_int(coeffs):
+        den = math.lcm(*(c.denominator for c in coeffs))
+        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     content = math.gcd(*coeffs)
     return Poly([c // content for c in coeffs])
 
@@ -415,16 +441,17 @@ def _sign_variations(values: list) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _deflate_root(p: Poly, r: Fraction) -> Poly:
-    """Exact synthetic division of p by (x - r); p(r) must be zero."""
+def _deflate_root(p: Poly, r: Coeff) -> Poly:
+    """Exact synthetic division of p by (x - r); p(r) must be zero.  Integer
+    coefficients and an integer r give integer coefficients."""
     out = []
-    acc = Fraction(0)
+    acc = 0
     for c in reversed(p.coeffs):
         acc = acc * r + c
         out.append(acc)
     if out[-1] != 0:
         raise ArithmeticError(f"cannot deflate a root at {r}: the polynomial is {out[-1]} there")
-    return Poly([Fraction(c) for c in reversed(out[:-1])])
+    return Poly(reversed(out[:-1]))
 
 
 def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
@@ -442,7 +469,7 @@ def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
     """
     if p.is_zero:
         raise ValueError("Descartes' bound requires a nonzero polynomial")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _own_ring(a), _own_ring(b)
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b})")
     coeffs = p.coeffs if _all_int(p.coeffs) else _primitive(p).coeffs
@@ -463,7 +490,7 @@ def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
     return _sign_variations(g)
 
 
-def _roots_inside(f: Poly, a: Fraction, b: Fraction) -> int:
+def _roots_inside(f: Poly, a: Coeff, b: Coeff) -> int:
     """Number of distinct roots of a nonzero f in the open interval (a, b),
     for a < b where f has no root at a or b.
 
@@ -473,7 +500,8 @@ def _roots_inside(f: Poly, a: Fraction, b: Fraction) -> int:
     every element is a multiple of gcd(f, f'), which is nonzero at a and b,
     so the difference of sign variations V(a) - V(b) counts the distinct
     roots of f in (a, b) even when f is not squarefree.  The signs at
-    a = p/q are read from the integers sum_i c_i p^i q^(d-i).
+    a = p/q are read from the integers sum_i c_i p^i q^(d-i), at an integer
+    a by integer Horner.
     """
     variations = descartes_bound(f, a, b)
     if variations <= 1:
@@ -494,7 +522,7 @@ def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
     """
     if p.is_zero:
         raise ValueError("root counting requires a nonzero polynomial")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _own_ring(a), _own_ring(b)
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b}]")
     count_b = 0
@@ -521,7 +549,7 @@ def sign_constant_on(p: Poly, a: Coeff, b: Coeff) -> IntervalSign:
     """
     if p.is_zero:
         raise ValueError("sign certification requires a nonzero polynomial")
-    a, b = Fraction(a), Fraction(b)
+    a, b = _own_ring(a), _own_ring(b)
     if not a < b:
         raise ValueError(f"degenerate interval [{a}, {b}]")
     pa, pb = p(a), p(b)

@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import NamedTuple
 
-from .polynomials import Poly, _kronecker_unpack
+from .polynomials import Poly, _kronecker_unpack, _own_ring
 
 
 class IdentityError(Exception):
@@ -435,7 +435,9 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
     that polynomial's derivatives, [p, p', p'', ...].  A builder missing from
     it is called once; a chain grows by derivatives as far as the rows
     need.  Callers pass the polynomials they have built already, so none is
-    built twice.
+    built twice.  Each row is evaluated in the ring of its point at n: an
+    integral point as an int, so the value is an int, and p/q as a
+    Fraction.  The closed value is the table's, an int or a Fraction.
     """
     values = []
     for label, builder, order, point, closed, sign, min_n in forms:
@@ -444,7 +446,7 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
             chain = chains[builder] = [builder(n)]
         while len(chain) <= order:
             chain.append(chain[-1].derivative())
-        values.append((label, chain[order](Fraction(point(n))), Fraction(closed(n)), sign, min_n))
+        values.append((label, chain[order](_own_ring(point(n))), closed(n), sign, min_n))
     return values
 
 

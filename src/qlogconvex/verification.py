@@ -558,7 +558,7 @@ def _midpoint_values(n: int, t: int, psi1: Poly, psi2: Poly, psi3: Poly, verb: s
     missed): sign is the one prop32 asserts for 0 <= t < n, and missed holds
     a message, with ``verb``, for each closed form the value differs from.
     psi1 has its own shapes at n = 2 and n = 3."""
-    mid = Fraction(t, 2)
+    mid = t // 2 if t % 2 == 0 else Fraction(t, 2)
     values = []
     for name, poly, sign, closed in (("psi1", psi1, 1, proofpolys.psi1_half_closed),
                                      ("psi2", psi2, -1, proofpolys.psi2_half_closed),
@@ -630,10 +630,11 @@ def _claims23_row(n: int) -> ClaimRecord:
     ends = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[2] == 0]
     failures = _form_failures(
         proofpolys.endpoint_values(ends, n, {"xi_poly": [xi], "eta_poly": [eta]}), n)
+    three_quarters = 3 * n // 4 if n % 4 == 0 else Fraction(3 * n, 4)
     # at n = 4 the xi interval is the point 3, whose sign the xi(n-1) row asserts
-    if n > 4 and sign_constant_on(xi, Fraction(3 * n, 4), n - 1) is not IntervalSign.NEGATIVE:
+    if n > 4 and sign_constant_on(xi, three_quarters, n - 1) is not IntervalSign.NEGATIVE:
         failures.append(f"xi not negative on [3n/4, n-1] at n={n}")
-    if sign_constant_on(eta, 0, Fraction(3 * n, 4)) is not IntervalSign.NEGATIVE:
+    if sign_constant_on(eta, 0, three_quarters) is not IntervalSign.NEGATIVE:
         failures.append(f"eta not negative on [0, 3n/4] at n={n}")
     eta2 = eta.derivative().derivative()
     axis = -Fraction(eta2.coefficient(1), 2 * eta2.coefficient(2))

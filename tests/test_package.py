@@ -1,5 +1,7 @@
 import ast
 import pathlib
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -78,3 +80,30 @@ def test_init_exports_every_name_it_imports():
 def test_no_module_imports_a_name_it_never_reads(path):
     tree = ast.parse((PACKAGE / path).read_text())
     assert _imported_names(tree) - _used_names(tree) == set()
+
+
+def test_no_proof_sweep_hands_an_integral_fraction_to_the_exact_kernels(monkeypatch):
+    """An integral point reaches Horner evaluation, the root counts and the
+    interval signs as an int; only a true p/q is a Fraction."""
+    from qlogconvex import verification
+    from qlogconvex.polynomials import Poly
+
+    calls, integral = Counter(), []
+
+    def spy(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            integral.extend((name, arg) for arg in args
+                            if type(arg) is Fraction and arg.denominator == 1)
+            return function(*args)
+        return wrapper
+
+    monkeypatch.setattr(Poly, "__call__", spy("Poly.__call__", Poly.__call__))
+    for name in ("sturm_count_roots", "sign_constant_on"):
+        monkeypatch.setattr(verification, name, spy(name, getattr(verification, name)))
+    records = (verification.verify_prop31(40) + verification.verify_claims(40)
+               + verification.verify_prop32(12) + verification.verify_prop33(12)
+               + [verification.identity_grid_check(name) for name in verification.GRID_IDENTITIES])
+    assert all(record.passed for record in records)
+    assert set(calls) == {"Poly.__call__", "sturm_count_roots", "sign_constant_on"}
+    assert integral == []

@@ -693,6 +693,37 @@ def test_sturm_count_matches_sympy(case):
     assert sturm_count_roots(p, a, b) == closed - (1 if p(a) == 0 else 0)
 
 
+@st.composite
+def _integer_endpoint_cases(draw):
+    """An int polynomial times planted integer roots of multiplicity 0-3,
+    at a, at b and at one integer near or inside [a, b], with int a < b."""
+    a = draw(st.integers(min_value=-6, max_value=5))
+    b = draw(st.integers(min_value=a + 1, max_value=7))
+    p = Poly(draw(st.lists(st.integers(min_value=-10**4, max_value=10**4), min_size=1,
+                           max_size=7).filter(any)))
+    for root in (a, b, draw(st.integers(min_value=a - 1, max_value=b + 1))):
+        p = p * Poly([-root, 1]) ** draw(st.integers(min_value=0, max_value=3))
+    return p, a, b
+
+
+@given(_integer_endpoint_cases())
+@example((Poly([-1, 1]) ** 3 * Poly([-2, 1]) ** 2, 1, 2))  # multiple roots at both ends
+@example((Poly([0, -2, 1]), 0, 2))  # x (x - 2)
+@settings(max_examples=200, deadline=None)
+def test_integer_endpoints_answer_as_their_fractions_and_as_sympy(case):
+    sympy = pytest.importorskip("sympy")
+    p, a, b = case
+    fa, fb = Fraction(a), Fraction(b)
+    count = sturm_count_roots(p, a, b)
+    assert count == sturm_count_roots(p, fa, fb)
+    assert descartes_bound(p, a, b) == descartes_bound(p, fa, fb)
+    assert sign_constant_on(p, a, b) is sign_constant_on(p, fa, fb)
+    x = sympy.Symbol("x")
+    closed = sympy.Poly(list(reversed(p.coeffs)), x, domain="ZZ").count_roots(a, b)
+    # sympy counts distinct roots in [a, b]; (a, b] leaves out a root at a
+    assert count == closed - (1 if p(a) == 0 else 0)
+
+
 def test_sturm_count_constructed_edge_cases():
     # (x - 1)^3 (x - 2)^2 (x + 1): multiple roots at both endpoints and inside
     p = Poly([-1, 1]) ** 3 * Poly([-2, 1]) ** 2 * Poly([1, 1])

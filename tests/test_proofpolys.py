@@ -251,3 +251,19 @@ def test_nn_endpoint_forms_small_grid():
             assert value == Fraction(closed(n)), (label, n)
             if n >= min_n:
                 assert (value > 0) == (sign == "+"), (label, n)
+
+
+@pytest.mark.parametrize("forms", [THETA_ENDPOINT_FORMS, XI_ETA_ENDPOINT_FORMS, NN_ENDPOINT_FORMS],
+                         ids=["theta", "xi_eta", "nn"])
+def test_endpoint_values_are_in_the_ring_of_their_point(forms):
+    for n in range(1, 61):
+        rows = proofpolys.endpoint_values(forms, n, {})
+        for (label, builder, order, point, closed, _sign, _min_n), row in zip(forms, rows):
+            poly = builder(n)
+            for _ in range(order):
+                poly = poly.derivative()
+            x = Fraction(point(n))
+            _label, value, closed_value, _sign, _min_n = row
+            assert value == poly(x), (label, n)
+            assert type(value) is (int if x.denominator == 1 else Fraction), (label, n)
+            assert closed_value == closed(n), (label, n)

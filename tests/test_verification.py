@@ -414,6 +414,18 @@ def test_verify_claims_small():
         assert proofpolys.eta_poly(n)(t) < 0
 
 
+def test_midpoint_values_are_in_the_ring_of_the_axis():
+    for n in range(1, 13):
+        for t in range(n + 1):
+            polys = (proofpolys.psi1_poly(n, t), proofpolys.psi2_poly(n, t),
+                     proofpolys.psi3_poly(n, t))
+            rows = verification._midpoint_values(n, t, *polys, "fails")
+            for (name, value, _sign, missed), poly in zip(rows, polys):
+                assert value == poly(Fraction(t, 2)), (name, n, t)
+                assert type(value) is (int if t % 2 == 0 else Fraction), (name, n, t)
+                assert missed == [], (name, n, t)
+
+
 @pytest.mark.parametrize("identity", GRID_IDENTITIES)
 def test_identity_grid_checks_pass(identity):
     record = identity_grid_check(identity)
