@@ -26,7 +26,7 @@ from .criteria import (
     root_monotonicity_check,
     single_crossing,
 )
-from .proofpolys import IdentityError, PsiBundle, ThetaBundle, build_psi, build_psi_nn, build_theta
+from .proofpolys import PsiBundle, ThetaBundle, build_psi, build_psi_nn, build_theta
 from .verification import (
     Certificate,
     ClaimRecord,
@@ -47,8 +47,7 @@ __all__ = [
     "DOMB_ARRAY", "NARAYANA_ARRAY", "TriangularArray", "domb_number", "family_poly",
     "criterion_c2_sweep", "log_convex_check", "op_L", "q_log_convex_direct",
     "root_monotonicity_check", "single_crossing",
-    "IdentityError", "PsiBundle", "ThetaBundle", "build_psi",
-    "build_psi_nn", "build_theta",
+    "PsiBundle", "ThetaBundle", "build_psi", "build_psi_nn", "build_theta",
     "Certificate", "ClaimRecord", "VerificationConfig", "chan_partial_sum",
     "factorization_check", "identity_grid_check", "run_full_verification",
     "verify_claims", "verify_prop31", "verify_prop32", "verify_prop33",

@@ -38,10 +38,6 @@ from typing import NamedTuple
 from .polynomials import Poly, _kronecker_unpack, _own_ring
 
 
-class IdentityError(Exception):
-    """An exact polynomial identity failed (indicates a transcription bug)."""
-
-
 def _times_linear(p, c0: int, c1: int) -> list:
     """Coefficients of p(x) * (c0 + c1 x), one more than p has."""
     return [c0 * x + c1 * y for x, y in zip((*p, 0), (0, *p))]
@@ -324,24 +320,16 @@ def half(value: int) -> Fraction:
     return Fraction(value, 2)
 
 
-class Builder(str):
-    """The name of a polynomial builder of this module.  Calling it looks the
-    name up first, so a builder replaced at run time is the one called."""
-
-    def __call__(self, *args: int) -> Poly:
-        return globals()[self](*args)
-
-
-_theta, _xi, _eta = Builder("theta_poly"), Builder("xi_poly"), Builder("eta_poly")
-_nn, _nn1, _nn2, _nn3 = (Builder(f"psi{i}_nn_poly") for i in ("", "1", "2", "3"))
+_theta, _xi, _eta = "theta_poly", "xi_poly", "eta_poly"
+_nn, _nn1, _nn2, _nn3 = (f"psi{i}_nn_poly" for i in ("", "1", "2", "3"))
 
 # Endpoint closed forms, in three tables of one shape: each row is
 # (label, builder, derivative order, point, closed form, sign, min n).  The
-# builder is a ``Builder``, a name looked up when it is called, never a
-# function bound at import.  The sign ("+" or "-") is that of the displayed
-# inequality, and these columns are the only statement of it: the sweeps
-# assert it from min n on through ``verification._form_failures``, which
-# also matches each value they read against its closed form.  prop31 reads
+# builder is the name of a function of this module, looked up when the row is
+# evaluated, never bound at import.  The sign ("+" or "-") is that of the
+# displayed inequality, and these columns are the only statement of it: the
+# sweeps assert it from min n on through ``verification._form_failures``,
+# which also matches each value they read against its closed form.  prop31 reads
 # every theta row for n >= 5, prop33 every t = n row, and claims 2-3 the
 # four order-0 xi/eta rows, the ends of their Sturm intervals.  The six
 # derivative rows of xi and eta are asserted per n by no sweep; the Sturm
@@ -393,8 +381,8 @@ XI_ETA_ENDPOINT_FORMS: tuple = (
     ("eta(0)", _eta, 0, lambda n: 0,
      lambda n: -2 * (n + 1) * (64 * n**4 + 72 * n**3 + 42 * n**2 + 11 * n + 3), "-", 4),
     ("eta(3n/4)", _eta, 0, lambda n: Fraction(3 * n, 4),
-     lambda n: (-Fraction(575, 64) * n**5 - Fraction(2051, 64) * n**4 - Fraction(357, 8) * n**3
-                - Fraction(889, 16) * n**2 - Fraction(79, 4) * n - 6), "-", 4),
+     lambda n: -Fraction(575 * n**5 + 2051 * n**4 + 2856 * n**3 + 3556 * n**2 + 1264 * n + 384, 64),
+     "-", 4),
     ("eta'(3n/4)", _eta, 1, lambda n: Fraction(3 * n, 4),
      lambda n: Fraction(n + 1, 4) * (295 * n**3 + 591 * n**2 + 234 * n + 44), "+", 4),
     ("eta''(3n/4)", _eta, 2, lambda n: Fraction(3 * n, 4),
@@ -433,8 +421,8 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
 
     ``chains`` maps a builder's name to the polynomial it builds at n and
     that polynomial's derivatives, [p, p', p'', ...].  A builder missing from
-    it is called once; a chain grows by derivatives as far as the rows
-    need.  Callers pass the polynomials they have built already, so none is
+    it is looked up in this module and called once; a chain grows by
+    derivatives as far as the rows need.  Callers pass the polynomials they have built already, so none is
     built twice.  Each row is evaluated in the ring of its point at n: an
     integral point as an int, so the value is an int, and p/q as a
     Fraction.  The closed value is the table's, an int or a Fraction.
@@ -443,7 +431,7 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
     for label, builder, order, point, closed, sign, min_n in forms:
         chain = chains.get(builder)
         if chain is None:
-            chain = chains[builder] = [builder(n)]
+            chain = chains[builder] = [globals()[builder](n)]
         while len(chain) <= order:
             chain.append(chain[-1].derivative())
         values.append((label, chain[order](_own_ring(point(n))), closed(n), sign, min_n))
@@ -453,8 +441,8 @@ def endpoint_values(forms, n: int, chains: dict) -> list:
 # --- the identities, one checker each -------------------------------------
 #
 # A checker returns what breaks and leaves the message to its reader: the
-# bundles below raise IdentityError at the first break, and the grid records
-# of ``verification.GRID_IDENTITIES`` list every one.
+# per-n rows and the grid records of ``verification`` list every break, in
+# one wording.
 
 _LEVELS = ("", "1", "2", "3")  # the suffixes of psi and its three cofactors
 
@@ -467,21 +455,15 @@ def psi_nn_polys(n: int) -> tuple[Poly, Poly, Poly, Poly]:
     return psi_nn_poly(n), psi1_nn_poly(n), psi2_nn_poly(n), psi3_nn_poly(n)
 
 
-def _breaks(pairs) -> list[tuple[str, int]]:
-    """(suffix, first differing coefficient index) for each pair of
-    coefficient lists, ascending, that differ as polynomials (a coefficient
-    past the end is zero), the pairs taken in the order of ``_LEVELS``."""
-    breaks = []
-    for level, (p, q) in zip(_LEVELS, pairs):
-        if p != q:
-            first = next((i for i, (a, b) in enumerate(zip_longest(p, q, fillvalue=0))
-                          if a != b), None)
-            if first is not None:
-                breaks.append((level, first))
-    return breaks
+def _breaks(pairs) -> list[str]:
+    """The suffix of each pair of coefficient lists, ascending, that differ
+    as polynomials (a coefficient past the end is zero), the pairs taken in
+    the order of ``_LEVELS``."""
+    return [level for level, (p, q) in zip(_LEVELS, pairs)
+            if p != q and any(a != b for a, b in zip_longest(p, q, fillvalue=0))]
 
 
-def cascade_breaks(polys: tuple, t: int) -> list[tuple[str, int]]:
+def cascade_breaks(polys: tuple, t: int) -> list[str]:
     """The identities psi' = (2x - t) psi1, psi1' = 2 (2x - t) psi2 and
     psi2' = 6 (2x - t) psi3 that polys = (psi, psi1, psi2, psi3) break, by
     the suffix of the polynomial differentiated."""
@@ -490,19 +472,18 @@ def cascade_breaks(polys: tuple, t: int) -> list[tuple[str, int]]:
                    for i, s in enumerate((1, 2, 6)))
 
 
-def specialization_breaks(n: int, expanded: tuple) -> list[tuple[str, int]]:
+def specialization_breaks(n: int, expanded: tuple) -> list[str]:
     """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
     general forms at (n, n)."""
     return _breaks((p.coeffs, q.coeffs) for p, q in zip(expanded, psi_polys(n, n)))
 
 
 # The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):
-# name -> (p, power, q), the builders named (``Builder``), never bound at
-# import.
+# name -> (p, power, q), the builders named, never bound at import.
 EXTRACTIONS = {
-    "xi": (_xi, 2, Builder("psi1_poly")),
-    "eta": (_eta, 1, Builder("psi2_poly")),
-    "theta": (_theta, 2, Builder("psi_poly")),
+    "xi": (_xi, 2, "psi1_poly"),
+    "eta": (_eta, 1, "psi2_poly"),
+    "theta": (_theta, 2, "psi_poly"),
 }
 
 
@@ -511,25 +492,16 @@ def extraction_holds(name: str, n: int, t: int, in_t: Poly | None = None) -> boo
     ``in_t`` is its polynomial p(n) when the caller has built it already."""
     builder, power, cofactor = EXTRACTIONS[name]
     if in_t is None:
-        in_t = builder(n)
-    return (n + 1) ** power * in_t(t) == cofactor(n, t)(0)
+        in_t = globals()[builder](n)
+    return (n + 1) ** power * in_t(t) == globals()[cofactor](n, t)(0)
 
 
-# --- validated bundles -------------------------------------------------------
-
-def _check_cascade(polys: tuple, t: int, stem: str, cell: str) -> None:
-    if breaks := cascade_breaks(polys, t):
-        level, index = breaks[0]
-        raise IdentityError(f"derivative cascade broke for {stem}{level}{cell}: "
-                            f"first differing coefficient index {index}")
-
+# --- bundles, which only build: their readers check them --------------------
 
 class PsiBundle(NamedTuple):
     """psi and its three derivative cofactors for one (n, t) cell; from
-    ``build_psi_nn`` the t = n expansions, with t = n."""
+    ``build_psi_nn`` the t = n expansions."""
 
-    n: int
-    t: int
     psi: Poly
     psi1: Poly
     psi2: Poly
@@ -537,62 +509,38 @@ class PsiBundle(NamedTuple):
 
 
 def build_psi(n: int, t: int) -> PsiBundle:
-    """Construct the cofactor bundle and assert the derivative cascade.
-
-    Raises IdentityError if any of the three cascade identities fails,
-    naming the first offending coefficient index.
-    """
+    """psi(n, t) and its three cofactors, for n >= 1 and 0 <= t <= n."""
     if n < 1:
         raise ValueError(f"bundle needs n >= 1, got {n}")
     if t < 0 or t > n:
         raise ValueError(f"bundle needs 0 <= t <= n, got t={t}")
-    polys = psi_polys(n, t)
-    _check_cascade(polys, t, "psi", f"(n={n},t={t})")
-    return PsiBundle(n, t, *polys)
+    return PsiBundle(*psi_polys(n, t))
 
 
 def build_psi_nn(n: int) -> PsiBundle:
-    """Construct the t = n bundle from the expansions; asserts their cascade
-    and that they specialize the general forms."""
+    """The t = n expansions psi_nn, .., psi3_nn at n >= 1."""
     if n < 1:
         raise ValueError(f"bundle needs n >= 1, got {n}")
-    polys = psi_nn_polys(n)
-    _check_cascade(polys, n, "psi_nn", f"(n={n})")
-    if breaks := specialization_breaks(n, polys):
-        level, index = breaks[0]
-        raise IdentityError(
-            f"t = n specialization of psi{level} differs at n={n}, coefficient {index}")
-    return PsiBundle(n, n, *polys)
+    return PsiBundle(*psi_nn_polys(n))
 
 
 class ThetaBundle(NamedTuple):
     """theta, its derivatives in t to order four, and the rows of
     ``THETA_ENDPOINT_FORMS`` at n as ``endpoint_values`` gives them."""
 
-    n: int
     theta: Poly
     derivatives: tuple[Poly, Poly, Poly, Poly]
     forms: tuple
 
 
 def build_theta(n: int) -> ThetaBundle:
-    """Construct theta for one n, certifying the xi and eta extractions.
-
-    The extractions are checked at t = 0..8.  The grid records prove them
-    for all n from polynomial builders; this per-n check also sees a psi1
-    or psi2 that is wrong at one n beyond the grid's n range.  The bundle
-    keeps the fourteen endpoint values with their closed forms, which prop31
-    compares and whose signs it reads (``verification._form_failures``).
-    """
+    """theta for one n >= 1, with the fourteen endpoint values and their
+    closed forms, which prop31 compares and whose signs it reads
+    (``verification._form_failures``)."""
     if n < 1:
         raise ValueError(f"theta needs n >= 1, got {n}")
     chain = [theta_poly(n)]
     for _ in range(4):
         chain.append(chain[-1].derivative())
     forms = tuple(endpoint_values(THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}))
-    in_t = {name: EXTRACTIONS[name][0](n) for name in ("xi", "eta")}
-    for t0 in range(9):
-        for name, poly in in_t.items():
-            if not extraction_holds(name, n, t0, poly):
-                raise IdentityError(f"{name} extraction failed at n={n}, t={t0}")
-    return ThetaBundle(n, chain[0], tuple(chain[1:5]), forms)
+    return ThetaBundle(chain[0], tuple(chain[1:5]), forms)

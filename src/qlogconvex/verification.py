@@ -76,7 +76,6 @@ from .polynomials import (
     sturm_count_roots,
     values_at_integers,
 )
-from .proofpolys import IdentityError
 
 SERIES_TOLERANCE_TEXT = "1e-28"  # as the certificate and the series command print it
 SERIES_TOLERANCE = Fraction(SERIES_TOLERANCE_TEXT)
@@ -421,11 +420,11 @@ def verify_prop31(n_max: int, batch=None) -> list[ClaimRecord]:
 
     Every row n >= 1 certifies the sign of each L_t(a(n,0)), t = 0..n,
     through a bracket with small multipliers (``_boundary_brackets``).
-    For n >= 5 the record also certifies theta(n) < 0 and theta(t) > 0 at
-    all integers t < n, the sign of each row of
-    ``proofpolys.THETA_ENDPOINT_FORMS`` (theta and its derivatives at 0, 1,
-    n/2 and n-1), and Sturm counts on (0, n-1): exactly one root for
-    theta'''' and theta''', two for theta'' and theta'.
+    For n >= 5 the record also certifies theta(t) > 0 at all integers
+    t < n, the sign of each row of ``proofpolys.THETA_ENDPOINT_FORMS``
+    (theta and its derivatives at 0, 1, n/2 and n-1, and theta(n) < 0),
+    and Sturm counts on (0, n-1): exactly one root for theta'''' and
+    theta''', two for theta'' and theta'.
     """
     rows = _map_rows(batch, _prop31_row, range(1, n_max + 1))
     table_failures = [failure for failures, _record in rows for failure in failures]
@@ -471,7 +470,7 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
     checked here because they read the same array rows, so an ascending
     sweep builds every array row once; and the record: the signs of
     L_t(a(n,0)) for t = 0..n, read from ``_boundary_brackets``, and for
-    n >= 5 theta's signs at t = 0..n, read from one forward-difference
+    n >= 5 theta's signs at t = 0..n-1, read from one forward-difference
     table, the signs of its endpoint rows and its Sturm root counts."""
     table_failures = _boundary_table_failures(n)
     brackets = _boundary_brackets(n)
@@ -482,17 +481,10 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
         failures = [f"operator negative at (n={n}, t={t}, k=0)"
                     for t, value in enumerate(brackets) if value < 0]
     if n >= 5:
-        try:
-            bundle = proofpolys.build_theta(n)
-        except IdentityError as exc:
-            failures.append(str(exc))
-            return table_failures, _record("prop31", {"part": "theta", "n": n}, failures)
-        theta_at = values_at_integers(bundle.theta, n + 1)
-        if not theta_at[n] < 0:
-            failures.append(f"theta(n) not negative at n={n}")
-        for t in range(n):
-            if not theta_at[t] > 0:
-                failures.append(f"theta({t}) not positive at n={n}")
+        bundle = proofpolys.build_theta(n)
+        failures += [f"theta({t}) not positive at n={n}"
+                     for t, value in enumerate(values_at_integers(bundle.theta, n))
+                     if not value > 0]
         failures += _form_failures(bundle.forms, n)
         th1, th2, th3, th4 = bundle.derivatives
         failures += [f"{name} root count failed at n={n}"
@@ -525,7 +517,9 @@ def verify_prop32(n_max: int, batch=None) -> list[ClaimRecord]:
     Also certifies the midpoint values that drive the argument: psi1(t/2)
     and psi3(t/2) strictly positive, psi2(t/2) strictly negative, each
     matching its closed form (including the dedicated n = 2 and n = 3
-    shapes of the psi1 form).  Rows start at n = 2.
+    shapes of the psi1 form).  Each t first checks the derivative cascade
+    of its cofactors; a t whose cascade breaks lists the breaks in place of
+    its other checks.  Rows start at n = 2.
     """
     return _map_rows(batch, _prop32_row, range(2, n_max + 1))
 
@@ -533,10 +527,9 @@ def verify_prop32(n_max: int, batch=None) -> list[ClaimRecord]:
 def _prop32_row(n: int) -> ClaimRecord:
     failures = []
     for t in range(n):
-        try:
-            bundle = proofpolys.build_psi(n, t)
-        except IdentityError as exc:
-            failures.append(str(exc))
+        bundle = proofpolys.build_psi(n, t)
+        if breaks := _cascade_failures(n, t, bundle):
+            failures += breaks
             continue
         psi_at = values_at_integers(bundle.psi, t // 2 + 1)
         if not psi_at[0] >= 0:
@@ -545,7 +538,7 @@ def _prop32_row(n: int) -> ClaimRecord:
         if values and single_crossing(values) is not None:
             failures.append(f"crossing pattern broken at (n={n}, t={t})")
         for name, value, sign, missed in _midpoint_values(
-                n, t, bundle.psi1, bundle.psi2, bundle.psi3, "mismatch"):
+                n, t, bundle.psi1, bundle.psi2, bundle.psi3):
             failures += missed
             if not (value > 0 if sign > 0 else value < 0):
                 word = "positive" if sign > 0 else "negative"
@@ -553,24 +546,24 @@ def _prop32_row(n: int) -> ClaimRecord:
     return _record("prop32", {"n": n, "t_range": f"0..{n - 1}"}, failures)
 
 
-def _midpoint_values(n: int, t: int, psi1: Poly, psi2: Poly, psi3: Poly, verb: str) -> list:
+def _midpoint_values(n: int, t: int, psi1: Poly, psi2: Poly, psi3: Poly) -> list:
     """psi1, psi2 and psi3 at their axis x = t/2, as (name, value, sign,
     missed): sign is the one prop32 asserts for 0 <= t < n, and missed holds
-    a message, with ``verb``, for each closed form the value differs from.
-    psi1 has its own shapes at n = 2 and n = 3."""
+    a message for each closed form the value differs from.  psi1 has its
+    own shapes at n = 2 and n = 3."""
     mid = t // 2 if t % 2 == 0 else Fraction(t, 2)
     values = []
     for name, poly, sign, closed in (("psi1", psi1, 1, proofpolys.psi1_half_closed),
                                      ("psi2", psi2, -1, proofpolys.psi2_half_closed),
                                      ("psi3", psi3, 1, proofpolys.psi3_half_closed)):
         value = poly(mid)
-        missed = [f"{name} midpoint form {verb} at (n={n}, t={t})"] if value != closed(n, t) else []
+        missed = [f"{name} midpoint form fails at (n={n}, t={t})"] if value != closed(n, t) else []
         values.append((name, value, sign, missed))
     _name, p1, _sign, missed1 = values[0]
     if n == 2 and p1 != proofpolys.psi1_half_closed_n2(t):
-        missed1.append(f"psi1 midpoint n=2 form {verb} at t={t}")
+        missed1.append(f"psi1 midpoint n=2 form fails at t={t}")
     if n == 3 and p1 != proofpolys.psi1_half_closed_n3(t):
-        missed1.append(f"psi1 midpoint n=3 form {verb} at t={t}")
+        missed1.append(f"psi1 midpoint n=3 form fails at t={t}")
     return values
 
 
@@ -589,10 +582,12 @@ def verify_prop33(n_max: int, batch=None) -> list[ClaimRecord]:
 
 
 def _prop33_row(n: int) -> ClaimRecord:
-    try:
-        bundle = proofpolys.build_psi_nn(n)
-    except IdentityError as exc:
-        return _record("prop33", {"n": n}, [str(exc)])
+    """prop33 at n: the cascade and the specialization of the t = n
+    expansions; when both hold, their endpoint rows and the crossing."""
+    bundle = proofpolys.build_psi_nn(n)
+    if breaks := (_cascade_failures(n, n, bundle, "psi_nn")
+                  + _specialization_failures(n, bundle)):
+        return _record("prop33", {"n": n}, breaks)
     chains = {"psi_nn_poly": [bundle.psi], "psi1_nn_poly": [bundle.psi1],
               "psi2_nn_poly": [bundle.psi2], "psi3_nn_poly": [bundle.psi3]}
     failures = _form_failures(
@@ -611,7 +606,8 @@ def verify_claims(n_max: int, batch=None) -> list[ClaimRecord]:
     Claim 1 rules out n = 2, 3, 4 by direct evaluation at nine pairs;
     Claim 2 certifies xi < 0 on [3n/4, n-1]; Claim 3 certifies eta < 0 on
     [0, 3n/4].  Interval negativity is Sturm-certified (no sampling), with
-    exact endpoint evaluations against the displayed closed forms.
+    exact endpoint evaluations against the displayed closed forms, and each
+    n checks the x = 0 extractions xi = psi1(0)/(n+1)^2, eta = psi2(0)/(n+1).
     """
     claim1_failures = []
     for n, t in CLAIM1_PAIRS:
@@ -624,7 +620,8 @@ def verify_claims(n_max: int, batch=None) -> list[ClaimRecord]:
 def _claims23_row(n: int) -> ClaimRecord:
     """Claims 2 and 3 at n: the order-0 rows of ``XI_ETA_ENDPOINT_FORMS``,
     xi(n-1), xi(3n/4), eta(0) and eta(3n/4), which are the ends of the two
-    Sturm intervals; then the intervals and the eta'' axis."""
+    Sturm intervals; then the intervals, the eta'' axis, and the extractions
+    at t = 0..8, which see a psi1 or psi2 wrong at one n past the grid."""
     xi = proofpolys.xi_poly(n)
     eta = proofpolys.eta_poly(n)
     ends = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[2] == 0]
@@ -640,6 +637,8 @@ def _claims23_row(n: int) -> ClaimRecord:
     axis = -Fraction(eta2.coefficient(1), 2 * eta2.coefficient(2))
     if axis != -(Fraction(n) - Fraction(3, 4)):
         failures.append(f"eta'' axis mismatch at n={n}")
+    for t in range(9):
+        failures += _extraction_failures("xi", n, t, xi) + _extraction_failures("eta", n, t, eta)
     return _record("claims123", {"part": "claims23", "n": n}, failures)
 
 
@@ -652,28 +651,40 @@ _GRID_T = range(0, 18)
 _FORM_GRID_N = range(1, 21)
 
 # The failure functions of ``GRID_IDENTITIES`` take one grid point, (n, t)
-# or (n,), and look every builder and table up in ``proofpolys`` when they run.
+# or (n,), and look every builder and table up in ``proofpolys`` when they
+# run.  The per-n rows pass the first three what they have built already.
 
 
-def _cascade_failures(n: int, t: int) -> list[str]:
-    return [f"psi{level}' cascade fails at (n={n}, t={t})"
-            for level, _index in proofpolys.cascade_breaks(proofpolys.psi_polys(n, t), t)]
+def _cascade_failures(n: int, t: int, polys: tuple | None = None, stem: str = "psi") -> list[str]:
+    """The cascade breaks of polys = (psi, .., psi3), built here if not given."""
+    if polys is None:
+        polys = proofpolys.psi_polys(n, t)
+    return [f"{stem}{level}' cascade fails at (n={n}, t={t})"
+            for level in proofpolys.cascade_breaks(polys, t)]
 
 
-def _specialization_failures(n: int) -> list[str]:
+def _specialization_failures(n: int, expanded: tuple | None = None) -> list[str]:
+    if expanded is None:
+        expanded = proofpolys.psi_nn_polys(n)
     return [f"psi{level} specialization fails at n={n}"
-            for level, _index in proofpolys.specialization_breaks(n, proofpolys.psi_nn_polys(n))]
+            for level in proofpolys.specialization_breaks(n, expanded)]
 
 
-def _extraction_failures(name: str, message: str, n: int, t: int) -> list[str]:
-    """The extraction ``name`` of ``proofpolys.EXTRACTIONS`` at (n, t);
-    ``message`` has a ``{}`` for the grid point."""
-    return [] if proofpolys.extraction_holds(name, n, t) else [message.format(f"(n={n}, t={t})")]
+# extraction of ``proofpolys.EXTRACTIONS`` -> its failure, with {} for the point
+_EXTRACTION_MESSAGES = {"xi": "xi extraction fails at {}", "eta": "eta extraction fails at {}",
+                        "theta": "psi(0) != (n+1)^2 theta(t) at {}"}
+
+
+def _extraction_failures(name: str, n: int, t: int, in_t: Poly | None = None) -> list[str]:
+    """The extraction ``name`` at (n, t), as ``proofpolys.extraction_holds``."""
+    if proofpolys.extraction_holds(name, n, t, in_t):
+        return []
+    return [_EXTRACTION_MESSAGES[name].format(f"(n={n}, t={t})")]
 
 
 def _midpoint_failures(n: int, t: int) -> list[str]:
     polys = (proofpolys.psi1_poly(n, t), proofpolys.psi2_poly(n, t), proofpolys.psi3_poly(n, t))
-    return [miss for _name, _value, _sign, missed in _midpoint_values(n, t, *polys, "fails")
+    return [miss for _name, _value, _sign, missed in _midpoint_values(n, t, *polys)
             for miss in missed]
 
 
@@ -688,12 +699,9 @@ def _endpoint_form_failures(table: str, n: int) -> list[str]:
 GRID_IDENTITIES = {
     "cascade": (_GRID_N, _GRID_T, _cascade_failures),
     "specialization": (_GRID_N, None, _specialization_failures),
-    "xi_extraction": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "xi", "xi extraction fails at {}")),
-    "eta_extraction": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "eta", "eta extraction fails at {}")),
-    "theta_link": (_GRID_N, _GRID_T, functools.partial(
-        _extraction_failures, "theta", "psi(0) != (n+1)^2 theta(t) at {}")),
+    "xi_extraction": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "xi")),
+    "eta_extraction": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "eta")),
+    "theta_link": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "theta")),
     "midpoint_forms": (_FORM_GRID_N, _GRID_T, _midpoint_failures),
     "theta_endpoint_forms": (_FORM_GRID_N, None,
                              functools.partial(_endpoint_form_failures, "THETA_ENDPOINT_FORMS")),

@@ -5,8 +5,9 @@ coefficient is off by one at a single n, and each endpoint-form table gets
 one closed form off by one.  The grid records must see the replacement: they
 look their builders and tables up in ``proofpolys`` when they run.  And the
 sweeps that read the endpoint-form tables build each polynomial once.  The
-messages of the per-n bundles and of the identity records are pinned word
-for word, since both read the one checker of each identity.
+messages of the per-n rows and of the identity records are pinned word for
+word, since both read the one checker of each identity, and a fault past
+the grid's n range fails the per-n record whose claim rests on the identity.
 """
 
 import collections
@@ -15,12 +16,12 @@ import pytest
 
 from qlogconvex import proofpolys, verification
 from qlogconvex.polynomials import Poly
-from qlogconvex.proofpolys import IdentityError
 from qlogconvex.verification import (
     GRID_IDENTITIES,
     identity_grid_check,
     verify_claims,
     verify_prop31,
+    verify_prop32,
     verify_prop33,
 )
 
@@ -39,13 +40,13 @@ CATCHES = {
 }
 
 
-def _bump(monkeypatch, builder: str, index: int) -> None:
-    """Put 1 on coefficient ``index`` of ``builder``'s polynomials at n = 9."""
+def _bump(monkeypatch, builder: str, index: int, at: int = BUMPED_N) -> None:
+    """Put 1 on coefficient ``index`` of ``builder``'s polynomials at n = ``at``."""
     original = getattr(proofpolys, builder)
 
     def bumped(n, *t):
         poly = original(n, *t)
-        if n != BUMPED_N:
+        if n != at:
             return poly
         coeffs = list(poly.coeffs)
         coeffs[index] += 1
@@ -126,7 +127,7 @@ FORM_BUILDERS = ("theta_poly", "xi_poly", "eta_poly",
 
 
 @pytest.mark.parametrize("reader, builds", [
-    (proofpolys.build_theta, {"theta_poly": 1, "xi_poly": 1, "eta_poly": 1}),
+    (proofpolys.build_theta, {"theta_poly": 1}),
     (verification._claims23_row, {"xi_poly": 1, "eta_poly": 1}),
     (verification._prop33_row, {f"psi{i}_nn_poly": 1 for i in ("", "1", "2", "3")}),
 ])
@@ -141,79 +142,82 @@ def test_the_endpoint_form_readers_build_each_polynomial_once(monkeypatch, reade
     assert built == builds
 
 
-# The messages of the per-n bundles and of the identity grid records, word
-# for word.  (builder, coefficient bumped by 1 at n = 9) -> (the IdentityError
-# of build_psi_nn(9), that of build_theta(9), and each failing record among
-# the cascade, the specialization and the three extractions, with its first
-# failure and failure count); None where the bundle builds.
+# The messages of the per-n rows and of the identity grid records, word for
+# word.  (builder, coefficient bumped by 1 at n = 9) -> (the first failure
+# and failure count of prop33's record at n = 9, those of the claims 2-3
+# record at n = 9, and each failing record among the cascade, the
+# specialization and the three extractions, with its first failure and
+# failure count); None where the per-n record passes.
 PINNED_MESSAGES = {
     ("psi_nn_poly", 0): (
-        "t = n specialization of psi differs at n=9, coefficient 0", None,
+        ("psi specialization fails at n=9", "1"), None,
         {"specialization": ("psi specialization fails at n=9", "1")}),
     ("psi_nn_poly", 1): (
-        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 0", None,
+        ("psi_nn' cascade fails at (n=9, t=9)", "2"), None,
         {"specialization": ("psi specialization fails at n=9", "1")}),
     ("psi1_nn_poly", 0): (
-        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 0", None,
+        ("psi_nn' cascade fails at (n=9, t=9)", "2"), None,
         {"specialization": ("psi1 specialization fails at n=9", "1")}),
     ("psi1_nn_poly", 1): (
-        "derivative cascade broke for psi_nn(n=9): first differing coefficient index 1", None,
+        ("psi_nn' cascade fails at (n=9, t=9)", "3"), None,
         {"specialization": ("psi1 specialization fails at n=9", "1")}),
     ("psi2_nn_poly", 0): (
-        "derivative cascade broke for psi_nn1(n=9): first differing coefficient index 0", None,
+        ("psi_nn1' cascade fails at (n=9, t=9)", "2"), None,
         {"specialization": ("psi2 specialization fails at n=9", "1")}),
     ("psi2_nn_poly", 1): (
-        "derivative cascade broke for psi_nn1(n=9): first differing coefficient index 1", None,
+        ("psi_nn1' cascade fails at (n=9, t=9)", "3"), None,
         {"specialization": ("psi2 specialization fails at n=9", "1")}),
     ("psi3_nn_poly", 0): (
-        "derivative cascade broke for psi_nn2(n=9): first differing coefficient index 0", None,
+        ("psi_nn2' cascade fails at (n=9, t=9)", "2"), None,
         {"specialization": ("psi3 specialization fails at n=9", "1")}),
     ("psi3_nn_poly", 1): (
-        "derivative cascade broke for psi_nn2(n=9): first differing coefficient index 1", None,
+        ("psi_nn2' cascade fails at (n=9, t=9)", "2"), None,
         {"specialization": ("psi3 specialization fails at n=9", "1")}),
     ("psi_poly", 0): (
-        "t = n specialization of psi differs at n=9, coefficient 0", None,
+        ("psi specialization fails at n=9", "1"), None,
         {"specialization": ("psi specialization fails at n=9", "1"),
          "theta_link": ("psi(0) != (n+1)^2 theta(t) at (n=9, t=0)", "18")}),
     ("psi_poly", 1): (
-        "t = n specialization of psi differs at n=9, coefficient 1", None,
+        ("psi specialization fails at n=9", "1"), None,
         {"cascade": ("psi' cascade fails at (n=9, t=0)", "18"),
          "specialization": ("psi specialization fails at n=9", "1")}),
     ("psi1_poly", 0): (
-        "t = n specialization of psi1 differs at n=9, coefficient 0",
-        "xi extraction failed at n=9, t=0",
+        ("psi1 specialization fails at n=9", "1"),
+        ("xi extraction fails at (n=9, t=0)", "9"),
         {"cascade": ("psi' cascade fails at (n=9, t=0)", "18"),
          "specialization": ("psi1 specialization fails at n=9", "1"),
          "xi_extraction": ("xi extraction fails at (n=9, t=0)", "18")}),
     ("psi1_poly", 1): (
-        "t = n specialization of psi1 differs at n=9, coefficient 1", None,
+        ("psi1 specialization fails at n=9", "1"), None,
         {"cascade": ("psi' cascade fails at (n=9, t=0)", "36"),
          "specialization": ("psi1 specialization fails at n=9", "1")}),
     ("psi2_poly", 0): (
-        "t = n specialization of psi2 differs at n=9, coefficient 0",
-        "eta extraction failed at n=9, t=0",
+        ("psi2 specialization fails at n=9", "1"),
+        ("eta extraction fails at (n=9, t=0)", "9"),
         {"cascade": ("psi1' cascade fails at (n=9, t=0)", "18"),
          "specialization": ("psi2 specialization fails at n=9", "1"),
          "eta_extraction": ("eta extraction fails at (n=9, t=0)", "18")}),
     ("psi2_poly", 1): (
-        "t = n specialization of psi2 differs at n=9, coefficient 1", None,
+        ("psi2 specialization fails at n=9", "1"), None,
         {"cascade": ("psi1' cascade fails at (n=9, t=0)", "36"),
          "specialization": ("psi2 specialization fails at n=9", "1")}),
     ("psi3_poly", 0): (
-        "t = n specialization of psi3 differs at n=9, coefficient 0", None,
+        ("psi3 specialization fails at n=9", "1"), None,
         {"cascade": ("psi2' cascade fails at (n=9, t=0)", "18"),
          "specialization": ("psi3 specialization fails at n=9", "1")}),
     ("psi3_poly", 1): (
-        "t = n specialization of psi3 differs at n=9, coefficient 1", None,
+        ("psi3 specialization fails at n=9", "1"), None,
         {"cascade": ("psi2' cascade fails at (n=9, t=0)", "18"),
          "specialization": ("psi3 specialization fails at n=9", "1")}),
-    ("xi_poly", 0): (None, "xi extraction failed at n=9, t=0",
+    # xi and eta: the claims 2-3 record lists its two endpoint mismatches,
+    # then an extraction break at each t = 0..8 the bump moves
+    ("xi_poly", 0): (None, ("xi(n-1) form mismatch at n=9", "11"),
                      {"xi_extraction": ("xi extraction fails at (n=9, t=0)", "18")}),
-    ("xi_poly", 1): (None, "xi extraction failed at n=9, t=1",
+    ("xi_poly", 1): (None, ("xi(n-1) form mismatch at n=9", "10"),
                      {"xi_extraction": ("xi extraction fails at (n=9, t=1)", "17")}),
-    ("eta_poly", 0): (None, "eta extraction failed at n=9, t=0",
+    ("eta_poly", 0): (None, ("eta(0) form mismatch at n=9", "11"),
                       {"eta_extraction": ("eta extraction fails at (n=9, t=0)", "18")}),
-    ("eta_poly", 1): (None, "eta extraction failed at n=9, t=1",
+    ("eta_poly", 1): (None, ("eta(3n/4) form mismatch at n=9", "9"),
                       {"eta_extraction": ("eta extraction fails at (n=9, t=1)", "17")}),
     ("theta_poly", 0): (None, None,
                         {"theta_link": ("psi(0) != (n+1)^2 theta(t) at (n=9, t=0)", "18")}),
@@ -224,18 +228,17 @@ PINNED_MESSAGES = {
 PINNED_RECORDS = ("cascade", "specialization", "xi_extraction", "eta_extraction", "theta_link")
 
 
-def _identity_error(build, n: int):
-    try:
-        build(n)
-    except IdentityError as exc:
-        return str(exc)
-    return None
+def _witness(row):
+    """(first failure, failure count) of the record ``row`` gives at n = 9,
+    or None when it passes."""
+    record = row(BUMPED_N)
+    return None if record.passed else (record.witness["first_failure"],
+                                       record.witness["failure_count"])
 
 
 def _messages(failures: dict) -> tuple:
     """The pinned messages of a fault, given its failing grid records."""
-    return (_identity_error(proofpolys.build_psi_nn, BUMPED_N),
-            _identity_error(proofpolys.build_theta, BUMPED_N),
+    return (_witness(verification._prop33_row), _witness(verification._claims23_row),
             {identity: failures[identity] for identity in PINNED_RECORDS
              if identity in failures})
 
@@ -245,3 +248,21 @@ def test_the_bundle_and_grid_messages_of_a_bumped_builder(monkeypatch, builder):
     # coefficient 0 is pinned by the test of the records a bump fails
     _bump(monkeypatch, builder, 1)
     assert _messages(_grid_failures(PINNED_RECORDS)) == PINNED_MESSAGES[builder, 1]
+
+
+# A psi1 or psi2 wrong at one n past both the grid (n <= 17) and prop32's
+# range fails the claims 2-3 record at that n, which rests on its x = 0
+# extraction, and not prop31, which never reads it.
+@pytest.mark.parametrize("builder, extracted", [("psi1_poly", "xi"), ("psi2_poly", "eta")])
+def test_a_cofactor_wrong_past_the_grid_fails_the_claim_that_rests_on_it(monkeypatch, builder,
+                                                                        extracted):
+    n = 70
+    _bump(monkeypatch, builder, 0, at=n)
+    assert _failing(verify_claims(80)) == [(
+        "claims123", {"part": "claims23", "n": str(n)},
+        {"first_failure": f"{extracted} extraction fails at (n={n}, t=0)", "failure_count": "9"})]
+    assert _failing(verify_prop31(80)) == []
+    level = "" if builder == "psi1_poly" else "1"
+    assert _failing(verify_prop32(72)) == [(
+        "prop32", {"n": str(n), "t_range": f"0..{n - 1}"},
+        {"first_failure": f"psi{level}' cascade fails at (n={n}, t=0)", "failure_count": str(n)})]

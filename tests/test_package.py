@@ -107,3 +107,25 @@ def test_no_proof_sweep_hands_an_integral_fraction_to_the_exact_kernels(monkeypa
     assert all(record.passed for record in records)
     assert set(calls) == {"Poly.__call__", "sturm_count_roots", "sign_constant_on"}
     assert integral == []
+
+
+def _except_owners(tree):
+    """The top-level function that holds each ``except`` clause of a module,
+    None for a clause outside every top-level function."""
+    return [node.name if isinstance(node, ast.FunctionDef) else None
+            for node in tree.body for inner in ast.walk(node)
+            if isinstance(inner, ast.ExceptHandler)]
+
+
+def test_a_broken_identity_is_a_failure_line_never_an_exception():
+    """The rows report every break as a failure line, so ``verification``
+    catches exceptions only where a pooled or failed sweep becomes an error
+    record, and ``proofpolys`` raises nothing but a range check's
+    ``ValueError``."""
+    verification = ast.parse((PACKAGE / "verification.py").read_text())
+    assert set(_except_owners(verification)) == {
+        "_run_chunk", "_run_batch", "_qlc_f_and_v", "run_full_verification"}
+    proofpolys = ast.parse((PACKAGE / "proofpolys.py").read_text())
+    raised = [node.exc for node in ast.walk(proofpolys) if isinstance(node, ast.Raise)]
+    assert raised and all(isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+                          and exc.func.id == "ValueError" for exc in raised)

@@ -301,11 +301,11 @@ def test_tampered_interior_entry_fails_the_operator_records_that_read_it(monkeyp
         for n in (7, 9)]
 
 
-def test_prop31_keeps_the_operator_failures_when_build_theta_raises(monkeypatch):
+def test_prop31_lists_its_operator_failures_and_claims23_owns_the_xi_extraction(monkeypatch):
     # row 7 tampered as in the test above, and xi's constant coefficient off
-    # by one at n = 7, so build_theta's xi extraction check raises after the
-    # operator signs failed: the record lists all three failures, the
-    # operator's first
+    # by one at n = 7: prop31, which never reads xi, lists exactly its two
+    # operator failures, and the claims 2-3 record at n = 7, which rests on
+    # the xi extraction, lists its breaks after its own endpoint failures
     n = 7
     row = list(DOMB_ARRAY.row(n))
     for t in (3, n):
@@ -325,10 +325,14 @@ def test_prop31_keeps_the_operator_failures_when_build_theta_raises(monkeypatch)
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [(r.params["part"], r.params["n"]) for r in failing] == [("theta", str(n))]
     assert failing[0].witness == {"first_failure": f"operator negative at (n={n}, t=3, k=0)",
-                                  "failure_count": "3"}
+                                  "failure_count": "2"}
     assert listed["prop31", "theta", n] == [
-        f"operator negative at (n={n}, t=3, k=0)", f"operator negative at (n={n}, t={n}, k=0)",
-        f"xi extraction failed at n={n}, t=0"]
+        f"operator negative at (n={n}, t=3, k=0)", f"operator negative at (n={n}, t={n}, k=0)"]
+    failing = [r for r in verify_claims(10) if not r.passed]
+    assert [(r.params["part"], r.params["n"]) for r in failing] == [("claims23", str(n))]
+    assert listed["claims123", "claims23", n] == [
+        f"xi(n-1) form mismatch at n={n}", f"xi(3n/4) form mismatch at n={n}",
+        *(f"xi extraction fails at (n={n}, t={t})" for t in range(9))]
 
 
 @pytest.mark.parametrize("index", range(7))
@@ -345,8 +349,8 @@ def test_theta_coefficient_bumped_by_one_fails_prop31(monkeypatch, index):
 
 def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
     # theta(9) shifted down by its smallest positive value, at t = 8, keeps
-    # build_theta's checks (they run on the true theta) but fails the sign
-    # sweep at exactly t = 8
+    # the endpoint rows (build_theta reads them from the true theta) but
+    # fails the sign sweep at exactly t = 8
     n = 9
     original = proofpolys.build_theta
 
@@ -354,8 +358,7 @@ def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
         bundle = original(m)
         if m != n:
             return bundle
-        theta = bundle.theta - Poly([bundle.theta(8)])
-        return proofpolys.ThetaBundle(m, theta, bundle.derivatives, bundle.forms)
+        return bundle._replace(theta=bundle.theta - Poly([bundle.theta(8)]))
 
     monkeypatch.setattr(proofpolys, "build_theta", shifted)
     failing = [r for r in verify_prop31(10) if not r.passed]
@@ -419,7 +422,7 @@ def test_midpoint_values_are_in_the_ring_of_the_axis():
         for t in range(n + 1):
             polys = (proofpolys.psi1_poly(n, t), proofpolys.psi2_poly(n, t),
                      proofpolys.psi3_poly(n, t))
-            rows = verification._midpoint_values(n, t, *polys, "fails")
+            rows = verification._midpoint_values(n, t, *polys)
             for (name, value, _sign, missed), poly in zip(rows, polys):
                 assert value == poly(Fraction(t, 2)), (name, n, t)
                 assert type(value) is (int if t % 2 == 0 else Fraction), (name, n, t)
@@ -632,9 +635,9 @@ def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, colum
 
 def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
     """K t (4t - 3n) vanishes at both ends of [0, 3n/4], so within the claims
-    sweep the endpoint forms and the eta'' axis still hold; only the
-    Sturm-certified interval check sees that eta turns positive inside.
-    (prop31's extraction grid in build_theta sees it too.)"""
+    sweep the endpoint forms and the eta'' axis still hold; of the claim's
+    own checks only the Sturm-certified interval check sees that eta turns
+    positive inside.  (Its eta extraction check sees the bump at t = 1..8.)"""
     n = 19  # above the eta_extraction grid identity (n <= 17)
     original = proofpolys.eta_poly
     eta = original(n)
@@ -647,11 +650,13 @@ def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
     failing = [r for r in verify_claims(n) if not r.passed]
     assert [r.params for r in failing] == [{"part": "claims23", "n": str(n)}]
     assert failing[0].witness["first_failure"] == f"eta not negative on [0, 3n/4] at n={n}"
-    assert failing[0].witness["failure_count"] == "1"
+    assert failing[0].witness["failure_count"] == "9"
 
     certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG, "n_max_sturm": n}))
     assert certificate.verdict == "fail"
-    assert failing[0] in [c for c in certificate.claims if not c.passed]
+    failed = [c for c in certificate.claims if not c.passed]
+    assert failing[0] in failed
+    assert "prop31" not in {c.claim for c in failed}  # prop31 never reads eta
 
 
 def test_run_captures_executor_errors(monkeypatch):
