@@ -247,6 +247,15 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int
     root-ratio parts by certified log2 enclosures with an exact-powering
     fallback.  The root-ratio part is cubic in the exponents, so it runs
     over its own (smaller) range.
+
+    Ratio growth settles the n-th roots up to its first failure.  If
+    D_0 = 1 and D_{k-1} D_{k+1} > D_k^2 for k = 1..m, the increments
+    d_k = log D_k - log D_{k-1} strictly increase for k = 1..m + 1, so for
+    n <= m, n d_{n+1} > d_1 + ... + d_n = log D_n, which is
+    D_{n+1}^n > D_n^(n+1).  So the n-th roots are compared only from the
+    first k where D_{k-1} D_{k+1} > D_k^2 fails, not at all when it holds
+    to n_max, and from n = 1 when D_0 is not 1; the first n-th-root failure
+    is the same.
     """
     if n_max < 2:
         raise ValueError("n_max must be at least 2")
@@ -257,8 +266,10 @@ def root_monotonicity_check(n_max: int, root_ratio_n_max: int
     interior_fail = log_convex_check(numbers[:n_max + 2])
     ratio_fail = None if interior_fail is None else interior_fail - 1
 
+    # by the lemma above, ratio growth settles every n below interior_fail
+    first = 1 if numbers[0] != 1 else interior_fail or n_max + 1
     nth_root_fail = None
-    for n in range(1, n_max + 1):
+    for n in range(first, n_max + 1):
         # D_{n+1}^{1/(n+1)} > D_n^{1/n}  <=>  D_{n+1}^n > D_n^{n+1}
         if compare_products([(numbers[n + 1], n)], [(numbers[n], n + 1)]) != 1:
             nth_root_fail = n

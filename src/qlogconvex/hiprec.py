@@ -115,8 +115,10 @@ def log2_bounds(x: int, prec: int) -> tuple[int, int]:
     Digit-by-digit mantissa squaring with monotone rounding; the +/-2 slack
     absorbs the initial truncation and the bounded rounding drift (working
     precision carries 32 guard bits).  The result depends on (x, prec)
-    alone, so the last few enclosures are kept: the growth checks compare
-    D_n, D_{n+1} and D_{n+2} in a sliding window and reuse each one.
+    alone, so the last few enclosures are kept: the root-ratio check
+    compares D_n, D_{n+1} and D_{n+2} in a sliding window and reuses each
+    one, and so do the n-th roots where they are compared at all, from the
+    first failure of ratio growth on.
     """
     if x < 1:
         raise ValueError("log2 bounds need x >= 1")

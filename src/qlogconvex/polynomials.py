@@ -47,18 +47,29 @@ of the product and propagates the borrow upward.  Both are linear in the
 size of the numbers.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
-palindromic product, whose value at 2^-b is its value at 2^b (the reciprocal
-point of Harvey 2009, arXiv:0712.4046), so one multiply at X = 2^b with b
-about w/2 gives every coefficient (``_palindromic_mul``).  Each operand is
-packed once at X, its even and odd coefficients in 2b-bit fields since a
-coefficient may be wider than b bits; every product slot carries the offset
-2^(2b-2), and b is the fewest whole bytes with 2b - 2 at least the bits of
-the bound, so each offset coefficient lies in (0, 2^(2b-1)).  The low end of
-the one integer gives coefficient i modulo X through a running carry, its
-top end gives the mirrored coefficient plus a remainder below X, and the two
-meet at the middle, where the carry must equal that remainder; the
-coefficients read must also sum to a(1) b(1).  One multiply of half the size
-replaces the full-size one.
+palindromic product h = ab, and ``_palindromic_mul`` evaluates it at three
+points of Harvey's multipoint Kronecker substitution (arXiv:0712.4046): X,
+-X and, through the palindrome, 1/X.  X = 2^b, and b is the fewest whole
+bytes with 4b - 2 at least the bits of the bound, about w/4.  Each operand
+is packed once per residue class of its index mod 4, at X^4 in 4b-bit
+fields, since a coefficient may be wider than b bits; the classes add up to
+its even and odd parts E(X) and O(X), and c(X), c(-X) are E + O and E - O.
+Two multiplies give h(X) and h(-X), squares when a = b; their half sum and
+their half difference over X are the even-index and the odd-index
+coefficients of h at Y = X^2, each coefficient up to twice the width of a
+slot of Y.  A palindrome of such coefficients is read from both ends of its
+one integer (``_palindrome_read``): every slot carries the offset 2^(4b-2),
+so each offset coefficient lies in (0, 2^(4b-1)); the low end gives
+coefficient i modulo Y through a running carry, the top end gives the
+mirrored coefficient plus a remainder below Y, and the two meet at the
+middle, where the carry must equal that remainder.  The parity of the
+coefficient count decides what is read.  With an odd count (every D defect
+product) the even and the odd half are palindromes each, read one by one.
+With an even count the odd half is the even half reversed, so the even
+half followed by the odd one is a single palindrome, read once.  The
+coefficients read must also sum to a(1) b(1).  Two multiplies of a quarter
+of the full size replace the full-size one, and CPython's Karatsuba makes
+the pair cost about two thirds of one multiply of half the size.
 
 Only D's q-log-convexity defects reach ``Poly.__mul__`` in the certificate
 and the CLI.  V's defects are F's read through the reversal
@@ -70,11 +81,14 @@ the four benchmark workloads and every ``check`` and ``families`` command,
 each product that reaches ``Poly.__mul__`` has two palindromic int D rows:
 300 at the default bounds, 320 with qlc_D to n = 160 and 2 on the
 proof-sized workload.  The products of non-palindromic integer rows, which
-only a tampered row or a test makes, take the schoolbook loop.  The
-half-width multiply gains over a full-width Kronecker product only from
-about 5,000 packed bits on (D from n = 26), but the defects of D below
-that, n = 1..26, take 2-3.5 ms in all on any path (2-core Xeon, CPython
-3.11), so no size threshold picks another kernel for the small rows.
+only a tampered row or a test makes, take the schoolbook loop.  On the 320
+D products to n = 160 the pair of quarter-width multiplies takes 0.157 s
+where one half-width multiply at X and 1/X took 0.195 s (fastest of 25
+alternating repetitions in one process; 2-core Xeon, CPython 3.11).  It
+gains over a full-width Kronecker product only from about 9,000 packed
+bits on (D from n = 35), and over the half-width one from D at n = 45, but
+the 68 defect products of D at n = 1..34 take 1.9-2.6 ms in all on any of
+the three, so no size threshold picks another kernel for the small rows.
 """
 
 from __future__ import annotations
@@ -299,42 +313,30 @@ def _bound_bits(a: tuple, b: tuple) -> int:
     return (max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))).bit_length()
 
 
-def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
-    """Exact product coefficients of two nonzero palindromic int polynomials,
-    read from both ends of the one value G = sum_i g_i X^i at X = 2^shift.
+def _palindrome_read(value: int, count: int, size: int) -> list:
+    """The palindromic h_0..h_{count-1} with value = sum_i h_i Y^i at
+    Y = 2^shift, shift = 8 size, given every |h_i| < 2^(2 shift - 2); read
+    from both ends of the one integer.
 
-    Here g_i = h_i + 2^(2 shift - 2) for the product h = ab, and shift is the
-    smallest multiple of 8 with 2 shift - 2 at least ``bits``, the bit length
-    of the bound max|a| max|b| min(len a, len b), so 0 < g_i < 2^(2 shift - 1).
-    A g_i is wider than its slot, so the low end reads g_i mod X through the carry
-    of g_0..g_{i-1}, and the top end reads g_j plus the carry into slot j,
-    which is below X, for j = count - 1 - i; since h is palindromic, g_i = g_j
-    and the two readings give it whole.  Where the ends meet, the carry from
-    below must equal what the top end leaves, or the coefficients read do not
-    add up to G, and ``ArithmeticError`` is raised.  For an even count that
+    Each slot gets the offset 2^(2 shift - 2), so g_i = h_i + 2^(2 shift - 2)
+    lies in (0, 2^(2 shift - 1)).  A g_i is wider than its slot, so the low
+    end reads g_i mod Y through the carry of g_0..g_{i-1}, and the top end
+    reads g_j plus the carry into slot j, which is below Y, for
+    j = count - 1 - i; since h is palindromic, g_i = g_j and the two
+    readings give it whole.  Where the ends meet, the carry from below must
+    equal what the top end leaves, or the coefficients read do not add up to
+    the value, and ``ArithmeticError`` is raised.  For an even count that
     compares one slot read twice; for an odd count only the carry's range is
-    left to compare.  So it catches a read of G that strays, not a slot too
-    narrow for the bound: other palindromic coefficients in range then have
-    the same value at X.  The coefficients must also satisfy
-    h(1) = a(1) b(1), an O(n) check that such a wrong reading fails unless
-    its errors happen to sum to zero (``ArithmeticError`` again); exactness
-    still rests on the bound.
+    left to compare.  So it catches a read that strays, not a slot too
+    narrow for the coefficients: other palindromic coefficients in range
+    then have the same value at Y.
     """
-    half = (bits + 17) // 16  # bytes per slot: 16 half - 2 >= bits
-    shift = 8 * half
-    count = len(a) + len(b) - 1
-
-    def value(c: tuple) -> int:
-        # c(X), with the even and the odd coefficients in 2-slot fields
-        return _kronecker_pack(c[0::2], 2 * half) + (_kronecker_pack(c[1::2], 2 * half) << shift)
-
-    packed = value(a)
-    product = packed * packed if a == b else packed * value(b)
+    shift = 8 * size
     # the offset 2^(2 shift - 2) of each g_i is bit shift - 2 of slot i + 1
-    product += int.from_bytes((bytes(half - 1) + b"\x40") * count, "little") << shift
-    data = product.to_bytes((count + 1) * half, "little")
+    value += int.from_bytes((bytes(size - 1) + b"\x40") * count, "little") << shift
+    data = value.to_bytes((count + 1) * size, "little")
     from_bytes = int.from_bytes
-    slots = [from_bytes(data[k:k + half], "little") for k in range(0, len(data), half)]
+    slots = [from_bytes(data[k:k + size], "little") for k in range(0, len(data), size)]
     mask = (1 << shift) - 1
     offset = 1 << (2 * shift - 2)
     out = []
@@ -342,7 +344,7 @@ def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
     rem = slots[count]  # what g_{j+1}.. leave in slot j + 1 and above
     for low, high in zip(slots, slots[count - 1:(count - 1) // 2:-1]):
         top = (rem << shift) | high  # g_j plus the carry into slot j
-        rem = (top - low + carry) & mask  # that carry: g_j = g_i is low - carry mod X
+        rem = (top - low + carry) & mask  # that carry: g_j = g_i is low - carry mod Y
         g = top - rem
         carry = (g + carry) >> shift
         out.append(g - offset)
@@ -352,9 +354,59 @@ def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
         rem = carry & mask
         out.append(top - rem - offset)
     if rem != carry:
-        raise ArithmeticError(f"palindromic product of {count} coefficients does not "
+        raise ArithmeticError(f"palindromic read of {count} coefficients does not "
                               f"close at the middle: carry {carry}, top remainder {rem}")
-    out += out[:count // 2][::-1]
+    return out + out[:count // 2][::-1]
+
+
+def _palindromic_mul(a: tuple, b: tuple, bits: int) -> list:
+    """Exact product coefficients of two nonzero palindromic int polynomials,
+    from the two products h(X) = a(X) b(X) and h(-X) = a(-X) b(-X) at
+    X = 2^shift.
+
+    Here shift = 8 q, for the fewest bytes q with 4 shift - 2 at least
+    ``bits``, the bit length of the bound max|a| max|b| min(len a, len b) on
+    every coefficient of h = ab.  Each operand is packed once per residue
+    class of its index mod 4, at X^4 in 4q-byte fields; the even classes add
+    up to its even part E(X), the odd ones to its odd part O(X), and c(X),
+    c(-X) are E + O and E - O.  Then (h(X) + h(-X)) / 2 and
+    (h(X) - h(-X)) / (2X) are the even-index and the odd-index coefficients
+    of h at Y = X^2, each of them below 2^(2 log2 Y - 2) in absolute value,
+    which ``_palindrome_read`` reads from both ends.  With an odd
+    coefficient count both halves are palindromes, read one by one; with an
+    even count the odd half is the even half reversed, so the even half
+    followed by the odd one is a palindrome, read once.  The coefficients
+    must also satisfy h(1) = a(1) b(1), an O(n) check that a wrong reading
+    fails unless its errors happen to sum to zero (``ArithmeticError``
+    again); exactness still rests on the bound.
+    """
+    q = (bits + 33) // 32  # bytes per slot of X: 32 q - 2 >= bits
+    shift = 8 * q
+    count = len(a) + len(b) - 1
+
+    def at_plus_minus(c: tuple) -> tuple[int, int]:
+        # c(X) and c(-X), from the index classes mod 4 packed at X^4
+        c0, c1, c2, c3 = (_kronecker_pack(c[r::4], 4 * q) for r in range(4))
+        even = c0 + (c2 << 2 * shift)
+        odd = (c1 << shift) + (c3 << 3 * shift)
+        return even + odd, even - odd
+
+    a_plus, a_minus = at_plus_minus(a)
+    if a == b:
+        plus, minus = a_plus * a_plus, a_minus * a_minus
+    else:
+        b_plus, b_minus = at_plus_minus(b)
+        plus, minus = a_plus * b_plus, a_minus * b_minus
+    even = (plus + minus) >> 1
+    odd = (plus - minus) >> (shift + 1)
+    half = (count + 1) // 2  # the even-index coefficients
+    out = [0] * count
+    if count % 2:
+        out[0::2] = _palindrome_read(even, half, 2 * q)
+        out[1::2] = _palindrome_read(odd, count - half, 2 * q)
+    else:
+        both = _palindrome_read(even + (odd << 2 * shift * half), count, 2 * q)
+        out[0::2], out[1::2] = both[:half], both[half:]
     if sum(out) != sum(a) * sum(b):
         raise ArithmeticError(f"palindromic product of {count} coefficients does not "
                               f"sum to a(1) b(1)")

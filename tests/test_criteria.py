@@ -412,6 +412,53 @@ def test_monotonicity_report_small_range():
     assert root_monotonicity_check(25, 15) == (None, None, None)
 
 
+def _root_monotonicity_reference(numbers: list, n_max: int, root_ratio_n_max: int) -> tuple:
+    """root_monotonicity_check's three answers by direct loops over every n,
+    in exact powers: ratio growth, every n-th root from n = 1, root ratios."""
+    ratio = next((n for n in range(n_max)
+                  if numbers[n] * numbers[n + 2] <= numbers[n + 1] ** 2), None)
+    root = next((n for n in range(1, n_max + 1)
+                 if numbers[n + 1] ** n <= numbers[n] ** (n + 1)), None)
+    root_ratio = next((n for n in range(1, root_ratio_n_max + 1)
+                       if numbers[n + 1] ** (2 * n * (n + 2))
+                       <= numbers[n] ** ((n + 1) * (n + 2)) * numbers[n + 2] ** (n * (n + 1))),
+                      None)
+    return ratio, root, root_ratio
+
+
+@pytest.mark.parametrize("tamper, expected, nth_root_compares", [
+    ({}, (None, None, None), 0),
+    ({30: lambda d: 2 * d}, (29, 30, None), 1),  # the n-th root fails where ratio growth does
+    ({30: lambda d: d + d // 20}, (29, None, None), 31),  # ratio growth alone fails
+    ({40: lambda d: d // 3}, (38, 39, None), 1),
+    ({0: lambda d: 2}, (None, None, None), 60),  # D_0 = 2: no lemma, every n compared
+    # D_0 = 2 and D_1 = 6 keep log D convex, yet D_2^(1/2) < D_1
+    ({0: lambda d: 2, 1: lambda d: 6}, (None, 1, 1), 1),
+])
+def test_monotonicity_matches_the_direct_loops_around_a_tampered_domb_number(
+        monkeypatch, tamper, expected, nth_root_compares):
+    # with D_0 = 1 the n-th roots are compared only from the first failure
+    # of ratio growth; the answers are those of the loops over every n
+    n_max, root_ratio_n_max = 60, 20
+    original = families.domb_numbers
+
+    def tampered(stop):
+        numbers = original(stop)
+        for n, change in tamper.items():
+            numbers[n] = change(numbers[n])
+        return numbers
+
+    compares = []
+    compare = criteria.compare_products
+    monkeypatch.setattr(criteria, "domb_numbers", tampered)
+    monkeypatch.setattr(criteria, "compare_products",
+                        lambda lhs, rhs: compares.append(len(lhs + rhs)) or compare(lhs, rhs))
+    numbers = tampered(n_max + 3)
+    assert _root_monotonicity_reference(numbers, n_max, root_ratio_n_max) == expected
+    assert root_monotonicity_check(n_max, root_ratio_n_max) == expected
+    assert compares.count(2) == nth_root_compares  # the root ratios compare three powers
+
+
 def test_monotonicity_rejects_tiny_bound():
     with pytest.raises(ValueError):
         root_monotonicity_check(1, 1)

@@ -128,7 +128,7 @@ def test_compare_products_rejects_bad_entries():
 
 
 def test_compare_products_same_with_the_log2_cache_cold_and_warm():
-    # the sliding windows of root_monotonicity_check, plus ties that escalate
+    # the comparisons of root_monotonicity_check, plus ties that escalate
     # to exact powering, each decided from a cleared cache and again warm
     numbers = [domb_number(n) for n in range(44)]
     cases = [([(numbers[n + 1], n)], [(numbers[n], n + 1)]) for n in range(1, 41)]

@@ -265,7 +265,7 @@ def test_mul_matches_schoolbook_reference(a, b):
 
 def _spy_palindromic(monkeypatch) -> list:
     """Record ("palindromic", slot count) for every product that takes the
-    half-width path; every other product takes the schoolbook loop."""
+    palindromic path; every other product takes the schoolbook loop."""
     counts = []
     palindromic = polynomials._palindromic_mul
     monkeypatch.setattr(polynomials, "_palindromic_mul",
@@ -291,9 +291,10 @@ def test_mul_kronecker_at_the_slot_bound(monkeypatch):
     # all coefficients at one magnitude make the middle product coefficient
     # reach the slot bound max|a| * max|b| * min(len) exactly; over these bit
     # sizes the bound fills its last byte in some cases and not in others.
-    # The symmetric pairs take the half-width product, whose slot holds
-    # 2 shift - 2 bits of the bound and whose middle coefficient is -bound
-    # for the second pair; the others take the schoolbook loop.
+    # The symmetric pairs take the palindromic product, whose slot of
+    # Y = X^2 holds 2 log2 Y - 2 bits of the bound and whose middle
+    # coefficient is -bound for the second pair; the others take the
+    # schoolbook loop.
     paths = _spy_palindromic(monkeypatch)
     sizes = [*range(1, 80), 699, 700]
     expected_paths = []
@@ -398,11 +399,12 @@ def test_mul_kronecker_palindromic_dispatch(monkeypatch):
 
 @st.composite
 def _palindromic_coeff_lists(draw):
-    """Signed nonzero palindromic coefficient tuples of odd and even length;
-    some have every coefficient of one magnitude, which puts the product's
-    middle coefficient at the slot bound."""
+    """Signed nonzero palindromic coefficient tuples of 1 to 64 terms, so
+    that the four index classes mod 4 have unequal lengths; some have every
+    coefficient of one magnitude, which puts the product's middle
+    coefficient at the slot bound."""
     top = 2 ** draw(st.integers(min_value=1, max_value=700)) - 1
-    length = draw(st.integers(min_value=1, max_value=40))
+    length = draw(st.integers(min_value=1, max_value=64))
     if draw(st.booleans()):
         return (draw(st.sampled_from([top, -top])),) * length
     half = draw(st.lists(st.integers(min_value=-top, max_value=top),
@@ -410,16 +412,66 @@ def _palindromic_coeff_lists(draw):
     return tuple(half + half[:length // 2][::-1]) if any(half) else (top,) * length
 
 
-@given(_palindromic_coeff_lists(), st.one_of(st.none(), _palindromic_coeff_lists()))
+_RAMP = tuple(range(1, 33)) + tuple(range(32, 0, -1))  # 64 terms
+
+
+@given(_palindromic_coeff_lists(),
+       st.one_of(st.sampled_from(["same", "copy"]), _palindromic_coeff_lists()))
+@example((7,), "same")  # one coefficient: no odd-index half
 @example((7,), (3, -5, 3))  # an operand of length 1
-@example((-(2**61 - 1),) * 16, (2**61 - 1,) * 16)  # middle -bound; 126-bit bound = 16 half - 2
-@example((2**600 - 1,) * 40, None)
+@example((1, 2, 2, 1), (5, 5))  # an odd coefficient count from two even lengths
+@example((1, 2, 1), (5, 5))  # an even coefficient count
+@example(_RAMP, _RAMP[1:-1])  # 64 and 62 terms: 125 coefficients
+@example(_RAMP, _RAMP[:31] + _RAMP[32:])  # 64 and 63 terms: 126 coefficients
+@example((-(2**61 - 1),) * 16, (2**61 - 1,) * 16)  # middle -bound; 126-bit bound = 32 q - 2
+# bounds of 30, 31 and 32 bits: 2^29, 2 * 23171^2 and 2^31, about the
+# rounding of q from one byte to two
+@example((2**14,) * 2, (-(2**14),) * 2)
+@example((23171,) * 2, (-23171,) * 2)
+@example((2**15,) * 2, (-(2**15),) * 2)
+@example((2**600 - 1,) * 40, "copy")
 @settings(max_examples=300, deadline=None)
 def test_palindromic_mul_matches_schoolbook(a, b):
-    b = a if b is None else b  # None makes a square
+    # "same" squares a as the one tuple (a is b), "copy" as an equal but
+    # distinct tuple
+    if b == "same":
+        b = a
+    elif b == "copy":
+        b = tuple(list(a))
     expected = _reference_product(a, b)
     assert polynomials._palindromic_mul(a, b, _bound_bits(a, b)) == expected
     assert (Poly(a) * Poly(b)).coeffs == Poly(expected).coeffs
+
+
+@pytest.mark.parametrize("bits, field_bytes",
+                         [(30, 4), (31, 8), (32, 8), (62, 8), (63, 12), (64, 12), (254, 32),
+                          (255, 36), (256, 36)])
+def test_palindromic_mul_on_either_side_of_the_byte_rounding_of_q(monkeypatch, bits, field_bytes):
+    # q is the fewest bytes with 32 q - 2 >= bits, so a bound of 30 bits mod
+    # 32 fills the slot and one more bit takes another byte; each operand is
+    # packed in four fields of 4 q bytes.  Equal magnitudes put the middle
+    # coefficient at +-bound, for both coefficient-count parities and for
+    # squares given as one tuple and as two equal ones.
+    sizes = []
+    pack = polynomials._kronecker_pack
+    monkeypatch.setattr(polynomials, "_kronecker_pack",
+                        lambda c, size: sizes.append(size) or pack(c, size))
+    for la, lb in ((2, 2), (3, 2), (7, 4), (63, 64), (64, 64)):
+        top = math.isqrt((2 ** (bits - 1) - 1) // min(la, lb)) + 1
+        for a, b in (((top,) * la, (-top,) * lb), ((-top,) * la, (-top,) * lb)):
+            assert _bound_bits(a, b) == bits
+            for other in ((b, a, tuple(list(a))) if la == lb else (b,)):
+                assert polynomials._palindromic_mul(a, other, bits) == _reference_product(a, other)
+    assert set(sizes) == {field_bytes}
+
+
+@pytest.mark.parametrize("m, k, tag", [(199, 201, "D"), (200, 200, "D"), (200, 199, "W"),
+                                       (199, 200, "W")])
+def test_palindromic_mul_matches_schoolbook_on_rows_of_two_hundred(m, k, tag):
+    # D_199 D_201 and D_200^2 have 401 coefficients, a D row times a W row of
+    # the other parity 400, above every benchmark workload's sizes
+    a, b = family_poly("D", m).coeffs, family_poly(tag, k).coeffs
+    assert polynomials._palindromic_mul(a, b, _bound_bits(a, b)) == _reference_product(a, b)
 
 
 @pytest.mark.parametrize("n", [48, 96, 160])
@@ -439,7 +491,7 @@ def test_mul_rows_one_bump_from_palindromic_take_the_general_path(monkeypatch, n
 
 
 def test_palindromic_mul_raises_when_the_ends_do_not_meet(monkeypatch):
-    # random garbage below the top 16 bits of each packed operand: no
+    # random garbage below the top 16 bits of each packed field: no
     # palindromic reading of the product adds up to its value (60
     # coefficients, so the ends meet on one slot read twice)
     x, y = (family_poly("D", m).coeffs for m in (30, 29))
@@ -455,15 +507,46 @@ def test_palindromic_mul_raises_when_the_ends_do_not_meet(monkeypatch):
         polynomials._palindromic_mul(x, y, _bound_bits(x, y))
 
 
+@pytest.mark.parametrize("m", [29, 30])
+def test_palindromic_mul_raises_on_every_unit_slip_in_a_packed_field(monkeypatch, m):
+    # D_30 D_29 (60 coefficients) and D_30^2 (61): +-1 in any one slot of any
+    # one of the packed fields turns an operand into a near-palindrome, and
+    # the middle check or h(1) = a(1) b(1) must refuse every product read
+    x, y = family_poly("D", 30).coeffs, family_poly("D", m).coeffs
+    bits = _bound_bits(x, y)
+    pack = polynomials._kronecker_pack
+    fields = []
+    monkeypatch.setattr(polynomials, "_kronecker_pack",
+                        lambda c, size: fields.append(len(c)) or pack(c, size))
+    polynomials._palindromic_mul(x, y, bits)
+    assert len(fields) == (4 if m == 30 else 8)
+    slips = 0
+    for field, slots in enumerate(fields):
+        for slot in range(slots):
+            for unit in (1, -1):
+                calls = iter(range(len(fields)))
+
+                def slipped(c, size):
+                    value = pack(c, size)
+                    return value + (unit << 8 * size * slot if next(calls) == field else 0)
+
+                monkeypatch.setattr(polynomials, "_kronecker_pack", slipped)
+                with pytest.raises(ArithmeticError):
+                    polynomials._palindromic_mul(x, y, bits)
+                slips += 1
+    assert slips == 2 * sum(fields)
+
+
 def test_palindromic_mul_raises_on_a_slot_one_bit_too_narrow():
-    # the bound 87 * 96 * 2 = 16704 has 15 bits; told 14, the slots hold one
-    # bit too few and the middle coefficient -16704 wraps to 48833, yet the
+    # the bound 2 * 23171^2 = 1,073,774,482 has 31 bits; told 30, q is one
+    # byte where 32 q - 2 >= 31 needs two, the slots of Y = 2^16 hold one
+    # bit too few, and the middle coefficients -2 * 23171^2 wrap, yet the
     # ends still meet; only the check h(1) = a(1) b(1) sees the wrong product
-    a, b = (87, 87), (-96, -96)
-    assert _bound_bits(a, b) == 15
-    assert polynomials._palindromic_mul(a, b, 15) == _reference_product(a, b)
+    a, b = (23171,) * 3, (-23171,) * 2
+    assert _bound_bits(a, b) == 31
+    assert polynomials._palindromic_mul(a, b, 31) == _reference_product(a, b)
     with pytest.raises(ArithmeticError, match=r"does not sum to a\(1\) b\(1\)"):
-        polynomials._palindromic_mul(a, b, 14)
+        polynomials._palindromic_mul(a, b, 30)
 
 
 @given(_signed_coeff_lists(), st.integers(min_value=1, max_value=20),
