@@ -17,7 +17,11 @@ records: it carries the products from n to n + 1 by the family's recurrence
 in n (``families.ROW_RECURRENCES``) at one packed point, which is linear in
 the size of the numbers per step instead of one big multiply, and falls
 back to direct products wherever the recurrence is not checked to hold on
-the rows read.  Both ``check qlc`` and the certificate reach them through
+the rows read.  It never unpacks a defect: with 2^(8s - 1) added to each
+s-byte slot, a slot's top bit is clear exactly where the defect coefficient
+is negative (``_kronecker_negative_ends``), which is exact because the slot
+keeps every coefficient below 2^(8s - 2) in absolute value.  Both
+``check qlc`` and the certificate reach them through
 ``verification._qlc_claim``, serially or from the results of a pooled run's
 one map (``verification._qlc_tasks`` lists the ranges).
 """
@@ -28,7 +32,7 @@ from typing import Sequence
 
 from .families import ROW_RECURRENCES, TriangularArray, domb_numbers, family_poly
 from .hiprec import compare_products
-from .polynomials import _kronecker_pack, _kronecker_unpack
+from .polynomials import _kronecker_negative_ends, _kronecker_pack
 
 
 def single_crossing(values: Sequence[int]) -> int | None:
@@ -144,12 +148,22 @@ def _slot_bytes(bound: int) -> int:
     return (bound.bit_length() + 1) // 8 + 1
 
 
-def _at_slot(coeffs: tuple, values: list[int], shift: int) -> int:
-    """sum_j a_j(X) values[j] at X = 2^shift, each a_j given by its integer
-    coefficients ``coeffs[j]`` ascending in q: small multiples and shifts."""
+def _slot_terms(coeffs: tuple) -> list[list[tuple[int, int]]]:
+    """The a_j of ``coeffs``, each given by its integer coefficients
+    ascending in q, as ``_at_slot`` reads them: for each power i of q,
+    highest first, the pairs (j, a_j[i]) with a_j[i] nonzero."""
+    return [[(j, a[i]) for j, a in enumerate(coeffs) if i < len(a) and a[i]]
+            for i in range(max(map(len, coeffs), default=0) - 1, -1, -1)]
+
+
+def _at_slot(terms: list[list[tuple[int, int]]], values: list[int], shift: int) -> int:
+    """sum_j a_j(X) values[j] at X = 2^shift, the a_j given as ``_slot_terms``:
+    by Horner in X, one small multiple added in per nonzero a_j[i]."""
     total = 0
-    for i in range(max(map(len, coeffs)) - 1, -1, -1):
-        total = (total << shift) + sum(a[i] * v for a, v in zip(coeffs, values) if i < len(a))
+    for power in terms:
+        total <<= shift
+        for j, c in power:
+            total += c * values[j]
     return total
 
 
@@ -178,11 +192,17 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
     checked at X for every row it advances to; below the recurrence's first
     n, at the first rows of the range and wherever the check fails (a
     tampered row), the products are multiplied directly instead.  Either way
-    each p is exactly P_a(X) P_b(X).  The slot w has w - 1 above the bit
-    length of (|c0| + sum_j |a_j|_1) max|P|, so the premise at X is the
-    polynomial identity, and of 2 max(len P) max|P|^2, which bounds every
-    defect coefficient, so the defect P_{n+1}(X) P_{n-1}(X) - P_n(X)^2
-    unpacks exactly, both maxima taken over the rows read.
+    each p is exactly P_a(X) P_b(X).  Each step builds the nonzero
+    a_j[i] once (``_slot_terms``), and ``_at_slot`` adds only their
+    multiples.  The slot w has w - 1 above the bit length of
+    (|c0| + sum_j |a_j|_1) max|P|, so the premise at X is the polynomial
+    identity, and of 2 max(len P) max|P|^2, which bounds every defect
+    coefficient, both maxima taken over the rows read.  So every defect
+    coefficient lies below 2^(w - 2) in absolute value, and its sign is read
+    from the packed defect P_{n+1}(X) P_{n-1}(X) - P_n(X)^2 exactly: with
+    2^(w - 1) added to each slot, no carry crosses a slot and a slot's top
+    bit is clear exactly when its coefficient is negative
+    (``_kronecker_negative_ends``).
     """
     tag, lo, hi = task
     start, recurrence = ROW_RECURRENCES[tag]
@@ -203,21 +223,22 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
     for m in range(lo - 1, hi + 2):
         packed[m] = value = _kronecker_pack(rows[m - lo + 1], size)
         c0, coeffs = steps.get(m - 1, (0, ()))
-        if coeffs and c0 * value == _at_slot(coeffs, [packed[m - j] for j in range(1, r + 1)],
-                                             shift):
+        terms = _slot_terms(coeffs)
+        if terms and c0 * value == _at_slot(terms, [packed[m - j] for j in range(1, r + 1)],
+                                            shift):
             for d in range(r, 0, -1):
-                terms = [products[m - min(j, d), m - max(j, d)] for j in range(1, r + 1)]
-                products[m, m - d] = _exact_quotient(_at_slot(coeffs, terms, shift), c0)
-            terms = [products[m, m - j] for j in range(1, r + 1)]
-            products[m, m] = _exact_quotient(_at_slot(coeffs, terms, shift), c0)
+                values = [products[m - min(j, d), m - max(j, d)] for j in range(1, r + 1)]
+                products[m, m - d] = _exact_quotient(_at_slot(terms, values, shift), c0)
+            values = [products[m, m - j] for j in range(1, r + 1)]
+            products[m, m] = _exact_quotient(_at_slot(terms, values, shift), c0)
         else:
             for d in range(min(reach, m - lo + 1) + 1):
                 products[m, m - d] = value * packed[m - d]
         if m > lo:
             above, here, below = rows[m - lo + 1], rows[m - lo], rows[m - lo - 1]
             count = max(len(above) + len(below), 2 * len(here), 2) - 1
-            defect = _kronecker_unpack(products[m, m - 2] - products[m - 1, m - 1], count, size)
-            out.append((m - 1, *_negative_ends(defect)))
+            out.append((m - 1, *_kronecker_negative_ends(
+                products[m, m - 2] - products[m - 1, m - 1], count, size)))
         # row m - r and its products are read by no later step
         packed.pop(m - r, None)
         for a in range(m - r, m + 1):

@@ -43,8 +43,11 @@ min(len a, len b) on any product coefficient, with a sign bit, so that no
 slot overflows into its neighbour.  Packing (``_kronecker_pack``) joins the
 coefficients' signed bytes and takes back the unit each negative slot lends
 to the next one; unpacking (``_kronecker_unpack``) slices the signed bytes
-of the product and propagates the borrow upward.  Both are linear in the
-size of the numbers.
+of the product and propagates the borrow upward.  Where only the signs
+are wanted, ``_kronecker_negative_ends`` reads the first and last negative
+slot without unpacking: 2^(w - 1) added to every slot makes each slot a
+digit of the sum with its top bit clear exactly where its coefficient is
+negative.  All three are linear in the size of the numbers.
 
 Palindromic operands, such as the self-reciprocal D and W rows, make a
 palindromic product h = ab, and ``_palindromic_mul`` evaluates it at three
@@ -75,10 +78,11 @@ Only D's q-log-convexity defects reach ``Poly.__mul__`` in the certificate
 and the CLI.  V's defects are F's read through the reversal
 V_n(q) = q^n F_n(1/q), and the W and F products are carried from n to n + 1
 by their recurrences in n (``criteria._qlc_recurrence_chunk``), at one X
-packed and read back with ``_kronecker_pack`` and ``_kronecker_unpack``;
-their few seed products multiply the packed integers directly.  Counted over
-the four benchmark workloads and every ``check`` and ``families`` command,
-each product that reaches ``Poly.__mul__`` has two palindromic int D rows:
+packed with ``_kronecker_pack``, and each defect's signs are read from its
+packed integer by ``_kronecker_negative_ends``; their few seed products
+multiply the packed integers directly.  Counted over the four benchmark
+workloads and every ``check`` and ``families`` command, each product that
+reaches ``Poly.__mul__`` has two palindromic int D rows:
 300 at the default bounds, 320 with qlc_D to n = 160 and 2 on the
 proof-sized workload.  The products of non-palindromic integer rows, which
 only a tampered row or a test makes, take the schoolbook loop.  On the 320
@@ -305,6 +309,29 @@ def _kronecker_unpack(value: int, count: int, size: int) -> list:
         borrow = v >= half
         out.append(v - full if borrow else v)
     return out
+
+
+# byte -> 1 if its top bit is clear, else 0
+_TOP_BIT_CLEAR = bytes(int(b < 0x80) for b in range(256))
+
+
+def _kronecker_negative_ends(value: int, count: int,
+                             size: int) -> tuple[int | None, int | None]:
+    """The first and last index of a negative c_i, or (None, None), of the
+    c_0..c_{count-1} of value = sum_i c_i 2^(8 size i), given every
+    |c_i| < 2^(8 size - 1); read from the top byte of each slot without
+    unpacking the c_i.
+
+    Adding 2^(8 size - 1) to every slot gives the offset coefficients
+    g_i = c_i + 2^(8 size - 1), which lie in (0, 2^(8 size)): they are the
+    base-2^(8 size) digits of the sum, no carry crosses a slot, and the top
+    bit of g_i is clear exactly when c_i < 0.
+    """
+    offset = int.from_bytes((bytes(size - 1) + b"\x80") * count, "little")
+    marks = (value + offset).to_bytes(count * size, "little")[size - 1::size]
+    marks = marks.translate(_TOP_BIT_CLEAR)
+    first = marks.find(1)
+    return (None, None) if first < 0 else (first, marks.rfind(1))
 
 
 def _bound_bits(a: tuple, b: tuple) -> int:

@@ -1,4 +1,5 @@
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,11 +7,13 @@ from hypothesis import given, settings, strategies as st
 
 from qlogconvex import criteria, families
 from qlogconvex.criteria import (
+    _at_slot,
     _exact_quotient,
     _negative_ends,
     _qlc_chunk,
     _qlc_recurrence_chunk,
     _slot_bytes,
+    _slot_terms,
     criterion_c2_sweep,
     log_convex_check,
     op_L,
@@ -25,7 +28,7 @@ from qlogconvex.families import (
     ROW_RECURRENCES,
     domb_number,
 )
-from qlogconvex.polynomials import Poly
+from qlogconvex.polynomials import Poly, _kronecker_negative_ends, _kronecker_pack
 from qlogconvex import proofpolys
 from qlogconvex.verification import qlc_check
 
@@ -240,7 +243,11 @@ def test_qlc_ranges_for_recurrences_give_one_range_per_worker_at_n_squared(n_max
 
 def test_qlc_chunks_agree_with_one_serial_chunk():
     defects = [(-1, 0, 3), (2, -5, 0, -1, 4), (1, 2), ()]
-    assert [_negative_ends(d) for d in defects] == [(0, 0), (1, 3), (None, None), (None, None)]
+    ends = [(0, 0), (1, 3), (None, None), (None, None)]
+    assert [_negative_ends(d) for d in defects] == ends
+    for size in (1, 2, 9):
+        assert [_kronecker_negative_ends(_kronecker_pack(d, size), len(d), size)
+                for d in defects] == ends
     for tag in ("V", "F"):
         whole = _qlc_chunk((tag, 1, 30))
         assert whole == _direct_rows(tag, 30)
@@ -267,6 +274,31 @@ def test_recurrence_ranges_seeded_at_lo_agree_with_one_run(tag):
         pooled = [row for lo, hi in qlc_ranges(40, 2, per_job, power)
                   for row in _qlc_recurrence_chunk((tag, lo, hi))]
         assert pooled == whole
+
+
+def _at_slot_by_definition(coeffs, values, shift):
+    """sum_j sum_i a_j[i] values[j] 2^(shift i)."""
+    return sum((a[i] * v) << (shift * i) for a, v in zip(coeffs, values) for i in range(len(a)))
+
+
+@pytest.mark.parametrize("coeffs", [
+    (),
+    ((0,),),
+    ((1, 0, 0),),  # the top power has no nonzero term, yet shifts
+    ((0, 0, 5), (3,), (0,), (-2, 0, 0, 7)),
+    ((4, -1), (0, 0, 0, -9), (0, 6)),
+    *(ROW_RECURRENCES[tag][1](n)[1] for tag in ("W", "F") for n in (1, 2, 3, 40, 159, 200)),
+])
+def test_at_slot_matches_the_sum_of_shifted_terms(coeffs):
+    rng = random.Random(len(coeffs))
+    for shift in (8, 64, 656):
+        for _ in range(4):
+            values = [rng.randint(-(1 << 2000), 1 << 2000) for _ in coeffs]
+            assert _at_slot(_slot_terms(coeffs), values, shift) == \
+                _at_slot_by_definition(coeffs, values, shift)
+    terms = _slot_terms(coeffs)
+    # one term per nonzero coefficient, none for a zero
+    assert sum(map(len, terms)) == sum(c != 0 for a in coeffs for c in a)
 
 
 def test_slot_bytes_leaves_a_spare_bit_in_the_fewest_bytes():

@@ -17,6 +17,7 @@ from qlogconvex.polynomials import (
     sturm_count_roots,
     values_at_integers,
 )
+from qlogconvex.criteria import _negative_ends
 from qlogconvex.families import FAMILY_TAGS, family_poly
 from qlogconvex import proofpolys
 from qlogconvex.proofpolys import eta_poly, theta_poly
@@ -376,6 +377,54 @@ def test_mul_dispatch_reads_operand_type_and_shape(monkeypatch):
         _reference_product([3, 1, 3], [Fraction(1, 3)] * 3))
     assert ZERO * symmetric == symmetric * ZERO == ZERO
     assert paths == []
+
+
+@st.composite
+def _packed_defects(draw):
+    """(coefficients, slot bytes) with every |c| < 2^(8 size - 2), the bound
+    ``criteria._slot_bytes`` keeps on the W and F defects: 1 to 400
+    coefficients in 1 to 160 bytes (F's slot is 126 bytes at n = 160 and
+    158 at n = 200), drawn from 0, +-1, +-(2^(8 size - 2) - 1) and values
+    in between."""
+    size = draw(st.integers(1, 160))
+    count = draw(st.integers(1, 400))
+    bound = (1 << (8 * size - 2)) - 1
+    rng = draw(st.randoms(use_true_random=False))
+    signs = {"mixed": (-1, 1), "nonnegative": (1,), "negative": (-1,), "zero": ()}
+    shape = draw(st.sampled_from(["mixed", "mixed", "nonnegative", "negative", "zero"]))
+
+    def coefficient():
+        if not signs[shape]:
+            return 0
+        sign = rng.choice(signs[shape])
+        magnitude = rng.choice([0, 1, bound, rng.randint(0, bound)])
+        return sign * (magnitude or (sign < 0))
+
+    coeffs = [coefficient() for _ in range(count)]
+    if shape == "nonnegative":
+        # a few negatives among them, at either end at times
+        for i in draw(st.lists(st.sampled_from([0, count - 1, rng.randrange(count)]),
+                               max_size=3)):
+            coeffs[i] = -rng.choice([1, bound, rng.randint(1, bound)])
+    return tuple(coeffs), size
+
+
+@settings(max_examples=300, deadline=None)
+@given(_packed_defects())
+@example(((-1,), 1))
+@example(((0,), 1))
+@example(((63,), 1))
+@example(((-63,) * 400, 1))
+@example(((0,) * 400, 160))
+@example((((1 << 1278) - 1,), 160))
+@example(((-(1 << 1278) + 1,) * 400, 160))
+def test_packed_sign_read_matches_the_unpacked_defect(case):
+    coeffs, size = case
+    value = polynomials._kronecker_pack(coeffs, size)
+    unpacked = polynomials._kronecker_unpack(value, len(coeffs), size)
+    assert unpacked == list(coeffs)
+    assert polynomials._kronecker_negative_ends(value, len(coeffs), size) == \
+        _negative_ends(unpacked)
 
 
 def test_mul_kronecker_palindromic_dispatch(monkeypatch):
