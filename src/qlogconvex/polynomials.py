@@ -105,11 +105,11 @@ from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
 
-def _strip(coeffs: list) -> tuple:
+def _strip(coeffs: tuple) -> tuple:
     i = len(coeffs)
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
-    return tuple(coeffs[:i])
+    return coeffs[:i]
 
 
 class Poly:
@@ -122,7 +122,12 @@ class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[Coeff] = ()):
-        object.__setattr__(self, "coeffs", _strip(list(coeffs)))
+        # one tuple, stripped only when it ends in a zero; the slot is set
+        # through its descriptor, since __setattr__ refuses
+        coeffs = tuple(coeffs)
+        if coeffs and coeffs[-1] == 0:
+            coeffs = _strip(coeffs)
+        _set_coeffs(self, coeffs)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -223,6 +228,8 @@ class Poly:
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
 
+
+_set_coeffs = Poly.coeffs.__set__
 
 ZERO = Poly()
 ONE = Poly([1])

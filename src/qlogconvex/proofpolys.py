@@ -27,6 +27,12 @@ substitution, Harvey 2009, arXiv:0712.4046).  The slot bound is
 sum over the terms of |scale| prod (|c0| + |c1|), which no coefficient of
 psi exceeds in absolute value, plus a sign bit, in whole bytes.  Any other
 input multiplies the factors out one at a time on coefficient lists.
+
+The cofactors psi1, psi2 and psi3 keep the grouping of their displayed
+coefficient expansions, but compute each power of n and t once and read it
+wherever the display raises it.  The test suite keeps the displayed bodies
+and holds each builder to them: identical under sympy with symbolic n and
+t, and equal at every integer pair in -5..60.
 """
 
 from __future__ import annotations
@@ -115,69 +121,81 @@ def psi_poly(n: int, t: int) -> Poly:
 
 def psi1_poly(n: int, t: int) -> Poly:
     """First derivative cofactor: psi' = (2x - t) * psi1."""
+    n2, t2 = n * n, t * t
+    n3, t3 = n2 * n, t2 * t
+    n4, t4 = n3 * n, t3 * t
+    n5 = n4 * n
+    n6 = n5 * n
     c6 = 32 * (2 * n + 1)
     c5 = -96 * (2 * n + 1) * t
     c4 = 6 * (
-        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
-        + 2 * n * (24 * t**2 - 26 * t + 29) + 24 * t**2 - 18 * t + 11
+        32 * n4 - 8 * n3 * (4 * t - 11) + 4 * n2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (24 * t2 - 26 * t + 29) + 24 * t2 - 18 * t + 11
     )
     c3 = -4 * t * (
-        96 * n**4 - 24 * n**3 * (4 * t - 11) + 12 * n**2 * (2 * t - 7) * (t - 4)
-        + 2 * n * (32 * t**2 - 78 * t + 87) + 32 * t**2 - 54 * t + 33
+        96 * n4 - 24 * n3 * (4 * t - 11) + 12 * n2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (32 * t2 - 78 * t + 87) + 32 * t2 - 54 * t + 33
     )
     c2 = -2 * (
-        128 * n**6 - 16 * n**5 * (16 * t - 25) + 4 * n**4 * (12 * t**2 - 170 * t + 125)
-        + 2 * n**3 * (2 * t - 1) * (20 * t**2 + 16 * t - 167)
-        - n**2 * (28 * t**4 - 160 * t**3 + 159 * t**2 + 341 * t - 134)
-        - 2 * n * (28 * t**4 - 82 * t**3 + 72 * t**2 + 38 * t - 17)
-        - 28 * t**4 + 66 * t**3 - 36 * t**2 - 11 * t + 6
+        128 * n6 - 16 * n5 * (16 * t - 25) + 4 * n4 * (12 * t2 - 170 * t + 125)
+        + 2 * n3 * (2 * t - 1) * (20 * t2 + 16 * t - 167)
+        - n2 * (28 * t4 - 160 * t3 + 159 * t2 + 341 * t - 134)
+        - 2 * n * (28 * t4 - 82 * t3 + 72 * t2 + 38 * t - 17)
+        - 28 * t4 + 66 * t3 - 36 * t2 - 11 * t + 6
     )
     c1 = 2 * t * (n + 1) * (
-        128 * n**5 - 16 * n**4 * (16 * t - 17) + 4 * n**3 * (36 * t**2 - 106 * t + 57)
-        - 2 * n**2 * (8 * t**3 - 72 * t**2 + 138 * t - 53)
-        - n * (4 * t**4 + 4 * t**3 - 33 * t**2 + 65 * t - 28)
-        - 4 * t**4 + 12 * t**3 - 3 * t**2 - 11 * t + 6
+        128 * n5 - 16 * n4 * (16 * t - 17) + 4 * n3 * (36 * t2 - 106 * t + 57)
+        - 2 * n2 * (8 * t3 - 72 * t2 + 138 * t - 53)
+        - n * (4 * t4 + 4 * t3 - 33 * t2 + 65 * t - 28)
+        - 4 * t4 + 12 * t3 - 3 * t2 - 11 * t + 6
     )
     c0 = (n + 1) ** 2 * (
-        64 * n**6 - 16 * n**5 * (12 * t - 5) + 8 * n**4 * (22 * t**2 - 21 * t - 3)
-        - 8 * n**3 * (4 * t**3 - 6 * t**2 - 9 * t + 7)
-        - 2 * n**2 * (12 * t**4 - 32 * t**3 + 51 * t**2 - 45 * t + 11)
-        + 2 * n * (t - 1) * (4 * t**4 - 8 * t**3 + 19 * t**2 - 15 * t + 3)
-        - 6 * t**4 + 15 * t**3 - 12 * t**2 + 3 * t
+        64 * n6 - 16 * n5 * (12 * t - 5) + 8 * n4 * (22 * t2 - 21 * t - 3)
+        - 8 * n3 * (4 * t3 - 6 * t2 - 9 * t + 7)
+        - 2 * n2 * (12 * t4 - 32 * t3 + 51 * t2 - 45 * t + 11)
+        + 2 * n * (t - 1) * (4 * t4 - 8 * t3 + 19 * t2 - 15 * t + 3)
+        - 6 * t4 + 15 * t3 - 12 * t2 + 3 * t
     )
-    return Poly([c0, c1, c2, c3, c4, c5, c6])
+    return Poly((c0, c1, c2, c3, c4, c5, c6))
 
 
 def psi2_poly(n: int, t: int) -> Poly:
     """Second derivative cofactor: psi1' = 2 (2x - t) * psi2."""
+    n2, t2 = n * n, t * t
+    n3, t3 = n2 * n, t2 * t
+    n4, t4 = n3 * n, t3 * t
+    n5 = n4 * n
     c4 = 48 * (2 * n + 1)
     c3 = -96 * t * (2 * n + 1)
     c2 = 6 * (
-        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
-        + 2 * n * (16 * t**2 - 26 * t + 29) + 16 * t**2 - 18 * t + 11
+        32 * n4 - 8 * n3 * (4 * t - 11) + 4 * n2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (16 * t2 - 26 * t + 29) + 16 * t2 - 18 * t + 11
     )
     c1 = -6 * t * (
-        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
-        + 2 * n * (8 * t**2 - 26 * t + 29) + 8 * t**2 - 18 * t + 11
+        32 * n4 - 8 * n3 * (4 * t - 11) + 4 * n2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (8 * t2 - 26 * t + 29) + 8 * t2 - 18 * t + 11
     )
     c0 = -(n + 1) * (
-        128 * n**5 - 16 * n**4 * (16 * t - 17) + 4 * n**3 * (36 * t**2 - 106 * t + 57)
-        - 2 * n**2 * (8 * t**3 - 72 * t**2 + 138 * t - 53)
-        - (4 * t**4 + 4 * t**3 - 33 * t**2 + 65 * t - 28) * n
-        - 4 * t**4 + 12 * t**3 - 3 * t**2 - 11 * t + 6
+        128 * n5 - 16 * n4 * (16 * t - 17) + 4 * n3 * (36 * t2 - 106 * t + 57)
+        - 2 * n2 * (8 * t3 - 72 * t2 + 138 * t - 53)
+        - (4 * t4 + 4 * t3 - 33 * t2 + 65 * t - 28) * n
+        - 4 * t4 + 12 * t3 - 3 * t2 - 11 * t + 6
     )
-    return Poly([c0, c1, c2, c3, c4])
+    return Poly((c0, c1, c2, c3, c4))
 
 
 def psi3_poly(n: int, t: int) -> Poly:
     """Third derivative cofactor: psi2' = 6 (2x - t) * psi3 (a quadratic)."""
+    n2, t2 = n * n, t * t
+    n3 = n2 * n
+    n4 = n3 * n
     c2 = 16 * (2 * n + 1)
     c1 = -16 * t * (2 * n + 1)
     c0 = (
-        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
-        + 2 * n * (8 * t**2 - 26 * t + 29) + 8 * t**2 - 18 * t + 11
+        32 * n4 - 8 * n3 * (4 * t - 11) + 4 * n2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (8 * t2 - 26 * t + 29) + 8 * t2 - 18 * t + 11
     )
-    return Poly([c0, c1, c2])
+    return Poly((c0, c1, c2))
 
 
 def theta_poly(n: int) -> Poly:
@@ -472,10 +490,12 @@ def cascade_breaks(polys: tuple, t: int) -> list[str]:
                    for i, s in enumerate((1, 2, 6)))
 
 
-def specialization_breaks(n: int, expanded: tuple) -> list[str]:
+def specialization_breaks(n: int, expanded: tuple, general: tuple | None = None) -> list[str]:
     """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
-    general forms at (n, n)."""
-    return _breaks((p.coeffs, q.coeffs) for p, q in zip(expanded, psi_polys(n, n)))
+    general forms (psi, .., psi3) at (n, n), built here if not given."""
+    if general is None:
+        general = psi_polys(n, n)
+    return _breaks((p.coeffs, q.coeffs) for p, q in zip(expanded, general))
 
 
 # The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):
@@ -487,13 +507,15 @@ EXTRACTIONS = {
 }
 
 
-def extraction_holds(name: str, n: int, t: int, in_t: Poly | None = None) -> bool:
-    """Whether the extraction ``name`` of ``EXTRACTIONS`` holds at (n, t);
-    ``in_t`` is its polynomial p(n) when the caller has built it already."""
-    builder, power, cofactor = EXTRACTIONS[name]
-    if in_t is None:
-        in_t = globals()[builder](n)
-    return (n + 1) ** power * in_t(t) == globals()[cofactor](n, t)(0)
+def extraction_holds(name: str, n: int, t: int, in_t: Poly, at: Poly | None = None) -> bool:
+    """Whether the extraction ``name`` of ``EXTRACTIONS`` holds at (n, t),
+    given its polynomial p(n) as ``in_t``; ``at`` is its cofactor q(n, t),
+    built here if not given, whose value at x = 0 is its constant
+    coefficient."""
+    _builder, power, cofactor = EXTRACTIONS[name]
+    if at is None:
+        at = globals()[cofactor](n, t)
+    return (n + 1) ** power * in_t(t) == at.coefficient(0)
 
 
 # --- bundles, which only build: their readers check them --------------------

@@ -16,6 +16,10 @@ a t grid or None, and a function that returns the failures at one grid
 point; the record's grid label is read from the ranges.  The row functions
 look the ``proofpolys`` builders and endpoint-form tables up when they run,
 so a builder replaced at run time is the one checked, here and in the sweeps.
+The identities that one task runs share their builds (``_grid_row``): in a
+serial run that is all of them, so each builder runs once per grid point,
+psi and its cofactors at each (n, t) and theta, xi and eta at each n,
+whichever identities read the result.
 
 The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
 orchestrator imports ``multiprocessing`` (a serial run never loads it),
@@ -650,24 +654,22 @@ _GRID_N = range(1, 18)
 _GRID_T = range(0, 18)
 _FORM_GRID_N = range(1, 21)
 
-# The failure functions of ``GRID_IDENTITIES`` take one grid point, (n, t)
-# or (n,), and look every builder and table up in ``proofpolys`` when they
-# run.  The per-n rows pass the first three what they have built already.
+# The failure functions of ``GRID_IDENTITIES`` take a memo of builds and one
+# grid point, (n, t) or (n,).  They read every polynomial through ``_built``,
+# which looks its builder up in ``proofpolys`` when it builds, and every table
+# in ``proofpolys`` when they run.  The per-n rows pass the first three
+# checkers what they have built already.
 
 
-def _cascade_failures(n: int, t: int, polys: tuple | None = None, stem: str = "psi") -> list[str]:
-    """The cascade breaks of polys = (psi, .., psi3), built here if not given."""
-    if polys is None:
-        polys = proofpolys.psi_polys(n, t)
+def _cascade_failures(n: int, t: int, polys: tuple, stem: str = "psi") -> list[str]:
+    """The cascade breaks of polys = (psi, .., psi3)."""
     return [f"{stem}{level}' cascade fails at (n={n}, t={t})"
             for level in proofpolys.cascade_breaks(polys, t)]
 
 
-def _specialization_failures(n: int, expanded: tuple | None = None) -> list[str]:
-    if expanded is None:
-        expanded = proofpolys.psi_nn_polys(n)
+def _specialization_failures(n: int, expanded: tuple, general: tuple | None = None) -> list[str]:
     return [f"psi{level} specialization fails at n={n}"
-            for level in proofpolys.specialization_breaks(n, expanded)]
+            for level in proofpolys.specialization_breaks(n, expanded, general)]
 
 
 # extraction of ``proofpolys.EXTRACTIONS`` -> its failure, with {} for the point
@@ -675,33 +677,61 @@ _EXTRACTION_MESSAGES = {"xi": "xi extraction fails at {}", "eta": "eta extractio
                         "theta": "psi(0) != (n+1)^2 theta(t) at {}"}
 
 
-def _extraction_failures(name: str, n: int, t: int, in_t: Poly | None = None) -> list[str]:
+def _extraction_failures(name: str, n: int, t: int, in_t: Poly, at: Poly | None = None) -> list[str]:
     """The extraction ``name`` at (n, t), as ``proofpolys.extraction_holds``."""
-    if proofpolys.extraction_holds(name, n, t, in_t):
+    if proofpolys.extraction_holds(name, n, t, in_t, at):
         return []
     return [_EXTRACTION_MESSAGES[name].format(f"(n={n}, t={t})")]
 
 
-def _midpoint_failures(n: int, t: int) -> list[str]:
-    polys = (proofpolys.psi1_poly(n, t), proofpolys.psi2_poly(n, t), proofpolys.psi3_poly(n, t))
+def _built(builds: dict, builder: str, *point) -> Poly:
+    """The ``proofpolys`` builder ``builder`` at ``point``, built once per memo."""
+    key = (builder, *point)
+    poly = builds.get(key)
+    if poly is None:
+        poly = builds[key] = getattr(proofpolys, builder)(*point)
+    return poly
+
+
+_PSI = ("psi_poly", "psi1_poly", "psi2_poly", "psi3_poly")
+_PSI_NN = ("psi_nn_poly", "psi1_nn_poly", "psi2_nn_poly", "psi3_nn_poly")
+
+
+def _grid_cascade(builds: dict, n: int, t: int) -> list[str]:
+    return _cascade_failures(n, t, tuple(_built(builds, b, n, t) for b in _PSI))
+
+
+def _grid_specialization(builds: dict, n: int) -> list[str]:
+    return _specialization_failures(n, tuple(_built(builds, b, n) for b in _PSI_NN),
+                                    tuple(_built(builds, b, n, n) for b in _PSI))
+
+
+def _grid_extraction(name: str, builds: dict, n: int, t: int) -> list[str]:
+    in_t, _power, at = proofpolys.EXTRACTIONS[name]
+    return _extraction_failures(name, n, t, _built(builds, in_t, n), _built(builds, at, n, t))
+
+
+def _midpoint_failures(builds: dict, n: int, t: int) -> list[str]:
+    polys = (_built(builds, b, n, t) for b in _PSI[1:])
     return [miss for _name, _value, _sign, missed in _midpoint_values(n, t, *polys)
             for miss in missed]
 
 
-def _endpoint_form_failures(table: str, n: int) -> list[str]:
+def _endpoint_form_failures(table: str, builds: dict, n: int) -> list[str]:
     forms = getattr(proofpolys, table)
+    chains = {builder: [_built(builds, builder, n)] for builder in {form[1] for form in forms}}
     return [f"{label} fails at n={n}"
-            for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, {})
+            for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, chains)
             if value != closed]
 
 
 # identity -> (n grid, t grid or None, failures at one grid point)
 GRID_IDENTITIES = {
-    "cascade": (_GRID_N, _GRID_T, _cascade_failures),
-    "specialization": (_GRID_N, None, _specialization_failures),
-    "xi_extraction": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "xi")),
-    "eta_extraction": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "eta")),
-    "theta_link": (_GRID_N, _GRID_T, functools.partial(_extraction_failures, "theta")),
+    "cascade": (_GRID_N, _GRID_T, _grid_cascade),
+    "specialization": (_GRID_N, None, _grid_specialization),
+    "xi_extraction": (_GRID_N, _GRID_T, functools.partial(_grid_extraction, "xi")),
+    "eta_extraction": (_GRID_N, _GRID_T, functools.partial(_grid_extraction, "eta")),
+    "theta_link": (_GRID_N, _GRID_T, functools.partial(_grid_extraction, "theta")),
     "midpoint_forms": (_FORM_GRID_N, _GRID_T, _midpoint_failures),
     "theta_endpoint_forms": (_FORM_GRID_N, None,
                              functools.partial(_endpoint_form_failures, "THETA_ENDPOINT_FORMS")),
@@ -712,30 +742,46 @@ GRID_IDENTITIES = {
 }
 
 
-def identity_grid_check(identity: str) -> ClaimRecord:
+def identity_grid_check(identity: str, builds: dict | None = None) -> ClaimRecord:
     """Certify one parametric identity by exhaustive exact checks on a grid.
 
     The grids strictly exceed the expanded degree bound in each parameter,
     so a clean sweep constitutes a proof of the identity, not merely
-    evidence.  Failures report the first offending grid point.
+    evidence.  Failures report the first offending grid point.  ``builds``
+    is the memo of the polynomials built at the grid points (``_built``),
+    which the identities of one sweep share; without one the identity
+    builds its own.
     """
     if identity not in GRID_IDENTITIES:
         raise ValueError(f"unknown identity {identity!r}")
     ns, ts, failures_at = GRID_IDENTITIES[identity]
+    if builds is None:
+        builds = {}
     grid = f"n={ns[0]}..{ns[-1]}"
     if ts is None:
         points = [(n,) for n in ns]
     else:
         grid += f", t={ts[0]}..{ts[-1]}"
         points = itertools.product(ns, ts)
-    failures = [failure for point in points for failure in failures_at(*point)]
+    failures = [failure for point in points for failure in failures_at(builds, *point)]
     return _record("cascade", {"identity": identity, "grid": grid}, failures)
 
 
-def _grid_row(identity: str) -> ClaimRecord:
+def _grid_chunks(jobs: int) -> list[tuple[str, ...]]:
+    """The grid identities as the items of ``_grid_row``: in a serial run one
+    chunk of all of them, so that they share every build, else
+    ``CHUNKS_PER_WORKER`` contiguous chunks per worker."""
+    return [tuple(chunk) for chunk in _chunks(list(GRID_IDENTITIES),
+                                              CHUNKS_PER_WORKER * jobs if jobs > 1 else 1)]
+
+
+def _grid_row(identities: tuple[str, ...]) -> list[ClaimRecord]:
+    """The records of a chunk of grid identities, which share one memo of
+    builds."""
     # The pool pickles this function by name; identity_grid_check is looked
     # up when the task runs, so a wrapper put in its place is still called.
-    return identity_grid_check(identity)
+    builds: dict = {}
+    return [identity_grid_check(identity, builds) for identity in identities]
 
 
 # --- q-log-convexity and monotonicity claims ------------------------------------
@@ -877,7 +923,8 @@ SWEEPS = (
     ("prop33", lambda c, batch: verify_prop33(c.n_max_factorization, batch)),
     ("claims123", lambda c, batch: verify_claims(c.n_max_sturm, batch)),
     ("factorization", lambda c, batch: factorization_sweep(c.n_max_factorization, batch)),
-    ("cascade", lambda c, batch: _map_rows(batch, _grid_row, GRID_IDENTITIES)),
+    ("cascade", lambda c, batch: [record for chunk in _map_rows(
+        batch, _grid_row, _grid_chunks(c.parallelism)) for record in chunk]),
     ("qlc_D", lambda c, batch: [_qlc_claim("D", c.n_max_direct, c.parallelism, batch)[0]]),
     ("qlc_W", lambda c, batch: [_qlc_claim("W", c.n_max_direct, c.parallelism, batch)[0]]),
     ("qlc_F", _qlc_f_and_v),  # and qlc_V, read from F's defects
@@ -903,7 +950,7 @@ def _schedule(config: VerificationConfig) -> list[tuple]:
         *_split(_factorization_row, range(1, n_fact + 1), jobs),
         *_split(_prop31_row, range(1, n_sturm + 1), jobs),
         *_qlc_schedule("W", n_direct, jobs),
-        *_split(_grid_row, GRID_IDENTITIES, jobs),
+        *[(_grid_row, [chunk]) for chunk in _grid_chunks(jobs)],
         *_split(_claims23_row, range(4, n_sturm + 1), jobs),
         *_split(_prop33_row, range(2, n_fact + 1), jobs),
     ]

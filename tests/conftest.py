@@ -1,6 +1,23 @@
+import warnings
+
 import pytest
 
 from qlogconvex.families import DOMB_ARRAY, NARAYANA_ARRAY
+
+# Hypothesis's pytest plugin imports its patch writer, and through it libcst,
+# only when it reports a failing example.  libcst still declares a
+# mypy_extensions TypedDict, whose DeprecationWarning becomes an error under
+# `pytest -W error` inside the plugin's report hook and ends the session with
+# INTERNALERROR before the remaining tests run.  Import it here with that one
+# warning ignored; every other warning, those of qlogconvex included, stays an
+# error.
+with warnings.catch_warnings():
+    warnings.filterwarnings("ignore", message=r"mypy_extensions\.TypedDict is deprecated",
+                            category=DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: the plugin skips the patch and so the import
+        pass
 
 
 @pytest.fixture(autouse=True)

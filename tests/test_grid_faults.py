@@ -266,3 +266,31 @@ def test_a_cofactor_wrong_past_the_grid_fails_the_claim_that_rests_on_it(monkeyp
     assert _failing(verify_prop32(72)) == [(
         "prop32", {"n": str(n), "t_range": f"0..{n - 1}"},
         {"first_failure": f"psi{level}' cascade fails at (n={n}, t=0)", "failure_count": str(n)})]
+
+
+GRID_BUILDERS = ("psi_poly", "psi1_poly", "psi2_poly", "psi3_poly",
+                 "theta_poly", "xi_poly", "eta_poly")
+
+
+def test_the_serial_grid_sweep_builds_each_polynomial_once_per_grid_point(monkeypatch):
+    built = collections.Counter()
+    for name in GRID_BUILDERS:
+        original = getattr(proofpolys, name)
+        monkeypatch.setattr(proofpolys, name,
+                            lambda *point, name=name, original=original:
+                            built.update([(name, *point)]) or original(*point))
+    checked = collections.Counter()
+    original_check = verification.identity_grid_check
+    monkeypatch.setattr(verification, "identity_grid_check",
+                        lambda identity, builds: checked.update([identity])
+                        or original_check(identity, builds))
+    (identities,) = verification._grid_chunks(1)
+    records = verification._grid_row(identities)
+    assert all(record.passed for record in records)
+    assert checked == collections.Counter(list(GRID_IDENTITIES))
+    assert max(built.values()) == 1
+    # psi on the 17 x 18 grid, its cofactors also on the midpoint grid's
+    # 20 x 18, and the polynomials in t once for each of the 20 n
+    assert collections.Counter(name for name, *_point in built) == {
+        "psi_poly": 306, "psi1_poly": 360, "psi2_poly": 360, "psi3_poly": 360,
+        "theta_poly": 20, "xi_poly": 20, "eta_poly": 20}

@@ -30,6 +30,39 @@ def test_canonical_form_strips_trailing_zeros():
     assert Poly([5]).degree == 0
 
 
+def _strip_list_reference(coeffs: list) -> tuple:
+    """The canonical form as Poly built it once, by copying the input to a
+    list and that list's prefix to a tuple, kept here as the reference."""
+    i = len(coeffs)
+    while i > 0 and coeffs[i - 1] == 0:
+        i -= 1
+    return tuple(coeffs[:i])
+
+
+_coefficients = st.one_of(
+    st.integers(min_value=-10**30, max_value=10**30),
+    st.fractions(max_denominator=10**6),
+    st.sampled_from([0, Fraction(0), Fraction(0, 7)]))
+
+
+def _generated(coeffs):
+    return (c for c in coeffs)
+
+
+@given(st.lists(_coefficients, max_size=12), st.integers(min_value=0, max_value=6),
+       st.sampled_from([list, tuple, _generated]))
+@example([], 0, list)
+@example([], 3, _generated)
+@example([0, Fraction(0)], 2, tuple)
+@settings(max_examples=300)
+def test_poly_keeps_the_canonical_form_of_the_list_copy(coeffs, zeros, container):
+    padded = coeffs + [0, Fraction(0)] * (zeros // 2) + [0] * (zeros % 2)
+    built = Poly(container(padded))
+    assert built.coeffs == _strip_list_reference(list(padded))
+    assert type(built.coeffs) is tuple
+    assert all(type(a) is type(b) for a, b in zip(built.coeffs, padded))
+
+
 def test_ring_operation_examples():
     one_plus_q = Poly([1, 1])
     assert one_plus_q * one_plus_q == Poly([1, 2, 1])

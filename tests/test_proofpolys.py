@@ -160,6 +160,99 @@ def test_grid_premise_and_cascade_symbolically():
     assert sympy.expand(psi.subs(x, 0) - (n + 1) ** 2 * theta_t) == 0
 
 
+# The cofactors in their displayed forms, each power of n and t raised where
+# it is read: the reference that the builders, which compute each power
+# once, must equal coefficient for coefficient.
+
+
+def _displayed_psi1(n, t):
+    """First derivative cofactor: psi' = (2x - t) * psi1."""
+    c6 = 32 * (2 * n + 1)
+    c5 = -96 * (2 * n + 1) * t
+    c4 = 6 * (
+        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (24 * t**2 - 26 * t + 29) + 24 * t**2 - 18 * t + 11
+    )
+    c3 = -4 * t * (
+        96 * n**4 - 24 * n**3 * (4 * t - 11) + 12 * n**2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (32 * t**2 - 78 * t + 87) + 32 * t**2 - 54 * t + 33
+    )
+    c2 = -2 * (
+        128 * n**6 - 16 * n**5 * (16 * t - 25) + 4 * n**4 * (12 * t**2 - 170 * t + 125)
+        + 2 * n**3 * (2 * t - 1) * (20 * t**2 + 16 * t - 167)
+        - n**2 * (28 * t**4 - 160 * t**3 + 159 * t**2 + 341 * t - 134)
+        - 2 * n * (28 * t**4 - 82 * t**3 + 72 * t**2 + 38 * t - 17)
+        - 28 * t**4 + 66 * t**3 - 36 * t**2 - 11 * t + 6
+    )
+    c1 = 2 * t * (n + 1) * (
+        128 * n**5 - 16 * n**4 * (16 * t - 17) + 4 * n**3 * (36 * t**2 - 106 * t + 57)
+        - 2 * n**2 * (8 * t**3 - 72 * t**2 + 138 * t - 53)
+        - n * (4 * t**4 + 4 * t**3 - 33 * t**2 + 65 * t - 28)
+        - 4 * t**4 + 12 * t**3 - 3 * t**2 - 11 * t + 6
+    )
+    c0 = (n + 1) ** 2 * (
+        64 * n**6 - 16 * n**5 * (12 * t - 5) + 8 * n**4 * (22 * t**2 - 21 * t - 3)
+        - 8 * n**3 * (4 * t**3 - 6 * t**2 - 9 * t + 7)
+        - 2 * n**2 * (12 * t**4 - 32 * t**3 + 51 * t**2 - 45 * t + 11)
+        + 2 * n * (t - 1) * (4 * t**4 - 8 * t**3 + 19 * t**2 - 15 * t + 3)
+        - 6 * t**4 + 15 * t**3 - 12 * t**2 + 3 * t
+    )
+    return Poly([c0, c1, c2, c3, c4, c5, c6])
+
+
+def _displayed_psi2(n, t):
+    """Second derivative cofactor: psi1' = 2 (2x - t) * psi2."""
+    c4 = 48 * (2 * n + 1)
+    c3 = -96 * t * (2 * n + 1)
+    c2 = 6 * (
+        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (16 * t**2 - 26 * t + 29) + 16 * t**2 - 18 * t + 11
+    )
+    c1 = -6 * t * (
+        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (8 * t**2 - 26 * t + 29) + 8 * t**2 - 18 * t + 11
+    )
+    c0 = -(n + 1) * (
+        128 * n**5 - 16 * n**4 * (16 * t - 17) + 4 * n**3 * (36 * t**2 - 106 * t + 57)
+        - 2 * n**2 * (8 * t**3 - 72 * t**2 + 138 * t - 53)
+        - (4 * t**4 + 4 * t**3 - 33 * t**2 + 65 * t - 28) * n
+        - 4 * t**4 + 12 * t**3 - 3 * t**2 - 11 * t + 6
+    )
+    return Poly([c0, c1, c2, c3, c4])
+
+
+def _displayed_psi3(n, t):
+    """Third derivative cofactor: psi2' = 6 (2x - t) * psi3 (a quadratic)."""
+    c2 = 16 * (2 * n + 1)
+    c1 = -16 * t * (2 * n + 1)
+    c0 = (
+        32 * n**4 - 8 * n**3 * (4 * t - 11) + 4 * n**2 * (2 * t - 7) * (t - 4)
+        + 2 * n * (8 * t**2 - 26 * t + 29) + 8 * t**2 - 18 * t + 11
+    )
+    return Poly([c0, c1, c2])
+
+
+DISPLAYED_COFACTORS = ((psi1_poly, _displayed_psi1), (psi2_poly, _displayed_psi2),
+                       (psi3_poly, _displayed_psi3))
+
+
+def test_cofactor_builders_equal_their_displayed_forms_symbolically():
+    sympy = pytest.importorskip("sympy")
+    n, t = sympy.symbols("n t")
+    for built, displayed in DISPLAYED_COFACTORS:
+        new, old = built(n, t).coeffs, displayed(n, t).coeffs
+        assert len(new) == len(old), built.__name__
+        for i, (a, b) in enumerate(zip(new, old)):
+            assert sympy.expand(a - b) == 0, (built.__name__, i)
+
+
+def test_cofactor_builders_equal_their_displayed_forms_at_integers():
+    for built, displayed in DISPLAYED_COFACTORS:
+        for n in range(-5, 61):
+            for t in range(-5, 61):
+                assert built(n, t) == displayed(n, t), (built.__name__, n, t)
+
+
 def test_theta_bundle_known_values():
     bundle = build_theta(5)
     assert bundle.theta(0) == 2 * 25 * 9 * 216 == 97200
