@@ -16,39 +16,39 @@ a t grid or None, and a function that returns the failures at one grid
 point; the record's grid label is read from the ranges.  The row functions
 look the ``proofpolys`` builders and endpoint-form tables up when they run,
 so a builder replaced at run time is the one checked, here and in the sweeps.
-The identities that one task runs share their builds (``_grid_row``): in a
-serial run that is all of them, so each builder runs once per grid point,
+The nine identities run as one row (``_grid_row``) in every run, serial or
+pooled, and share its builds, so each builder runs once per grid point,
 psi and its cofactors at each (n, t) and theta, xi and eta at each n,
 whichever identities read the result.
 
-The sweeps are listed once, in ``SWEEPS``.  With ``parallelism`` above 1 the
-orchestrator imports ``multiprocessing`` (a serial run never loads it),
-opens a single pool before the first sweep and sends the independent rows
-of every sweep through it in one ``pool.map``, with no barrier between
-sweeps, then closes it.  ``_schedule`` lists the tasks, costliest sweep
-first: the n-rows of prop31, prop32, prop33, claims 2 and 3 and the
-factorization, and the grid identities, each cut into ``CHUNKS_PER_WORKER``
-contiguous chunks per worker, ascending in n within a chunk so that the
-Domb array's three-row window builds each row once; and contiguous n-ranges
-of about equal cost for the q-log-convexity defects of D, W and F (W and F
-advanced by their recurrences in n, one range per worker, each seeded at
-its first rows), each sending back only the first and last negative index
-per n.  V's defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so
-qlc_V is decided in the parent from F's indices and an exact check that
-each V row is the F row reversed.  The sweeps then run in the parent as
-they do serially, each reading its rows from the map's results
-(``_map_rows``); only the small parts are computed there (claim 1, that
-reversal check, the series and the monotonicity evidence).  The rows are
-the same private functions the serial run loops over, the records are
-sorted before they are assembled, and a row that raises in a worker is
-raised again in its sweep in row order, so serial and pooled certificates
-have the same claims and verdict; their ``parameters`` differ only in
-``parallelism``, and the timestamps differ.  If the map itself raises, every
-pooled sweep gets an error record.  The pool uses the fork start method, so
-the workers are copies of the parent as it is when the run starts and see
-any function replaced before the run began.  ``check qlc`` reads
-``qlc_check``, which gives one family's qlc record and rows the same way,
-in a pool and a map of its own.
+The sweeps are listed once, in ``SWEEPS``, costliest first, and each
+computes only inside its rows, which it reads through ``_map_rows``: claim
+1, V's reversal check, the series and the monotonicity evidence are
+one-item rows.  With ``parallelism`` above 1 the orchestrator imports
+``multiprocessing`` (a serial run never loads it), opens a single pool and
+runs the sweeps twice (``_pooled``).  The first pass plans the map: each
+sweep records its (row, items) and reads no rows, so the pass computes
+nothing.  Each recorded sweep is cut into ``CHUNKS_PER_WORKER`` contiguous
+chunks per worker, ascending in n within a chunk and the last chunk first,
+and the chunks of every sweep go through one ``pool.map``, with no barrier
+between sweeps.  The q-log-convexity defects of D, W and F are items of
+contiguous n-ranges of about equal cost (W and F advanced by their
+recurrences in n, one range per worker, each seeded at its first rows),
+each sending back only the first and last negative index per n.  V's
+defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is
+decided from F's indices and a row that checks that each V row is the F
+row reversed.  The second pass runs the sweeps in the parent as they run
+serially, each reading its rows from the map's results.  The rows are the
+same private functions the serial run calls, the records are sorted before
+they are assembled, and a row that raises in a worker is raised again in
+its sweep in row order, so serial and pooled certificates have the same
+claims and verdict; their ``parameters`` differ only in ``parallelism``,
+and the timestamps differ.  If the map itself raises, every sweep gets an
+error record.  The pool uses the fork start method, so the workers are
+copies of the parent as it is when the run starts and see any function
+replaced before the run began.  ``check qlc`` reads ``qlc_check``, which
+gives one family's qlc record and rows the same way, in a pool and a map
+of its own.
 """
 
 from __future__ import annotations
@@ -136,7 +136,7 @@ def _pool(jobs: int):
     return multiprocessing.get_context("fork").Pool(jobs)
 
 
-# Contiguous chunks per worker that each n-sweep of a pooled run is cut into.
+# Contiguous chunks per worker that each sweep of a pooled run is cut into.
 # Fewer chunks send fewer tasks and rebuild fewer array rows at chunk edges;
 # more leave smaller tasks to even out the workers before the one barrier.
 # Measured with `verify-paper --jobs 2` at default bounds on 2 cores: 1, 2,
@@ -172,51 +172,58 @@ def _run_chunk(task: tuple) -> list[tuple[bool, object]]:
 
 def _run_batch(jobs: int, tasks: list[tuple]) -> dict:
     """Every task (row, items) through one ``pool.map`` in a pool of ``jobs``
-    workers, one task at a time in list order, as {row: {item: (ok, value)}}.
+    workers, one task at a time in list order, as {(row, item): (ok, value)}.
     When the map itself raises (a worker died, or a result could not be
-    pickled back), each task's first item holds (False, that exception), so
-    ``_map_rows`` raises it for every row it is asked for."""
+    pickled back), every item holds (False, that exception), so every
+    pooled sweep raises it."""
     with _pool(jobs) as pool:
         try:
             outcomes = pool.map(_run_chunk, tasks, chunksize=1)
         except Exception as exc:  # every pooled sweep gets its own error record
-            outcomes = [[(False, exc)]] * len(tasks)
-    batch: dict = {}
-    for (row, items), chunk in zip(tasks, outcomes):
-        batch.setdefault(row, {}).update(zip(items, chunk))
-    return batch
-
-
-def _split(row, items, jobs: int) -> list[tuple]:
-    """The tasks of one n-sweep: its items in ``CHUNKS_PER_WORKER`` chunks per
-    worker, each ascending in n so that the array's three-row window builds
-    each row once, and the last chunk first, since a row's cost grows with n."""
-    return [(row, chunk) for chunk in _chunks(list(items), CHUNKS_PER_WORKER * jobs)[::-1]]
+            outcomes = [[(False, exc)] * len(items) for _row, items in tasks]
+    return {(row, item): outcome for (row, items), chunk in zip(tasks, outcomes)
+            for item, outcome in zip(items, chunk)}
 
 
 def _map_rows(batch, row, items) -> list:
-    """``[row(item) for item in items]``, read from ``batch`` when there is one.
+    """``[row(item) for item in items]``, planned or read in a pooled run.
 
-    A pooled run computes every row before the first sweep, in one
-    ``pool.map`` (``_run_batch``) of the tasks that ``_schedule`` lists, or
-    ``_qlc_schedule`` for ``qlc_check``, and the sweeps then run in this
-    process, each reading its rows here.  A row that raised in a worker is
-    raised here, the first in item order, as the serial loop would raise
-    it.  A row the batch did not plan raises ``LookupError``, so a schedule
-    that drifts from its sweep fails that sweep.
+    A pooled run (``_pooled``) runs its sweeps twice.  In the first pass
+    ``batch`` is a list, the plan: the sweep's (row, items) is appended to
+    it and no row is computed.  In the second it is the result of the one
+    ``pool.map`` of the plan (``_run_batch``), and the rows are read from
+    it; a row that raised in a worker is raised here, the first in item
+    order, as the serial loop would raise it.
     """
     if batch is None:
         return [row(item) for item in items]
-    outcomes = batch.get(row, {})
+    if isinstance(batch, list):
+        batch.append((row, list(items)))
+        return []
     results = []
     for item in items:
-        if item not in outcomes:
-            raise LookupError(f"the pooled schedule has no row {row.__name__}({item!r})")
-        ok, value = outcomes[item]
+        ok, value = batch[row, item]
         if not ok:
             raise value
         results.append(value)
     return results
+
+
+def _pooled(run, jobs: int):
+    """``run(batch)`` for a ``run`` that reads every row through
+    ``_map_rows``: ``run(None)`` when ``jobs`` is 1.  Else ``run`` plans with
+    an empty list, each planned sweep is cut into ``CHUNKS_PER_WORKER``
+    contiguous chunks per worker, ascending in n so that the Domb array's
+    three-row window builds each row once, the last chunk first since a
+    row's cost grows with n, and ``run`` reads the rows of one map of every
+    chunk in plan order (``_run_batch``)."""
+    if jobs <= 1:
+        return run(None)
+    plan: list = []
+    run(plan)
+    count = CHUNKS_PER_WORKER * jobs
+    return run(_run_batch(jobs, [(row, chunk) for row, items in plan
+                                 for chunk in _chunks(items, count)[::-1]]))
 
 
 class Certificate(NamedTuple):
@@ -613,12 +620,16 @@ def verify_claims(n_max: int, batch=None) -> list[ClaimRecord]:
     exact endpoint evaluations against the displayed closed forms, and each
     n checks the x = 0 extractions xi = psi1(0)/(n+1)^2, eta = psi2(0)/(n+1).
     """
-    claim1_failures = []
-    for n, t in CLAIM1_PAIRS:
-        if proofpolys.eta_poly(n)(t) >= 0:
-            claim1_failures.append(f"psi2(0) not negative at (n={n}, t={t})")
-    claim1 = _record("claims123", {"part": "claim1", "n": 0}, claim1_failures)
-    return [claim1] + _map_rows(batch, _claims23_row, range(4, n_max + 1))
+    return (_map_rows(batch, _claim1_row, [CLAIM1_PAIRS])
+            + _map_rows(batch, _claims23_row, range(4, n_max + 1)))
+
+
+def _claim1_row(pairs: tuple) -> ClaimRecord:
+    """Claim 1: psi2(0), which has the sign of eta(t), is negative at each
+    pair (n, t)."""
+    failures = [f"psi2(0) not negative at (n={n}, t={t})"
+                for n, t in pairs if proofpolys.eta_poly(n)(t) >= 0]
+    return _record("claims123", {"part": "claim1", "n": 0}, failures)
 
 
 def _claims23_row(n: int) -> ClaimRecord:
@@ -767,17 +778,9 @@ def identity_grid_check(identity: str, builds: dict | None = None) -> ClaimRecor
     return _record("cascade", {"identity": identity, "grid": grid}, failures)
 
 
-def _grid_chunks(jobs: int) -> list[tuple[str, ...]]:
-    """The grid identities as the items of ``_grid_row``: in a serial run one
-    chunk of all of them, so that they share every build, else
-    ``CHUNKS_PER_WORKER`` contiguous chunks per worker."""
-    return [tuple(chunk) for chunk in _chunks(list(GRID_IDENTITIES),
-                                              CHUNKS_PER_WORKER * jobs if jobs > 1 else 1)]
-
-
 def _grid_row(identities: tuple[str, ...]) -> list[ClaimRecord]:
-    """The records of a chunk of grid identities, which share one memo of
-    builds."""
+    """The records of the grid identities ``identities``, which share one
+    memo of builds; the sweep passes all of them, in one row."""
     # The pool pickles this function by name; identity_grid_check is looked
     # up when the task runs, so a wrapper put in its place is still called.
     builds: dict = {}
@@ -797,12 +800,6 @@ def _qlc_tasks(tag: str, n_max: int, jobs: int) -> tuple:
     return _qlc_chunk, [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
 
 
-def _qlc_schedule(tag: str, n_max: int, jobs: int) -> list[tuple]:
-    """The pooled tasks of family ``tag``'s defects: one per range."""
-    row, tasks = _qlc_tasks(tag, n_max, jobs)
-    return [(row, [task]) for task in tasks]
-
-
 def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
                f_rows=None) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
     """One family's q-log-convexity record for n = 1..n_max, and its rows
@@ -810,12 +807,13 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
     row shape every engine gives.
 
     D multiplies its defects out and keeps only those two indices of each:
-    in this process through ``q_log_convex_direct``, or in a pooled run's
-    ``batch`` in contiguous n-ranges of ``criteria._qlc_chunk``.  W and F,
-    which have recurrences in n (``families.ROW_RECURRENCES``), advance
-    their defect products by them in ``criteria._qlc_recurrence_chunk``: one
-    range 1..n_max in this process, or one range per worker in ``batch``,
-    each seeded directly.  ``_qlc_tasks`` lists the ranges.
+    through ``q_log_convex_direct`` when ``jobs`` is 1, else in contiguous
+    n-ranges of ``criteria._qlc_chunk``.  W and F, which have recurrences
+    in n (``families.ROW_RECURRENCES``), advance their defect products by
+    them in ``criteria._qlc_recurrence_chunk``: one range 1..n_max when
+    ``jobs`` is 1, else one range per worker, each seeded directly.
+    ``_qlc_tasks`` lists the ranges, and ``_map_rows`` computes, plans or
+    reads them as ``batch`` says, so the rows depend on ``jobs`` alone.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -825,19 +823,21 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
     so V's defect coefficient i is F's coefficient 2n - i (F's defect may
     end in zeros, which Poly strips; the map is 2n - i, not from the end),
     and V's first negative index is 2n minus F's last.  The premise is
-    checked exactly for every m in 0..n_max+1: F's row m has degree m and
-    V's row m is it reversed.  A row that fails the check fails the record,
-    and no defect is read through it.
+    checked exactly for every m in 0..n_max+1, in one row
+    (``_unmirrored_rows``): F's row m has degree m and V's row m is it
+    reversed.  A row that fails the check fails the record, and no defect
+    is read through it.
     """
     if tag == "V":
-        unmirrored = _unmirrored_rows(n_max)
+        # a planning pass reads no rows, and the union of none is empty
+        unmirrored = set().union(*_map_rows(batch, _unmirrored_rows, [n_max]))
         failures = [f"row {m} of V is not row {m} of F reversed" for m in unmirrored]
         rows = [(n, None if last is None else 2 * n - last,
                  None if first is None else 2 * n - first)
                 for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
         failures = []
-        if batch is None and tag not in ROW_RECURRENCES:
+        if jobs <= 1 and tag not in ROW_RECURRENCES:
             rows = q_log_convex_direct(tag, n_max)
         else:
             row, tasks = _qlc_tasks(tag, n_max, jobs)
@@ -852,14 +852,15 @@ def qlc_check(tag: str, n_max: int,
     """The ``qlc_<tag>`` record of a certificate with ``n_max_direct`` =
     ``n_max`` and ``parallelism`` = ``jobs``, and its rows (n, first
     negative, last negative defect coefficient index), from ``_qlc_claim``.
-    With ``jobs`` above 1 the family's ranges go through one ``pool.map``
-    in a pool of its own, as a pooled run's do.  V reads F's rows, as
-    ``_qlc_f_and_v`` does.
+    With ``jobs`` above 1 the family's rows go through one ``pool.map`` in
+    a pool of its own, planned as a pooled run's are (``_pooled``).  V
+    reads F's rows, as ``_qlc_f_and_v`` does.
     """
-    batch = None if jobs <= 1 else _run_batch(
-        jobs, _qlc_schedule("F" if tag == "V" else tag, n_max, jobs))
-    f_rows = _qlc_claim("F", n_max, jobs, batch)[1] if tag == "V" else None
-    return _qlc_claim(tag, n_max, jobs, batch, f_rows)
+    def claim(batch):
+        f_rows = _qlc_claim("F", n_max, jobs, batch)[1] if tag == "V" else None
+        return _qlc_claim(tag, n_max, jobs, batch, f_rows)
+
+    return _pooled(claim, jobs)
 
 
 def _unmirrored_rows(n_max: int) -> set[int]:
@@ -899,6 +900,17 @@ def _monotonicity_claim(n_max: int, root_ratio_n_max: int) -> ClaimRecord:
                    {"n_max": n_max, "root_ratio_n_max": root_ratio_n_max}, failures)
 
 
+# The pool pickles a row by name, and these two look their claim up when the
+# row runs, so a wrapper put in its place is still called, as in _grid_row.
+
+def _monotonicity_row(bounds: tuple[int, int]) -> ClaimRecord:
+    return _monotonicity_claim(*bounds)
+
+
+def _series_row(bounds: tuple[int, int]) -> ClaimRecord:
+    return series_claim(*bounds)
+
+
 # --- orchestration ---------------------------------------------------------------
 
 def _sort_key(record: ClaimRecord):
@@ -912,48 +924,29 @@ def _sort_key(record: ClaimRecord):
     )
 
 
-# Every sweep in run order: the claim id of its error record, and a function
-# of the run's config and batch (None when serial) that returns its records.
-# Degenerate bounds leave a sweep empty rather than failing the certificate:
-# a sweep whose bound is below its first n has no rows, and monotonicity,
-# whose check raises below n = 2, is skipped there.
+# Every sweep, costliest first (in-process timings at default bounds), so that
+# cheap rows fill the tail of a pooled run's map: the claim id of its error
+# record, and a function of the run's config and batch that returns its
+# records, computing only in its rows (``_map_rows``).  Degenerate bounds
+# leave a sweep empty rather than failing the certificate: a sweep whose
+# bound is below its first n has no rows, and monotonicity, whose check
+# raises below n = 2, is skipped there.
 SWEEPS = (
-    ("prop31", lambda c, batch: verify_prop31(c.n_max_sturm, batch)),
-    ("prop32", lambda c, batch: verify_prop32(c.n_max_factorization, batch)),
-    ("prop33", lambda c, batch: verify_prop33(c.n_max_factorization, batch)),
-    ("claims123", lambda c, batch: verify_claims(c.n_max_sturm, batch)),
-    ("factorization", lambda c, batch: factorization_sweep(c.n_max_factorization, batch)),
-    ("cascade", lambda c, batch: [record for chunk in _map_rows(
-        batch, _grid_row, _grid_chunks(c.parallelism)) for record in chunk]),
     ("qlc_D", lambda c, batch: [_qlc_claim("D", c.n_max_direct, c.parallelism, batch)[0]]),
-    ("qlc_W", lambda c, batch: [_qlc_claim("W", c.n_max_direct, c.parallelism, batch)[0]]),
+    ("prop32", lambda c, batch: verify_prop32(c.n_max_factorization, batch)),
     ("qlc_F", _qlc_f_and_v),  # and qlc_V, read from F's defects
-    ("series", lambda c, batch: [series_claim(c.series_N, c.series_digits)]),
-    ("monotonicity", lambda c, batch: [_monotonicity_claim(c.n_max_monotonicity,
-                                                           c.n_max_root_ratio)]
+    ("factorization", lambda c, batch: factorization_sweep(c.n_max_factorization, batch)),
+    ("qlc_W", lambda c, batch: [_qlc_claim("W", c.n_max_direct, c.parallelism, batch)[0]]),
+    ("prop31", lambda c, batch: verify_prop31(c.n_max_sturm, batch)),
+    ("claims123", lambda c, batch: verify_claims(c.n_max_sturm, batch)),
+    ("cascade", lambda c, batch: [record for records in _map_rows(
+        batch, _grid_row, [tuple(GRID_IDENTITIES)]) for record in records]),
+    ("prop33", lambda c, batch: verify_prop33(c.n_max_factorization, batch)),
+    ("monotonicity", lambda c, batch: _map_rows(
+        batch, _monotonicity_row, [(c.n_max_monotonicity, c.n_max_root_ratio)])
         if c.n_max_monotonicity >= 2 else []),
+    ("series", lambda c, batch: _map_rows(batch, _series_row, [(c.series_N, c.series_digits)])),
 )
-
-
-def _schedule(config: VerificationConfig) -> list[tuple]:
-    """The tasks (row, items) of a pooled run: every row that ``SWEEPS``
-    reads through ``_map_rows``, costliest sweep first as a traced serial
-    run at default bounds times them (qlc_D, prop32, qlc_F, factorization,
-    prop31, qlc_W, then the grid identities, claims 2-3 and prop33), so
-    that the cheap tasks fill the tail of the one map."""
-    jobs, n_direct = config.parallelism, config.n_max_direct
-    n_fact, n_sturm = config.n_max_factorization, config.n_max_sturm
-    return [
-        *_qlc_schedule("D", n_direct, jobs),
-        *_split(_prop32_row, range(2, n_fact + 1), jobs),
-        *_qlc_schedule("F", n_direct, jobs),
-        *_split(_factorization_row, range(1, n_fact + 1), jobs),
-        *_split(_prop31_row, range(1, n_sturm + 1), jobs),
-        *_qlc_schedule("W", n_direct, jobs),
-        *[(_grid_row, [chunk]) for chunk in _grid_chunks(jobs)],
-        *_split(_claims23_row, range(4, n_sturm + 1), jobs),
-        *_split(_prop33_row, range(2, n_fact + 1), jobs),
-    ]
 
 
 def run_full_verification(config: VerificationConfig | None = None) -> Certificate:
@@ -962,20 +955,21 @@ def run_full_verification(config: VerificationConfig | None = None) -> Certifica
     Unexpected exceptions inside a sweep become failing claim records; the
     overall verdict is "pass" exactly when every record passed.  With
     ``parallelism`` above 1 one pool of that many workers computes the rows
-    of every sweep in one map (``_schedule``) before the sweeps run.
+    of every sweep in one map, planned by running the sweeps (``_pooled``).
     """
     config = config or VerificationConfig()
     config.validate()
 
-    jobs = config.parallelism
-    batch = None if jobs <= 1 else _run_batch(jobs, _schedule(config))
-    claims: list[ClaimRecord] = []
-    for claim_id, sweep in SWEEPS:
-        try:
-            claims.extend(sweep(config, batch))
-        except Exception as exc:  # a failed sweep must surface, never vanish
-            claims.append(_error_record(claim_id, exc))
+    def run_sweeps(batch) -> list[ClaimRecord]:
+        claims: list[ClaimRecord] = []
+        for claim_id, sweep in SWEEPS:
+            try:
+                claims.extend(sweep(config, batch))
+            except Exception as exc:  # a failed sweep must surface, never vanish
+                claims.append(_error_record(claim_id, exc))
+        return claims
 
+    claims = _pooled(run_sweeps, config.parallelism)
     claims.sort(key=_sort_key)
     verdict = "pass" if all(c.passed for c in claims) else "fail"
     return Certificate(

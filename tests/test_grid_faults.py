@@ -284,8 +284,7 @@ def test_the_serial_grid_sweep_builds_each_polynomial_once_per_grid_point(monkey
     monkeypatch.setattr(verification, "identity_grid_check",
                         lambda identity, builds: checked.update([identity])
                         or original_check(identity, builds))
-    (identities,) = verification._grid_chunks(1)
-    records = verification._grid_row(identities)
+    records = verification._grid_row(tuple(GRID_IDENTITIES))
     assert all(record.passed for record in records)
     assert checked == collections.Counter(list(GRID_IDENTITIES))
     assert max(built.values()) == 1

@@ -1,3 +1,4 @@
+import collections
 import json
 import math
 import multiprocessing
@@ -10,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from qlogconvex.polynomials import Poly
-from qlogconvex import criteria, families, polynomials, proofpolys
+from qlogconvex import criteria, families, hiprec, polynomials, proofpolys
 from qlogconvex.verification import (
     BOUNDARY_TABLE,
     CLAIM1_PAIRS,
@@ -215,8 +216,8 @@ def test_factorization_sweep_small():
 
 
 def test_factorization_sweep_parallel_matches_serial():
-    batch = verification._run_batch(2, verification._split(_factorization_row, range(1, 7), 2))
-    assert factorization_sweep(6, batch) == factorization_sweep(6)
+    pooled = verification._pooled(lambda batch: factorization_sweep(6, batch), 2)
+    assert pooled == factorization_sweep(6)
 
 
 def test_verify_prop31_small():
@@ -755,7 +756,7 @@ def test_pooled_certificate_with_recurrence_ranges_matches_serial():
     assert serial.verdict == "pass"
 
 
-# --- the pooled schedule: every row in one map ----------------------------------
+# --- the pooled plan: every row in one map --------------------------------------
 
 def _count_maps(monkeypatch):
     maps = []
@@ -792,19 +793,96 @@ def test_chunks_cover_every_item_once_contiguous_and_in_order(length, count):
     assert max(map(len, chunks), default=0) - min(map(len, chunks), default=0) <= 1
 
 
-def test_the_schedule_lists_every_row_the_sweeps_read(monkeypatch):
-    # a sweep reading a row the schedule did not plan fails that sweep alone
-    config = VerificationConfig(**SMALL_CONFIG, parallelism=2)
-    tasks = verification._schedule(config)
-    assert {row for row, _items in tasks} == {
-        verification._prop31_row, verification._prop32_row, verification._prop33_row,
-        verification._claims23_row, _factorization_row, verification._grid_row,
-        criteria._qlc_chunk, criteria._qlc_recurrence_chunk}
-    monkeypatch.setattr(verification, "_schedule", lambda c: [
-        (row, items) for row, items in tasks if row is not verification._prop33_row])
-    errors = [c for c in run_full_verification(config).claims if not c.passed]
-    assert errors == [ClaimRecord("prop33", {"error": "LookupError"}, "fail", {
-        "message": "the pooled schedule has no row _prop33_row(2)"})]
+# every function that a pooled run sends through its map
+ROW_NAMES = ("_prop31_row", "_prop32_row", "_prop33_row", "_claim1_row", "_claims23_row",
+             "_factorization_row", "_grid_row", "_qlc_chunk", "_qlc_recurrence_chunk",
+             "_unmirrored_rows", "_monotonicity_row", "_series_row")
+
+
+def _spy(monkeypatch, owner, name, calls, phase=("run",)):
+    """Replace ``owner.name`` by a pass-through that appends (phase[0], name,
+    args) to ``calls``."""
+    original = getattr(owner, name)
+
+    def spied(*args):
+        calls.append((phase[0], name, args))
+        return original(*args)
+
+    spied.__name__ = name
+    monkeypatch.setattr(owner, name, spied)
+
+
+def _plan_only(monkeypatch, phase=None):
+    """Replace a pooled run's one map: the tasks it would send are appended
+    to the list returned, and the rows are then computed in this process,
+    as with no pool (batch None)."""
+    tasks = []
+
+    def run_batch(jobs, planned):
+        tasks.extend(planned)
+        if phase is not None:
+            phase[0] = "read"
+
+    monkeypatch.setattr(verification, "_run_batch", run_batch)
+    return tasks
+
+
+def test_the_plan_is_the_serial_row_calls_and_computes_nothing(monkeypatch):
+    """A pooled run plans its map by running its sweeps with a list as the
+    batch.  That pass calls no row, builds no polynomial, family row, Domb
+    array row or Domb number and encloses no constant; and it plans, as a
+    multiset, the row calls that the same sweeps make with no pool."""
+    phase, calls = ["validate"], []
+    real_validate = VerificationConfig.validate
+
+    def validate(config):
+        real_validate(config)
+        phase[0] = "plan"
+
+    monkeypatch.setattr(VerificationConfig, "validate", validate)
+    tasks = _plan_only(monkeypatch, phase)
+    builders = [name for name in dir(proofpolys)
+                if name.endswith(("_poly", "_polys")) or name.startswith("build_")]
+    assert len(builders) == 16
+    for owner, names in ((verification, ROW_NAMES), (proofpolys, builders),
+                         (families, ["family_poly", "domb_numbers"]),
+                         (criteria, ["family_poly", "domb_numbers"]),
+                         (verification, ["family_poly", "domb_numbers", "ccl_constant_bounds"]),
+                         (hiprec, ["ccl_constant_bounds"]), (TriangularArray, ["row"])):
+        for name in names:
+            _spy(monkeypatch, owner, name, calls, phase)
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2)).passed
+    assert phase == ["read"]
+    assert [call for call in calls if call[0] == "plan"] == []
+    planned = collections.Counter((row.__name__, item) for row, items in tasks for item in items)
+    assert {name for name, _item in planned} == set(ROW_NAMES)
+    assert planned == collections.Counter((name, args[0]) for when, name, args in calls
+                                          if when == "read" and name in ROW_NAMES)
+
+
+def test_the_pooled_plan_runs_the_nine_grid_identities_as_one_task(monkeypatch):
+    tasks = _plan_only(monkeypatch)
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2)).passed
+    assert [items for row, items in tasks if row is verification._grid_row] == [
+        [tuple(GRID_IDENTITIES)]]
+
+
+def test_the_parent_of_a_pooled_run_computes_no_tail(monkeypatch):
+    """The series, the monotonicity evidence and V's reversal check are rows
+    of the one map.  The spies are in place when the pool forks, so each
+    worker calls its own copy and records in its own list, which the parent
+    never sees: what the parent's list holds, the parent called."""
+    calls = []
+    for owner, name in ((verification, "root_monotonicity_check"),
+                        (verification, "chan_partial_sum"), (verification, "family_poly"),
+                        (criteria, "family_poly"), (families, "family_poly")):
+        _spy(monkeypatch, owner, name, calls)
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG)).passed
+    assert {name for _when, name, _args in calls} == {
+        "root_monotonicity_check", "chan_partial_sum", "family_poly"}
+    calls.clear()
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG, parallelism=2)).passed
+    assert calls == []
 
 
 def test_a_row_error_in_the_last_chunk_matches_serial(monkeypatch):
@@ -847,9 +925,9 @@ def test_a_map_that_raises_gives_every_pooled_sweep_an_error_record(monkeypatch)
     errors = [c for c in certificate.claims if not c.passed]
     assert [c.claim for c in errors] == sorted([
         "prop31", "prop32", "prop33", "claims123", "factorization", "cascade",
-        "qlc_D", "qlc_W", "qlc_F", "qlc_V"])
+        "qlc_D", "qlc_W", "qlc_F", "qlc_V", "monotonicity", "series"])
     assert {c.params["error"] for c in errors} == {"MaybeEncodingError"}
-    assert [c.claim for c in certificate.claims if c.passed] == ["monotonicity", "series"]
+    assert [c.claim for c in certificate.claims if c.passed] == []
 
 # --- qlc_V read from F's defects through V_n(q) = q^n F_n(1/q) -------------------
 
