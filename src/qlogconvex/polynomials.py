@@ -1,12 +1,9 @@
-"""Dense univariate polynomials over exact coefficients.
+"""Dense univariate polynomials with integer coefficients.
 
-A single class serves both integer and rational polynomials: Python ints and
-``fractions.Fraction`` mix exactly under arithmetic, so one dense
-representation carries the combinatorial families (integer coefficients) as
-well as rational ones.  Rational coefficients never come from division:
-``divmod_poly`` is fraction-free pseudo-division of integer polynomials and
-refuses a Fraction operand; they come from a caller, or from deflating a
-root at an endpoint p/q with q > 1.  Polynomials are immutable after
+Every polynomial of the certificate and the CLI has Python int
+coefficients: the four families, the proof polynomials, and every sum,
+product, derivative, pseudo-remainder and deflation of them.  Points are
+ints or ``fractions.Fraction``.  Polynomials are immutable after
 construction and freely shareable between workers.
 
 Root counting on (a, b) first counts the sign variations V of the Mobius
@@ -23,17 +20,16 @@ multiple of gcd(f, f'), so once the roots at the endpoints a and b are
 deflated, that gcd is nonzero at both and V(a) - V(b) counts the distinct
 roots in (a, b) (the generalized Sturm theorem).
 
-The kernels compute in the ring of their inputs.  ``sturm_count_roots``,
-``descartes_bound`` and ``sign_constant_on`` read an integral endpoint (an
-int, or a Fraction with denominator 1) as an int, so for an integer
-polynomial at an integer endpoint the endpoint values, the deflation of a
-root there, the Mobius transform and the Sturm signs are integer Horner
-and build no Fraction.  Signs at a rational point p/q, q > 1, come from the
-integer sum c_i p^i q^(d-i).
+The kernels check no coefficient's type, and a scalar factor is an int.
+``sturm_count_roots``, ``descartes_bound`` and ``sign_constant_on`` read an
+integral endpoint as an int and refuse any point but an int or a Fraction,
+a float among them.  At an integer endpoint the values, the deflation of a
+root, the Mobius transform and the Sturm signs are integer Horner; at p/q,
+q > 1, values are the integer sums c_i p^i q^(d-i), and a root deflates by
+its primitive factor q x - p, so the quotient stays integral (Gauss's lemma).
 
-Products of two integer polynomials that both equal their reversal take
-``_palindromic_mul``; every other product, of integer or Fraction
-coefficients (the rational Sturm tests), takes the schoolbook loop.
+Products of two polynomials that both equal their reversal take
+``_palindromic_mul``; every other product takes the schoolbook loop.
 
 Kronecker substitution packs a polynomial into one big integer with a fixed
 slot of w bits per coefficient, so that a product of polynomials becomes one
@@ -82,10 +78,10 @@ packed with ``_kronecker_pack``, and each defect's signs are read from its
 packed integer by ``_kronecker_negative_ends``; their few seed products
 multiply the packed integers directly.  Counted over the four benchmark
 workloads and every ``check`` and ``families`` command, each product that
-reaches ``Poly.__mul__`` has two palindromic int D rows:
+reaches ``Poly.__mul__`` has two palindromic D rows:
 300 at the default bounds, 320 with qlc_D to n = 160 and 2 on the
-proof-sized workload.  The products of non-palindromic integer rows, which
-only a tampered row or a test makes, take the schoolbook loop.  On the 320
+proof-sized workload.  The products of non-palindromic rows, which only a
+tampered row or a test makes, take the schoolbook loop.  On the 320
 D products to n = 160 the pair of quarter-width multiplies takes 0.157 s
 where one half-width multiply at X and 1/X took 0.195 s (fastest of 25
 alternating repetitions in one process; 2-core Xeon, CPython 3.11).  It
@@ -103,7 +99,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Union
 
-Coeff = Union[int, Fraction]
+Point = Union[int, Fraction]
 
 def _strip(coeffs: tuple) -> tuple:
     i = len(coeffs)
@@ -121,7 +117,7 @@ class Poly:
 
     __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs: Iterable[Coeff] = ()):
+    def __init__(self, coeffs: Iterable[int] = ()):
         # one tuple, stripped only when it ends in a zero; the slot is set
         # through its descriptor, since __setattr__ refuses
         coeffs = tuple(coeffs)
@@ -146,7 +142,7 @@ class Poly:
     def is_zero(self) -> bool:
         return not self.coeffs
 
-    def coefficient(self, k: int) -> Coeff:
+    def coefficient(self, k: int) -> int:
         """Coefficient of x^k, zero beyond the degree."""
         if 0 <= k < len(self.coeffs):
             return self.coeffs[k]
@@ -184,7 +180,7 @@ class Poly:
             a, b = self.coeffs, other.coeffs
             if not a or not b:
                 return ZERO
-            if _all_int(a) and _all_int(b) and a == a[::-1] and b == b[::-1]:
+            if a == a[::-1] and b == b[::-1]:
                 return Poly(_palindromic_mul(a, b, _bound_bits(a, b)))
             out = [0] * (len(a) + len(b) - 1)
             for i, ca in enumerate(a):
@@ -192,7 +188,7 @@ class Poly:
                     for j, cb in enumerate(b):
                         out[i + j] += ca * cb
             return Poly(out)
-        if isinstance(other, (int, Fraction)):
+        if isinstance(other, int):
             return Poly([c * other for c in self.coeffs])
         return NotImplemented
 
@@ -210,17 +206,17 @@ class Poly:
         """Formal derivative; drops the degree by exactly one if nonconstant."""
         return Poly([i * c for i, c in enumerate(self.coeffs)][1:])
 
-    def __call__(self, x: Coeff) -> Coeff:
-        """Exact Horner evaluation; int or Fraction in, same ring out.
+    def __call__(self, x: Point) -> Point:
+        """Exact evaluation; an int at an int, a Fraction at a Fraction.
 
-        Integer coefficients at a Fraction point p/q are evaluated as the
-        integer sum c_i p^i q^(d-i), divided by q^d once at the end.
+        At a Fraction p/q it is the integer sum c_i p^i q^(d-i), divided by
+        q^d once at the end; elsewhere it is Horner.
         """
         coeffs = self.coeffs
-        if type(x) is Fraction and coeffs and _all_int(coeffs):
+        if type(x) is Fraction and coeffs:
             return Fraction(_homogeneous(coeffs, x.numerator, x.denominator),
                             x.denominator ** (len(coeffs) - 1))
-        acc: Coeff = 0
+        acc = 0
         for c in reversed(coeffs):
             acc = acc * x + c
         return acc
@@ -235,19 +231,13 @@ ZERO = Poly()
 ONE = Poly([1])
 
 
-_INT_TYPE = frozenset((int,))
-
-
-def _all_int(coeffs: tuple) -> bool:
-    return _INT_TYPE.issuperset(map(type, coeffs))
-
-
-def _own_ring(x: Coeff) -> Coeff:
-    """x as an int when it is integral, else as a Fraction."""
+def _own_ring(x: Point) -> Point:
+    """x as an int when it is integral, else as a Fraction; a point of any
+    other type, a float among them, raises TypeError."""
     if type(x) is int:
         return x
     if type(x) is not Fraction:
-        x = Fraction(x)
+        raise TypeError(f"a point must be an int or a Fraction, not {type(x).__name__}")
     return x.numerator if x.denominator == 1 else x
 
 
@@ -456,12 +446,10 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
     where s = lead/h, t = c/h and h = gcd(lead, c) carries the sign of
     lead; scale gathers the factors s, so a divisor with lead +-1 never
     scales.  quo/scale and rem/scale are the rational quotient and
-    remainder.  A Fraction coefficient raises TypeError.
+    remainder.
     """
     if g.is_zero:
         raise ZeroDivisionError("polynomial division by zero")
-    if not (_all_int(f.coeffs) and _all_int(g.coeffs)):
-        raise TypeError("divmod_poly divides integer polynomials only")
     div = g.coeffs
     dd = len(div) - 1
     lead = div[-1]
@@ -485,12 +473,9 @@ def divmod_poly(f: Poly, g: Poly) -> tuple[Poly, Poly, int]:
 
 
 def _primitive(p: Poly) -> Poly:
-    """The integer polynomial p * r for the one rational r > 0 that makes
-    its coefficients coprime integers; p must be nonzero."""
+    """p divided by its content, the positive gcd of its coefficients, so
+    that they are coprime; p must be nonzero."""
     coeffs = p.coeffs
-    if not _all_int(coeffs):
-        den = math.lcm(*(c.denominator for c in coeffs))
-        coeffs = [c.numerator * (den // c.denominator) for c in coeffs]
     content = math.gcd(*coeffs)
     return Poly([c // content for c in coeffs])
 
@@ -527,27 +512,31 @@ def _sign_variations(values: list) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def _deflate_root(p: Poly, r: Coeff) -> Poly:
-    """Exact synthetic division of p by (x - r); p(r) must be zero.  Integer
-    coefficients and an integer r give integer coefficients."""
+def _deflate_root(p: Poly, r: Point) -> Poly:
+    """Exact synthetic division of p by q x - u, the primitive factor of its
+    root r = u/q in lowest terms; p(r) must be zero.  By Gauss's lemma the
+    quotient has integer coefficients, so every step divides exactly by q
+    (an integer root divides by 1)."""
+    u, q = r.numerator, r.denominator
     out = []
-    acc = 0
+    s = inexact = 0
     for c in reversed(p.coeffs):
-        acc = acc * r + c
-        out.append(acc)
-    if out[-1] != 0:
-        raise ArithmeticError(f"cannot deflate a root at {r}: the polynomial is {out[-1]} there")
-    return Poly(reversed(out[:-1]))
+        s, rest = divmod(c + u * s, q)
+        inexact |= rest
+        out.append(s)
+    if inexact or out.pop():
+        raise ArithmeticError(f"cannot deflate a root at {r}: the polynomial is {p(r)} there")
+    return Poly(reversed(out))
 
 
-def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
+def descartes_bound(p: Poly, a: Point, b: Point) -> int:
     """Sign variations V of (1 + y)^d p((a + b y) / (1 + y)), for a < b.
 
     The Mobius map y -> (a + b y) / (1 + y) takes (0, oo) onto (a, b), so by
     Descartes' rule V bounds the number of roots of p in the open interval
     (a, b), counted with multiplicity, and has its parity; V <= 1 is that
     number exactly (Collins and Akritas, SYMSAC 1976).  Roots at a or b map
-    to y = 0 or y = oo and are not counted.  p's integer form is taken to
+    to y = 0 or y = oo and are not counted.  p is taken to
     g(t) = sum_i c_i (beta + delta t)^i gamma^(d-i), a positive multiple of
     p(b + (a - b) t), by one homogeneous Horner pass; reversing g gives
     s^d g(1/s) and a Taylor shift by 1 puts s = 1 + y.  O(d^2) integer
@@ -558,7 +547,7 @@ def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
     a, b = _own_ring(a), _own_ring(b)
     if not a < b:
         raise ValueError(f"empty interval ({a}, {b})")
-    coeffs = p.coeffs if _all_int(p.coeffs) else _primitive(p).coeffs
+    coeffs = p.coeffs
     # b = beta / gamma and a - b = delta / gamma with gamma > 0
     gamma = a.denominator * b.denominator
     beta = b.numerator * a.denominator
@@ -576,7 +565,7 @@ def descartes_bound(p: Poly, a: Coeff, b: Coeff) -> int:
     return _sign_variations(g)
 
 
-def _roots_inside(f: Poly, a: Coeff, b: Coeff) -> int:
+def _roots_inside(f: Poly, a: Point, b: Point) -> int:
     """Number of distinct roots of a nonzero f in the open interval (a, b),
     for a < b where f has no root at a or b.
 
@@ -598,7 +587,7 @@ def _roots_inside(f: Poly, a: Coeff, b: Coeff) -> int:
     return va - vb
 
 
-def sturm_count_roots(p: Poly, a: Coeff, b: Coeff) -> int:
+def sturm_count_roots(p: Poly, a: Point, b: Point) -> int:
     """Number of distinct real roots of p in the half-open interval (a, b].
 
     Roots at the endpoints are deflated first, with all their
@@ -626,7 +615,7 @@ class IntervalSign(enum.Enum):
     NOT_CONSTANT = "not_constant"
 
 
-def sign_constant_on(p: Poly, a: Coeff, b: Coeff) -> IntervalSign:
+def sign_constant_on(p: Poly, a: Point, b: Point) -> IntervalSign:
     """Certify that p keeps a single strict sign on the closed interval [a, b].
 
     Returns POSITIVE or NEGATIVE iff p has no root in [a, b]; a root

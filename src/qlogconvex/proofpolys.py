@@ -20,13 +20,14 @@ forms at interval endpoints and midpoints, and the operator factorization
 identity.  A transcription slip in any one table is caught by the others.
 
 psi itself is built from its product form: three terms, each a scale times
-eight linear factors in x.  For integer (n, t) every factor is evaluated at
-X = 2^(8 size), each term is one product of Python ints, and the nine
-coefficients are read back from the slots of the summed value (Kronecker
-substitution, Harvey 2009, arXiv:0712.4046).  The slot bound is
-sum over the terms of |scale| prod (|c0| + |c1|), which no coefficient of
-psi exceeds in absolute value, plus a sign bit, in whole bytes.  Any other
-input multiplies the factors out one at a time on coefficient lists.
+eight linear factors in x.  Every factor is evaluated at X = 2^(8 size),
+each term is one product of Python ints, and the nine coefficients are read
+back from the slots of the summed value (Kronecker substitution, Harvey
+2009, arXiv:0712.4046).  The slot bound is sum over the terms of
+|scale| prod (|c0| + |c1|), which no coefficient of psi exceeds in absolute
+value, plus a sign bit, in whole bytes.  The test suite multiplies the
+factors out one at a time on coefficient lists, with sympy symbols for n
+and t as well as integers, and holds psi_poly to that expansion.
 
 The cofactors psi1, psi2 and psi3 keep the grouping of their displayed
 coefficient expansions, but compute each power of n and t once and read it
@@ -49,14 +50,6 @@ def _times_linear(p, c0: int, c1: int) -> list:
     return [c0 * x + c1 * y for x, y in zip((*p, 0), (0, *p))]
 
 
-def _linear_product(scale: int, factors) -> list:
-    """Coefficients of scale * prod (c0 + c1 x) over the (c0, c1) factors."""
-    p = [scale]
-    for c0, c1 in factors:
-        p = _times_linear(p, c0, c1)
-    return p
-
-
 def _psi_terms(n, t) -> tuple:
     """psi's product form as three (scale, (f, g), (h, k)), each term standing
     for scale * f^3 g^3 h k and each factor (c0, c1) for c0 + c1 x."""
@@ -74,21 +67,19 @@ def _psi_terms(n, t) -> tuple:
             (-2 * n**2, (b, d), (f_minus, e_minus)))
 
 
-def _expanded_sum(terms) -> list:
-    """Coefficients of the sum of the terms, multiplied out on lists."""
-    term1, term2, term3 = (_linear_product(scale, (f, f, f, g, g, g, h, k))
-                           for scale, (f, g), (h, k) in terms)
-    return [u + v + w for u, v, w in zip(term1, term2, term3)]
+def psi_poly(n: int, t: int) -> Poly:
+    """The degree-8 sign polynomial, built from its defining product form.
 
-
-def _kronecker_sum(terms) -> list:
-    """Coefficients of the sum of the integer terms, by Kronecker substitution.
-
-    Each term's value at X = 2^(8 size) is a product of Python ints, and the
-    slots of the summed value are the nine coefficients.  Every coefficient
-    is at most sum |scale| prod (|c0| + |c1|) in absolute value; size is that
-    bound's bits plus a sign bit, in whole bytes, so no slot overflows.
+    Accepts any pair of ints; callers enforce contract ranges.  As a
+    polynomial identity in (n, t, x) everything downstream holds for all
+    integers, which is what the grid certifications exploit.  Each term's
+    value at X = 2^(8 size) is a product of Python ints, and the slots of
+    the summed value are the nine coefficients (Kronecker substitution).
+    Every coefficient is at most sum |scale| prod (|c0| + |c1|) in absolute
+    value; size is that bound's bits plus a sign bit, in whole bytes, so no
+    slot overflows.
     """
+    terms = _psi_terms(n, t)
     bound = 0
     for scale, (f, g), (h, k) in terms:
         fg = (abs(f[0]) + abs(f[1])) * (abs(g[0]) + abs(g[1]))
@@ -99,24 +90,7 @@ def _kronecker_sum(terms) -> list:
     for scale, (f, g), (h, k) in terms:
         fg = ((f[1] << shift) + f[0]) * ((g[1] << shift) + g[0])
         value += scale * fg * fg * fg * ((h[1] << shift) + h[0]) * ((k[1] << shift) + k[0])
-    return _kronecker_unpack(value, 9, size)
-
-
-def psi_poly(n: int, t: int) -> Poly:
-    """The degree-8 sign polynomial, built from its defining product form.
-
-    Accepts any integer pair; callers enforce contract ranges.  As a
-    polynomial identity in (n, t, x) everything downstream holds for all
-    integers, which is what the grid certifications exploit.  For ints the
-    three terms are summed by Kronecker substitution, one big integer per
-    term; any other input (sympy symbols in the tests) is multiplied out
-    factor by factor on coefficient lists, which is also the reference the
-    tests hold the Kronecker path to.
-    """
-    terms = _psi_terms(n, t)
-    if type(n) is int and type(t) is int:
-        return Poly(_kronecker_sum(terms))
-    return Poly(_expanded_sum(terms))
+    return Poly(_kronecker_unpack(value, 9, size))
 
 
 def psi1_poly(n: int, t: int) -> Poly:
@@ -349,9 +323,10 @@ _nn, _nn1, _nn2, _nn3 = (f"psi{i}_nn_poly" for i in ("", "1", "2", "3"))
 # sweeps assert it from min n on through ``verification._form_failures``,
 # which also matches each value they read against its closed form.  prop31 reads
 # every theta row for n >= 5, prop33 every t = n row, and claims 2-3 the
-# four order-0 xi/eta rows, the ends of their Sturm intervals.  The six
-# derivative rows of xi and eta are asserted per n by no sweep; the Sturm
-# interval counts prove what they only support.  The grid records of
+# four order-0 xi/eta rows, the ends of their sign intervals.  The six
+# derivative rows of xi and eta are asserted per n by no sweep; the root
+# counts on those intervals, which Descartes' rule decides with no sign
+# variation, prove what they only support.  The grid records of
 # ``verification.GRID_IDENTITIES`` prove every row's closed form for all n.
 #
 # theta and its derivatives in t.

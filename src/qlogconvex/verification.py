@@ -616,9 +616,11 @@ def verify_claims(n_max: int, batch=None) -> list[ClaimRecord]:
 
     Claim 1 rules out n = 2, 3, 4 by direct evaluation at nine pairs;
     Claim 2 certifies xi < 0 on [3n/4, n-1]; Claim 3 certifies eta < 0 on
-    [0, 3n/4].  Interval negativity is Sturm-certified (no sampling), with
-    exact endpoint evaluations against the displayed closed forms, and each
-    n checks the x = 0 extractions xi = psi1(0)/(n+1)^2, eta = psi2(0)/(n+1).
+    [0, 3n/4].  Interval negativity is certified by an exact root count (no
+    sampling): Descartes' rule finds no sign variation on either interval at
+    n = 4..360, so no Sturm chain is built there.  The endpoint evaluations
+    are exact and checked against the displayed closed forms, and each n
+    checks the x = 0 extractions xi = psi1(0)/(n+1)^2, eta = psi2(0)/(n+1).
     """
     return (_map_rows(batch, _claim1_row, [CLAIM1_PAIRS])
             + _map_rows(batch, _claims23_row, range(4, n_max + 1)))
@@ -635,7 +637,7 @@ def _claim1_row(pairs: tuple) -> ClaimRecord:
 def _claims23_row(n: int) -> ClaimRecord:
     """Claims 2 and 3 at n: the order-0 rows of ``XI_ETA_ENDPOINT_FORMS``,
     xi(n-1), xi(3n/4), eta(0) and eta(3n/4), which are the ends of the two
-    Sturm intervals; then the intervals, the eta'' axis, and the extractions
+    sign intervals; then the intervals, the eta'' axis, and the extractions
     at t = 0..8, which see a psi1 or psi2 wrong at one n past the grid."""
     xi = proofpolys.xi_poly(n)
     eta = proofpolys.eta_poly(n)

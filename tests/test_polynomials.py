@@ -39,10 +39,7 @@ def _strip_list_reference(coeffs: list) -> tuple:
     return tuple(coeffs[:i])
 
 
-_coefficients = st.one_of(
-    st.integers(min_value=-10**30, max_value=10**30),
-    st.fractions(max_denominator=10**6),
-    st.sampled_from([0, Fraction(0), Fraction(0, 7)]))
+_coefficients = st.one_of(st.integers(min_value=-10**30, max_value=10**30), st.just(0))
 
 
 def _generated(coeffs):
@@ -53,14 +50,13 @@ def _generated(coeffs):
        st.sampled_from([list, tuple, _generated]))
 @example([], 0, list)
 @example([], 3, _generated)
-@example([0, Fraction(0)], 2, tuple)
+@example([0, 0], 2, tuple)
 @settings(max_examples=300)
 def test_poly_keeps_the_canonical_form_of_the_list_copy(coeffs, zeros, container):
-    padded = coeffs + [0, Fraction(0)] * (zeros // 2) + [0] * (zeros % 2)
+    padded = coeffs + [0] * zeros
     built = Poly(container(padded))
     assert built.coeffs == _strip_list_reference(list(padded))
     assert type(built.coeffs) is tuple
-    assert all(type(a) is type(b) for a, b in zip(built.coeffs, padded))
 
 
 def test_ring_operation_examples():
@@ -113,12 +109,7 @@ def test_divmod_round_trip():
         assert r.degree < g.degree
 
 
-def test_divmod_refuses_fraction_operands():
-    for f, g in ((Poly([Fraction(1, 2), 1]), Poly([1, 1])),
-                 (Poly([1, 0, 1]), Poly([Fraction(1, 3), 1])),
-                 (Poly([Fraction(2), 1]), Poly([1, 1]))):
-        with pytest.raises(TypeError):
-            divmod_poly(f, g)
+def test_divmod_refuses_a_zero_divisor():
     with pytest.raises(ZeroDivisionError):
         divmod_poly(Poly([1, 1]), ZERO)
 
@@ -146,11 +137,6 @@ def test_values_at_integers_match_horner_on_theta():
 def test_values_at_integers_match_horner(coeffs, stop):
     p = Poly(coeffs)
     assert values_at_integers(p, stop) == [p(x) for x in range(stop)]
-
-
-def test_values_at_integers_exact_on_rational_coefficients():
-    p = Poly([Fraction(1, 3), Fraction(-5, 7), 0, Fraction(2, 9)])
-    assert values_at_integers(p, 12) == [p(x) for x in range(12)]
 
 
 def test_sturm_chain_shape():
@@ -181,10 +167,44 @@ def test_sturm_rejects_bad_input():
         sturm_count_roots(Poly([1, 1]), 1, 1)
 
 
+def test_a_float_endpoint_is_refused():
+    # the float 0.3 is not 3/10 but its binary value, 5404319552844595/2^54,
+    # just below it: read as that value, (0, 0.3] would miss the root 3/10
+    # of 10 x - 3.  So every interval kernel refuses a point that is neither
+    # an int nor a Fraction.
+    p = Poly([-3, 10])
+    assert sturm_count_roots(p, 0, Fraction(3, 10)) == 1
+    for kernel in (sturm_count_roots, descartes_bound, sign_constant_on):
+        for a, b in ((0, 0.3), (0.1, 1), (0, 1.0), (Fraction(0), 1.5)):
+            with pytest.raises(TypeError, match="must be an int or a Fraction, not float"):
+                kernel(p, a, b)
+
+
 def test_deflating_a_non_root_raises():
     with pytest.raises(ArithmeticError, match="cannot deflate"):
         polynomials._deflate_root(Poly([1, 1]), Fraction(1))
     assert polynomials._deflate_root(Poly([-1, 0, 1]), Fraction(1)) == Poly([1, 1])
+    # 6x^2 - x - 2 = (2x + 1)(3x - 2) deflates at 2/3; at 1/3 the division
+    # by 3x - 1 is inexact at its second step
+    p = Poly([-2, -1, 6])
+    assert polynomials._deflate_root(p, Fraction(2, 3)) == Poly([1, 2])
+    with pytest.raises(ArithmeticError, match=r"cannot deflate a root at 1/3: .* is -5/3 there"):
+        polynomials._deflate_root(p, Fraction(1, 3))
+    # 2x + 1 divides by 2x - 3 exactly, leaving the nonzero remainder 4
+    with pytest.raises(ArithmeticError, match=r"cannot deflate a root at 3/2: .* is 4 there"):
+        polynomials._deflate_root(Poly([1, 2]), Fraction(3, 2))
+
+
+@given(st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=1, max_size=8)
+       .filter(any),
+       st.fractions(min_value=-20, max_value=20, max_denominator=30))
+@settings(max_examples=200, deadline=None)
+def test_deflating_a_rational_root_divides_by_its_primitive_factor(cofactor, root):
+    # (q x - u) s deflates at u/q back to the integer s (Gauss's lemma)
+    s = Poly(cofactor)
+    p = Poly([-root.numerator, root.denominator]) * s
+    assert polynomials._deflate_root(p, root) == s
+    assert all(type(c) is int for c in s.coeffs)
 
 
 def test_sign_constant_on_raises_when_a_zero_count_meets_a_sign_change(monkeypatch):
@@ -392,10 +412,9 @@ def test_mul_two_point_family_defect_products(monkeypatch, n):
     assert paths == [("palindromic", 2 * n + 1)] * 4
 
 
-def test_mul_dispatch_reads_operand_type_and_shape(monkeypatch):
-    # int operands of any length take the palindromic path when both are
-    # symmetric and the schoolbook loop otherwise; so does a Fraction
-    # operand, even a symmetric one
+def test_mul_dispatch_reads_operand_shape(monkeypatch):
+    # operands of any length take the palindromic path when both are
+    # symmetric and the schoolbook loop otherwise
     paths = _spy_palindromic(monkeypatch)
     symmetric = Poly([3, 1, 3])
     for a, b in ((Poly([5]), Poly([7])), (symmetric, symmetric), (Poly([2] * 40), symmetric),
@@ -405,9 +424,6 @@ def test_mul_dispatch_reads_operand_type_and_shape(monkeypatch):
         assert (a * b).coeffs == Poly(_reference_product(list(a.coeffs), list(b.coeffs))).coeffs
         assert paths == _expected_paths(a.coeffs, b.coeffs)
     paths.clear()
-    thirds = Poly([Fraction(1, 3)] * 3)
-    assert symmetric * thirds == thirds * symmetric == Poly(
-        _reference_product([3, 1, 3], [Fraction(1, 3)] * 3))
     assert ZERO * symmetric == symmetric * ZERO == ZERO
     assert paths == []
 
@@ -631,19 +647,18 @@ def test_palindromic_mul_raises_on_a_slot_one_bit_too_narrow():
         polynomials._palindromic_mul(a, b, 30)
 
 
-@given(_signed_coeff_lists(), st.integers(min_value=1, max_value=20),
-       st.fractions(max_denominator=10**6))
-@settings(max_examples=100, deadline=None)
-def test_mul_int_by_fraction_poly(a, length, fraction):
-    f = [fraction * (i + 1) for i in range(length)]
-    assert (Poly(a) * Poly(f)).coeffs == Poly(_reference_product(a, f)).coeffs
-    assert (Poly(f) * Poly(a)).coeffs == Poly(_reference_product(f, a)).coeffs
-
-
 @given(_signed_coeff_lists(), st.one_of(st.integers(min_value=-(2**700), max_value=2**700),
                                         st.fractions()))
 @settings(max_examples=150, deadline=None)
 def test_mul_by_scalar_both_directions(a, c):
+    # a scalar factor is an int; a Fraction one, even integral, would leave
+    # the integer coefficients, and either order refuses it
+    if type(c) is Fraction:
+        with pytest.raises(TypeError):
+            Poly(a) * c
+        with pytest.raises(TypeError):
+            c * Poly(a)
+        return
     expected = Poly([x * c for x in a])
     assert Poly(a) * c == expected
     assert c * Poly(a) == expected
@@ -728,8 +743,8 @@ _endpoint_values = st.fractions(min_value=-6, max_value=6, max_denominator=6)
 @st.composite
 def _planted_root_cases(draw):
     """A polynomial with planted real roots of multiplicity 1-3, an optional
-    factor without real roots, a random sign and a rational scale, and an
-    interval whose endpoints are often planted roots."""
+    factor without real roots, a nonzero integer scale, and an interval
+    whose endpoints are often planted roots."""
     roots = draw(st.lists(st.tuples(_endpoint_values, st.integers(min_value=1, max_value=3)),
                           max_size=4, unique_by=lambda rm: rm[0]))
     p = Poly([1])
@@ -740,9 +755,7 @@ def _planted_root_cases(draw):
         p = p * Poly([b * b // 4 + draw(st.integers(min_value=1, max_value=9)), b, 1])
     if draw(st.booleans()):
         p = p * Poly([draw(st.integers(min_value=-30, max_value=30)), 1])
-    scale = draw(st.fractions(min_value=-50, max_value=50, max_denominator=50)
-                 .filter(lambda f: f != 0))
-    p = p * scale
+    p = p * draw(st.integers(min_value=-50, max_value=50).filter(bool))
     candidates = sorted({r for r, _ in roots} | {draw(_endpoint_values), Fraction(-7), Fraction(7)})
     a, b = sorted(draw(st.lists(st.sampled_from(candidates), min_size=2, max_size=2,
                                 unique=True)))
@@ -896,8 +909,8 @@ def test_sturm_count_constructed_edge_cases():
     assert sturm_count_roots(p, -1, 1) == 1
     assert sturm_count_roots(p, -2, 3) == 3
     assert sturm_count_roots(-p, Fraction(1, 2), Fraction(3, 2)) == 1
-    assert sturm_count_roots(p * Fraction(-7, 3), Fraction(-3, 2), 2) == 3
-    assert sturm_count_roots(Poly([Fraction(-1, 4), 0, 1]), 0, 1) == 1  # x^2 - 1/4
+    assert sturm_count_roots(p * -7, Fraction(-3, 2), 2) == 3
+    assert sturm_count_roots(Poly([-1, 0, 4]), 0, 1) == 1  # 4 x^2 - 1
     assert sturm_count_roots(Poly([5]), 0, 1) == 0
 
 
@@ -909,8 +922,7 @@ def test_sturm_chain_is_a_primitive_remainder_sequence(case):
     for q in chain:
         assert all(type(c) is int for c in q.coeffs)
         assert math.gcd(*q.coeffs) == 1
-    ratio = Fraction(chain[0].coeffs[-1]) / p.coeffs[-1]
-    assert ratio > 0 and chain[0] == Poly([c * ratio for c in p.coeffs])
+    assert chain[0] * math.gcd(*p.coeffs) == p
     assert [q.degree for q in chain] == sorted({q.degree for q in chain}, reverse=True)
     # the last element is a multiple of gcd(p, p')
     assert chain[-1].degree == p.degree - (len(_ref_squarefree(list(p.coeffs))) - 1)

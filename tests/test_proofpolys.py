@@ -91,17 +91,28 @@ def test_psi_poly_matches_poly_product_form():
             assert psi_poly(n, t) == _psi_from_poly_products(n, t), (n, t)
 
 
-def _psi_from_lists(n, t):
-    """psi multiplied out factor by factor on coefficient lists, the path
-    psi_poly keeps for inputs that are not ints."""
-    return Poly(proofpolys._expanded_sum(proofpolys._psi_terms(n, t)))
+def _linear_product(scale, factors) -> list:
+    """Coefficients of scale * prod (c0 + c1 x) over the (c0, c1) factors."""
+    p = [scale]
+    for c0, c1 in factors:
+        p = proofpolys._times_linear(p, c0, c1)
+    return p
+
+
+def _psi_from_lists(n, t) -> list:
+    """psi's product form multiplied out factor by factor on coefficient
+    lists, for integers or sympy symbols: the reference of psi_poly's
+    Kronecker substitution."""
+    term1, term2, term3 = (_linear_product(scale, (f, f, f, g, g, g, h, k))
+                           for scale, (f, g), (h, k) in proofpolys._psi_terms(n, t))
+    return [u + v + w for u, v, w in zip(term1, term2, term3)]
 
 
 def test_psi_kronecker_path_matches_list_path():
     # t > n and n <= 0 included: the grid identities evaluate psi there
     for n in range(-4, 81):
         for t in range(-4, 81):
-            assert psi_poly(n, t) == _psi_from_lists(n, t), (n, t)
+            assert psi_poly(n, t) == Poly(_psi_from_lists(n, t)), (n, t)
 
 
 @pytest.mark.parametrize("n, t", [(10**6, 0), (10**6, 3), (10**6, 10**6), (10**6, 2 * 10**6),
@@ -109,7 +120,7 @@ def test_psi_kronecker_path_matches_list_path():
                                   (-(10**40), -(10**40) + 1)])
 def test_psi_kronecker_path_matches_at_large_pairs(n, t):
     # slots of many bytes, and of both signs of every factor
-    assert psi_poly(n, t) == _psi_from_lists(n, t)
+    assert psi_poly(n, t) == Poly(_psi_from_lists(n, t))
 
 
 def test_tampered_transcription_is_caught(monkeypatch):
@@ -137,8 +148,9 @@ def test_tampered_transcription_is_caught(monkeypatch):
 
 def test_grid_premise_and_cascade_symbolically():
     """The product form of psi expanded in (n, t, x) by sympy: the degree
-    bounds the grid proofs rest on, and two of the identities they certify,
-    proved as polynomial identities rather than on a grid."""
+    bounds the grid proofs rest on, the list expansion that psi_poly is held
+    to at integers, and two of the identities the grids certify, proved as
+    polynomial identities rather than on a grid."""
     sympy = pytest.importorskip("sympy")
     n, t, x = sympy.symbols("n t x")
     psi = sympy.expand(
@@ -149,13 +161,13 @@ def test_grid_premise_and_cascade_symbolically():
         - 2 * n**2 * (n - x + 1) ** 3 * (n - t + x + 1) ** 3
         * (2 * n - 2 * x - 1) * (2 * n - 2 * t + 2 * x - 1))
 
-    def in_x(poly):
-        return sum(c * x**i for i, c in enumerate(poly.coeffs))
+    def in_x(coeffs):
+        return sum(c * x**i for i, c in enumerate(coeffs))
 
     assert sympy.degree(psi, n) == 8
     assert sympy.degree(psi, t) == 6
-    assert sympy.expand(in_x(psi_poly(n, t)) - psi) == 0
-    assert sympy.expand(sympy.diff(psi, x) - (2 * x - t) * in_x(psi1_poly(n, t))) == 0
+    assert sympy.expand(in_x(_psi_from_lists(n, t)) - psi) == 0
+    assert sympy.expand(sympy.diff(psi, x) - (2 * x - t) * in_x(psi1_poly(n, t).coeffs)) == 0
     theta_t = sum(c * t**i for i, c in enumerate(theta_poly(n).coeffs))
     assert sympy.expand(psi.subs(x, 0) - (n + 1) ** 2 * theta_t) == 0
 

@@ -637,12 +637,13 @@ def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, colum
 def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
     """K t (4t - 3n) vanishes at both ends of [0, 3n/4], so within the claims
     sweep the endpoint forms and the eta'' axis still hold; of the claim's
-    own checks only the Sturm-certified interval check sees that eta turns
-    positive inside.  (Its eta extraction check sees the bump at t = 1..8.)"""
+    own checks only the interval check, an exact root count, sees that eta
+    turns positive inside.  (Its eta extraction check sees the bump at
+    t = 1..8.)"""
     n = 19  # above the eta_extraction grid identity (n <= 17)
     original = proofpolys.eta_poly
     eta = original(n)
-    K = -(abs(eta(Fraction(3 * n, 8))) + 1)
+    K = -(math.ceil(abs(eta(Fraction(3 * n, 8)))) + 1)
     bumped = eta + Poly([0, -3 * n * K, 4 * K])
     assert bumped(0) == eta(0) and bumped(Fraction(3 * n, 4)) == eta(Fraction(3 * n, 4))
     assert bumped(Fraction(3 * n, 8)) > 0
@@ -658,6 +659,46 @@ def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
     failed = [c for c in certificate.claims if not c.passed]
     assert failing[0] in failed
     assert "prop31" not in {c.claim for c in failed}  # prop31 never reads eta
+
+
+def test_every_polynomial_built_has_int_coefficients(monkeypatch):
+    # the integer contract of ``polynomials``: a serial certificate and the
+    # qlc check of every family build no coefficient of another type
+    types = collections.Counter()
+    init = Poly.__init__
+
+    def spy(self, coeffs=()):
+        init(self, coeffs)
+        types.update(map(type, self.coeffs))
+
+    monkeypatch.setattr(Poly, "__init__", spy)
+    assert run_full_verification(VerificationConfig(**SMALL_CONFIG)).passed
+    for tag in ("D", "W", "V", "F"):
+        assert verification.qlc_check(tag, 40, 1)[0].passed
+    assert set(types) == {int} and types[int] > 0
+
+
+@pytest.mark.parametrize("index", [0, 1])
+@pytest.mark.parametrize("builder", sorted(name for name in vars(proofpolys)
+                                            if name.endswith("_poly")))
+def test_a_rational_coefficient_fails_closed(monkeypatch, builder, index):
+    # half a unit on one coefficient at one n leaves the integers: whether a
+    # kernel raises on it or computes on with it, the certificate fails
+    n = 7
+    original = getattr(proofpolys, builder)
+
+    def tampered(m, *t):
+        poly = original(m, *t)
+        if m != n:
+            return poly
+        coeffs = list(poly.coeffs)
+        coeffs[index] += Fraction(1, 2)
+        return Poly(coeffs)
+
+    monkeypatch.setattr(proofpolys, builder, tampered)
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG))
+    assert certificate.verdict == "fail"
+    assert [c for c in certificate.claims if not c.passed]
 
 
 def test_run_captures_executor_errors(monkeypatch):
