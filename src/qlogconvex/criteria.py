@@ -10,9 +10,9 @@ assembly of the array stays q-log-convex.
 q-log-convexity is checked on the defects P_{n+1} P_{n-1} - P_n^2 in two
 ways, and both give one row per n, (n, first negative, last negative defect
 coefficient index), with (n, None, None) for a defect that has no negative
-coefficient; no defect outlives its row.  ``q_log_convex_direct`` (and
-``_qlc_chunk``) multiplies both products out for every n, for any family;
-it serves D's records.  ``_qlc_recurrence_chunk`` serves the W and F
+coefficient; no defect outlives its row.  ``q_log_convex_direct``
+multiplies both products out for every n of a range, for any family; it
+serves D's records.  ``_qlc_recurrence_chunk`` serves the W and F
 records: it carries the products from n to n + 1 by the family's recurrence
 in n (``families.ROW_RECURRENCES``) at one packed point, which is linear in
 the size of the numbers per step instead of one big multiply, and falls
@@ -22,8 +22,8 @@ s-byte slot, a slot's top bit is clear exactly where the defect coefficient
 is negative (``_kronecker_negative_ends``), which is exact because the slot
 keeps every coefficient below 2^(8s - 2) in absolute value.  Both
 ``check qlc`` and the certificate reach them through
-``verification._qlc_claim``, serially or from the results of a pooled run's
-one map (``verification._qlc_tasks`` lists the ranges).
+``verification._qlc_claim``, over the ranges of ``qlc_ranges``: one range
+per worker, of about equal sum of n^2, so a serial run is one range 1..n_max.
 """
 
 from __future__ import annotations
@@ -97,44 +97,53 @@ def _negative_ends(coeffs: Sequence[int]) -> tuple[int | None, int | None]:
     return (negative[0], negative[-1]) if negative else (None, None)
 
 
-def qlc_ranges(n_max: int, jobs: int, per_job: int = 4,
-               power: int = 3) -> list[tuple[int, int]]:
-    """Split 1..n_max into about per_job * jobs contiguous ranges of about
-    equal cost, n costing n^power; a range ends where the running cost
-    first reaches its share of the total.
+def qlc_ranges(n_max: int, parts: int) -> list[tuple[int, int]]:
+    """Split 1..n_max into min(n_max, parts) contiguous nonempty ranges of
+    about equal cost, n costing n^2: a range ends where the running cost
+    first reaches its share of the total, or where each range still to come
+    needs one of the n left.
 
-    The defaults are D's: its defect at n multiplies polynomials of degree
-    n whose coefficients have O(n) bits, about n^3, and several ranges per
-    worker keep the workers evenly busy.  A W or F range of
-    ``_qlc_recurrence_chunk`` costs about n^2 per step plus a few direct
-    products at its first rows, which every extra range pays again, so
-    those take one range per worker at n^2 (``per_job=1, power=2``): with
-    two workers on two cores that halved the pooled W and F time at
-    n_max = 150 against D's split, 0.13 s against 0.22 s.
+    One model serves every engine.  Each was timed in process on blocks of
+    15 n up to n = 150 (CPython 3.11.7, 2 vCPUs; median of 3 runs), and
+    its share of the cost spent on n <= 90 and on n <= 120 follows n^2,
+    not the n^3 that D's defect sizes suggest:
+
+        share by    D      W      F      n^2 model   n^3 model
+        n <= 90     0.218  0.237  0.202  0.217       0.131
+        n <= 120    0.500  0.512  0.486  0.513       0.411
+
+    Each range builds its own first rows again, and a W or F range seeds
+    its products there by direct multiplies, so there is one range per
+    worker, which in a serial run is the whole of 1..n_max.
     """
-    count = min(n_max, per_job * jobs)
-    total = sum(n**power for n in range(1, n_max + 1))
+    count = min(n_max, parts)
+    total = sum(n * n for n in range(1, n_max + 1))
     ranges, lo, cost = [], 1, 0
-    for n in range(1, n_max + 1):
-        cost += n**power
-        if cost * count >= total * (len(ranges) + 1):
+    for n in range(1, n_max):
+        cost += n * n
+        cut = len(ranges) + 1
+        if cut < count and (cost * count >= total * cut or n_max - n == count - cut):
             ranges.append((lo, n))
             lo = n + 1
+    ranges.append((lo, n_max))
     return ranges
 
 
-def _qlc_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
-    """(n, first, last negative defect index) for one family and n = lo..hi,
-    each defect P_{n+1} P_{n-1} - P_n^2 multiplied out by ``Poly.__mul__``.
+def q_log_convex_direct(tag: str, n_max: int,
+                        lo: int = 1) -> list[tuple[int, int | None, int | None]]:
+    """(n, first, last negative defect index) for one family and
+    n = lo..n_max, each defect P_{n+1} P_{n-1} - P_n^2 multiplied out by
+    ``Poly.__mul__``.  The family passes iff every row is (n, None, None).
 
-    Each row lo-1..hi+1 is built once, as the sweep reaches it, and only
+    Each row lo-1..n_max+1 is built once, as the sweep reaches it, and only
     the three that the current defect reads are held; a defect is dropped
-    once its two indices are read, so a chunk holds no more than one.
+    once its two indices are read, so a range holds no more than one.
     """
-    tag, lo, hi = task
+    if not 1 <= lo <= n_max:
+        raise ValueError(f"q-log-convexity needs 1 <= lo <= n_max, got lo={lo}, n_max={n_max}")
     below, here = family_poly(tag, lo - 1), family_poly(tag, lo)
     rows = []
-    for n in range(lo, hi + 1):
+    for n in range(lo, n_max + 1):
         above = family_poly(tag, n + 1)
         rows.append((n, *_negative_ends((above * below - here * here).coeffs)))
         below, here = here, above
@@ -177,8 +186,9 @@ def _exact_quotient(value: int, divisor: int) -> int:
 
 def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
     """(n, first, last negative defect index) for n = lo..hi of a family in
-    ``ROW_RECURRENCES`` (W and F), as ``_qlc_chunk`` reads them, with the
-    products advanced by the family's recurrence instead of multiplied out.
+    ``ROW_RECURRENCES`` (W and F), as ``q_log_convex_direct`` reads them,
+    with the products advanced by the family's recurrence instead of
+    multiplied out.
 
     Every row lo-1..hi+1 is packed at one X = 2^w, and the products
     p(a, b) = P_a(X) P_b(X) of rows less than r apart are carried along.  If
@@ -244,17 +254,6 @@ def _qlc_recurrence_chunk(task: tuple[str, int, int]) -> list[tuple[int, int | N
         for a in range(m - r, m + 1):
             products.pop((a, m - r), None)
     return out
-
-
-def q_log_convex_direct(tag: str, n_max: int) -> list[tuple[int, int | None, int | None]]:
-    """(n, first, last negative defect index) for n = 1..n_max, from the
-    defects multiplied out (``_qlc_chunk``).
-
-    The family passes iff every row is (n, None, None).
-    """
-    if n_max < 1:
-        raise ValueError("n_max must be at least 1")
-    return _qlc_chunk((tag, 1, n_max))
 
 
 def root_monotonicity_check(n_max: int, root_ratio_n_max: int

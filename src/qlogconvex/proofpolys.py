@@ -412,19 +412,17 @@ NN_ENDPOINT_FORMS: tuple = (
 def endpoint_values(forms, n: int, chains: dict) -> list:
     """(label, value, closed value, sign, min n) for each row of ``forms`` at n.
 
-    ``chains`` maps a builder's name to the polynomial it builds at n and
-    that polynomial's derivatives, [p, p', p'', ...].  A builder missing from
-    it is looked up in this module and called once; a chain grows by
-    derivatives as far as the rows need.  Callers pass the polynomials they have built already, so none is
+    ``chains`` maps the name of each builder the rows name to the
+    polynomial it builds at n and that polynomial's derivatives,
+    [p, p', p'', ...]; a chain grows by derivatives as far as the rows
+    need.  Callers pass the polynomials they have built already, so none is
     built twice.  Each row is evaluated in the ring of its point at n: an
     integral point as an int, so the value is an int, and p/q as a
     Fraction.  The closed value is the table's, an int or a Fraction.
     """
     values = []
     for label, builder, order, point, closed, sign, min_n in forms:
-        chain = chains.get(builder)
-        if chain is None:
-            chain = chains[builder] = [globals()[builder](n)]
+        chain = chains[builder]
         while len(chain) <= order:
             chain.append(chain[-1].derivative())
         values.append((label, chain[order](_own_ring(point(n))), closed(n), sign, min_n))

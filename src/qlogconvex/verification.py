@@ -23,32 +23,32 @@ whichever identities read the result.
 
 The sweeps are listed once, in ``SWEEPS``, costliest first, and each
 computes only inside its rows, which it reads through ``_map_rows``: claim
-1, V's reversal check, the series and the monotonicity evidence are
-one-item rows.  With ``parallelism`` above 1 the orchestrator imports
-``multiprocessing`` (a serial run never loads it), opens a single pool and
-runs the sweeps twice (``_pooled``).  The first pass plans the map: each
-sweep records its (row, items) and reads no rows, so the pass computes
-nothing.  Each recorded sweep is cut into ``CHUNKS_PER_WORKER`` contiguous
-chunks per worker, ascending in n within a chunk and the last chunk first,
-and the chunks of every sweep go through one ``pool.map``, with no barrier
-between sweeps.  The q-log-convexity defects of D, W and F are items of
-contiguous n-ranges of about equal cost (W and F advanced by their
-recurrences in n, one range per worker, each seeded at its first rows),
-each sending back only the first and last negative index per n.  V's
-defects are F's read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is
-decided from F's indices and a row that checks that each V row is the F
-row reversed.  The second pass runs the sweeps in the parent as they run
-serially, each reading its rows from the map's results.  The rows are the
-same private functions the serial run calls, the records are sorted before
-they are assembled, and a row that raises in a worker is raised again in
-its sweep in row order, so serial and pooled certificates have the same
-claims and verdict; their ``parameters`` differ only in ``parallelism``,
-and the timestamps differ.  If the map itself raises, every sweep gets an
-error record.  The pool uses the fork start method, so the workers are
-copies of the parent as it is when the run starts and see any function
-replaced before the run began.  ``check qlc`` reads ``qlc_check``, which
-gives one family's qlc record and rows the same way, in a pool and a map
-of its own.
+1, V's reversal check, D's row sums, the series and the monotonicity
+evidence are one-item rows.  With ``parallelism`` above 1 the orchestrator
+imports ``multiprocessing`` (a serial run never loads it), opens a single
+pool and runs the sweeps twice (``_pooled``).  The first pass plans the
+map: each sweep records its (row, items) and reads no rows, so the pass
+computes nothing.  Each recorded sweep is cut into ``CHUNKS_PER_WORKER``
+contiguous chunks per worker, ascending in n within a chunk and the last
+chunk first, and the chunks of every sweep go through one ``pool.map``,
+with no barrier between sweeps.  The q-log-convexity defects of D, W and F
+are planned alike, serial or pooled: one contiguous n-range per worker, of
+about equal sum of n^2 (``criteria.qlc_ranges``), each sending back only
+the first and last negative index per n; W and F advance by their
+recurrences in n, each range seeded at its first rows.  V's defects are F's
+read backwards, since V_n(q) = q^n F_n(1/q), so qlc_V is decided from F's
+indices and a row that checks that each V row is the F row reversed.  The
+second pass runs the sweeps in the parent as they run serially, each
+reading its rows from the map's results.  The rows are the same private
+functions the serial run calls, the records are sorted before they are
+assembled, and a row that raises in a worker is raised again in its sweep
+in row order, so serial and pooled certificates have the same claims and
+verdict; their ``parameters`` differ only in ``parallelism``, and the
+timestamps differ.  If the map itself raises, every sweep gets an error
+record.  The pool uses the fork start method, so the workers are copies of
+the parent as it is when the run starts and see any function replaced
+before the run began.  ``check qlc`` reads ``qlc_check``, which gives one
+family's qlc record and rows the same way, in a pool and a map of its own.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ from typing import NamedTuple
 
 from . import __version__, proofpolys
 from .criteria import (
-    _qlc_chunk,
     _qlc_recurrence_chunk,
     op_L,
     q_log_convex_direct,
@@ -791,31 +790,22 @@ def _grid_row(identities: tuple[str, ...]) -> list[ClaimRecord]:
 
 # --- q-log-convexity and monotonicity claims ------------------------------------
 
-def _qlc_tasks(tag: str, n_max: int, jobs: int) -> tuple:
-    """The row function and the tasks (tag, lo, hi) of family ``tag``'s
-    defects for ``jobs`` workers: contiguous n-ranges of about equal cost,
-    four per worker for D, one per worker for W and F (one range 1..n_max
-    when ``jobs`` is 1), as ``criteria.qlc_ranges`` cuts them."""
-    if tag in ROW_RECURRENCES:
-        return _qlc_recurrence_chunk, [(tag, lo, hi) for lo, hi
-                                       in qlc_ranges(n_max, jobs, per_job=1, power=2)]
-    return _qlc_chunk, [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
-
-
 def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
                f_rows=None) -> tuple[ClaimRecord, list[tuple[int, int | None, int | None]]]:
     """One family's q-log-convexity record for n = 1..n_max, and its rows
     (n, first negative, last negative defect coefficient index), the one
     row shape every engine gives.
 
-    D multiplies its defects out and keeps only those two indices of each:
-    through ``q_log_convex_direct`` when ``jobs`` is 1, else in contiguous
-    n-ranges of ``criteria._qlc_chunk``.  W and F, which have recurrences
-    in n (``families.ROW_RECURRENCES``), advance their defect products by
-    them in ``criteria._qlc_recurrence_chunk``: one range 1..n_max when
-    ``jobs`` is 1, else one range per worker, each seeded directly.
-    ``_qlc_tasks`` lists the ranges, and ``_map_rows`` computes, plans or
-    reads them as ``batch`` says, so the rows depend on ``jobs`` alone.
+    D, W and F are read the same way, over ``criteria.qlc_ranges(n_max,
+    jobs)``: one n-range per worker, one range 1..n_max when ``jobs`` is 1,
+    which ``_map_rows`` computes, plans or reads as ``batch`` says.  D
+    multiplies its defects out and keeps only those two indices of each
+    (``_qlc_direct_row``).  W and F, which have recurrences in n
+    (``families.ROW_RECURRENCES``), advance their defect products by them
+    in ``criteria._qlc_recurrence_chunk``, each range seeded directly.  D's
+    record also fails each row m in 0..n_max+1 that does not sum to the
+    Domb number D_m(1) (``_unsummed_rows``), which the convexity of the
+    defects alone does not see.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -838,12 +828,11 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
                  None if first is None else 2 * n - first)
                 for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
-        failures = []
-        if jobs <= 1 and tag not in ROW_RECURRENCES:
-            rows = q_log_convex_direct(tag, n_max)
-        else:
-            row, tasks = _qlc_tasks(tag, n_max, jobs)
-            rows = [r for chunk in _map_rows(batch, row, tasks) for r in chunk]
+        unsummed = _map_rows(batch, _unsummed_rows, [n_max]) if tag == "D" else []
+        failures = [f"row {m} of D does not sum to D_{m}(1)" for ms in unsummed for m in ms]
+        row = _qlc_recurrence_chunk if tag in ROW_RECURRENCES else _qlc_direct_row
+        tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
+        rows = [r for chunk in _map_rows(batch, row, tasks) for r in chunk]
     failures += [f"negative defect coefficient {first} at n={n}"
                  for n, first, _last in rows if first is not None]
     return _record(f"qlc_{tag}", {"family": tag, "n_max": n_max}, failures), rows
@@ -863,6 +852,22 @@ def qlc_check(tag: str, n_max: int,
         return _qlc_claim(tag, n_max, jobs, batch, f_rows)
 
     return _pooled(claim, jobs)
+
+
+def _qlc_direct_row(task: tuple[str, int, int]) -> list[tuple[int, int | None, int | None]]:
+    """D's defects over the range (tag, lo, hi).  The pool pickles a row by
+    name, and this one looks ``q_log_convex_direct`` up when it runs, so a
+    wrapper put in its place is still called, as in ``_series_row``."""
+    tag, lo, hi = task
+    return q_log_convex_direct(tag, hi, lo)
+
+
+def _unsummed_rows(n_max: int) -> list[int]:
+    """The m in 0..n_max+1 where D's row m does not sum to the Domb number
+    D_m(1) of ``domb_numbers``, which come from their recurrence in n, not
+    from the rows."""
+    numbers = domb_numbers(n_max + 2)
+    return [m for m in range(n_max + 2) if sum(family_poly("D", m).coeffs) != numbers[m]]
 
 
 def _unmirrored_rows(n_max: int) -> set[int]:

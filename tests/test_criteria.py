@@ -10,7 +10,6 @@ from qlogconvex.criteria import (
     _at_slot,
     _exact_quotient,
     _negative_ends,
-    _qlc_chunk,
     _qlc_recurrence_chunk,
     _slot_bytes,
     _slot_terms,
@@ -207,8 +206,9 @@ def test_qlc_direct_hand_computed_defects():
 
 
 def test_qlc_direct_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        q_log_convex_direct("D", 0)
+    for n_max, lo in ((0, 1), (5, 0), (5, 6)):
+        with pytest.raises(ValueError):
+            q_log_convex_direct("D", n_max, lo)
 
 
 def test_qlc_direct_parallel_matches_serial():
@@ -217,29 +217,29 @@ def test_qlc_direct_parallel_matches_serial():
     assert pooled == _direct_rows("D", 8)
 
 
-@pytest.mark.parametrize("n_max, jobs", [(1, 2), (5, 2), (150, 2), (150, 3), (40, 8)])
-def test_qlc_ranges_tile_the_range_with_balanced_cost(n_max, jobs):
-    ranges = qlc_ranges(n_max, jobs)
+@settings(max_examples=200, deadline=None)
+@given(n_max=st.integers(1, 400), parts=st.integers(1, 8))
+def test_qlc_ranges_cut_equal_shares_of_n_squared(n_max, parts):
+    ranges = qlc_ranges(n_max, parts)
+    assert len(ranges) == min(n_max, parts)
     assert ranges[0][0] == 1 and ranges[-1][1] == n_max
     assert all(lo <= hi for lo, hi in ranges)
     assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-    count = min(n_max, 4 * jobs)
-    assert len(ranges) <= count
-    if n_max == 150:
-        assert len(ranges) == count
-        share = sum(n**3 for n in range(1, n_max + 1)) / count
-        # a range overshoots its share by less than its last row
-        assert all(sum(n**3 for n in range(lo, hi + 1)) < share + hi**3 for lo, hi in ranges)
-
-
-@pytest.mark.parametrize("n_max, jobs", [(1, 2), (5, 2), (150, 2), (150, 3)])
-def test_qlc_ranges_for_recurrences_give_one_range_per_worker_at_n_squared(n_max, jobs):
-    ranges = qlc_ranges(n_max, jobs, per_job=1, power=2)
-    assert ranges[0][0] == 1 and ranges[-1][1] == n_max
-    assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
-    assert len(ranges) == min(n_max, jobs)
     share = sum(n**2 for n in range(1, n_max + 1)) / len(ranges)
-    assert all(sum(n**2 for n in range(lo, hi + 1)) < share + hi**2 for lo, hi in ranges)
+    assert all(abs(sum(n**2 for n in range(lo, hi + 1)) - share) <= n_max**2 for lo, hi in ranges)
+
+
+@pytest.mark.parametrize("n_max, jobs, expected", [
+    (1, 2, [(1, 1)]),
+    (5, 2, [(1, 4), (5, 5)]),
+    (150, 2, [(1, 119), (120, 150)]),
+    (150, 3, [(1, 104), (105, 131), (132, 150)]),
+    (40, 8, [(1, 20), (21, 26), (27, 29), (30, 32), (33, 35), (36, 37), (38, 39), (40, 40)]),
+], ids=["1-2", "5-2", "150-2", "150-3", "40-8"])
+def test_qlc_ranges_tile_the_range_with_balanced_cost(n_max, jobs, expected):
+    # the cuts of the plans that the tests and the benchmark's pooled run read
+    assert qlc_ranges(n_max, jobs) == expected
+
 
 def test_qlc_chunks_agree_with_one_serial_chunk():
     defects = [(-1, 0, 3), (2, -5, 0, -1, 4), (1, 2), ()]
@@ -249,10 +249,12 @@ def test_qlc_chunks_agree_with_one_serial_chunk():
         assert [_kronecker_negative_ends(_kronecker_pack(d, size), len(d), size)
                 for d in defects] == ends
     for tag in ("V", "F"):
-        whole = _qlc_chunk((tag, 1, 30))
+        whole = q_log_convex_direct(tag, 30)
         assert whole == _direct_rows(tag, 30)
-        pieces = [row for lo, hi in qlc_ranges(30, 2) for row in _qlc_chunk((tag, lo, hi))]
-        assert pieces == whole
+        for parts in (2, 3, 8):
+            pieces = [row for lo, hi in qlc_ranges(30, parts)
+                      for row in q_log_convex_direct(tag, hi, lo)]
+            assert pieces == whole
 
 
 
@@ -270,8 +272,8 @@ def test_recurrence_ranges_seeded_at_lo_agree_with_one_run(tag):
     for lo in range(1, 41):
         for hi in (lo, min(lo + 1, 40), min(lo + 4, 40), 40):
             assert _qlc_recurrence_chunk((tag, lo, hi)) == whole[lo - 1:hi], (lo, hi)
-    for per_job, power in ((4, 3), (1, 2)):
-        pooled = [row for lo, hi in qlc_ranges(40, 2, per_job, power)
+    for parts in (2, 3, 8):
+        pooled = [row for lo, hi in qlc_ranges(40, parts)
                   for row in _qlc_recurrence_chunk((tag, lo, hi))]
         assert pooled == whole
 
@@ -346,8 +348,9 @@ def test_tampered_rows_match_the_direct_products(tag, m, k, factor):
         _tamper_rows(monkeypatch, tag, m, k, factor)
         direct = _direct_rows(tag, TAMPER_N_MAX)
         assert _qlc_recurrence_chunk((tag, 1, TAMPER_N_MAX)) == direct
-        for lo, hi in qlc_ranges(TAMPER_N_MAX, 2):
-            assert _qlc_recurrence_chunk((tag, lo, hi)) == direct[lo - 1:hi]
+        for parts in (2, 3):
+            for lo, hi in qlc_ranges(TAMPER_N_MAX, parts):
+                assert _qlc_recurrence_chunk((tag, lo, hi)) == direct[lo - 1:hi]
 
 
 @pytest.mark.parametrize("tag", ["W", "F"])
@@ -409,10 +412,10 @@ def test_every_qlc_engine_gives_the_schoolbook_rows(monkeypatch, tag, tamper):
     assert q_log_convex_direct(tag, n_max) == expected
     for jobs in (2, 3):
         assert [row for lo, hi in qlc_ranges(n_max, jobs)
-                for row in _qlc_chunk((tag, lo, hi))] == expected
+                for row in q_log_convex_direct(tag, hi, lo)] == expected
     if tag in ROW_RECURRENCES:
         assert _qlc_recurrence_chunk((tag, 1, n_max)) == expected
-        assert [row for lo, hi in qlc_ranges(n_max, 2, per_job=1, power=2)
+        assert [row for lo, hi in qlc_ranges(n_max, 2)
                 for row in _qlc_recurrence_chunk((tag, lo, hi))] == expected
 
 

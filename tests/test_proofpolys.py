@@ -364,7 +364,8 @@ def test_nn_endpoint_forms_small_grid():
                          ids=["theta", "xi_eta", "nn"])
 def test_endpoint_values_are_in_the_ring_of_their_point(forms):
     for n in range(1, 61):
-        rows = proofpolys.endpoint_values(forms, n, {})
+        chains = {builder: [getattr(proofpolys, builder)(n)] for builder in {f[1] for f in forms}}
+        rows = proofpolys.endpoint_values(forms, n, chains)
         for (label, builder, order, point, closed, _sign, _min_n), row in zip(forms, rows):
             poly = getattr(proofpolys, builder)(n)
             for _ in range(order):

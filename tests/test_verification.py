@@ -609,8 +609,8 @@ def test_fault_injection_flips_verdict(monkeypatch):
 def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, columns):
     # D_40 doubled at k = 7 alone is no longer symmetric, so its square leaves
     # the palindromic product; doubled at k and n - k it stays symmetric and
-    # on that path.  Either way qlc_D fails with one record: the defect at
-    # n = 40 turns negative at index 8.
+    # on that path.  Either way qlc_D fails with one record: row 40 no longer
+    # sums to D_40(1), and the defect at n = 40 turns negative at index 8.
     n = 40
     original_row = families._family_row
 
@@ -629,9 +629,53 @@ def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, colum
     certificate = run_full_verification(VerificationConfig(**{**SMALL_CONFIG, "n_max_direct": 48}))
     assert [c for c in certificate.claims if not c.passed] == [ClaimRecord(
         "qlc_D", {"family": "D", "n_max": "48"}, "fail",
-        {"first_failure": f"negative defect coefficient 8 at n={n}", "failure_count": "1"})]
+        {"first_failure": f"row {n} of D does not sum to D_{n}(1)", "failure_count": "2"})]
     row = families.family_poly("D", n).coeffs
     assert ((row, row) in palindromic) == (len(columns) == 2)
+    _record, rows = verification.qlc_check("D", 48, 1)
+    assert [(m, first) for m, first, _last in rows if first is not None] == [(n, 8)]
+
+
+def _raise_d_row(monkeypatch, n, k):
+    """D's row n raised by one at coefficient k where ``families`` builds it,
+    so every reader of the row sees it."""
+    original_row = families._family_row
+
+    def tampered(tag, m):
+        row = original_row(tag, m)
+        if (tag, m) == ("D", n):
+            row[k] += 1
+        return row
+
+    monkeypatch.setattr(families, "_family_row", tampered)
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+def test_a_d_row_off_by_one_fails_qlc_d_alone(monkeypatch, parallelism):
+    # every defect that reads D_9 stays nonnegative, so only the row sum sees it
+    _raise_d_row(monkeypatch, 9, 3)
+    assert verification.qlc_check("D", 20, 1)[1] == [(m, None, None) for m in range(1, 21)]
+    certificate = run_full_verification(VerificationConfig(**SMALL_CONFIG,
+                                                           parallelism=parallelism))
+    assert [c for c in certificate.claims if not c.passed] == [ClaimRecord(
+        "qlc_D", {"family": "D", "n_max": "12"}, "fail",
+        {"first_failure": "row 9 of D does not sum to D_9(1)", "failure_count": "1"})]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_qlc_fails_a_d_row_off_by_one(capsys, monkeypatch, jobs):
+    _raise_d_row(monkeypatch, 9, 3)
+    code, out = _check_qlc(capsys, "D", 20, jobs)
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert json.loads(out) == {"check": "qlc", "family": "D", "n_max": "20", "result": "fail",
+                               "first_witness": "row 9 of D does not sum to D_9(1)"}
+
+
+def test_unsummed_rows_lists_each_d_row_off_its_domb_number(monkeypatch):
+    assert verification._unsummed_rows(30) == []
+    for n, k in ((0, 0), (9, 3), (31, 30)):
+        _raise_d_row(monkeypatch, n, k)
+    assert verification._unsummed_rows(30) == [0, 9, 31]
 
 
 def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
@@ -836,8 +880,8 @@ def test_chunks_cover_every_item_once_contiguous_and_in_order(length, count):
 
 # every function that a pooled run sends through its map
 ROW_NAMES = ("_prop31_row", "_prop32_row", "_prop33_row", "_claim1_row", "_claims23_row",
-             "_factorization_row", "_grid_row", "_qlc_chunk", "_qlc_recurrence_chunk",
-             "_unmirrored_rows", "_monotonicity_row", "_series_row")
+             "_factorization_row", "_grid_row", "_qlc_direct_row", "_qlc_recurrence_chunk",
+             "_unsummed_rows", "_unmirrored_rows", "_monotonicity_row", "_series_row")
 
 
 def _spy(monkeypatch, owner, name, calls, phase=("run",)):
@@ -899,6 +943,24 @@ def test_the_plan_is_the_serial_row_calls_and_computes_nothing(monkeypatch):
     assert {name for name, _item in planned} == set(ROW_NAMES)
     assert planned == collections.Counter((name, args[0]) for when, name, args in calls
                                           if when == "read" and name in ROW_NAMES)
+
+
+@pytest.mark.parametrize("tag, engine", [("D", "_qlc_direct_row"),
+                                         ("W", "_qlc_recurrence_chunk"),
+                                         ("F", "_qlc_recurrence_chunk")])
+def test_a_serial_qlc_claim_maps_one_range(monkeypatch, tag, engine):
+    mapped, original = [], verification._map_rows
+
+    def spied(batch, row, items):
+        mapped.append((row.__name__, list(items)))
+        return original(batch, row, items)
+
+    monkeypatch.setattr(verification, "_map_rows", spied)
+    record, rows = verification._qlc_claim(tag, 30, 1)
+    assert record.passed and len(rows) == 30
+    assert [(row, items) for row, items in mapped if row != "_unsummed_rows"] == [
+        (engine, [(tag, 1, 30)])]
+    assert [row for row, _items in mapped].count("_unsummed_rows") == (tag == "D")
 
 
 def test_the_pooled_plan_runs_the_nine_grid_identities_as_one_task(monkeypatch):
