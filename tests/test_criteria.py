@@ -229,6 +229,16 @@ def test_qlc_ranges_cut_equal_shares_of_n_squared(n_max, parts):
     assert all(abs(sum(n**2 for n in range(lo, hi + 1)) - share) <= n_max**2 for lo, hi in ranges)
 
 
+@pytest.mark.parametrize("n_max, jobs", [(1, 2), (5, 2), (150, 2), (150, 3)])
+def test_qlc_ranges_for_recurrences_give_one_range_per_worker_at_n_squared(n_max, jobs):
+    ranges = qlc_ranges(n_max, jobs)
+    assert ranges[0][0] == 1 and ranges[-1][1] == n_max
+    assert all(prev[1] + 1 == nxt[0] for prev, nxt in zip(ranges, ranges[1:]))
+    assert len(ranges) == min(n_max, jobs)
+    share = sum(n**2 for n in range(1, n_max + 1)) / len(ranges)
+    assert all(sum(n**2 for n in range(lo, hi + 1)) < share + hi**2 for lo, hi in ranges)
+
+
 @pytest.mark.parametrize("n_max, jobs, expected", [
     (1, 2, [(1, 1)]),
     (5, 2, [(1, 4), (5, 5)]),
