@@ -14,10 +14,12 @@ psi(n,t)(0) = (n+1)^2 theta(t).  Two auxiliary polynomials in t collect the
 x = 0 values of the first two cofactors: xi = psi1(0)/(n+1)^2 and
 eta = psi2(0)/(n+1).
 
-Every polynomial here is transcribed as an explicit coefficient expansion
-and cross-validated three ways: the derivative cascade above, exact closed
-forms at interval endpoints and midpoints, and the operator factorization
-identity.  A transcription slip in any one table is caught by the others.
+Every polynomial here is transcribed as an explicit coefficient expansion,
+and this module only builds them and tabulates their closed forms at
+interval endpoints and midpoints.  ``verification`` cross-validates them
+three ways: the derivative cascade above, the closed forms, and the
+operator factorization identity.  A slip in any one table is caught by the
+others.
 
 psi itself is built from its product form: three terms, each a scale times
 eight linear factors in x.  Every factor is evaluated at X = 2^(8 size),
@@ -39,15 +41,9 @@ t, and equal at every integer pair in -5..60.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import zip_longest
 from typing import NamedTuple
 
-from .polynomials import Poly, _kronecker_unpack, _own_ring
-
-
-def _times_linear(p, c0: int, c1: int) -> list:
-    """Coefficients of p(x) * (c0 + c1 x), one more than p has."""
-    return [c0 * x + c1 * y for x, y in zip((*p, 0), (0, *p))]
+from .polynomials import Poly, _kronecker_unpack
 
 
 def _psi_terms(n, t) -> tuple:
@@ -321,12 +317,12 @@ _nn, _nn1, _nn2, _nn3 = (f"psi{i}_nn_poly" for i in ("", "1", "2", "3"))
 # evaluated, never bound at import.  The sign ("+" or "-") is that of the
 # displayed inequality, and these columns are the only statement of it: the
 # sweeps assert it from min n on through ``verification._form_failures``,
-# which also matches each value they read against its closed form.  prop31 reads
-# every theta row for n >= 5, prop33 every t = n row, and claims 2-3 the
-# four order-0 xi/eta rows, the ends of their sign intervals.  The six
-# derivative rows of xi and eta are asserted per n by no sweep; the root
-# counts on those intervals, which Descartes' rule decides with no sign
-# variation, prove what they only support.  The grid records of
+# the one checker of these tables, which also matches each value against its
+# closed form.  prop31 reads every theta row for n >= 5, prop33 every t = n
+# row, and claims 2-3 the four order-0 xi/eta rows, the ends of their sign
+# intervals.  The six derivative rows of xi and eta are asserted per n by no
+# sweep; the root counts on those intervals, which Descartes' rule decides
+# with no sign variation, prove what they only support.  The grid records of
 # ``verification.GRID_IDENTITIES`` prove every row's closed form for all n.
 #
 # theta and its derivatives in t.
@@ -409,34 +405,7 @@ NN_ENDPOINT_FORMS: tuple = (
 )
 
 
-def endpoint_values(forms, n: int, chains: dict) -> list:
-    """(label, value, closed value, sign, min n) for each row of ``forms`` at n.
-
-    ``chains`` maps the name of each builder the rows name to the
-    polynomial it builds at n and that polynomial's derivatives,
-    [p, p', p'', ...]; a chain grows by derivatives as far as the rows
-    need.  Callers pass the polynomials they have built already, so none is
-    built twice.  Each row is evaluated in the ring of its point at n: an
-    integral point as an int, so the value is an int, and p/q as a
-    Fraction.  The closed value is the table's, an int or a Fraction.
-    """
-    values = []
-    for label, builder, order, point, closed, sign, min_n in forms:
-        chain = chains[builder]
-        while len(chain) <= order:
-            chain.append(chain[-1].derivative())
-        values.append((label, chain[order](_own_ring(point(n))), closed(n), sign, min_n))
-    return values
-
-
-# --- the identities, one checker each -------------------------------------
-#
-# A checker returns what breaks and leaves the message to its reader: the
-# per-n rows and the grid records of ``verification`` list every break, in
-# one wording.
-
-_LEVELS = ("", "1", "2", "3")  # the suffixes of psi and its three cofactors
-
+# --- bundles, which only build: ``verification`` checks them ----------------
 
 def psi_polys(n: int, t: int) -> tuple[Poly, Poly, Poly, Poly]:
     return psi_poly(n, t), psi1_poly(n, t), psi2_poly(n, t), psi3_poly(n, t)
@@ -445,53 +414,6 @@ def psi_polys(n: int, t: int) -> tuple[Poly, Poly, Poly, Poly]:
 def psi_nn_polys(n: int) -> tuple[Poly, Poly, Poly, Poly]:
     return psi_nn_poly(n), psi1_nn_poly(n), psi2_nn_poly(n), psi3_nn_poly(n)
 
-
-def _breaks(pairs) -> list[str]:
-    """The suffix of each pair of coefficient lists, ascending, that differ
-    as polynomials (a coefficient past the end is zero), the pairs taken in
-    the order of ``_LEVELS``."""
-    return [level for level, (p, q) in zip(_LEVELS, pairs)
-            if p != q and any(a != b for a, b in zip_longest(p, q, fillvalue=0))]
-
-
-def cascade_breaks(polys: tuple, t: int) -> list[str]:
-    """The identities psi' = (2x - t) psi1, psi1' = 2 (2x - t) psi2 and
-    psi2' = 6 (2x - t) psi3 that polys = (psi, psi1, psi2, psi3) break, by
-    the suffix of the polynomial differentiated."""
-    return _breaks(([j * c for j, c in enumerate(polys[i].coeffs)][1:],
-                    _times_linear(polys[i + 1].coeffs, -t * s, 2 * s))
-                   for i, s in enumerate((1, 2, 6)))
-
-
-def specialization_breaks(n: int, expanded: tuple, general: tuple | None = None) -> list[str]:
-    """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
-    general forms (psi, .., psi3) at (n, n), built here if not given."""
-    if general is None:
-        general = psi_polys(n, n)
-    return _breaks((p.coeffs, q.coeffs) for p, q in zip(expanded, general))
-
-
-# The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):
-# name -> (p, power, q), the builders named, never bound at import.
-EXTRACTIONS = {
-    "xi": (_xi, 2, "psi1_poly"),
-    "eta": (_eta, 1, "psi2_poly"),
-    "theta": (_theta, 2, "psi_poly"),
-}
-
-
-def extraction_holds(name: str, n: int, t: int, in_t: Poly, at: Poly | None = None) -> bool:
-    """Whether the extraction ``name`` of ``EXTRACTIONS`` holds at (n, t),
-    given its polynomial p(n) as ``in_t``; ``at`` is its cofactor q(n, t),
-    built here if not given, whose value at x = 0 is its constant
-    coefficient."""
-    _builder, power, cofactor = EXTRACTIONS[name]
-    if at is None:
-        at = globals()[cofactor](n, t)
-    return (n + 1) ** power * in_t(t) == at.coefficient(0)
-
-
-# --- bundles, which only build: their readers check them --------------------
 
 class PsiBundle(NamedTuple):
     """psi and its three derivative cofactors for one (n, t) cell; from
@@ -520,22 +442,19 @@ def build_psi_nn(n: int) -> PsiBundle:
 
 
 class ThetaBundle(NamedTuple):
-    """theta, its derivatives in t to order four, and the rows of
-    ``THETA_ENDPOINT_FORMS`` at n as ``endpoint_values`` gives them."""
+    """theta and its derivatives in t to order four."""
 
     theta: Poly
     derivatives: tuple[Poly, Poly, Poly, Poly]
-    forms: tuple
 
 
 def build_theta(n: int) -> ThetaBundle:
-    """theta for one n >= 1, with the fourteen endpoint values and their
-    closed forms, which prop31 compares and whose signs it reads
-    (``verification._form_failures``)."""
+    """theta for one n >= 1 and its four derivatives, the chain whose values
+    at the rows of ``THETA_ENDPOINT_FORMS`` prop31 compares and whose signs
+    it reads (``verification._form_failures``)."""
     if n < 1:
         raise ValueError(f"theta needs n >= 1, got {n}")
     chain = [theta_poly(n)]
     for _ in range(4):
         chain.append(chain[-1].derivative())
-    forms = tuple(endpoint_values(THETA_ENDPOINT_FORMS, n, {"theta_poly": chain}))
-    return ThetaBundle(chain[0], tuple(chain[1:5]), forms)
+    return ThetaBundle(chain[0], tuple(chain[1:]))

@@ -13,9 +13,12 @@ proofs, by the degree-bound argument: a polynomial identity of degree d in a
 parameter that holds at more than d integer points holds identically).
 Those identities are one table, ``GRID_IDENTITIES``: each row is an n grid,
 a t grid or None, and a function that returns the failures at one grid
-point; the record's grid label is read from the ranges.  The row functions
-look the ``proofpolys`` builders and endpoint-form tables up when they run,
-so a builder replaced at run time is the one checked, here and in the sweeps.
+point; the record's grid label is read from the ranges.  ``proofpolys``
+only builds and tabulates; each identity has one checker here, which the
+per-n rows read too, so a break gives the same line in every record.  The
+row functions look the ``proofpolys`` builders and endpoint-form tables up
+when they run, so a builder replaced at run time is the one checked, here
+and in the sweeps.
 The nine identities run as one row (``_grid_row``) in every run, serial or
 pooled, and share its builds, so each builder runs once per grid point,
 psi and its cofactors at each (n, t) and theta, xi and eta at each n,
@@ -23,7 +26,7 @@ whichever identities read the result.
 
 The sweeps are listed once, in ``SWEEPS``, costliest first, and each
 computes only inside its rows, which it reads through ``_map_rows``: claim
-1, V's reversal check, D's row sums, the series and the monotonicity
+1, V's reversal check, D's and W's row sums, the series and the monotonicity
 evidence are one-item rows.  With ``parallelism`` above 1 the orchestrator
 imports ``multiprocessing`` (a serial run never loads it), opens a single
 pool and runs the sweeps twice (``_pooled``).  The first pass plans the
@@ -56,6 +59,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import time
 from fractions import Fraction
 from typing import NamedTuple
@@ -75,6 +79,7 @@ from .hiprec import ccl_constant_bounds, fraction_to_decimal
 from .polynomials import (
     IntervalSign,
     Poly,
+    _own_ring,
     sign_constant_on,
     sturm_count_roots,
     values_at_integers,
@@ -481,7 +486,8 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
     sweep builds every array row once; and the record: the signs of
     L_t(a(n,0)) for t = 0..n, read from ``_boundary_brackets``, and for
     n >= 5 theta's signs at t = 0..n-1, read from one forward-difference
-    table, the signs of its endpoint rows and its Sturm root counts."""
+    table, its endpoint rows against their closed forms and signs, evaluated
+    on the bundle's chain, and its Sturm root counts."""
     table_failures = _boundary_table_failures(n)
     brackets = _boundary_brackets(n)
     if brackets is None:
@@ -495,7 +501,8 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
         failures += [f"theta({t}) not positive at n={n}"
                      for t, value in enumerate(values_at_integers(bundle.theta, n))
                      if not value > 0]
-        failures += _form_failures(bundle.forms, n)
+        failures += _form_failures(proofpolys.THETA_ENDPOINT_FORMS, n,
+                                   {"theta_poly": [bundle.theta, *bundle.derivatives]})
         th1, th2, th3, th4 = bundle.derivatives
         failures += [f"{name} root count failed at n={n}"
                      for poly, roots, name in ((th4, 1, "theta''''"), (th3, 1, "theta'''"),
@@ -505,16 +512,22 @@ def _prop31_row(n: int) -> tuple[list[str], ClaimRecord]:
     return table_failures, record
 
 
-def _form_failures(values: list, n: int) -> list[str]:
-    """The failures at n of endpoint rows (label, value, closed value, sign,
-    min n) from ``proofpolys.endpoint_values``: a value that differs from its
-    closed form, and from min n on, a value without the row's sign (a zero
-    fails)."""
+def _form_failures(forms, n: int, chains: dict, signs: bool = True) -> list[str]:
+    """The failures at n of the rows of the endpoint-form table ``forms``: a
+    value that differs from its closed form, and with ``signs`` (the grid
+    records assert none), from min n on, a value without the row's sign (a
+    zero fails).  ``chains`` maps each builder the rows name to what the
+    caller built, [p, p', ...], grown by derivatives as the rows need.  Each
+    row is evaluated in the ring of its point: an int, or p/q a Fraction."""
     failures = []
-    for label, value, closed, sign, min_n in values:
-        if value != closed:
+    for label, builder, order, point, closed, sign, min_n in forms:
+        chain = chains[builder]
+        while len(chain) <= order:
+            chain.append(chain[-1].derivative())
+        value = chain[order](_own_ring(point(n)))
+        if value != closed(n):
             failures.append(f"{label} form mismatch at n={n}")
-        if n >= min_n and _sign(value) != (1 if sign == "+" else -1):
+        if signs and n >= min_n and _sign(value) != (1 if sign == "+" else -1):
             failures.append(f"{label} sign claim failed at n={n}")
     return failures
 
@@ -600,8 +613,7 @@ def _prop33_row(n: int) -> ClaimRecord:
         return _record("prop33", {"n": n}, breaks)
     chains = {"psi_nn_poly": [bundle.psi], "psi1_nn_poly": [bundle.psi1],
               "psi2_nn_poly": [bundle.psi2], "psi3_nn_poly": [bundle.psi3]}
-    failures = _form_failures(
-        proofpolys.endpoint_values(proofpolys.NN_ENDPOINT_FORMS, n, chains), n)
+    failures = _form_failures(proofpolys.NN_ENDPOINT_FORMS, n, chains)
     values = [bundle.psi(k) for k in range(1, n // 2 + 1)]
     if values and single_crossing(values) is not None:
         failures.append(f"diagonal crossing pattern broken at n={n}")
@@ -641,8 +653,7 @@ def _claims23_row(n: int) -> ClaimRecord:
     xi = proofpolys.xi_poly(n)
     eta = proofpolys.eta_poly(n)
     ends = [form for form in proofpolys.XI_ETA_ENDPOINT_FORMS if form[2] == 0]
-    failures = _form_failures(
-        proofpolys.endpoint_values(ends, n, {"xi_poly": [xi], "eta_poly": [eta]}), n)
+    failures = _form_failures(ends, n, {"xi_poly": [xi], "eta_poly": [eta]})
     three_quarters = 3 * n // 4 if n % 4 == 0 else Fraction(3 * n, 4)
     # at n = 4 the xi interval is the point 3, whose sign the xi(n-1) row asserts
     if n > 4 and sign_constant_on(xi, three_quarters, n - 1) is not IntervalSign.NEGATIVE:
@@ -658,6 +669,61 @@ def _claims23_row(n: int) -> ClaimRecord:
     return _record("claims123", {"part": "claims23", "n": n}, failures)
 
 
+# --- the identities, one checker each ------------------------------------------
+#
+# Each returns the failure lines at one point, in the one wording of every
+# record that reads it: the per-n rows pass what they have built already, the
+# grid records their memo's builds.  ``_form_failures`` checks the form tables.
+
+_LEVELS = ("", "1", "2", "3")  # the suffixes of psi and its three cofactors
+
+
+def _cascade_failures(n: int, t: int, polys: tuple, stem: str = "psi") -> list[str]:
+    """The breaks of psi' = (2x - t) psi1, psi1' = 2 (2x - t) psi2 and
+    psi2' = 6 (2x - t) psi3 for polys = (psi, .., psi3), each named by the
+    polynomial differentiated, compared on coefficient lists (a coefficient
+    past the end is zero)."""
+    failures = []
+    for level, s, p, q in zip(_LEVELS, (1, 2, 6), polys, polys[1:]):
+        derivative = [j * c for j, c in enumerate(p.coeffs)][1:]
+        q, c0, c1 = q.coeffs, -t * s, 2 * s  # s (2x - t) q = (c0 + c1 x) q
+        product = [c0 * x + c1 * y for x, y in zip((*q, 0), (0, *q))]
+        if derivative != product and any(
+                a != b for a, b in itertools.zip_longest(derivative, product, fillvalue=0)):
+            failures.append(f"{stem}{level}' cascade fails at (n={n}, t={t})")
+    return failures
+
+
+def _specialization_failures(n: int, expanded: tuple, general: tuple | None = None) -> list[str]:
+    """The t = n expansions (psi_nn, .., psi3_nn) that differ from the
+    general forms (psi, .., psi3) at (n, n), built here if not given."""
+    if general is None:
+        general = proofpolys.psi_polys(n, n)
+    return [f"psi{level} specialization fails at n={n}"
+            for level, p, q in zip(_LEVELS, expanded, general) if p != q]
+
+
+# The x = 0 extractions, each the identity (n+1)^power p(n)(t) = q(n, t)(0):
+# name -> (p, power, q, its failure with {} for the point), the builders
+# named, never bound at import.
+EXTRACTIONS = {
+    "xi": ("xi_poly", 2, "psi1_poly", "xi extraction fails at {}"),
+    "eta": ("eta_poly", 1, "psi2_poly", "eta extraction fails at {}"),
+    "theta": ("theta_poly", 2, "psi_poly", "psi(0) != (n+1)^2 theta(t) at {}"),
+}
+
+
+def _extraction_failures(name: str, n: int, t: int, in_t: Poly, at: Poly | None = None) -> list[str]:
+    """The extraction ``name`` of ``EXTRACTIONS`` at (n, t), given its
+    polynomial p(n) as ``in_t``; ``at`` is its cofactor q(n, t), built here
+    if not given, whose value at x = 0 is its constant coefficient."""
+    _p, power, cofactor, message = EXTRACTIONS[name]
+    if at is None:
+        at = getattr(proofpolys, cofactor)(n, t)
+    holds = (n + 1) ** power * in_t(t) == at.coefficient(0)
+    return [] if holds else [message.format(f"(n={n}, t={t})")]
+
+
 # --- grid-certified polynomial identities --------------------------------------
 
 # Expanded degree bounds of the identities: degree <= 8 in n, <= 6 in t.
@@ -669,31 +735,7 @@ _FORM_GRID_N = range(1, 21)
 # The failure functions of ``GRID_IDENTITIES`` take a memo of builds and one
 # grid point, (n, t) or (n,).  They read every polynomial through ``_built``,
 # which looks its builder up in ``proofpolys`` when it builds, and every table
-# in ``proofpolys`` when they run.  The per-n rows pass the first three
-# checkers what they have built already.
-
-
-def _cascade_failures(n: int, t: int, polys: tuple, stem: str = "psi") -> list[str]:
-    """The cascade breaks of polys = (psi, .., psi3)."""
-    return [f"{stem}{level}' cascade fails at (n={n}, t={t})"
-            for level in proofpolys.cascade_breaks(polys, t)]
-
-
-def _specialization_failures(n: int, expanded: tuple, general: tuple | None = None) -> list[str]:
-    return [f"psi{level} specialization fails at n={n}"
-            for level in proofpolys.specialization_breaks(n, expanded, general)]
-
-
-# extraction of ``proofpolys.EXTRACTIONS`` -> its failure, with {} for the point
-_EXTRACTION_MESSAGES = {"xi": "xi extraction fails at {}", "eta": "eta extraction fails at {}",
-                        "theta": "psi(0) != (n+1)^2 theta(t) at {}"}
-
-
-def _extraction_failures(name: str, n: int, t: int, in_t: Poly, at: Poly | None = None) -> list[str]:
-    """The extraction ``name`` at (n, t), as ``proofpolys.extraction_holds``."""
-    if proofpolys.extraction_holds(name, n, t, in_t, at):
-        return []
-    return [_EXTRACTION_MESSAGES[name].format(f"(n={n}, t={t})")]
+# in ``proofpolys`` when they run.
 
 
 def _built(builds: dict, builder: str, *point) -> Poly:
@@ -719,7 +761,7 @@ def _grid_specialization(builds: dict, n: int) -> list[str]:
 
 
 def _grid_extraction(name: str, builds: dict, n: int, t: int) -> list[str]:
-    in_t, _power, at = proofpolys.EXTRACTIONS[name]
+    in_t, _power, at, _message = EXTRACTIONS[name]
     return _extraction_failures(name, n, t, _built(builds, in_t, n), _built(builds, at, n, t))
 
 
@@ -729,12 +771,10 @@ def _midpoint_failures(builds: dict, n: int, t: int) -> list[str]:
             for miss in missed]
 
 
-def _endpoint_form_failures(table: str, builds: dict, n: int) -> list[str]:
+def _grid_forms(table: str, builds: dict, n: int) -> list[str]:
     forms = getattr(proofpolys, table)
     chains = {builder: [_built(builds, builder, n)] for builder in {form[1] for form in forms}}
-    return [f"{label} fails at n={n}"
-            for label, value, closed, _sign, _min_n in proofpolys.endpoint_values(forms, n, chains)
-            if value != closed]
+    return _form_failures(forms, n, chains, signs=False)
 
 
 # identity -> (n grid, t grid or None, failures at one grid point)
@@ -746,11 +786,11 @@ GRID_IDENTITIES = {
     "theta_link": (_GRID_N, _GRID_T, functools.partial(_grid_extraction, "theta")),
     "midpoint_forms": (_FORM_GRID_N, _GRID_T, _midpoint_failures),
     "theta_endpoint_forms": (_FORM_GRID_N, None,
-                             functools.partial(_endpoint_form_failures, "THETA_ENDPOINT_FORMS")),
+                             functools.partial(_grid_forms, "THETA_ENDPOINT_FORMS")),
     "xi_eta_endpoint_forms": (_FORM_GRID_N, None,
-                              functools.partial(_endpoint_form_failures, "XI_ETA_ENDPOINT_FORMS")),
+                              functools.partial(_grid_forms, "XI_ETA_ENDPOINT_FORMS")),
     "nn_endpoint_forms": (_FORM_GRID_N, None,
-                          functools.partial(_endpoint_form_failures, "NN_ENDPOINT_FORMS")),
+                          functools.partial(_grid_forms, "NN_ENDPOINT_FORMS")),
 }
 
 
@@ -803,9 +843,9 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
     (``_qlc_direct_row``).  W and F, which have recurrences in n
     (``families.ROW_RECURRENCES``), advance their defect products by them
     in ``criteria._qlc_recurrence_chunk``, each range seeded directly.  D's
-    record also fails each row m in 0..n_max+1 that does not sum to the
-    Domb number D_m(1) (``_unsummed_rows``), which the convexity of the
-    defects alone does not see.
+    and W's records also fail each row m in 0..n_max+1 that does not sum to
+    its value at 1 from ``ROW_SUMS`` (``_unsummed_rows``): a row off at one
+    coefficient can keep every defect nonnegative.
 
     V is not multiplied out; it reads ``f_rows``, the rows of F, through the
     lemma: if V_m(q) = q^m F_m(1/q) for m = n-1, n and n+1, then
@@ -828,8 +868,8 @@ def _qlc_claim(tag: str, n_max: int, jobs: int, batch=None,
                  None if first is None else 2 * n - first)
                 for n, first, last in f_rows if unmirrored.isdisjoint((n - 1, n, n + 1))]
     else:
-        unsummed = _map_rows(batch, _unsummed_rows, [n_max]) if tag == "D" else []
-        failures = [f"row {m} of D does not sum to D_{m}(1)" for ms in unsummed for m in ms]
+        unsummed = _map_rows(batch, _unsummed_rows, [(tag, n_max)]) if tag in ROW_SUMS else []
+        failures = [f"row {m} of {tag} does not sum to {tag}_{m}(1)" for ms in unsummed for m in ms]
         row = _qlc_recurrence_chunk if tag in ROW_RECURRENCES else _qlc_direct_row
         tasks = [(tag, lo, hi) for lo, hi in qlc_ranges(n_max, jobs)]
         rows = [r for chunk in _map_rows(batch, row, tasks) for r in chunk]
@@ -862,12 +902,17 @@ def _qlc_direct_row(task: tuple[str, int, int]) -> list[tuple[int, int | None, i
     return q_log_convex_direct(tag, hi, lo)
 
 
-def _unsummed_rows(n_max: int) -> list[int]:
-    """The m in 0..n_max+1 where D's row m does not sum to the Domb number
-    D_m(1) of ``domb_numbers``, which come from their recurrence in n, not
-    from the rows."""
-    numbers = domb_numbers(n_max + 2)
-    return [m for m in range(n_max + 2) if sum(family_poly("D", m).coeffs) != numbers[m]]
+# family -> [P_m(1) for m < stop], from no row builder: D's Domb numbers by
+# their recurrence in n, W's sums of C(m, k)^2 as C(2m, m)
+ROW_SUMS = {"D": domb_numbers, "W": lambda stop: [math.comb(2 * m, m) for m in range(stop)]}
+
+
+def _unsummed_rows(task: tuple[str, int]) -> list[int]:
+    """The m in 0..n_max+1 where the row m of the family tag, for a task
+    (tag, n_max), does not sum to its value at 1 in ``ROW_SUMS``."""
+    tag, n_max = task
+    sums = ROW_SUMS[tag](n_max + 2)
+    return [m for m in range(n_max + 2) if sum(family_poly(tag, m).coeffs) != sums[m]]
 
 
 def _unmirrored_rows(n_max: int) -> set[int]:

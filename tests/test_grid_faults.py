@@ -93,7 +93,7 @@ def test_a_bumped_theta_form_fails_its_grid_record_and_prop31(monkeypatch):
     assert label == "theta(0)"
     assert _failing([identity_grid_check("theta_endpoint_forms")]) == [(
         "cascade", {"identity": "theta_endpoint_forms", "grid": "n=1..20"},
-        {"first_failure": "theta(0) fails at n=9", "failure_count": "1"})]
+        {"first_failure": "theta(0) form mismatch at n=9", "failure_count": "1"})]
     assert _failing(verify_prop31(BUMPED_N)) == [(
         "prop31", {"part": "theta", "n": "9"},
         {"first_failure": "theta(0) form mismatch at n=9", "failure_count": "1"})]
@@ -104,7 +104,7 @@ def test_a_bumped_xi_eta_form_fails_its_grid_record_and_claims23(monkeypatch):
     assert label == "xi(n-1)"
     assert _failing([identity_grid_check("xi_eta_endpoint_forms")]) == [(
         "cascade", {"identity": "xi_eta_endpoint_forms", "grid": "n=1..20"},
-        {"first_failure": "xi(n-1) fails at n=9", "failure_count": "1"})]
+        {"first_failure": "xi(n-1) form mismatch at n=9", "failure_count": "1"})]
     assert _failing(verify_claims(BUMPED_N)) == [(
         "claims123", {"part": "claims23", "n": "9"},
         {"first_failure": "xi(n-1) form mismatch at n=9", "failure_count": "1"})]
@@ -115,7 +115,7 @@ def test_a_bumped_nn_form_fails_its_grid_record_and_prop33(monkeypatch):
     assert label == "psi_nn3(0)"
     assert _failing([identity_grid_check("nn_endpoint_forms")]) == [(
         "cascade", {"identity": "nn_endpoint_forms", "grid": "n=1..20"},
-        {"first_failure": "psi_nn3(0) fails at n=9", "failure_count": "1"})]
+        {"first_failure": "psi_nn3(0) form mismatch at n=9", "failure_count": "1"})]
     assert _failing(verify_prop33(BUMPED_N)) == [(
         "prop33", {"n": "9"},
         {"first_failure": "psi_nn3(0) form mismatch at n=9", "failure_count": "1"})]

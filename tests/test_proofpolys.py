@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from qlogconvex.polynomials import Poly, ZERO
-from qlogconvex import proofpolys
+from qlogconvex import proofpolys, verification
 from qlogconvex.proofpolys import (
     NN_ENDPOINT_FORMS,
     THETA_ENDPOINT_FORMS,
@@ -11,7 +11,6 @@ from qlogconvex.proofpolys import (
     build_psi,
     build_psi_nn,
     build_theta,
-    cascade_breaks,
     eta_poly,
     psi1_half_closed,
     psi1_half_closed_n2,
@@ -23,10 +22,10 @@ from qlogconvex.proofpolys import (
     psi3_poly,
     psi_nn_poly,
     psi_poly,
-    specialization_breaks,
     theta_poly,
     xi_poly,
 )
+from qlogconvex.verification import _cascade_failures, _specialization_failures
 
 
 def test_psi_known_value():
@@ -69,7 +68,7 @@ def test_build_psi_validates_ranges():
 def test_build_psi_over_grid():
     for n in range(1, 11):
         for t in range(n + 1):
-            assert cascade_breaks(build_psi(n, t), t) == [], (n, t)
+            assert _cascade_failures(n, t, build_psi(n, t)) == [], (n, t)
 
 
 def _psi_from_poly_products(n, t):
@@ -91,11 +90,16 @@ def test_psi_poly_matches_poly_product_form():
             assert psi_poly(n, t) == _psi_from_poly_products(n, t), (n, t)
 
 
+def _times_linear(p, c0, c1) -> list:
+    """Coefficients of p(x) * (c0 + c1 x), one more than p has."""
+    return [c0 * x + c1 * y for x, y in zip((*p, 0), (0, *p))]
+
+
 def _linear_product(scale, factors) -> list:
     """Coefficients of scale * prod (c0 + c1 x) over the (c0, c1) factors."""
     p = [scale]
     for c0, c1 in factors:
-        p = proofpolys._times_linear(p, c0, c1)
+        p = _times_linear(p, c0, c1)
     return p
 
 
@@ -126,7 +130,8 @@ def test_psi_kronecker_path_matches_at_large_pairs(n, t):
 def test_tampered_transcription_is_caught(monkeypatch):
     # (builder, cell, coefficient bumped, the suffixes of the derivatives
     # whose cascade identity breaks): a cofactor's slip breaks the identity
-    # above it, and the one below it unless the slip is in its constant term
+    # above it, and the one below it unless the slip is in its constant term;
+    # the checker gives one failure line for each, in that order
     cases = (
         ("psi1_poly", (4, 2), 0, [""]),
         ("psi1_poly", (4, 2), 6, ["", "1"]),
@@ -143,7 +148,10 @@ def test_tampered_transcription_is_caught(monkeypatch):
 
         with monkeypatch.context() as patch:
             patch.setattr(proofpolys, builder, tampered)
-            assert cascade_breaks(build_psi(*cell), cell[1]) == breaks, (builder, cell, index)
+            n, t = cell
+            assert _cascade_failures(n, t, build_psi(n, t)) == [
+                f"psi{level}' cascade fails at (n={n}, t={t})" for level in breaks
+            ], (builder, cell, index)
 
 
 def test_grid_premise_and_cascade_symbolically():
@@ -348,7 +356,8 @@ def test_nn_specialization_matches_general_form():
     for n in range(1, 11):
         assert psi_nn_poly(n) == psi_poly(n, n)
         bundle = build_psi_nn(n)
-        assert cascade_breaks(bundle, n) == specialization_breaks(n, bundle) == [], n
+        assert _cascade_failures(n, n, bundle, "psi_nn") == [], n
+        assert _specialization_failures(n, bundle) == [], n
 
 
 def test_nn_endpoint_forms_small_grid():
@@ -363,15 +372,24 @@ def test_nn_endpoint_forms_small_grid():
 @pytest.mark.parametrize("forms", [THETA_ENDPOINT_FORMS, XI_ETA_ENDPOINT_FORMS, NN_ENDPOINT_FORMS],
                          ids=["theta", "xi_eta", "nn"])
 def test_endpoint_values_are_in_the_ring_of_their_point(forms):
+    # the checker of the form tables evaluates each row on the chains it is
+    # given: spies that keep each value they return, whose closed form it
+    # matches
     for n in range(1, 61):
-        chains = {builder: [getattr(proofpolys, builder)(n)] for builder in {f[1] for f in forms}}
-        rows = proofpolys.endpoint_values(forms, n, chains)
-        for (label, builder, order, point, closed, _sign, _min_n), row in zip(forms, rows):
+        values = []
+        chains = {}
+        for builder in {f[1] for f in forms}:
+            poly, chain = getattr(proofpolys, builder)(n), []
+            for _ in range(5):
+                chain.append(lambda x, poly=poly: values.append(poly(x)) or values[-1])
+                poly = poly.derivative()
+            chains[builder] = chain
+        assert verification._form_failures(forms, n, chains, signs=False) == [], n
+        assert len(values) == len(forms), n
+        for (label, builder, order, point, closed, _sign, _min_n), value in zip(forms, values):
             poly = getattr(proofpolys, builder)(n)
             for _ in range(order):
                 poly = poly.derivative()
             x = Fraction(point(n))
-            _label, value, closed_value, _sign, _min_n = row
-            assert value == poly(x), (label, n)
+            assert value == poly(x) == closed(n), (label, n)
             assert type(value) is (int if x.denominator == 1 else Fraction), (label, n)
-            assert closed_value == closed(n), (label, n)

@@ -349,9 +349,10 @@ def test_theta_coefficient_bumped_by_one_fails_prop31(monkeypatch, index):
 
 
 def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
-    # theta(9) shifted down by its smallest positive value, at t = 8, keeps
-    # the endpoint rows (build_theta reads them from the true theta) but
-    # fails the sign sweep at exactly t = 8
+    # theta(9) shifted down by its smallest positive value, at t = 8, fails
+    # the sign sweep at exactly t = 8, first; the endpoint rows are read
+    # from the same shifted chain, so the four order-0 rows miss their
+    # closed forms, and theta(n-1) = theta(8), now zero, also its sign
     n = 9
     original = proofpolys.build_theta
 
@@ -362,10 +363,17 @@ def test_theta_signs_are_read_from_the_difference_table(monkeypatch):
         return bundle._replace(theta=bundle.theta - Poly([bundle.theta(8)]))
 
     monkeypatch.setattr(proofpolys, "build_theta", shifted)
+    lines, record = {}, verification._record
+    monkeypatch.setattr(verification, "_record", lambda claim, params, failures:
+                        lines.update({params["n"]: failures}) or record(claim, params, failures))
     failing = [r for r in verify_prop31(10) if not r.passed]
     assert [r.params["n"] for r in failing] == [str(n)]
     assert failing[0].witness == {"first_failure": f"theta(8) not positive at n={n}",
-                                  "failure_count": "1"}
+                                  "failure_count": "6"}
+    assert lines[n] == [f"theta(8) not positive at n={n}"] + [
+        f"{label} at n={n}" for label in (
+            "theta(0) form mismatch", "theta(1) form mismatch", "theta(n-1) form mismatch",
+            "theta(n-1) sign claim failed", "theta(n) form mismatch")]
 
 
 def _flip_sign(monkeypatch, table: str, label: str) -> None:
@@ -636,18 +644,22 @@ def test_tampered_domb_row_fails_qlc_d_on_either_product_path(monkeypatch, colum
     assert [(m, first) for m, first, _last in rows if first is not None] == [(n, 8)]
 
 
-def _raise_d_row(monkeypatch, n, k):
-    """D's row n raised by one at coefficient k where ``families`` builds it,
-    so every reader of the row sees it."""
+def _raise_row(monkeypatch, family, n, k):
+    """The family's row n raised by one at coefficient k where ``families``
+    builds it, so every reader of the row sees it."""
     original_row = families._family_row
 
     def tampered(tag, m):
         row = original_row(tag, m)
-        if (tag, m) == ("D", n):
+        if (tag, m) == (family, n):
             row[k] += 1
         return row
 
     monkeypatch.setattr(families, "_family_row", tampered)
+
+
+def _raise_d_row(monkeypatch, n, k):
+    _raise_row(monkeypatch, "D", n, k)
 
 
 @pytest.mark.parametrize("parallelism", [1, 2])
@@ -671,11 +683,43 @@ def test_check_qlc_fails_a_d_row_off_by_one(capsys, monkeypatch, jobs):
                                "first_witness": "row 9 of D does not sum to D_9(1)"}
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_check_qlc_fails_a_w_row_off_by_one(capsys, monkeypatch, jobs):
+    _raise_row(monkeypatch, "W", 70, 3)
+    code, out = _check_qlc(capsys, "W", 80, jobs)
+    assert code == cli.EXIT_VERIFICATION_FAILURE
+    assert json.loads(out) == {"check": "qlc", "family": "W", "n_max": "80", "result": "fail",
+                               "first_witness": "row 70 of W does not sum to W_70(1)"}
+
+
 def test_unsummed_rows_lists_each_d_row_off_its_domb_number(monkeypatch):
-    assert verification._unsummed_rows(30) == []
+    assert verification._unsummed_rows(("D", 30)) == []
     for n, k in ((0, 0), (9, 3), (31, 30)):
         _raise_d_row(monkeypatch, n, k)
-    assert verification._unsummed_rows(30) == [0, 9, 31]
+    assert verification._unsummed_rows(("D", 30)) == [0, 9, 31]
+
+
+# (family, row n) raised by one at coefficient 3 -> (the records of the
+# default certificate that fail, the first failure of the first of them).
+# D and W rows are held to their sums at 1; an F or a V row breaks qlc_V's
+# check that V's row is F's reversed, and no other record reads row 120.
+ROW_TAMPERS = {
+    ("D", 9): (["qlc_D"], "row 9 of D does not sum to D_9(1)"),
+    ("W", 70): (["qlc_W"], "row 70 of W does not sum to W_70(1)"),
+    ("F", 120): (["qlc_V"], "row 120 of V is not row 120 of F reversed"),
+    ("V", 120): (["qlc_V"], "row 120 of V is not row 120 of F reversed"),
+}
+
+
+@pytest.mark.parametrize("parallelism", [1, 2])
+@pytest.mark.parametrize("family, n", list(ROW_TAMPERS))
+def test_a_family_row_off_by_one_fails_its_qlc_records(monkeypatch, family, n, parallelism):
+    _raise_row(monkeypatch, family, n, 3)
+    certificate = run_full_verification(VerificationConfig(parallelism=parallelism))
+    failed = [c for c in certificate.claims if not c.passed]
+    claims, first_failure = ROW_TAMPERS[family, n]
+    assert [c.claim for c in failed] == claims
+    assert failed[0].witness["first_failure"] == first_failure
 
 
 def test_eta_bump_inside_the_interval_fails_claim3(monkeypatch):
@@ -960,7 +1004,7 @@ def test_a_serial_qlc_claim_maps_one_range(monkeypatch, tag, engine):
     assert record.passed and len(rows) == 30
     assert [(row, items) for row, items in mapped if row != "_unsummed_rows"] == [
         (engine, [(tag, 1, 30)])]
-    assert [row for row, _items in mapped].count("_unsummed_rows") == (tag == "D")
+    assert [row for row, _items in mapped].count("_unsummed_rows") == (tag in ("D", "W"))
 
 
 def test_the_pooled_plan_runs_the_nine_grid_identities_as_one_task(monkeypatch):
